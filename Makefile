@@ -2,23 +2,22 @@
 #
 # `make ci` is the gate: build, lint (warnings-as-errors), the full
 # test suite (including the differential oracle between the reference,
-# cached, block, chain and jit dispatch paths), the dispatch-parity
-# gate (the differential, property and `Perf`-tier suites in isolation
-# — it fails printing the qcheck fuzz seed and shrunk program on any
-# state-hash mismatch), the static firmware audit (`cheriot_audit all`: shipped images audit
-# clean, the bad-image corpus is fully detected), the plan-soundness
-# gate (`cheriot_audit plans`: every jit check plan on the shipped
-# images proves equivalent to the all-full plan, every seeded optimizer
-# mutant is refuted), the incremental-audit gate (`cheriot_audit
-# incremental`: a one-compartment patch re-analyzes only that
-# compartment and the warm report is byte-identical to a cold audit),
-# and reduced-workload
-# runs of the decode-cache, block-exec, chain-exec and jit-exec
-# benchmarks, which exit non-zero if any dispatch path diverges on any
-# workload (jit_exec additionally fails if the optimizer never
-# engages).  The smoke benches write BENCH_*_smoke.json; they are
-# divergence gates, not performance claims — use `make bench` for real
-# numbers.
+# chain and jit dispatch tiers, and the CLI exit-code rules), the
+# dispatch-parity gate (the differential, property and `Perf`-tier
+# suites in isolation — it fails printing the qcheck fuzz seed and
+# shrunk program on any state-hash mismatch), the static firmware audit
+# (`cheriot_audit all`: shipped images audit clean, the bad-image corpus
+# is fully detected), the plan-soundness gate (`cheriot_audit plans`:
+# every jit check plan on the shipped images proves equivalent to the
+# all-full plan, every seeded optimizer mutant is refuted), the
+# incremental-audit gate (`cheriot_audit incremental`: a one-compartment
+# patch re-analyzes only that compartment and the warm report is
+# byte-identical to a cold audit), and reduced-workload runs of the
+# jit-exec and auditor benchmarks.  jit_exec smoke exits non-zero if the
+# ref, chain and jit tiers diverge on any workload or if the optimizer
+# never engages.  The smoke benches write BENCH_*_smoke.json, which are
+# divergence gates, not performance claims, and are not committed — use
+# `make bench` for real numbers.
 
 .PHONY: all build lint test parity prop-long audit verify-plans audit-incremental bench bench-smoke ci clean
 
@@ -56,8 +55,8 @@ verify-plans: build
 audit-incremental: build
 	dune exec bin/cheriot_audit.exe -- incremental
 
-# Dispatch parity: every dispatch path (ref / cached / block / chain /
-# jit) must be observationally identical on random streams, on generated
+# Dispatch parity: the three dispatch tiers (ref / chain / jit) must be
+# observationally identical on random streams, on generated
 # multi-compartment scenarios (switcher cross-calls, allocator churn,
 # revocation sweeps, code patches), under interrupt injection, and on
 # coremark — and so must every `Perf` tier under the cycle model
@@ -81,18 +80,12 @@ prop-long: build
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test fuzz
 
 bench: build
-	dune exec bench/main.exe -- decode_cache
-	dune exec bench/main.exe -- block_exec
-	dune exec bench/main.exe -- chain_exec
 	dune exec bench/main.exe -- jit_exec
 	dune exec bench/main.exe -- audit
 	dune exec bench/main.exe -- audit_incremental
 	dune exec bench/main.exe -- planverify
 
 bench-smoke: build
-	dune exec bench/main.exe -- decode_cache smoke
-	dune exec bench/main.exe -- block_exec smoke
-	dune exec bench/main.exe -- chain_exec smoke
 	dune exec bench/main.exe -- jit_exec smoke
 	dune exec bench/main.exe -- audit smoke
 	dune exec bench/main.exe -- audit_incremental smoke

@@ -372,31 +372,21 @@ let micro () =
       | Some _ | None -> Format.printf "%-40s (no estimate)@." name)
     (List.sort compare rows)
 
-(* --- decode-cache differential benchmark -------------------------------- *)
+(* --- dispatch-tier benchmark ---------------------------------------------- *)
 
 module Machine = Cheriot_isa.Machine
 
-(* Runs each workload's instruction stream to completion under both
-   dispatch paths — the always-decode reference interpreter
-   ([Machine.step]) and the decoded-instruction cache
-   ([Machine.step_fast]) — asserts that they retire the same number of
-   instructions and reach bit-identical architectural state, and reports
-   host instructions/sec for each.  Writes BENCH_decode_cache.json. *)
-
-(* Bounded: a divergence bug in the fast path could leave the PC stuck,
-   and the CI gate must fail on that, not hang. *)
-let decode_run step m =
-  let fuel = 50_000_000 in
-  let rec go n =
-    if n > fuel then failwith "decode_cache: workload ran out of fuel"
-    else
-      match step m with
-      | Machine.Step_ok | Machine.Step_trap _ -> go (n + 1)
-      | Machine.Step_halted -> ()
-      | Machine.Step_waiting -> failwith "decode_cache: workload hit WFI"
-      | Machine.Step_double_fault -> failwith "decode_cache: double fault"
-  in
-  go 0
+(* Three-way differential timing of the dispatch tiers: the reference
+   interpreter, the chain tier (chained superblock rounds, every access
+   fully checked) and the jit tier (the same rounds under per-block
+   check plans from [Ir.optimize]).  All three must retire identical
+   instruction counts and reach bit-identical architectural state; the
+   interesting numbers are the jit tier's win over the chain tier and
+   the optimizer counters (eliminated / hoisted checks, removed
+   bookkeeping, opt side exits).  Writes BENCH_jit_exec.json, and fails
+   the run if no workload formed a superblock or eliminated a check —
+   the optimizer never engaging is a regression, not a neutral
+   result. *)
 
 type path_timing = {
   pt_insns : int;
@@ -406,175 +396,52 @@ type path_timing = {
   pt_machine : Machine.t;
 }
 
-(* One timed run on a fresh machine, so the cached path pays its
-   cold-miss cost every time — no warm-cache flattery. *)
-let run_once ~mk ~fast =
-  let step = if fast then Machine.step_fast else Machine.step in
-  let m = mk () in
-  let t0 = Sys.time () in
-  decode_run step m;
-  (Sys.time () -. t0, m)
-
-(* Both paths are timed in an interleaved reference/cached sequence
-   (min of 5 pairs): host timing noise drifts over seconds, and
-   interleaving exposes both paths to the same drift instead of charging
-   it all to whichever path ran last. *)
-let time_paths ~mk =
-  let finish best m =
-    {
-      pt_insns = m.Machine.minstret;
-      pt_seconds = best;
-      pt_ips = float_of_int m.Machine.minstret /. max 1e-9 best;
-      pt_hash = Machine.state_hash m;
-      pt_machine = m;
-    }
-  in
-  let best_r = ref infinity and best_c = ref infinity in
-  let last_r = ref None and last_c = ref None in
-  for _ = 1 to 5 do
-    let dt_r, mr = run_once ~mk ~fast:false in
-    let dt_c, mc = run_once ~mk ~fast:true in
-    if dt_r < !best_r then best_r := dt_r;
-    if dt_c < !best_c then best_c := dt_c;
-    last_r := Some mr;
-    last_c := Some mc
-  done;
-  (finish !best_r (Option.get !last_r), finish !best_c (Option.get !last_c))
-
-let decode_cache ?(smoke = false) () =
-  section
-    (if smoke then "decode cache -- smoke (reduced workloads)"
-     else "decode cache -- reference vs cached dispatch");
-  let workloads =
-    [
-      ( "coremark",
-        fun () ->
-          Coremark.setup
-            ~iterations:(if smoke then 2 else 40)
-            (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex)
-      );
-      ( "alloc_bench",
-        fun () -> Alloc_bench.isa_setup ~rounds:(if smoke then 5 else 400) ()
-      );
-      ( "iot_app",
-        fun () -> Iot_app.isa_setup ~packets:(if smoke then 10 else 1500) ()
-      );
-    ]
-  in
-  Format.printf "%-12s %12s %14s %14s %9s %7s@." "workload" "insns"
-    "ref insns/s" "cached insns/s" "speedup" "match";
-  let diverged = ref false in
-  let rows =
-    List.map
-      (fun (name, mk) ->
-        let r, c = time_paths ~mk in
-        let ok = r.pt_insns = c.pt_insns && r.pt_hash = c.pt_hash in
-        if not ok then begin
-          diverged := true;
-          Format.eprintf
-            "DIVERGENCE on %s: ref %d insns (hash %s), cached %d insns (hash \
-             %s)@."
-            name r.pt_insns r.pt_hash c.pt_insns c.pt_hash
-        end;
-        let speedup = c.pt_ips /. r.pt_ips in
-        Format.printf "%-12s %12d %14.0f %14.0f %8.2fx %7s@." name r.pt_insns
-          r.pt_ips c.pt_ips speedup
-          (if ok then "yes" else "NO");
-        (name, r, c, speedup, ok))
-      workloads
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"bench\": \"decode_cache\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"workloads\": [\n" smoke);
-  List.iteri
-    (fun i (name, r, c, speedup, ok) ->
-      let st = Machine.decode_stats c.pt_machine in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S,\n\
-           \     \"reference\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"cached\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f,\n\
-           \                \"decode_hits\": %d, \"decode_misses\": %d, \
-            \"decode_invalidations\": %d},\n\
-           \     \"speedup\": %.3f, \"state_match\": %b}%s\n"
-           name r.pt_insns r.pt_seconds r.pt_ips c.pt_insns c.pt_seconds
-           c.pt_ips st.Cheriot_isa.Decode_cache.hits st.misses st.invalidations
-           speedup ok
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  (* The smoke run is a CI divergence gate, not a performance claim: keep
-     it from clobbering the full-size numbers. *)
-  let file =
-    if smoke then "BENCH_decode_cache_smoke.json" else "BENCH_decode_cache.json"
-  in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if !diverged then begin
-    prerr_endline "decode_cache: dispatch paths diverged";
-    exit 1
-  end
-
-(* --- basic-block translation benchmark ----------------------------------- *)
-
-(* Three-way differential timing: the reference interpreter, the
-   decoded-instruction cache, and the basic-block translation cache with
-   its batched run loop.  All three must retire identical instruction
-   counts and reach bit-identical architectural state; the block path's
-   win over [step_fast] is pure dispatch-overhead savings (no per-step
-   interrupt check, no per-step cache probe, prebuilt PCC chain).
-   Writes BENCH_block_exec.json. *)
-
-let block_run dispatch m =
+(* Bounded: a divergence bug could leave the PC stuck, and the CI gate
+   must fail on that, not hang. *)
+let exec_run dispatch m =
   match Machine.run ~fuel:50_000_000 ~dispatch m with
   | Machine.Step_halted, _ -> ()
-  | Machine.Step_waiting, _ -> failwith "block_exec: workload hit WFI"
-  | Machine.Step_double_fault, _ -> failwith "block_exec: double fault"
+  | Machine.Step_waiting, _ -> failwith "jit_exec: workload hit WFI"
+  | Machine.Step_double_fault, _ -> failwith "jit_exec: double fault"
   | (Machine.Step_ok | Machine.Step_trap _), _ ->
-      failwith "block_exec: workload ran out of fuel"
+      failwith "jit_exec: workload ran out of fuel"
 
-let block_run_once ~mk dispatch =
-  let m = mk () in
-  let t0 = Sys.time () in
-  block_run dispatch m;
-  (Sys.time () -. t0, m)
+let jit_dispatches =
+  [| Machine.Dispatch_ref; Machine.Dispatch_chain; Machine.Dispatch_jit |]
 
-(* Interleaved min-of-5 triplets on fresh machines, for the same reasons
-   as [time_paths]. *)
-let time_three ~mk =
-  let finish best m =
-    {
-      pt_insns = m.Machine.minstret;
-      pt_seconds = best;
-      pt_ips = float_of_int m.Machine.minstret /. max 1e-9 best;
-      pt_hash = Machine.state_hash m;
-      pt_machine = m;
-    }
-  in
-  let paths =
-    [| Machine.Dispatch_ref; Machine.Dispatch_cached; Machine.Dispatch_block |]
-  in
-  let best = Array.make 3 infinity in
-  let last = Array.make 3 None in
+(* Interleaved min-of-5 triples, each run on a fresh machine so every
+   tier pays its cold translation cost every time.  Host timing noise
+   drifts over seconds; interleaving exposes every tier to the same
+   drift instead of charging it all to whichever ran last. *)
+let time_tiers ~mk =
+  let n = Array.length jit_dispatches in
+  let best = Array.make n infinity in
+  let last = Array.make n None in
   for _ = 1 to 5 do
     Array.iteri
       (fun i d ->
-        let dt, m = block_run_once ~mk d in
+        let m = mk () in
+        let t0 = Sys.time () in
+        exec_run d m;
+        let dt = Sys.time () -. t0 in
         if dt < best.(i) then best.(i) <- dt;
         last.(i) <- Some m)
-      paths
+      jit_dispatches
   done;
-  Array.init 3 (fun i -> finish best.(i) (Option.get last.(i)))
+  Array.init n (fun i ->
+      let m = Option.get last.(i) in
+      {
+        pt_insns = m.Machine.minstret;
+        pt_seconds = best.(i);
+        pt_ips = float_of_int m.Machine.minstret /. max 1e-9 best.(i);
+        pt_hash = Machine.state_hash m;
+        pt_machine = m;
+      })
 
-let block_exec ?(smoke = false) () =
+let jit_exec ?(smoke = false) () =
   section
-    (if smoke then "block exec -- smoke (reduced workloads)"
-     else "block exec -- reference vs cached vs block dispatch");
+    (if smoke then "jit exec -- smoke (reduced workloads)"
+     else "jit exec -- reference vs chain vs optimizing trace jit");
   let workloads =
     [
       ( "coremark",
@@ -592,350 +459,49 @@ let block_exec ?(smoke = false) () =
     ]
   in
   Format.printf "%-12s %12s %13s %13s %13s %8s %8s %7s@." "workload" "insns"
-    "ref i/s" "cached i/s" "block i/s" "vs ref" "vs cach" "match";
+    "ref i/s" "chain i/s" "jit i/s" "vs chn" "vs ref" "match";
   let diverged = ref false in
   let rows =
     List.map
       (fun (name, mk) ->
-        let p = time_three ~mk in
-        let r = p.(0) and c = p.(1) and b = p.(2) in
+        let p = time_tiers ~mk in
+        let r = p.(0) and ch = p.(1) and j = p.(2) in
         let ok =
-          r.pt_insns = c.pt_insns
-          && c.pt_insns = b.pt_insns
-          && r.pt_hash = c.pt_hash
-          && c.pt_hash = b.pt_hash
+          Array.for_all
+            (fun q -> q.pt_insns = r.pt_insns && q.pt_hash = r.pt_hash)
+            p
         in
         if not ok then begin
           diverged := true;
-          Format.eprintf
-            "DIVERGENCE on %s: ref %d/%s cached %d/%s block %d/%s@." name
-            r.pt_insns r.pt_hash c.pt_insns c.pt_hash b.pt_insns b.pt_hash
+          Format.eprintf "DIVERGENCE on %s: ref %d/%s chain %d/%s jit %d/%s@."
+            name r.pt_insns r.pt_hash ch.pt_insns ch.pt_hash j.pt_insns
+            j.pt_hash
         end;
-        let vs_ref = b.pt_ips /. r.pt_ips in
-        let vs_cached = b.pt_ips /. c.pt_ips in
         Format.printf "%-12s %12d %13.0f %13.0f %13.0f %7.2fx %7.2fx %7s@."
-          name r.pt_insns r.pt_ips c.pt_ips b.pt_ips vs_ref vs_cached
+          name r.pt_insns r.pt_ips ch.pt_ips j.pt_ips (j.pt_ips /. ch.pt_ips)
+          (j.pt_ips /. r.pt_ips)
           (if ok then "yes" else "NO");
-        (name, r, c, b, ok))
-      workloads
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"bench\": \"block_exec\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"workloads\": [\n" smoke);
-  List.iteri
-    (fun i (name, r, c, b, ok) ->
-      let bs = Machine.block_stats b.pt_machine in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S,\n\
-           \     \"reference\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"cached\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"block\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f,\n\
-           \               \"block_hits\": %d, \"block_misses\": %d, \
-            \"block_invalidations\": %d,\n\
-           \               \"block_aborts\": %d, \"blocks_filled\": %d, \
-            \"avg_block_len\": %.2f},\n\
-           \     \"speedup_vs_reference\": %.3f, \"speedup_vs_cached\": \
-            %.3f, \"state_match\": %b}%s\n"
-           name r.pt_insns r.pt_seconds r.pt_ips c.pt_insns c.pt_seconds
-           c.pt_ips b.pt_insns b.pt_seconds b.pt_ips
-           bs.Machine.block_hits bs.Machine.block_misses
-           bs.Machine.block_invalidations bs.Machine.block_aborts
-           bs.Machine.blocks_filled (Machine.avg_block_len bs)
-           (b.pt_ips /. r.pt_ips)
-           (b.pt_ips /. c.pt_ips)
-           ok
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let file =
-    if smoke then "BENCH_block_exec_smoke.json" else "BENCH_block_exec.json"
-  in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if !diverged then begin
-    prerr_endline "block_exec: dispatch paths diverged";
-    exit 1
-  end
-
-(* --- block chaining + superblock benchmark ------------------------------- *)
-
-(* Four-way differential timing adding the chained dispatch path
-   ([Dispatch_chain]: direct block-to-block links plus trace-driven
-   superblocks) to the [block_exec] trio.  All four must retire
-   identical instruction counts and reach bit-identical architectural
-   state; the acceptance target is the chain path's win over the PR 2
-   block path.  Writes BENCH_chain_exec.json with the chain/superblock
-   counters. *)
-
-let chain_dispatches =
-  [|
-    Machine.Dispatch_ref;
-    Machine.Dispatch_cached;
-    Machine.Dispatch_block;
-    Machine.Dispatch_chain;
-  |]
-
-(* Interleaved min-of-5 quadruplets on fresh machines, for the same
-   reasons as [time_paths]. *)
-let time_four ~mk =
-  let finish best m =
-    {
-      pt_insns = m.Machine.minstret;
-      pt_seconds = best;
-      pt_ips = float_of_int m.Machine.minstret /. max 1e-9 best;
-      pt_hash = Machine.state_hash m;
-      pt_machine = m;
-    }
-  in
-  let n = Array.length chain_dispatches in
-  let best = Array.make n infinity in
-  let last = Array.make n None in
-  for _ = 1 to 5 do
-    Array.iteri
-      (fun i d ->
-        let dt, m = block_run_once ~mk d in
-        if dt < best.(i) then best.(i) <- dt;
-        last.(i) <- Some m)
-      chain_dispatches
-  done;
-  Array.init n (fun i -> finish best.(i) (Option.get last.(i)))
-
-let chain_exec ?(smoke = false) () =
-  section
-    (if smoke then "chain exec -- smoke (reduced workloads)"
-     else "chain exec -- block dispatch vs chained blocks + superblocks");
-  let workloads =
-    [
-      ( "coremark",
-        fun () ->
-          Coremark.setup
-            ~iterations:(if smoke then 2 else 40)
-            (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex)
-      );
-      ( "alloc_bench",
-        fun () -> Alloc_bench.isa_setup ~rounds:(if smoke then 5 else 400) ()
-      );
-      ( "iot_app",
-        fun () -> Iot_app.isa_setup ~packets:(if smoke then 10 else 1500) ()
-      );
-    ]
-  in
-  Format.printf "%-12s %12s %13s %13s %8s %8s %7s@." "workload" "insns"
-    "block i/s" "chain i/s" "vs blk" "vs ref" "match";
-  let diverged = ref false in
-  let rows =
-    List.map
-      (fun (name, mk) ->
-        let p = time_four ~mk in
-        let r = p.(0) and c = p.(1) and b = p.(2) and ch = p.(3) in
-        let ok =
-          Array.for_all
-            (fun q -> q.pt_insns = r.pt_insns && q.pt_hash = r.pt_hash)
-            p
-        in
-        if not ok then begin
-          diverged := true;
-          Format.eprintf
-            "DIVERGENCE on %s: ref %d/%s cached %d/%s block %d/%s chain %d/%s@."
-            name r.pt_insns r.pt_hash c.pt_insns c.pt_hash b.pt_insns b.pt_hash
-            ch.pt_insns ch.pt_hash
-        end;
-        let vs_block = ch.pt_ips /. b.pt_ips in
-        let vs_ref = ch.pt_ips /. r.pt_ips in
-        Format.printf "%-12s %12d %13.0f %13.0f %7.2fx %7.2fx %7s@." name
-          r.pt_insns b.pt_ips ch.pt_ips vs_block vs_ref
-          (if ok then "yes" else "NO");
-        (name, r, c, b, ch, ok))
-      workloads
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"bench\": \"chain_exec\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"smoke\": %b,\n  \"workloads\": [\n" smoke);
-  List.iteri
-    (fun i (name, r, c, b, ch, ok) ->
-      let cs = Machine.block_stats ch.pt_machine in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S,\n\
-           \     \"reference\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"cached\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"block\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"chain\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f,\n\
-           \               \"block_hits\": %d, \"block_misses\": %d, \
-            \"block_invalidations\": %d,\n\
-           \               \"block_aborts\": %d, \"blocks_filled\": %d, \
-            \"avg_block_len\": %.2f,\n\
-           \               \"chain_hits\": %d, \"chain_unlinks\": %d, \
-            \"superblocks_formed\": %d, \"side_exits\": %d},\n\
-           \     \"speedup_vs_block\": %.3f, \"speedup_vs_reference\": %.3f, \
-            \"state_match\": %b}%s\n"
-           name r.pt_insns r.pt_seconds r.pt_ips c.pt_insns c.pt_seconds
-           c.pt_ips b.pt_insns b.pt_seconds b.pt_ips ch.pt_insns ch.pt_seconds
-           ch.pt_ips cs.Machine.block_hits cs.Machine.block_misses
-           cs.Machine.block_invalidations cs.Machine.block_aborts
-           cs.Machine.blocks_filled (Machine.avg_block_len cs)
-           cs.Machine.chain_hits cs.Machine.chain_unlinks
-           cs.Machine.superblocks_formed cs.Machine.side_exits
-           (ch.pt_ips /. b.pt_ips)
-           (ch.pt_ips /. r.pt_ips)
-           ok
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let file =
-    if smoke then "BENCH_chain_exec_smoke.json" else "BENCH_chain_exec.json"
-  in
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." file;
-  if !diverged then begin
-    prerr_endline "chain_exec: dispatch paths diverged";
-    exit 1
-  end;
-  (* The chained tier only pays off if the trace heuristic actually
-     fires: at least one workload must have formed a superblock, or the
-     heuristic has regressed into never triggering. *)
-  if
-    not
-      (List.exists
-         (fun (_, _, _, _, ch, _) ->
-           (Machine.block_stats ch.pt_machine).Machine.superblocks_formed > 0)
-         rows)
-  then begin
-    prerr_endline "chain_exec: no workload formed any superblock";
-    exit 1
-  end
-
-(* --- trace-jit benchmark -------------------------------------------------- *)
-
-(* Five-way differential timing adding the optimizing jit tier
-   ([Dispatch_jit]: chained superblock rounds executing per-block check
-   plans from [Ir.optimize]) to the [chain_exec] set.  All five must
-   retire identical instruction counts and reach bit-identical
-   architectural state; the interesting numbers are the jit tier's win
-   over the chain path and the optimizer counters (eliminated / hoisted
-   checks, removed bookkeeping, opt side exits).  Writes
-   BENCH_jit_exec.json, and fails the run if no workload formed a
-   superblock or eliminated a check — the optimizer never engaging is a
-   regression, not a neutral result. *)
-
-let jit_dispatches =
-  [|
-    Machine.Dispatch_ref;
-    Machine.Dispatch_cached;
-    Machine.Dispatch_block;
-    Machine.Dispatch_chain;
-    Machine.Dispatch_jit;
-  |]
-
-(* Interleaved min-of-5 quintuplets on fresh machines, for the same
-   reasons as [time_paths]. *)
-let time_five ~mk =
-  let finish best m =
-    {
-      pt_insns = m.Machine.minstret;
-      pt_seconds = best;
-      pt_ips = float_of_int m.Machine.minstret /. max 1e-9 best;
-      pt_hash = Machine.state_hash m;
-      pt_machine = m;
-    }
-  in
-  let n = Array.length jit_dispatches in
-  let best = Array.make n infinity in
-  let last = Array.make n None in
-  for _ = 1 to 5 do
-    Array.iteri
-      (fun i d ->
-        let dt, m = block_run_once ~mk d in
-        if dt < best.(i) then best.(i) <- dt;
-        last.(i) <- Some m)
-      jit_dispatches
-  done;
-  Array.init n (fun i -> finish best.(i) (Option.get last.(i)))
-
-let jit_exec ?(smoke = false) () =
-  section
-    (if smoke then "jit exec -- smoke (reduced workloads)"
-     else "jit exec -- chained blocks vs optimizing trace jit");
-  let workloads =
-    [
-      ( "coremark",
-        fun () ->
-          Coremark.setup
-            ~iterations:(if smoke then 2 else 40)
-            (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex)
-      );
-      ( "alloc_bench",
-        fun () -> Alloc_bench.isa_setup ~rounds:(if smoke then 5 else 400) ()
-      );
-      ( "iot_app",
-        fun () -> Iot_app.isa_setup ~packets:(if smoke then 10 else 1500) ()
-      );
-    ]
-  in
-  Format.printf "%-12s %12s %13s %13s %8s %8s %7s@." "workload" "insns"
-    "chain i/s" "jit i/s" "vs chn" "vs ref" "match";
-  let diverged = ref false in
-  let rows =
-    List.map
-      (fun (name, mk) ->
-        let p = time_five ~mk in
-        let r = p.(0) and c = p.(1) and b = p.(2) and ch = p.(3) in
-        let j = p.(4) in
-        let ok =
-          Array.for_all
-            (fun q -> q.pt_insns = r.pt_insns && q.pt_hash = r.pt_hash)
-            p
-        in
-        if not ok then begin
-          diverged := true;
-          Format.eprintf
-            "DIVERGENCE on %s: ref %d/%s cached %d/%s block %d/%s chain \
-             %d/%s jit %d/%s@."
-            name r.pt_insns r.pt_hash c.pt_insns c.pt_hash b.pt_insns b.pt_hash
-            ch.pt_insns ch.pt_hash j.pt_insns j.pt_hash
-        end;
-        let vs_chain = j.pt_ips /. ch.pt_ips in
-        let vs_ref = j.pt_ips /. r.pt_ips in
-        Format.printf "%-12s %12d %13.0f %13.0f %7.2fx %7.2fx %7s@." name
-          r.pt_insns ch.pt_ips j.pt_ips vs_chain vs_ref
-          (if ok then "yes" else "NO");
-        (name, r, c, b, ch, j, ok))
+        (name, r, ch, j, ok))
       workloads
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"bench\": \"jit_exec\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"smoke\": %b,\n  \"workloads\": [\n" smoke);
+  let tier q =
+    Printf.sprintf
+      "{\"instructions\": %d, \"seconds\": %.6f, \"insns_per_sec\": %.0f"
+      q.pt_insns q.pt_seconds q.pt_ips
+  in
   List.iteri
-    (fun i (name, r, c, b, ch, j, ok) ->
+    (fun i (name, r, ch, j, ok) ->
       let js = Machine.block_stats j.pt_machine in
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\": %S,\n\
-           \     \"reference\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"cached\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"block\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"chain\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f},\n\
-           \     \"jit\": {\"instructions\": %d, \"seconds\": %.6f, \
-            \"insns_per_sec\": %.0f,\n\
+           \     \"reference\": %s},\n\
+           \     \"chain\": %s},\n\
+           \     \"jit\": %s,\n\
            \             \"block_hits\": %d, \"block_misses\": %d, \
             \"block_invalidations\": %d,\n\
            \             \"block_aborts\": %d, \"blocks_filled\": %d, \
@@ -948,11 +514,9 @@ let jit_exec ?(smoke = false) () =
             \"dead_bookkeeping_removed\": %d,\n\
            \             \"opt_side_exits\": %d, \"jit_plans_rejected\": \
             %d},\n\
-           \     \"speedup_vs_chain\": %.3f, \"speedup_vs_block\": %.3f, \
-            \"speedup_vs_reference\": %.3f, \"state_match\": %b}%s\n"
-           name r.pt_insns r.pt_seconds r.pt_ips c.pt_insns c.pt_seconds
-           c.pt_ips b.pt_insns b.pt_seconds b.pt_ips ch.pt_insns ch.pt_seconds
-           ch.pt_ips j.pt_insns j.pt_seconds j.pt_ips js.Machine.block_hits
+           \     \"speedup_vs_chain\": %.3f, \"speedup_vs_reference\": %.3f, \
+            \"state_match\": %b}%s\n"
+           name (tier r) (tier ch) (tier j) js.Machine.block_hits
            js.Machine.block_misses js.Machine.block_invalidations
            js.Machine.block_aborts js.Machine.blocks_filled
            (Machine.avg_block_len js) js.Machine.chain_hits
@@ -963,12 +527,13 @@ let jit_exec ?(smoke = false) () =
            js.Machine.dead_bookkeeping_removed js.Machine.opt_side_exits
            js.Machine.jit_plans_rejected
            (j.pt_ips /. ch.pt_ips)
-           (j.pt_ips /. b.pt_ips)
            (j.pt_ips /. r.pt_ips)
            ok
            (if i < List.length rows - 1 then "," else "")))
     rows;
   Buffer.add_string buf "  ]\n}\n";
+  (* The smoke run is a CI divergence gate, not a performance claim:
+     keep it from clobbering the full-size numbers. *)
   let file =
     if smoke then "BENCH_jit_exec_smoke.json" else "BENCH_jit_exec.json"
   in
@@ -982,8 +547,7 @@ let jit_exec ?(smoke = false) () =
   end;
   let some f =
     List.exists
-      (fun (_, _, _, _, _, j, _) ->
-        f (Machine.block_stats j.pt_machine) > 0)
+      (fun (_, _, _, j, _) -> f (Machine.block_stats j.pt_machine) > 0)
       rows
   in
   if not (some (fun s -> s.Machine.superblocks_formed)) then begin
@@ -1227,9 +791,6 @@ let all () =
   fig56 Core_model.Ibex "6" ibex;
   iot ();
   ablations ();
-  decode_cache ();
-  block_exec ();
-  chain_exec ();
   jit_exec ();
   audit_bench ();
   audit_incremental_bench ();
@@ -1247,12 +808,6 @@ let () =
   | [| _; "fig6" |] -> fig56 Core_model.Ibex "6" (run_alloc_table Core_model.Ibex)
   | [| _; "iot" |] -> iot ()
   | [| _; "ablations" |] -> ablations ()
-  | [| _; "decode_cache" |] -> decode_cache ()
-  | [| _; "decode_cache"; "smoke" |] -> decode_cache ~smoke:true ()
-  | [| _; "block_exec" |] -> block_exec ()
-  | [| _; "block_exec"; "smoke" |] -> block_exec ~smoke:true ()
-  | [| _; "chain_exec" |] -> chain_exec ()
-  | [| _; "chain_exec"; "smoke" |] -> chain_exec ~smoke:true ()
   | [| _; "jit_exec" |] -> jit_exec ()
   | [| _; "jit_exec"; "smoke" |] -> jit_exec ~smoke:true ()
   | [| _; "audit" |] -> audit_bench ()
@@ -1266,8 +821,7 @@ let () =
   | _ ->
       prerr_endline
         "usage: main.exe \
-         [table1|table2|table3|table4|fig5|fig6|iot|ablations|decode_cache \
-         [smoke]|block_exec [smoke]|chain_exec [smoke]|jit_exec \
+         [table1|table2|table3|table4|fig5|fig6|iot|ablations|jit_exec \
          [smoke]|audit [smoke]|audit_incremental [smoke]|planverify \
          [smoke]|micro]";
       exit 2

@@ -8,7 +8,7 @@
                       yield findings for exactly its expected rule
      all              both of the above (the `make audit` CI gate)
      plans [NAME]     run each shipped image under the jit tier (or
-                      --dispatch block|chain|jit), statically verify
+                      --dispatch chain|jit), statically verify
                       every compiled check plan sound, then refute the
                       seeded optimizer mutants (the `make verify-plans`
                       CI gate); same JSON report shape
@@ -23,7 +23,7 @@
    report (shipped, plans) or the corpus selection to one rule.
 
    Exit codes: 0 clean; 1 findings / corpus failure; 2 analysis error,
-   unknown image or unknown rule.
+   unknown image, unknown rule or malformed command line.
 
    JSON schema (see README):
      { "images": [ { "image": <name>,
@@ -80,7 +80,6 @@ let () =
         & opt
             (enum
                [
-                 ("block", Cheriot_isa.Machine.Dispatch_block);
                  ("chain", Cheriot_isa.Machine.Dispatch_chain);
                  ("jit", Cheriot_isa.Machine.Dispatch_jit);
                ])
@@ -111,6 +110,14 @@ let () =
       (Cmd.info "rules" ~doc:"list the rule catalogue")
       Term.(const Driver.rules $ const ())
   in
+  (* A malformed command line is an error like any other: exit 2
+     (cmdliner's own default is 124). *)
   exit
-    (Cmd.eval'
-       (Cmd.group info [ shipped; corpus; all; plans; incremental; rules ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group info [ shipped; corpus; all; plans; incremental; rules ])
+     with
+    | Ok (`Ok code) -> code
+    | Ok (`Version | `Help) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

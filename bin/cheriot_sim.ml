@@ -142,8 +142,6 @@ let demo_cmd =
       Arg.enum
         [
           ("ref", Cheriot_isa.Machine.Dispatch_ref);
-          ("cached", Cheriot_isa.Machine.Dispatch_cached);
-          ("block", Cheriot_isa.Machine.Dispatch_block);
           ("chain", Cheriot_isa.Machine.Dispatch_chain);
           ("jit", Cheriot_isa.Machine.Dispatch_jit);
         ]
@@ -153,11 +151,10 @@ let demo_cmd =
       & opt d Cheriot_isa.Machine.Dispatch_ref
       & info [ "dispatch" ]
           ~doc:
-            "execution machinery: ref (re-decode every step), cached \
-             (decoded-instruction cache), block (basic-block \
-             translation cache), chain (chained blocks with \
-             trace-driven superblocks; traced transfers are marked \
-             [chain] / [side-exit]), or jit (chained blocks running \
+            "execution machinery: ref (re-decode every step), chain \
+             (chained translated blocks with trace-driven superblocks, \
+             every access fully checked; traced transfers are marked \
+             [chain] / [side-exit]), or jit (the same rounds running \
              optimized check plans; traced transfers are marked [jit], \
              guard deoptimizations [opt-side-exit])")
   in
@@ -171,4 +168,13 @@ let () =
     Cmd.info "cheriot_sim" ~version:"1.0"
       ~doc:"CHERIoT simulator driver (MICRO 2023 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group info [ coremark_cmd; alloc_cmd; iot_cmd; demo_cmd ]))
+  (* A malformed command line exits 2, like every other error here
+     (cmdliner's own default is 124). *)
+  exit
+    (match
+       Cmd.eval_value
+         (Cmd.group info [ coremark_cmd; alloc_cmd; iot_cmd; demo_cmd ])
+     with
+    | Ok (`Ok () | `Version | `Help) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

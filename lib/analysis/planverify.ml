@@ -388,9 +388,9 @@ let dedupe plans =
    Collection uses the validator hook — the one point every plan passes
    through at compile time — rather than a cache sweep, because the
    direct-mapped block cache evicts: a block compiled early and evicted
-   late would be invisible to a post-run sweep.  Under a non-jit
-   dispatch no plan is compiled during the run, so a final sweep
-   force-compiles every block still in the translation cache. *)
+   late would be invisible to a post-run sweep.  [Dispatch_chain] runs
+   the identity plan and compiles nothing, so a final sweep
+   force-compiles every cached block that has no plan yet. *)
 let collect ?(dispatch = Machine.Dispatch_jit) ?(fuel = 2_000_000)
     (m : Machine.t) =
   let acc = ref [] in

@@ -77,10 +77,10 @@ val collect :
 (** Run the machine (default [Dispatch_jit], 2M fuel) and return every
     plan compiled along the way — captured at compile time through the
     validator hook, so cache evictions lose nothing — deduplicated by
-    (start address, instruction array).  Under a non-jit dispatch,
-    blocks left uncompiled by the run are force-compiled from the
-    translation cache afterwards.  Restores any previously installed
-    validator. *)
+    (start address, instruction array).  Blocks the run left without a
+    plan — every block under [Dispatch_chain], which never compiles —
+    are force-compiled from the translation cache afterwards.  Restores
+    any previously installed validator. *)
 
 val verify_plan : plan -> verdict
 

@@ -6,12 +6,7 @@ module Revbits = Cheriot_mem.Revbits
 type mode = Cheriot | Rv32
 
 (** Which fetch/decode machinery drives execution. *)
-type dispatch =
-  | Dispatch_ref
-  | Dispatch_cached
-  | Dispatch_block
-  | Dispatch_chain
-  | Dispatch_jit
+type dispatch = Dispatch_ref | Dispatch_chain | Dispatch_jit
 
 type cheri_cause =
   | Cheri_bounds
@@ -166,10 +161,10 @@ type t = {
   mutable fm_sram : Sram.t;
   mutable fm_base : int;
   mutable fm_limit : int;
-  (* Per-round retirement ring filled by [step_block]/[step_chain] so
-     the tracer can render each retired instruction of a block
+  (* Per-round retirement ring filled by [step_chain]/[step_jit] so
+     the tracer can render each retired instruction of a round
      individually: parallel arrays of (copied) events, their PCs, and a
-     control-flow mark (see [mark_chained]/[mark_side_exit]). *)
+     control-flow mark (see [mark_chained] .. [mark_opt_side_exit]). *)
   block_events : event array;
   block_pcs : int array;
   block_marks : int array;
@@ -254,7 +249,7 @@ and bentry = {
       (* packed prefix sums of the cost model's static costs:
          [b_cost.(k)] prices instructions [0, k).  Built at translation
          when a cost model is installed, [||] otherwise. *)
-  (* Direct chain slots (Dispatch_chain only): when the block ends in a
+  (* Direct chain slots (the batched tiers): when the block ends in a
      direct [Jal] or a [Branch], the validated successor block of each
      edge is cached here with the cache's chain epoch at link time.  A
      link whose epoch still matches is followed without probing the
@@ -534,17 +529,39 @@ let[@inline] data_write m ~size addr v =
   end
   else data_write_slow m ~size addr v
 
+(* The residual checks of one [Ir.chk] plan entry.  [Chk_full] is
+   exactly [check_access] — what the reference interpreter and every
+   unoptimized plan run.  The reduced levels exist only for CHERIoT-mode
+   blocks (the optimizer emits [Chk_full] throughout for Rv32), so
+   [cap] is the cited register there.  Check order mirrors
+   [check_access] (bounds before alignment), so the first failing check
+   — and therefore the trap cause — is the reference path's on every
+   input the plan admits. *)
+let[@inline] check_plan m chk ~cap ~ridx ~addr ~size ~store ~is_cap =
+  match chk with
+  | Ir.Chk_full -> check_access m ~cap ~ridx ~addr ~size ~store ~is_cap
+  | Ir.Chk_bounds ->
+      if not (Capability.in_bounds cap ~size addr) then
+        access_fail Cheri_bounds ridx;
+      if addr land (size - 1) <> 0 then
+        raise (Trap (if store then Store_misaligned else Load_misaligned))
+  | Ir.Chk_align ->
+      if addr land (size - 1) <> 0 then
+        raise (Trap (if store then Store_misaligned else Load_misaligned))
+  | Ir.Chk_none -> ()
+
 (* The effective address always comes from [rs1]'s address field; only
    the authorizing capability differs by mode (the register itself, or
    the implicit DDC).  Computed field-by-field at each call site so no
-   intermediate pair is built on the per-access hot path. *)
+   intermediate pair is built on the per-access hot path.  [chk] is the
+   access's plan entry ([Chk_full] outside a jit plan). *)
 
-let do_load m ~ridx ~rs1 ~off ~width ~signed ~rd =
+let do_load m chk ~rs1 ~off ~width ~signed ~rd =
   let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
   let r = reg m rs1 in
   let addr = (r.Capability.addr + off) land mask32 in
   let cap = match m.mode with Cheriot -> r | Rv32 -> m.ddc in
-  check_access m ~cap ~ridx ~addr ~size ~store:false ~is_cap:false;
+  check_plan m chk ~cap ~ridx:rs1 ~addr ~size ~store:false ~is_cap:false;
   let v = data_read m ~size addr in
   let v =
     if signed then
@@ -557,12 +574,12 @@ let do_load m ~ridx ~rs1 ~off ~width ~signed ~rd =
   set_reg_int m rd v;
   size
 
-let do_store m ~ridx ~rs1 ~off ~width ~rs2 =
+let do_store m chk ~rs1 ~off ~width ~rs2 =
   let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
   let r = reg m rs1 in
   let addr = (r.Capability.addr + off) land mask32 in
   let cap = match m.mode with Cheriot -> r | Rv32 -> m.ddc in
-  check_access m ~cap ~ridx ~addr ~size ~store:true ~is_cap:false;
+  check_plan m chk ~cap ~ridx:rs1 ~addr ~size ~store:true ~is_cap:false;
   data_write m ~size addr (reg_int m rs2);
   note_store m addr;
   size
@@ -579,11 +596,11 @@ let load_filter_apply m c =
         Capability.clear_tag c
     | Some _ | None -> c
 
-let do_clc m ~rd ~rs1 ~off =
+let do_clc m chk ~rd ~rs1 ~off =
   if m.mode = Rv32 then raise (Trap Illegal_instruction);
   let cap = reg m rs1 in
   let addr = (Capability.address cap + off) land mask32 in
-  check_access m ~cap ~ridx:rs1 ~addr ~size:8 ~store:false ~is_cap:true;
+  check_plan m chk ~cap ~ridx:rs1 ~addr ~size:8 ~store:false ~is_cap:true;
   let tag, word =
     try Bus.read_cap m.bus addr
     with Bus.Bus_error _ -> raise (Trap Load_access_fault)
@@ -593,111 +610,11 @@ let do_clc m ~rd ~rs1 ~off =
   let loaded = load_filter_apply m loaded in
   set_reg m rd loaded
 
-let do_csc m ~rs2 ~rs1 ~off =
+let do_csc m chk ~rs2 ~rs1 ~off =
   if m.mode = Rv32 then raise (Trap Illegal_instruction);
   let cap = reg m rs1 in
   let addr = (Capability.address cap + off) land mask32 in
-  check_access m ~cap ~ridx:rs1 ~addr ~size:8 ~store:true ~is_cap:true;
-  let value = reg m rs2 in
-  if
-    value.Capability.tag
-    && (not (Capability.is_global value))
-    && not (Capability.has_perm cap SL)
-  then raise (Trap (Cheri_fault (Cheri_permit_store_local, rs2)));
-  (try Bus.write_cap m.bus addr (value.Capability.tag, Capability.to_word value)
-   with Bus.Bus_error _ -> raise (Trap Store_access_fault));
-  note_store m addr
-
-(* --- plan-directed memory access (Dispatch_jit) ----------------------- *)
-
-(* The [do_load]/[do_store]/[do_clc]/[do_csc] bodies with the check
-   prologue replaced by the residual checks of an [Ir.chk] plan.  The
-   reduced arms exist only for CHERIoT-mode blocks (the optimizer emits
-   [Chk_full] throughout for Rv32), so the cited register {e is} the
-   authorizing capability there.  Check order within each arm mirrors
-   [check_access] (bounds before alignment), so the first failing check
-   — and therefore the trap cause — is identical to the reference
-   path's on every input the plan admits. *)
-
-let jit_load m chk ~rs1 ~off ~width ~signed ~rd =
-  let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
-  let r = reg m rs1 in
-  let addr = (r.Capability.addr + off) land mask32 in
-  (match chk with
-  | Ir.Chk_full ->
-      let cap = match m.mode with Cheriot -> r | Rv32 -> m.ddc in
-      check_access m ~cap ~ridx:rs1 ~addr ~size ~store:false ~is_cap:false
-  | Ir.Chk_bounds ->
-      if not (Capability.in_bounds r ~size addr) then
-        access_fail Cheri_bounds rs1;
-      if addr land (size - 1) <> 0 then raise (Trap Load_misaligned)
-  | Ir.Chk_align ->
-      if addr land (size - 1) <> 0 then raise (Trap Load_misaligned)
-  | Ir.Chk_none -> ());
-  let v = data_read m ~size addr in
-  let v =
-    if signed then
-      match width with
-      | B -> (v lxor 0x80) - 0x80
-      | H -> (v lxor 0x8000) - 0x8000
-      | W -> v
-    else v
-  in
-  set_reg_int m rd v
-
-let jit_store m chk ~rs1 ~off ~width ~rs2 =
-  let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
-  let r = reg m rs1 in
-  let addr = (r.Capability.addr + off) land mask32 in
-  (match chk with
-  | Ir.Chk_full ->
-      let cap = match m.mode with Cheriot -> r | Rv32 -> m.ddc in
-      check_access m ~cap ~ridx:rs1 ~addr ~size ~store:true ~is_cap:false
-  | Ir.Chk_bounds ->
-      if not (Capability.in_bounds r ~size addr) then
-        access_fail Cheri_bounds rs1;
-      if addr land (size - 1) <> 0 then raise (Trap Store_misaligned)
-  | Ir.Chk_align ->
-      if addr land (size - 1) <> 0 then raise (Trap Store_misaligned)
-  | Ir.Chk_none -> ());
-  data_write m ~size addr (reg_int m rs2);
-  note_store m addr
-
-let jit_clc m chk ~rd ~rs1 ~off =
-  if m.mode = Rv32 then raise (Trap Illegal_instruction);
-  let cap = reg m rs1 in
-  let addr = (Capability.address cap + off) land mask32 in
-  (match chk with
-  | Ir.Chk_full ->
-      check_access m ~cap ~ridx:rs1 ~addr ~size:8 ~store:false ~is_cap:true
-  | Ir.Chk_bounds ->
-      if not (Capability.in_bounds cap ~size:8 addr) then
-        access_fail Cheri_bounds rs1;
-      if addr land 7 <> 0 then raise (Trap Load_misaligned)
-  | Ir.Chk_align -> if addr land 7 <> 0 then raise (Trap Load_misaligned)
-  | Ir.Chk_none -> ());
-  let tag, word =
-    try Bus.read_cap m.bus addr
-    with Bus.Bus_error _ -> raise (Trap Load_access_fault)
-  in
-  let loaded = Capability.of_word ~tag word in
-  let loaded = Capability.load_attenuate ~authority:cap loaded in
-  let loaded = load_filter_apply m loaded in
-  set_reg m rd loaded
-
-let jit_csc m chk ~rs2 ~rs1 ~off =
-  if m.mode = Rv32 then raise (Trap Illegal_instruction);
-  let cap = reg m rs1 in
-  let addr = (Capability.address cap + off) land mask32 in
-  (match chk with
-  | Ir.Chk_full ->
-      check_access m ~cap ~ridx:rs1 ~addr ~size:8 ~store:true ~is_cap:true
-  | Ir.Chk_bounds ->
-      if not (Capability.in_bounds cap ~size:8 addr) then
-        access_fail Cheri_bounds rs1;
-      if addr land 7 <> 0 then raise (Trap Store_misaligned)
-  | Ir.Chk_align -> if addr land 7 <> 0 then raise (Trap Store_misaligned)
-  | Ir.Chk_none -> ());
+  check_plan m chk ~cap ~ridx:rs1 ~addr ~size:8 ~store:true ~is_cap:true;
   let value = reg m rs2 in
   (* The store-local check depends on the {e stored value}, not on a
      fact any dominating access could establish: never eliminated. *)
@@ -1112,10 +1029,11 @@ let next_pcc m = next_pcc_of m.mode m.pcc
 
 let next m = m.pcc <- next_pcc m
 
-(* Fall-through PC advance.  The cached dispatch passes the fill-time
-   [c_next] when the ticket validated — [next_pcc] depends only on the
-   ticket-compared fields, so installing the prebuilt record is
-   observationally identical to recomputing it (and costs one store). *)
+(* Fall-through PC advance.  [step_fast] passes the fill-time [c_next],
+   and a block executor the block's [b_nexts] entry, when the ticket
+   validated — [next_pcc] depends only on the ticket-compared fields,
+   so installing the prebuilt record is observationally identical to
+   recomputing it (and costs one store). *)
 let advance m nextc =
   match nextc with Some c -> m.pcc <- c | None -> next m
 
@@ -1190,9 +1108,9 @@ let finish m ?(taken = false) ?(mem = 0) ?(cap_mem = false) ?(store = false)
   Step_ok
 
 
-(* One instruction's semantics, shared verbatim by both dispatch paths:
-   the reference interpreter and the cached fast path differ only in how
-   [insn] was obtained. *)
+(* One instruction's semantics, shared verbatim by the reference
+   interpreter, [step_fast] and the block executors' generic arms: they
+   differ only in how [insn] was obtained. *)
 let exec m insn opt nextc =
   match insn with
   | Insn.Lui (rd, imm20) ->
@@ -1225,19 +1143,19 @@ let exec m insn opt nextc =
       else advance m nextc;
       finish m ~taken opt
   | Load { signed; width; rd; rs1; off } ->
-      let bytes = do_load m ~ridx:rs1 ~rs1 ~off ~width ~signed ~rd in
+      let bytes = do_load m Ir.Chk_full ~rs1 ~off ~width ~signed ~rd in
       advance m nextc;
       finish m ~mem:bytes opt
   | Store { width; rs2; rs1; off } ->
-      let bytes = do_store m ~ridx:rs1 ~rs1 ~off ~width ~rs2 in
+      let bytes = do_store m Ir.Chk_full ~rs1 ~off ~width ~rs2 in
       advance m nextc;
       finish m ~mem:bytes ~store:true opt
   | Clc (rd, rs1, off) ->
-      do_clc m ~rd ~rs1 ~off;
+      do_clc m Ir.Chk_full ~rd ~rs1 ~off;
       advance m nextc;
       finish m ~mem:8 ~cap_mem:true opt
   | Csc (rs2, rs1, off) ->
-      do_csc m ~rs2 ~rs1 ~off;
+      do_csc m Ir.Chk_full ~rs2 ~rs1 ~off;
       advance m nextc;
       finish m ~mem:8 ~cap_mem:true ~store:true opt
   | Op_imm (op, rd, rs1, imm) ->
@@ -1616,7 +1534,9 @@ let mark_side_exit = 2
 let mark_jit = 3
 let mark_opt_side_exit = 4
 
-(* Execute (a prefix of) a validated block.  The PCC sits at
+(* The recording executor behind [step_chain]/[step_jit]: execute (a
+   prefix of) a validated block through the generic [exec] arm, copying
+   every retired instruction into the ring.  The PCC sits at
    [b.b_start]; the caller has established that no interrupt is
    deliverable, and the body invariant (see [block_terminator]) keeps
    that true across every non-final instruction.  Returns
@@ -1630,7 +1550,7 @@ let mark_opt_side_exit = 4
    live bytes.  Abandonment at {e block} granularity is conservative —
    the store may have patched an already-executed word — but always
    correct, and self-modifying code is rare. *)
-let exec_block m (b : bentry) ~fuel ~record =
+let exec_block m (b : bentry) ~fuel =
   let bc = m.bcache in
   let slot = Decode_cache.slot bc.Decode_cache.rc b.b_start in
   let n = if fuel < b.b_len then fuel else b.b_len in
@@ -1647,7 +1567,7 @@ let exec_block m (b : bentry) ~fuel ~record =
            (Array.unsafe_get b.b_nexts i)
        in
        incr retired;
-       if record then record_event m (b.b_start + (4 * i));
+       record_event m (b.b_start + (4 * i));
        match r with
        | Step_ok ->
            if m.last_event.ev_taken_branch && !retired < b.b_len then begin
@@ -1657,7 +1577,7 @@ let exec_block m (b : bentry) ~fuel ~record =
                 generic [exec] arm already left exact PCC / minstret /
                 event state, so stopping {e is} the stub. *)
              bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-             if record then m.block_marks.(m.block_ev_n - 1) <- mark_side_exit;
+             m.block_marks.(m.block_ev_n - 1) <- mark_side_exit;
              stop := true
            end
            else if
@@ -1676,166 +1596,9 @@ let exec_block m (b : bentry) ~fuel ~record =
    with Trap cause ->
      m.last_event <- { no_event with ev_trap = Some cause };
      incr retired;
-     if record then record_event m (b.b_start + (4 * (!retired - 1)));
+     record_event m (b.b_start + (4 * (!retired - 1)));
      result := enter_trap m cause);
   (!result, !retired)
-
-(* Batched-run variant of [exec_block] (the [record:false] path): same
-   semantics, but PCC / minstret / retirement-event bookkeeping is
-   deferred across runs of simple instructions.  Two deferral classes:
-
-   - ALU (Lui, Op_imm, Op, Mul_div): only read and write integer
-     registers — they never consult [pcc], [minstret] or [last_event],
-     cannot trap (the ALU helpers are total — division by zero is
-     defined) and always fall through, so they run with the
-     architectural PC left stale.
-
-   - Integer Load / Store: can trap, so [sync] runs {e first} — at the
-     faulting instruction the architectural state (PCC for [mepcc],
-     minstret) is exact.  On success the epilogue (fall-through PCC
-     store, minstret bump, event stores) is deferred like an ALU op's.
-
-   Everything else [sync]s and takes the generic [exec] path (it may
-   read the PC or inspect CSRs).  [sync] replays the deferred
-   bookkeeping in one step: minstret jumps by the run length and the
-   PCC installs the prebuilt fall-through of the {e last} deferred
-   instruction — bitwise the value the per-step path would have left.
-   When the round {e ends} on a deferred run, the final [last_event] is
-   materialised from the last instruction (its event is a function of
-   the decoded instruction alone for every deferred class), so the
-   observable state matches the per-step path exactly.
-
-   With [timed] the block is also charged to the cost model: [seg] is
-   the first instruction not yet charged. *)
-let exec_block_fast m (b : bentry) ~fuel ~timed =
-  let bc = m.bcache in
-  let slot = Decode_cache.slot bc.Decode_cache.rc b.b_start in
-  let tags = bc.Decode_cache.rc.Decode_cache.tags in
-  let n = if fuel < b.b_len then fuel else b.b_len in
-  let insns = b.b_insns and opts = b.b_opts and nexts = b.b_nexts in
-  let cost = b.b_cost in
-  let seg = ref 0 in
-  let i = ref 0 in
-  let pending = ref 0 in
-  let result = ref Step_ok in
-  let stop = ref false in
-  let sync () =
-    if !pending > 0 then begin
-      m.minstret <- m.minstret + !pending;
-      (match Array.unsafe_get nexts (!i - 1) with
-      | Some c -> m.pcc <- c
-      | None -> ());
-      pending := 0
-    end
-  in
-  (try
-     while (not !stop) && !i < n do
-       (match Array.unsafe_get insns !i with
-       | Insn.Lui (rd, imm20) ->
-           set_reg_int m rd (imm20 lsl 12);
-           incr pending
-       | Insn.Op_imm (op, rd, rs1, imm) ->
-           set_reg_int m rd (alu_exec op (reg_int m rs1) (imm land mask32));
-           incr pending
-       | Insn.Op (op, rd, rs1, rs2) ->
-           set_reg_int m rd (alu_exec op (reg_int m rs1) (reg_int m rs2));
-           incr pending
-       | Insn.Mul_div (op, rd, rs1, rs2) ->
-           set_reg_int m rd (muldiv_exec op (reg_int m rs1) (reg_int m rs2));
-           incr pending
-       | Insn.Load { signed; width; rd; rs1; off } ->
-           sync ();
-           ignore (do_load m ~ridx:rs1 ~rs1 ~off ~width ~signed ~rd);
-           incr pending
-       | Insn.Store { width; rs2; rs1; off } ->
-           sync ();
-           ignore (do_store m ~ridx:rs1 ~rs1 ~off ~width ~rs2);
-           incr pending;
-           if Array.unsafe_get tags slot <> b.b_start then begin
-             m.block_aborts <- m.block_aborts + 1;
-             stop := true
-           end
-       | Insn.Clc (rd, rs1, off) ->
-           sync ();
-           do_clc m ~rd ~rs1 ~off;
-           incr pending
-       | Insn.Csc (rs2, rs1, off) ->
-           sync ();
-           do_csc m ~rs2 ~rs1 ~off;
-           incr pending;
-           if Array.unsafe_get tags slot <> b.b_start then begin
-             m.block_aborts <- m.block_aborts + 1;
-             stop := true
-           end
-       | ( Insn.Cincaddr _ | Insn.Cincaddrimm _ | Insn.Csetaddr _
-         | Insn.Csetbounds _ | Insn.Csetboundsexact _ | Insn.Csetboundsimm _
-         | Insn.Crrl _ | Insn.Cram _ | Insn.Candperm _ | Insn.Ccleartag _
-         | Insn.Cmove _ | Insn.Cseal _ | Insn.Cunseal _ | Insn.Cget _
-         | Insn.Csub _ | Insn.Ctestsubset _ | Insn.Csetequalexact _ ) as insn
-         ->
-           (* register-pure capability arithmetic: may trap (so [sync]
-              first) but never reads the PC or CSRs — [Cspecialrw] is
-              the one exception and takes the generic arm below *)
-           sync ();
-           exec_cap m insn;
-           incr pending
-       | insn -> (
-           sync ();
-           if timed then begin
-             charge_seg m cost !seg !i;
-             seg := !i
-           end;
-           let r =
-             exec m insn (Array.unsafe_get opts !i) (Array.unsafe_get nexts !i)
-           in
-           if timed then begin
-             charge_generic m cost !i insn r;
-             seg := !i + 1
-           end;
-           match r with
-           | Step_ok ->
-               if m.last_event.ev_taken_branch && !i < b.b_len - 1 then begin
-                 (* superblock side exit, as in [exec_block]; [exec]
-                    left the exact post-branch state *)
-                 bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-                 stop := true
-               end
-               else if
-                 m.last_event.ev_is_store
-                 && Array.unsafe_get tags slot <> b.b_start
-               then begin
-                 m.block_aborts <- m.block_aborts + 1;
-                 stop := true
-               end
-           | (Step_trap _ | Step_waiting | Step_halted | Step_double_fault)
-             as r ->
-               result := r;
-               stop := true));
-       incr i
-     done;
-     if timed then charge_seg m cost !seg !i;
-     if !pending > 0 then begin
-       m.minstret <- m.minstret + !pending;
-       (match Array.unsafe_get nexts (!i - 1) with
-       | Some c -> m.pcc <- c
-       | None -> ());
-       pending := 0;
-       retire_event m
-         (Array.unsafe_get insns (!i - 1))
-         (Array.unsafe_get opts (!i - 1))
-         ~taken:false
-     end
-   with Trap cause ->
-     (* only a non-deferred instruction can raise, and [sync] ran just
-        before it — the deferred window is always empty here *)
-     if timed then begin
-       charge_seg m cost !seg !i;
-       charge_trap m
-     end;
-     m.last_event <- { no_event with ev_trap = Some cause };
-     incr i;
-     result := enter_trap m cause);
-  (!result, !i)
 
 (* Adaptive hotness: every 1024 edge resolutions, compare the unlink
    rate against a fixed budget.  Lots of unlinks means translations are
@@ -1984,9 +1747,9 @@ let chain_edge_ind m (b : bentry) =
 
 (* The recording path's entry point: derive the edge from the
    terminator and the architectural event (the generic [exec] arm set
-   [ev_taken_branch]); the merged fast executors call [chain_edge] /
-   [chain_edge_ind] directly because they track the branch direction
-   themselves.  A [Jalr] may have entered through a sentry that
+   [ev_taken_branch]); [exec_round] calls [chain_edge] /
+   [chain_edge_ind] directly because it tracks the branch direction
+   itself.  A [Jalr] may have entered through a sentry that
    enabled interrupts, so its edge chains only when the delivery
    predicate is still false — the same check the next round would run
    first (and [mcycle]/[ext_interrupt] cannot move inside an untimed
@@ -2103,28 +1866,69 @@ let compile_jit m (b : bentry) =
   b.b_jit <- Some t;
   t
 
-(* The whole-round chained executor (the [record:false],
-   [Dispatch_chain] hot path): [exec_block_fast]'s deferred-bookkeeping
-   loop, with block-to-block transfers resolved {e inside} the loop via
-   [chain_next].  Keeping one set of loop state alive across every
-   block of the round is the point — the per-block costs of the
-   composed design (a fresh executor call per block: its refs, its
-   [sync] closure, its result tuple) are paid once per {e round}, which
-   in a hot loop is once per thousands of instructions.  Instruction
-   semantics, store-abort, side-exit and trap behaviour are exactly
-   [exec_block_fast]'s, with one further specialization: the edge
-   instructions ([Jal], [Branch]) run in dedicated inline arms that
-   write their event fields only when the round actually ends on them —
-   on a chained transfer the successor's instructions rewrite (or
-   re-defer) the event anyway.  A [sync] at the chain point before
-   every transfer keeps the PCC and retire counts exact even when the
-   edge was a deferred fall-through.
+(* The identity plan: every access [Chk_full], no guards, no folds — the
+   plan [Dispatch_chain] runs every block under.  One shared static
+   value sized for the longest superblock; it is never installed in a
+   block's [b_jit], which holds only compiled plans. *)
+let identity_plan =
+  {
+    j_chk = Array.make max_superblock_len Ir.Chk_full;
+    j_guards = [||];
+    j_br = Array.make max_superblock_len Capability.null;
+    j_jal_target = Capability.null;
+    j_link_on = Capability.null;
+    j_link_off = Capability.null;
+  }
 
-   A [timed] round charges each block as [exec_block_fast] does — [seg]
-   is the current block's first uncharged instruction — and also stops
-   at a [Jalr] edge that leaves interrupts enabled with the timer armed:
-   from there on the harness must step exactly. *)
-let exec_chain_fast m (b0 : bentry) ~fuel ~timed =
+(* The round executor behind the batched tiers ([run] and
+   [timed_round]): one loop that runs block after block of a round,
+   each under a check plan — the block's lazily compiled plan with
+   [jit], the identity plan without.  Block-to-block transfers are
+   resolved {e inside} the loop ([chain_edge] / [chain_edge_ind]), so
+   one set of loop state — its refs, its [sync] closure, its result
+   tuple — serves the whole round, which in a hot loop is thousands of
+   instructions.
+
+   PCC / minstret / retirement-event bookkeeping is deferred across
+   runs of simple instructions.  The ALU arms (Lui, Op_imm, Op,
+   Mul_div) only read and write integer registers, cannot trap (the
+   helpers are total) and fall through; the memory and register-pure
+   capability arms may trap but read neither the PCC nor [minstret].
+   Both run with the architectural state left stale, counted in
+   [pending].  [sync] replays the deferred bookkeeping in one step:
+   minstret jumps by the run length and the PCC installs the prebuilt
+   fall-through of the {e last} deferred instruction — bitwise the
+   value the per-step path would have left.  A trap [sync]s before
+   [enter_trap] ([pending] covers only instructions before the raiser,
+   so the PCC points exactly at it), and a round that ends on a
+   deferred run materializes the last instruction's event (a function
+   of the decoded instruction alone for every deferred class).
+   Everything else [sync]s and takes the generic [exec] arm, except the
+   edge instructions ([Jal], [Branch]): in chained execution every block
+   ends in one, so they run inline and write their event only when the
+   round actually ends on them.
+
+   The plan specializes three things, none architecturally observable:
+   - the memory arms run only the {e residual} checks of their [Ir.chk]
+     entry — the elided checks are exactly those a dominating check or a
+     block-entry guard already proved would pass;
+   - the block-entry guards run once per block execution; if any fails,
+     this execution runs with full checks (the opt side exit:
+     deoptimization in place — the faulting access, if any, traps at its
+     own instruction with its own cause);
+   - in-bounds direct branches and the final [Jal] use their folded
+     target (and link-sentry) capabilities — value-equal to what the
+     per-step path computes, with no bounds decode or allocation.
+
+   A taken interior branch of a superblock side-exits (continuing the
+   round at a translated block at its target, if one validates), and a
+   store that kills the running block abandons it (self-modifying code;
+   see [exec_block]).  A [timed] round charges the cost model one block
+   segment at a time — [seg] is the current block's first uncharged
+   instruction — and also stops at a [Jalr] edge that leaves interrupts
+   enabled with the timer armed: from there on the harness must step
+   exactly. *)
+let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
   let bc = m.bcache in
   let rc = bc.Decode_cache.rc in
   let tags = rc.Decode_cache.tags in
@@ -2156,10 +1960,8 @@ let exec_chain_fast m (b0 : bentry) ~fuel ~timed =
   (try
      while not !stop do
        (* per-block: bind the block's arrays as immutables so the inner
-          per-instruction loop is register-local, exactly like
-          [exec_block_fast] — the merged executor must not pay an extra
-          indirection per field access or it gives back the per-block
-          savings it exists to collect *)
+          per-instruction loop is register-local — an extra indirection
+          per field access would give back the per-block savings *)
        let blk = !b in
        let insns = blk.b_insns in
        let opts = blk.b_opts in
@@ -2170,6 +1972,19 @@ let exec_chain_fast m (b0 : bentry) ~fuel ~timed =
        let slot = (b_start lsr 2) land rc.Decode_cache.mask in
        let rem = fuel - !base in
        let n = if rem < b_len then rem else b_len in
+       let t =
+         if not jit then identity_plan
+         else match blk.b_jit with Some t -> t | None -> compile_jit m blk
+       in
+       (* Guards run against the entry register values, before any op:
+          all pass → the reduced plan is licensed for this execution;
+          any failure → deoptimize this execution to full checks. *)
+       let full =
+         Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
+       in
+       if full then m.opt_side_exits <- m.opt_side_exits + 1;
+       let chks = if full then identity_plan.j_chk else t.j_chk in
+       let jbr = t.j_br in
        nexts_r := nexts;
        i := 0;
        seg := 0;
@@ -2187,53 +2002,66 @@ let exec_chain_fast m (b0 : bentry) ~fuel ~timed =
          | Insn.Mul_div (op, rd, rs1, rs2) ->
              set_reg_int m rd (muldiv_exec op (reg_int m rs1) (reg_int m rs2));
              incr pending
-         (* memory and capability-register instructions read neither
-            the PCC nor [minstret], so — unlike [exec_block_fast] —
-            they run {e inside} the deferred window; the trap handler
-            below [sync]s before [enter_trap], which is the only place
-            their exact PCC is observable *)
          | Insn.Load { signed; width; rd; rs1; off } ->
-             ignore (do_load m ~ridx:rs1 ~rs1 ~off ~width ~signed ~rd);
+             ignore
+               (do_load m (Array.unsafe_get chks !i) ~rs1 ~off ~width ~signed
+                  ~rd);
              incr pending
          | Insn.Store { width; rs2; rs1; off } ->
-             ignore (do_store m ~ridx:rs1 ~rs1 ~off ~width ~rs2);
+             ignore
+               (do_store m (Array.unsafe_get chks !i) ~rs1 ~off ~width ~rs2);
              incr pending;
              if Array.unsafe_get tags slot <> b_start then begin
                m.block_aborts <- m.block_aborts + 1;
                stop := true
              end
          | Insn.Clc (rd, rs1, off) ->
-             do_clc m ~rd ~rs1 ~off;
+             do_clc m (Array.unsafe_get chks !i) ~rd ~rs1 ~off;
              incr pending
          | Insn.Csc (rs2, rs1, off) ->
-             do_csc m ~rs2 ~rs1 ~off;
+             do_csc m (Array.unsafe_get chks !i) ~rs2 ~rs1 ~off;
              incr pending;
              if Array.unsafe_get tags slot <> b_start then begin
                m.block_aborts <- m.block_aborts + 1;
                stop := true
              end
-         (* the edge instructions, inline: in chained execution every
-            block ends in one, so the generic arm's full re-dispatch
-            and unconditional event writes are a per-block tax.  The
-            semantics below are verbatim [exec]'s [Jal]/[Branch] arms
-            minus [finish] — the event is written only if the round
-            actually ends here (side exit, or stop at the chain
-            point). *)
+         (* the edge instructions, inline: verbatim [exec]'s [Jal]/[Branch]
+            arms minus [finish] *)
          | Insn.Jal (rd, off) ->
-             sync ();
-             do_jal m rd off;
-             m.minstret <- m.minstret + 1
+             if t.j_jal_target != Capability.null then begin
+               (* folded: the bounds check passed at compile time
+                  against the same (cur, target) pair, and the link
+                  sentry for either posture is prebuilt *)
+               set_reg m rd (if m.mie then t.j_link_on else t.j_link_off);
+               m.minstret <- m.minstret + !pending + 1;
+               pending := 0;
+               m.pcc <- t.j_jal_target
+             end
+             else begin
+               sync ();
+               do_jal m rd off;
+               m.minstret <- m.minstret + 1
+             end
          | Insn.Branch (cond, rs1, rs2, off) ->
              if branch_taken cond (reg_int m rs1) (reg_int m rs2) then begin
-               sync ();
-               let pc = Capability.address m.pcc in
-               let target = (pc + off) land mask32 in
-               if
-                 m.mode = Cheriot
-                 && not (Capability.in_bounds m.pcc ~size:4 target)
-               then raise (Trap (Cheri_fault (Cheri_bounds, 16)));
-               m.pcc <- { m.pcc with Capability.addr = target };
-               m.minstret <- m.minstret + 1;
+               let tgt = Array.unsafe_get jbr !i in
+               if tgt != Capability.null then begin
+                 (* folded: no bounds decode, no PCC allocation *)
+                 m.minstret <- m.minstret + !pending + 1;
+                 pending := 0;
+                 m.pcc <- tgt
+               end
+               else begin
+                 sync ();
+                 let pc = Capability.address m.pcc in
+                 let target = (pc + off) land mask32 in
+                 if
+                   m.mode = Cheriot
+                   && not (Capability.in_bounds m.pcc ~size:4 target)
+                 then raise (Trap (Cheri_fault (Cheri_bounds, 16)));
+                 m.pcc <- { m.pcc with Capability.addr = target };
+                 m.minstret <- m.minstret + 1
+               end;
                if timed then charge_taken m;
                br_taken := true;
                if !i < b_len - 1 then begin
@@ -2241,9 +2069,8 @@ let exec_chain_fast m (b0 : bentry) ~fuel ~timed =
                     Probe for a translated block at the live target — a
                     hit continues the round there (the exit is then an
                     ordinary transfer, not a round boundary); on a miss
-                    the round ends and the next one fills.  The miss is
-                    not counted here — the next round's probe counts
-                    it. *)
+                    the round ends and the next one fills (and counts
+                    the miss). *)
                  bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
                  (if !base + !i + 1 < fuel then begin
                     let pc = Capability.address m.pcc in
@@ -2279,6 +2106,8 @@ let exec_chain_fast m (b0 : bentry) ~fuel ~timed =
            | Insn.Cmove _ | Insn.Cseal _ | Insn.Cunseal _ | Insn.Cget _
            | Insn.Csub _ | Insn.Ctestsubset _ | Insn.Csetequalexact _ ) as insn
            ->
+             (* register-pure capability arithmetic ([Cspecialrw], which
+                reads CSR state, takes the generic arm) *)
              exec_cap m insn;
              incr pending
          | insn -> (
@@ -2344,9 +2173,10 @@ let exec_chain_fast m (b0 : bentry) ~fuel ~timed =
                   where the harness must take over); the [exec] arm's
                   event stands *)
                stop := true
-             else if !base + !i < fuel then begin
+             else begin
                let succ =
-                 if edge = 2 then chain_edge_ind m blk
+                 if !base + !i >= fuel then dummy
+                 else if edge = 2 then chain_edge_ind m blk
                  else chain_edge m blk edge
                in
                if succ == dummy then begin
@@ -2361,305 +2191,6 @@ let exec_chain_fast m (b0 : bentry) ~fuel ~timed =
                  base := !base + !i;
                  b := succ
                end
-             end
-             else begin
-               if edge <> 2 then
-                 retire_event m
-                   (Array.unsafe_get insns (b_len - 1))
-                   (Array.unsafe_get opts (b_len - 1))
-                   ~taken:(edge = 1);
-               stop := true
-             end
-           end
-         end
-         else stop := true
-     done;
-     if !pending > 0 then begin
-       m.minstret <- m.minstret + !pending;
-       (match Array.unsafe_get (!b).b_nexts (!i - 1) with
-       | Some c -> m.pcc <- c
-       | None -> ());
-       pending := 0;
-       retire_event m
-         (Array.unsafe_get (!b).b_insns (!i - 1))
-         (Array.unsafe_get (!b).b_opts (!i - 1))
-         ~taken:false
-     end
-   with Trap cause ->
-     (* the raiser may have been inside the deferred window (loads,
-        stores, cap ops defer here): materialize first — [pending]
-        covers only instructions {e before} the raiser, so [sync]
-        leaves the PCC pointing exactly at it for [enter_trap] *)
-     sync ();
-     if timed then begin
-       charge_seg m (!b).b_cost !seg !i;
-       charge_trap m
-     end;
-     m.last_event <- { no_event with ev_trap = Some cause };
-     incr i;
-     result := enter_trap m cause);
-  (!result, !base + !i)
-
-(* The [Dispatch_jit] round executor: [exec_chain_fast] with every
-   block run under its compiled plan (compiled lazily on first entry).
-   Three specializations, none of which changes what is architecturally
-   observable:
-
-   - the memory arms run only the {e residual} checks of the per-
-     instruction [Ir.chk] plan — the elided checks are exactly those a
-     dominating check or a block-entry guard already proved would pass;
-   - the block-entry guards are evaluated once per block execution; if
-     any fails, this execution runs with full per-access checks (the
-     opt side exit: deoptimization in place — the faulting access, if
-     any, traps at its own instruction with its own cause);
-   - in-bounds direct branches and the final [Jal] use their folded
-     target (and link-sentry) capabilities — value-equal to what the
-     per-step path computes, with no per-traversal bounds decode or
-     sentry allocation.
-
-   [timed] charges the cost model exactly as [exec_chain_fast] does. *)
-let exec_jit_fast m (b0 : bentry) ~fuel ~timed =
-  let bc = m.bcache in
-  let rc = bc.Decode_cache.rc in
-  let tags = rc.Decode_cache.tags in
-  let dummy = rc.Decode_cache.dummy in
-  let b = ref b0 in
-  let base = ref 0 in
-  let i = ref 0 in
-  let seg = ref 0 in
-  let pending = ref 0 in
-  let result = ref Step_ok in
-  let stop = ref false in
-  let nexts_r = ref b0.b_nexts in
-  let sync () =
-    if !pending > 0 then begin
-      m.minstret <- m.minstret + !pending;
-      (match Array.unsafe_get !nexts_r (!i - 1) with
-      | Some c -> m.pcc <- c
-      | None -> ());
-      pending := 0
-    end
-  in
-  let br_taken = ref false in
-  let cont = ref dummy in
-  (try
-     while not !stop do
-       let blk = !b in
-       let insns = blk.b_insns in
-       let opts = blk.b_opts in
-       let nexts = blk.b_nexts in
-       let cost = blk.b_cost in
-       let b_start = blk.b_start in
-       let b_len = blk.b_len in
-       let slot = (b_start lsr 2) land rc.Decode_cache.mask in
-       let rem = fuel - !base in
-       let n = if rem < b_len then rem else b_len in
-       let t =
-         match blk.b_jit with Some t -> t | None -> compile_jit m blk
-       in
-       (* Guards run against the entry register values, before any op:
-          all pass → the reduced plan is licensed for this execution;
-          any failure → deoptimize this execution to full checks. *)
-       let full =
-         Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
-       in
-       if full then m.opt_side_exits <- m.opt_side_exits + 1;
-       let chks = t.j_chk in
-       let jbr = t.j_br in
-       nexts_r := nexts;
-       i := 0;
-       seg := 0;
-       while (not !stop) && !cont == dummy && !i < n do
-         (match Array.unsafe_get insns !i with
-         | Insn.Lui (rd, imm20) ->
-             set_reg_int m rd (imm20 lsl 12);
-             incr pending
-         | Insn.Op_imm (op, rd, rs1, imm) ->
-             set_reg_int m rd (alu_exec op (reg_int m rs1) (imm land mask32));
-             incr pending
-         | Insn.Op (op, rd, rs1, rs2) ->
-             set_reg_int m rd (alu_exec op (reg_int m rs1) (reg_int m rs2));
-             incr pending
-         | Insn.Mul_div (op, rd, rs1, rs2) ->
-             set_reg_int m rd (muldiv_exec op (reg_int m rs1) (reg_int m rs2));
-             incr pending
-         | Insn.Load { signed; width; rd; rs1; off } ->
-             jit_load m
-               (if full then Ir.Chk_full else Array.unsafe_get chks !i)
-               ~rs1 ~off ~width ~signed ~rd;
-             incr pending
-         | Insn.Store { width; rs2; rs1; off } ->
-             jit_store m
-               (if full then Ir.Chk_full else Array.unsafe_get chks !i)
-               ~rs1 ~off ~width ~rs2;
-             incr pending;
-             if Array.unsafe_get tags slot <> b_start then begin
-               m.block_aborts <- m.block_aborts + 1;
-               stop := true
-             end
-         | Insn.Clc (rd, rs1, off) ->
-             jit_clc m
-               (if full then Ir.Chk_full else Array.unsafe_get chks !i)
-               ~rd ~rs1 ~off;
-             incr pending
-         | Insn.Csc (rs2, rs1, off) ->
-             jit_csc m
-               (if full then Ir.Chk_full else Array.unsafe_get chks !i)
-               ~rs2 ~rs1 ~off;
-             incr pending;
-             if Array.unsafe_get tags slot <> b_start then begin
-               m.block_aborts <- m.block_aborts + 1;
-               stop := true
-             end
-         | Insn.Jal (rd, off) ->
-             if t.j_jal_target != Capability.null then begin
-               (* folded: the bounds check passed at compile time
-                  against the same (cur, target) pair, and the link
-                  sentry for either posture is prebuilt *)
-               set_reg m rd (if m.mie then t.j_link_on else t.j_link_off);
-               m.minstret <- m.minstret + !pending + 1;
-               pending := 0;
-               m.pcc <- t.j_jal_target
-             end
-             else begin
-               sync ();
-               do_jal m rd off;
-               m.minstret <- m.minstret + 1
-             end
-         | Insn.Branch (cond, rs1, rs2, off) ->
-             if branch_taken cond (reg_int m rs1) (reg_int m rs2) then begin
-               let tgt = Array.unsafe_get jbr !i in
-               if tgt != Capability.null then begin
-                 (* folded: no bounds decode, no PCC allocation *)
-                 m.minstret <- m.minstret + !pending + 1;
-                 pending := 0;
-                 m.pcc <- tgt
-               end
-               else begin
-                 sync ();
-                 let pc = Capability.address m.pcc in
-                 let target = (pc + off) land mask32 in
-                 if
-                   m.mode = Cheriot
-                   && not (Capability.in_bounds m.pcc ~size:4 target)
-                 then raise (Trap (Cheri_fault (Cheri_bounds, 16)));
-                 m.pcc <- { m.pcc with Capability.addr = target };
-                 m.minstret <- m.minstret + 1
-               end;
-               if timed then charge_taken m;
-               br_taken := true;
-               if !i < b_len - 1 then begin
-                 bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-                 (if !base + !i + 1 < fuel then begin
-                    let pc = Capability.address m.pcc in
-                    let s = (pc lsr 2) land rc.Decode_cache.mask in
-                    if
-                      Array.unsafe_get tags s = pc
-                      && block_ticket_valid m
-                           (Array.unsafe_get rc.Decode_cache.payloads s)
-                    then begin
-                      rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-                      cont := Array.unsafe_get rc.Decode_cache.payloads s
-                    end
-                  end);
-                 if !cont == dummy then begin
-                   retire_event m
-                     (Array.unsafe_get insns !i)
-                     (Array.unsafe_get opts !i)
-                     ~taken:true;
-                   stop := true
-                 end
-               end
-             end
-             else begin
-               br_taken := false;
-               incr pending
-             end
-         | ( Insn.Cincaddr _ | Insn.Cincaddrimm _ | Insn.Csetaddr _
-           | Insn.Csetbounds _ | Insn.Csetboundsexact _ | Insn.Csetboundsimm _
-           | Insn.Crrl _ | Insn.Cram _ | Insn.Candperm _ | Insn.Ccleartag _
-           | Insn.Cmove _ | Insn.Cseal _ | Insn.Cunseal _ | Insn.Cget _
-           | Insn.Csub _ | Insn.Ctestsubset _ | Insn.Csetequalexact _ ) as insn
-           ->
-             exec_cap m insn;
-             incr pending
-         | insn -> (
-             sync ();
-             if timed then begin
-               charge_seg m cost !seg !i;
-               seg := !i
-             end;
-             let r =
-               exec m insn (Array.unsafe_get opts !i) (Array.unsafe_get nexts !i)
-             in
-             if timed then begin
-               charge_generic m cost !i insn r;
-               seg := !i + 1
-             end;
-             match r with
-             | Step_ok ->
-                 if m.last_event.ev_taken_branch && !i < b_len - 1 then begin
-                   bc.Decode_cache.side_exits <-
-                     bc.Decode_cache.side_exits + 1;
-                   stop := true
-                 end
-                 else if
-                   m.last_event.ev_is_store
-                   && Array.unsafe_get tags slot <> b_start
-                 then begin
-                   m.block_aborts <- m.block_aborts + 1;
-                   stop := true
-                 end
-             | (Step_trap _ | Step_waiting | Step_halted | Step_double_fault)
-               as r ->
-                 result := r;
-                 stop := true));
-         incr i
-       done;
-       if timed then charge_seg m cost !seg !i;
-       if !cont != dummy then begin
-         base := !base + !i;
-         b := !cont;
-         cont := dummy
-       end
-       else if not !stop then
-         if !i = b_len then begin
-           let edge =
-             match Array.unsafe_get insns (b_len - 1) with
-             | Insn.Jal _ -> 1
-             | Insn.Branch _ -> if !br_taken then 1 else 0
-             | Insn.Jalr _ -> 2
-             | ti -> if block_terminator ti then -1 else 0
-           in
-           if edge < 0 then stop := true
-           else begin
-             sync ();
-             if edge = 2 && jalr_edge_stops m ~timed then stop := true
-             else if !base + !i < fuel then begin
-               let succ =
-                 if edge = 2 then chain_edge_ind m blk
-                 else chain_edge m blk edge
-               in
-               if succ == dummy then begin
-                 if edge <> 2 then
-                   retire_event m
-                     (Array.unsafe_get insns (b_len - 1))
-                     (Array.unsafe_get opts (b_len - 1))
-                     ~taken:(edge = 1);
-                 stop := true
-               end
-               else begin
-                 base := !base + !i;
-                 b := succ
-               end
-             end
-             else begin
-               if edge <> 2 then
-                 retire_event m
-                   (Array.unsafe_get insns (b_len - 1))
-                   (Array.unsafe_get opts (b_len - 1))
-                   ~taken:(edge = 1);
-               stop := true
              end
            end
          end
@@ -2687,24 +2218,27 @@ let exec_jit_fast m (b0 : bentry) ~fuel ~timed =
      result := enter_trap m cause);
   (!result, !base + !i)
 
-(* One round of the block dispatch path: interrupt/WFI handling exactly
-   as [step_gen], then up to [fuel] instructions starting from the
-   block at the PC.  With [chain:true] the round keeps going across
-   direct [Jal]/[Branch] edges via [chain_next] while fuel remains —
-   sound without re-running the boundary interrupt check, because
-   neither edge instruction can change the delivery predicate (the
-   instructions that can still terminate every translation unit and
-   end the chain; the one chained exception, a completed [Jalr],
-   re-checks the predicate at its edge).  The hand-inlined probe
-   mirrors [fetch_cached].  With [jit:true] the recording walk also
+(* One round of a batched dispatch: interrupt/WFI handling exactly as
+   [step_gen], then up to [fuel] instructions starting from the block at
+   the PC and chaining across block edges while fuel remains — sound
+   without re-running the boundary interrupt check, because no edge
+   instruction can change the delivery predicate (the instructions that
+   can still terminate every translation unit and end the chain; the one
+   chained exception, a completed [Jalr], re-checks the predicate at its
+   edge).  The hand-inlined probe mirrors [fetch_cached].  [jit] selects
+   the compiled plans over the identity plan.
+
+   A [record] round is the tracer's: it walks block-by-block through
+   [exec_block], marking each ring entry.  With [jit] the walk also
    compiles each block it enters and evaluates its guards, so the
-   optimizer counters and the [mark_jit]/[mark_opt_side_exit] trace
-   marks reflect what the merged jit executor would do — execution
-   itself stays on the fully-checked generic path, which the plans are
-   observationally equal to by construction.  A [timed] round (never a
-   recording one) charges everything it retires, traps and delivers to
-   the installed cost model; a WFI wait is left to the caller. *)
-let block_round m ~fuel ~record ~chain ~jit ~timed =
+   optimizer counters and the [mark_jit]/[mark_opt_side_exit] marks
+   reflect what [exec_round] would do — execution itself stays on the
+   fully-checked generic path, which the plans are observationally equal
+   to by construction.  Any other round is one [exec_round].  A [timed]
+   round (never a recording one) charges everything it retires, traps
+   and delivers to the installed cost model; a WFI wait is left to the
+   caller. *)
+let block_round m ~fuel ~record ~jit ~timed =
   if m.waiting && interrupt_pending m then m.waiting <- false;
   if m.waiting then (Step_waiting, 1)
   else if m.mie && interrupt_pending m then begin
@@ -2725,33 +2259,23 @@ let block_round m ~fuel ~record ~chain ~jit ~timed =
          if Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
          then begin
            m.opt_side_exits <- m.opt_side_exits + 1;
-           if record then m.pending_mark <- mark_opt_side_exit
+           m.pending_mark <- mark_opt_side_exit
          end
        end);
-      let r, n =
-        if record then exec_block m b ~fuel ~record
-        else exec_block_fast m b ~fuel ~timed
-      in
+      let r, n = exec_block m b ~fuel in
       let used = used + n in
       match r with
-      | Step_ok when chain && n = b.b_len && fuel > n ->
+      | Step_ok when n = b.b_len && fuel > n ->
           let succ = chain_next m b in
           if succ != dummy then begin
-            if record then
-              m.pending_mark <- (if jit then mark_jit else mark_chained);
+            m.pending_mark <- (if jit then mark_jit else mark_chained);
             go succ (fuel - n) used
           end
           else (r, used)
       | r -> (r, used)
     in
-    (* the recording path walks block-by-block (it must mark each ring
-       entry); the fast path runs the whole round in one merged
-       executor with the transfers inlined *)
     let exec_from b =
-      if chain && not record then
-        if jit then exec_jit_fast m b ~fuel ~timed
-        else exec_chain_fast m b ~fuel ~timed
-      else go b fuel 0
+      if record then go b fuel 0 else exec_round m b ~fuel ~timed ~jit
     in
     let pc = Capability.address m.pcc in
     let rc = m.bcache.Decode_cache.rc in
@@ -2778,41 +2302,18 @@ let block_round m ~fuel ~record ~chain ~jit ~timed =
     end
   end
 
-(* [step_block]: the tracer entry point — one dispatch round, with
-   every retired instruction recorded in the ring
-   ([block_events]/[block_pcs], [block_ev_n] live entries). *)
-let step_block m =
+(* The tracer's entry point: one recorded round of up to [round_cap]
+   instructions, every retired one in the ring ([block_events]/
+   [block_pcs], [block_ev_n] live entries).  [step_jit] also compiles
+   each entered block, bumps the optimizer counters, and marks
+   [jit]/[opt-side-exit] transfers. *)
+let step_recorded m ~jit =
   m.block_ev_n <- 0;
   m.pending_mark <- 0;
-  let r, _ =
-    block_round m ~fuel:max_block_len ~record:true ~chain:false ~jit:false
-      ~timed:false
-  in
-  r
+  fst (block_round m ~fuel:round_cap ~record:true ~jit ~timed:false)
 
-(* [step_chain]: like [step_block] but follows chained edges, so one
-   round can retire up to [round_cap] instructions across many blocks
-   (the ring holds them all). *)
-let step_chain m =
-  m.block_ev_n <- 0;
-  m.pending_mark <- 0;
-  let r, _ =
-    block_round m ~fuel:round_cap ~record:true ~chain:true ~jit:false
-      ~timed:false
-  in
-  r
-
-(* [step_jit]: the recording entry point of the jit tier — a chained
-   round that also compiles each entered block, bumps the optimizer
-   counters, and marks [jit]/[opt-side-exit] transfers in the ring. *)
-let step_jit m =
-  m.block_ev_n <- 0;
-  m.pending_mark <- 0;
-  let r, _ =
-    block_round m ~fuel:round_cap ~record:true ~chain:true ~jit:true
-      ~timed:false
-  in
-  r
+let step_chain m = step_recorded m ~jit:false
+let step_jit m = step_recorded m ~jit:true
 
 (* Installing a cost model drops every translated block: blocks
    translated without it (or under another) carry no (or stale) cost
@@ -2830,33 +2331,24 @@ let timed_round m dispatch ~fuel =
     Decode_cache.rflush m.bcache
   end;
   match dispatch with
-  | Dispatch_block | Dispatch_chain | Dispatch_jit ->
-      block_round m ~fuel ~record:false
-        ~chain:(dispatch <> Dispatch_block)
-        ~jit:(dispatch = Dispatch_jit) ~timed:true
-  | Dispatch_ref | Dispatch_cached ->
-      invalid_arg "Machine.timed_round: not a batched dispatch"
+  | Dispatch_chain | Dispatch_jit ->
+      block_round m ~fuel ~record:false ~jit:(dispatch = Dispatch_jit)
+        ~timed:true
+  | Dispatch_ref -> invalid_arg "Machine.timed_round: not a batched dispatch"
 
-let run ?(fuel = 10_000_000) ?(fast = false) ?dispatch m =
-  let dispatch =
-    match dispatch with
-    | Some d -> d
-    | None -> if fast then Dispatch_cached else Dispatch_ref
-  in
+let run ?(fuel = 10_000_000) ?(dispatch = Dispatch_ref) m =
   match dispatch with
-  | Dispatch_block | Dispatch_chain | Dispatch_jit ->
+  | Dispatch_chain | Dispatch_jit ->
       (* Batched loop: fuel accounting is identical to the per-step
          loop below — each retired instruction, delivered interrupt, or
-         trap consumes one unit, and a block (or chained round) is cut
-         when the remaining fuel runs out inside it. *)
-      let chain = dispatch <> Dispatch_block in
+         trap consumes one unit, and a round is cut when the remaining
+         fuel runs out inside it. *)
       let jit = dispatch = Dispatch_jit in
       let rec go n =
         if n >= fuel then (Step_ok, n)
         else
           let r, used =
-            block_round m ~fuel:(fuel - n) ~record:false ~chain ~jit
-              ~timed:false
+            block_round m ~fuel:(fuel - n) ~record:false ~jit ~timed:false
           in
           let n = n + used in
           match r with
@@ -2864,8 +2356,7 @@ let run ?(fuel = 10_000_000) ?(fast = false) ?dispatch m =
           | (Step_waiting | Step_halted | Step_double_fault) as r -> (r, n)
       in
       go 0
-  | Dispatch_ref | Dispatch_cached ->
-      let step = if dispatch = Dispatch_cached then step_fast else step in
+  | Dispatch_ref ->
       let rec go n =
         if n >= fuel then (Step_ok, n)
         else

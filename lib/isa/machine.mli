@@ -14,23 +14,21 @@
 
 type mode = Cheriot | Rv32
 
-(** Which fetch/decode machinery drives execution: the re-decoding
-    reference interpreter, the decoded-instruction cache, the
-    basic-block translation cache with its batched run loop, the
-    chained variant that additionally links blocks across direct
+(** Which machinery drives execution.  [Dispatch_ref] is the
+    reference interpreter ({!step}: re-read and re-decode every
+    instruction).  The two batched tiers run one round executor over
+    the basic-block translation cache, linking blocks across direct
     [Jal]/[Branch] edges (and fall-throughs and completed [Jalr]s) and
-    re-translates hot fall-through paths into superblocks, or the jit
-    tier that runs each block under a compiled plan from {!Ir} —
+    re-translating hot fall-through paths into superblocks; they differ
+    only in the check plan each block runs under.  [Dispatch_chain] runs
+    every block under the identity plan (every access fully checked);
+    [Dispatch_jit] runs each under its plan compiled by {!Ir} —
     redundant capability checks eliminated, bounds checks hoisted into
-    block-entry guards, static control flow folded.  All five are
+    block-entry guards, static control flow folded.  All three are
     observationally identical per retired instruction (enforced by
-    [test/test_differential.ml] and the 5-way lockstep properties). *)
-type dispatch =
-  | Dispatch_ref
-  | Dispatch_cached
-  | Dispatch_block
-  | Dispatch_chain
-  | Dispatch_jit
+    [test/test_differential.ml] and the ref/chain/jit lockstep
+    properties). *)
+type dispatch = Dispatch_ref | Dispatch_chain | Dispatch_jit
 
 (** CHERI exception causes (reported via [mcause = 28] with the cause and
     the faulting register index in [mtval], as in CHERI RISC-V). *)
@@ -131,8 +129,8 @@ type t = {
       (** decoded-instruction cache backing {!step_fast}; invalidated by
           the bus store snoop *)
   bcache : bentry Decode_cache.ranged;
-      (** basic-block translation cache backing the [Dispatch_block]
-          path; store snoops kill any block whose span the store hits *)
+      (** basic-block translation cache backing the batched tiers;
+          store snoops kill any block whose span the store hits *)
   mutable blocks_filled : int;
   mutable insns_translated : int;  (** sum of fill-time block lengths *)
   mutable block_aborts : int;
@@ -143,19 +141,23 @@ type t = {
   mutable fm_base : int;
   mutable fm_limit : int;  (** 0 = window invalid *)
   block_events : event array;
-      (** retirement ring filled by {!step_block} / {!step_chain}: one
+      (** retirement ring filled by {!step_chain} / {!step_jit}: one
           copied event per instruction of the last round *)
   block_pcs : int array;  (** PCs parallel to [block_events] *)
   block_marks : int array;
       (** control-flow marks parallel to [block_events]: 0 = plain,
-          1 = first instruction after a chained transfer, 2 = taken
-          interior branch that side-exited a superblock *)
+          1 ({!mark_chained}) = first instruction after a chained
+          transfer, 2 ({!mark_side_exit}) = taken interior branch that
+          side-exited a superblock, 3 ({!mark_jit}) = first instruction
+          after a chained transfer under the jit tier, 4
+          ({!mark_opt_side_exit}) = first instruction of a jit block
+          execution whose entry guard failed *)
   mutable block_ev_n : int;  (** live entries in the ring *)
   mutable pending_mark : int;
       (** mark attached to the next recorded ring entry *)
   mutable hot_threshold : int;
-      (** fall-through-edge traversal count at which [Dispatch_chain]
-          re-translates the joined path as a superblock (default 32;
+      (** fall-through-edge traversal count at which the batched tiers
+          re-translate the joined path as a superblock (default 32;
           tests lower it to fuzz the crossing) *)
   mutable hot_adaptive : bool;
       (** adapt [hot_threshold] to the chain-hit/unlink ratio (default
@@ -242,7 +244,7 @@ and bentry = {
   mutable b_taken : bentry option;
       (** chained successor of the taken [Jal]/[Branch] edge, valid
           while [b_taken_epoch] equals the cache's chain epoch
-          ([Dispatch_chain] only; [-1] = never linked) *)
+          (batched tiers only; [-1] = never linked) *)
   mutable b_taken_epoch : int;
   mutable b_cnt_taken : int;  (** taken-edge traversal count *)
   mutable b_fall : bentry option;  (** not-taken-edge successor *)
@@ -309,27 +311,22 @@ val step_fast : t -> result
     through the bus invalidate stale entries; code rewritten behind the
     bus's back (direct SRAM writes) requires {!flush_decode_cache}. *)
 
-val step_block : t -> result
-(** The tracer's round of the basic-block dispatch path: deliver a
-    pending interrupt / WFI wake exactly as {!step}, or execute the
-    (cached or freshly translated) basic block at the PC — up to
-    {!max_block_len} instructions.  Every retired instruction of the
+val step_chain : t -> result
+(** The tracer's round of the [Dispatch_chain] tier: deliver a pending
+    interrupt / WFI wake exactly as {!step}, or execute the (cached or
+    freshly translated) block at the PC and follow chained
+    block-to-block links across direct [Jal]/[Branch] edges without
+    re-probing the cache or re-checking tickets, re-translating hot
+    fall-through paths into superblocks — up to {!round_cap}
+    instructions across many blocks.  Every retired instruction of the
     round is recorded in the [block_events]/[block_pcs] ring
     ([block_ev_n] live entries) so [Trace.run] can render each one.
     Interrupts are only checked between rounds; block formation
     guarantees no instruction inside a block can change the delivery
-    predicate, so this is exactly per-step equivalent. *)
-
-val step_chain : t -> result
-(** Like {!step_block}, but follows chained block-to-block links across
-    direct [Jal]/[Branch] edges without re-probing the cache or
-    re-checking tickets, and re-translates hot fall-through paths into
-    superblocks — so one round retires up to [round_cap] (128)
-    instructions across many blocks, all recorded in the ring.  Edge
-    instructions cannot change the interrupt-delivery predicate, so
-    checking only between rounds stays exactly per-step equivalent
-    (a completed [Jalr] may have changed the posture through a sentry,
-    so its edge re-checks the predicate before chaining). *)
+    predicate, and edge instructions cannot either, so this is exactly
+    per-step equivalent (a completed [Jalr] may have changed the posture
+    through a sentry, so its edge re-checks the predicate before
+    chaining). *)
 
 val step_jit : t -> result
 (** Like {!step_chain}, but for the jit tier: each block entered is
@@ -337,16 +334,16 @@ val step_jit : t -> result
     are evaluated (a failure counts an opt side exit), and chained
     transfers carry the [mark_jit] / [mark_opt_side_exit] ring marks.
     Execution itself follows the fully-checked generic path — the
-    recording walk is the tracer's observational twin of the merged
-    jit executor used by {!run} and {!timed_round}. *)
+    recording walk is the tracer's observational twin of the round
+    executor used by {!run} and {!timed_round}. *)
 
 val set_cost_model : t -> cost_model -> unit
 (** Install the cost model {!timed_round} charges.  Drops every
     translated block, so each is re-translated with its cost table. *)
 
 val timed_round : t -> dispatch -> fuel:int -> result * int
-(** One round of a batched dispatch ([Dispatch_block], [Dispatch_chain]
-    or [Dispatch_jit]) of at most [fuel] units, as {!run} executes it,
+(** One round of a batched dispatch ([Dispatch_chain] or
+    [Dispatch_jit]) of at most [fuel] units, as {!run} executes it,
     that also charges the installed cost model: [mcycle] and the
     [charged_*] counters advance one block segment at a time, and
     always before an instruction that can read [mcycle], so every
@@ -356,15 +353,16 @@ val timed_round : t -> dispatch -> fuel:int -> result * int
     result and the fuel units used.  The caller must step exactly
     while interrupts are enabled with the timer armed, where a charge
     could cross the comparator between two instructions of a block.
-    Raises [Invalid_argument] without a cost model or for a per-step
-    dispatch. *)
+    Raises [Invalid_argument] without a cost model or for
+    [Dispatch_ref]. *)
 
 val compile_jit : t -> bentry -> jit
 (** Compile (and install) [bentry]'s optimized execution plan: the
     {!Ir.optimize} passes plus the static control-flow folds.  Normally
     called lazily by the jit tier on first block entry; exposed so the
     offline plan-verification gate can compile blocks discovered under
-    other dispatch tiers.  Consults [jit_validator] when installed. *)
+    [Dispatch_chain], which never compiles (it runs the identity plan).
+    Consults [jit_validator] when installed. *)
 
 val max_block_len : int
 (** Upper bound on instructions per translated block (16). *)
@@ -373,8 +371,9 @@ val max_superblock_len : int
 (** Upper bound on instructions per superblock (64). *)
 
 val round_cap : int
-(** Fuel ceiling of one recorded chained round (128); bounds the
-    retirement ring. *)
+(** Fuel ceiling of one recorded round (128), which bounds the
+    retirement ring; also the fuel of one [Perf.step] round on a batched
+    tier. *)
 
 val mark_chained : int
 (** [block_marks] value on the first instruction after a chained
@@ -392,19 +391,16 @@ val mark_opt_side_exit : int
 (** [block_marks] value on the first instruction of a jit block
     execution whose entry guard failed (deoptimized to full checks). *)
 
-val run : ?fuel:int -> ?fast:bool -> ?dispatch:dispatch -> t -> result * int
+val run : ?fuel:int -> ?dispatch:dispatch -> t -> result * int
 (** Step until halt/double-fault/waiting or [fuel] (default 10M)
     instructions; returns the final result and instructions retired.
     Traps are not stopping events (the handler runs).  [dispatch]
-    selects the execution machinery (default [Dispatch_ref]; the legacy
-    [~fast:true] is [Dispatch_cached]).  [Dispatch_block] runs the
-    batched block loop ([Dispatch_chain] additionally follows chained
-    edges within a round; [Dispatch_jit] also executes each block under
-    its compiled plan): fuel accounting is identical — each retired
-    instruction, delivered interrupt or trap costs one unit, and a
-    block (or chained round) is cut when the remaining fuel runs out
-    inside it, so chunked runs resume exactly where a per-step run
-    would. *)
+    selects the execution machinery (default [Dispatch_ref]).  The
+    batched tiers run chained rounds, each block under its plan: fuel
+    accounting is identical — each retired instruction, delivered
+    interrupt or trap costs one unit, and a round is cut when the
+    remaining fuel runs out inside it, so chunked runs resume exactly
+    where a per-step run would. *)
 
 val decode_stats : t -> Decode_cache.stats
 (** Hit/miss/invalidation counters of the decoded-instruction cache. *)

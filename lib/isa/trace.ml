@@ -11,8 +11,10 @@ type entry = {
   tr_result : Machine.result;
   tr_cycles : int;  (** cumulative, if a perf harness drives the clock *)
   tr_mark : int;
-      (** control-flow mark ([Machine.mark_chained] /
-          [Machine.mark_side_exit]); 0 on non-chained dispatch paths *)
+      (** control-flow mark of a batched tier's round: a
+          [Machine.block_marks] value ([mark_chained], [mark_side_exit],
+          [mark_jit] or [mark_opt_side_exit]); 0 on a plain entry and
+          always on [Dispatch_ref] *)
 }
 
 let pp_result fmt = function
@@ -41,24 +43,19 @@ let pp_entry fmt e =
 
 (** Step [m] up to [fuel] instructions, calling [f] per retired
     instruction with a trace entry.  Returns the final result and step
-    count.  [dispatch] picks the execution machinery; the block and
-    chain paths emit one entry per instruction of each executed round
-    (from the machine's retirement ring), so the rendered trace is the
-    same stream the reference path produces — chained transfers and
-    superblock side exits carry a [tr_mark]. *)
+    count.  [dispatch] picks the execution machinery; the batched tiers
+    emit one entry per instruction of each executed round (from the
+    machine's retirement ring), so the rendered trace is the same
+    stream the reference path produces — chained transfers, superblock
+    side exits and guard deoptimizations carry a [tr_mark]. *)
 let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
   match dispatch with
-  | Machine.Dispatch_ref | Machine.Dispatch_cached ->
-      let step =
-        match dispatch with
-        | Machine.Dispatch_cached -> Machine.step_fast
-        | _ -> Machine.step
-      in
+  | Machine.Dispatch_ref ->
       let rec go i =
         if i >= fuel then (Machine.Step_ok, i)
         else begin
           let pc = Capability.address m.Machine.pcc in
-          let r = step m in
+          let r = Machine.step m in
           f
             {
               tr_index = i;
@@ -76,12 +73,10 @@ let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
         end
       in
       go 0
-  | Machine.Dispatch_block | Machine.Dispatch_chain | Machine.Dispatch_jit ->
+  | Machine.Dispatch_chain | Machine.Dispatch_jit ->
       let round =
-        match dispatch with
-        | Machine.Dispatch_chain -> Machine.step_chain
-        | Machine.Dispatch_jit -> Machine.step_jit
-        | _ -> Machine.step_block
+        if dispatch = Machine.Dispatch_jit then Machine.step_jit
+        else Machine.step_chain
       in
       let rec go i =
         if i >= fuel then (Machine.Step_ok, i)

@@ -4,8 +4,8 @@
     ({!Flatgen}) and well-formed multi-compartment scenarios
     ({!Scenario}) — and one family of properties over it:
 
-    + {b state-trace equivalence} of all five dispatch modes
-      (ref / cached / block / chain / jit), per retired instruction and
+    + {b state-trace equivalence} of the three dispatch tiers
+      (ref / chain / jit), per retired instruction and
       under interrupt injection, with a tiny [hot_threshold] so
       superblock formation, side exits and the optimizer's check plans
       are constantly crossed;
@@ -51,14 +51,14 @@ let lcg seed =
 
 (* --- flat-stream lockstep (the PR-1..3 oracle, now harness-owned) -------- *)
 
-(** Drive the same stream on five identically-booted machines in
-    lockstep — one per dispatch path, block/chain/jit with [fuel:1] so
-    every mid-block state is exposed — comparing the full architectural
-    state after every single step and the state hashes at the end. *)
+(** Drive the same stream on identically-booted machines in lockstep —
+    one per dispatch tier, chain/jit with [fuel:1] so every mid-block
+    state is exposed, plus {!Machine.step_fast} (the batched tiers'
+    exact-step fallback) — comparing the full architectural state after
+    every single step and the state hashes at the end. *)
 let flat_lockstep ?(writable_code = false) words =
   let mk () = (Boot.flat ~writable_code words).Boot.m in
-  let ref_m = mk () and fast_m = mk () and blk_m = mk () and chn_m = mk () in
-  let jit_m = mk () in
+  let ref_m = mk () and fast_m = mk () and chn_m = mk () and jit_m = mk () in
   (* a tiny hotness threshold makes superblock formation reachable
      within short fuzz streams (adaptation off so it stays pinned) *)
   chn_m.Machine.hot_threshold <- 2;
@@ -71,12 +71,9 @@ let flat_lockstep ?(writable_code = false) words =
       let r_ref = Machine.step ref_m in
       let r_fast = Machine.step_fast fast_m in
       (* [run ~fuel:1] executes exactly one instruction (or interrupt /
-         idle round) of the block path; when fuel expires after a trap
+         idle round) of a batched tier; when fuel expires after a trap
          step it reports [Step_ok], exactly as the per-step [run] loop
          would, so map the reference result accordingly. *)
-      let r_blk, n_blk =
-        Machine.run ~fuel:1 ~dispatch:Machine.Dispatch_block blk_m
-      in
       let r_chn, n_chn =
         Machine.run ~fuel:1 ~dispatch:Machine.Dispatch_chain chn_m
       in
@@ -84,20 +81,17 @@ let flat_lockstep ?(writable_code = false) words =
         Machine.run ~fuel:1 ~dispatch:Machine.Dispatch_jit jit_m
       in
       if r_ref <> r_fast then
-        QCheck.Test.fail_reportf "ref/cached results diverged at step %d" n;
-      let expect_blk =
+        QCheck.Test.fail_reportf "ref/step_fast results diverged at step %d" n;
+      let expect_run =
         match r_ref with
         | Machine.Step_ok | Machine.Step_trap _ -> Machine.Step_ok
         | r -> r
       in
-      if (r_blk, n_blk) <> (expect_blk, 1) then
-        QCheck.Test.fail_reportf "ref/block results diverged at step %d" n;
-      if (r_chn, n_chn) <> (expect_blk, 1) then
+      if (r_chn, n_chn) <> (expect_run, 1) then
         QCheck.Test.fail_reportf "ref/chain results diverged at step %d" n;
-      if (r_jit, n_jit) <> (expect_blk, 1) then
+      if (r_jit, n_jit) <> (expect_run, 1) then
         QCheck.Test.fail_reportf "ref/jit results diverged at step %d" n;
-      Obs.compare_states ~what:"ref/cached" n ref_m fast_m;
-      Obs.compare_states ~what:"ref/block" n ref_m blk_m;
+      Obs.compare_states ~what:"ref/step_fast" n ref_m fast_m;
       Obs.compare_states ~what:"ref/chain" n ref_m chn_m;
       Obs.compare_states ~what:"ref/jit" n ref_m jit_m;
       match r_ref with
@@ -109,13 +103,13 @@ let flat_lockstep ?(writable_code = false) words =
   in
   go 0;
   Obs.require_hashes_equal ~what:"flat lockstep" 256 ref_m
-    [ fast_m; blk_m; chn_m; jit_m ];
+    [ fast_m; chn_m; jit_m ];
   true
 
 (** Interrupt-injection equivalence (the heart of the block-dispatch
-    soundness argument): drive the five paths in random-length fuel
+    soundness argument): drive the three tiers in random-length fuel
     batches, toggling the external interrupt line and rewriting the
-    timer comparator / cycle counter identically on all five between
+    timer comparator / cycle counter identically on all three between
     batches.  Batched block execution checks for interrupts only at
     block boundaries; that must deliver every interrupt at exactly the
     same retired-instruction boundary as the per-step loops. *)
@@ -133,8 +127,7 @@ let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
     m.Machine.mie <- true;
     m
   in
-  let ref_m = mk () and fast_m = mk () and blk_m = mk () and chn_m = mk () in
-  let jit_m = mk () in
+  let ref_m = mk () and chn_m = mk () and jit_m = mk () in
   (* chain/jit with a tiny hotness threshold: batches cross the
      superblock formation point mid-stream, so interrupt delivery is
      checked against freshly re-translated superblocks too *)
@@ -142,7 +135,7 @@ let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
   chn_m.Machine.hot_adaptive <- false;
   jit_m.Machine.hot_threshold <- 2;
   jit_m.Machine.hot_adaptive <- false;
-  let machines = [ ref_m; fast_m; blk_m; chn_m; jit_m ] in
+  let machines = [ ref_m; chn_m; jit_m ] in
   let rand = lcg seed in
   let total = ref 0 in
   (try
@@ -162,26 +155,12 @@ let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
        let r_ref, n_ref =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_ref ref_m
        in
-       let r_fast, n_fast =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_cached fast_m
-       in
-       let r_blk, n_blk =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_block blk_m
-       in
        let r_chn, n_chn =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_chain chn_m
        in
        let r_jit, n_jit =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_jit jit_m
        in
-       if (r_ref, n_ref) <> (r_fast, n_fast) then
-         QCheck.Test.fail_reportf
-           "ref/cached batch diverged after %d insns (fuel %d)" !total fuel;
-       if (r_ref, n_ref) <> (r_blk, n_blk) then
-         QCheck.Test.fail_reportf
-           "ref/block batch diverged after %d insns (fuel %d): ref retired \
-            %d, block retired %d"
-           !total fuel n_ref n_blk;
        if (r_ref, n_ref) <> (r_chn, n_chn) then
          QCheck.Test.fail_reportf
            "ref/chain batch diverged after %d insns (fuel %d): ref retired \
@@ -192,12 +171,10 @@ let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
            "ref/jit batch diverged after %d insns (fuel %d): ref retired \
             %d, jit retired %d"
            !total fuel n_ref n_jit;
-       Obs.compare_states ~what:"interrupt batch" !total ref_m fast_m;
-       Obs.compare_states ~what:"interrupt batch" !total ref_m blk_m;
        Obs.compare_states ~what:"interrupt batch" !total ref_m chn_m;
        Obs.compare_states ~what:"interrupt batch" !total ref_m jit_m;
        Obs.require_hashes_equal ~what:"interrupt batch" !total ref_m
-         [ fast_m; blk_m; chn_m; jit_m ];
+         [ chn_m; jit_m ];
        total := !total + n_ref;
        match r_ref with
        | Machine.Step_halted | Machine.Step_double_fault -> raise Exit
@@ -307,21 +284,16 @@ let inject rand (links : Scenario.linked list) =
     | [] -> ()
   end
 
-(** State-trace equivalence of all five dispatch modes on a linked
+(** State-trace equivalence of the three dispatch tiers on a linked
     multi-compartment image, under interrupt injection, allocator churn,
     revocation sweeps and code patches, with the chain and jit machines
     forming superblocks at [hot_threshold = 2]. *)
 let scenario_lockstep (sc : Scenario.t) =
   let mk () = Scenario.link ~instrument:true sc in
-  let l_ref = mk () and l_fast = mk () and l_blk = mk () and l_chn = mk () in
-  let l_jit = mk () in
-  let links = [ l_ref; l_fast; l_blk; l_chn; l_jit ] in
+  let l_ref = mk () and l_chn = mk () and l_jit = mk () in
+  let links = [ l_ref; l_chn; l_jit ] in
   let m_of l = l.Scenario.t.Loader.machine in
-  let ref_m = m_of l_ref
-  and fast_m = m_of l_fast
-  and blk_m = m_of l_blk
-  and chn_m = m_of l_chn
-  and jit_m = m_of l_jit in
+  let ref_m = m_of l_ref and chn_m = m_of l_chn and jit_m = m_of l_jit in
   chn_m.Machine.hot_threshold <- 2;
   chn_m.Machine.hot_adaptive <- false;
   jit_m.Machine.hot_threshold <- 2;
@@ -337,26 +309,12 @@ let scenario_lockstep (sc : Scenario.t) =
        let r_ref, n_ref =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_ref ref_m
        in
-       let r_fast, n_fast =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_cached fast_m
-       in
-       let r_blk, n_blk =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_block blk_m
-       in
        let r_chn, n_chn =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_chain chn_m
        in
        let r_jit, n_jit =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_jit jit_m
        in
-       if (r_ref, n_ref) <> (r_fast, n_fast) then
-         QCheck.Test.fail_reportf
-           "scenario ref/cached diverged after %d insns (fuel %d)" !total fuel;
-       if (r_ref, n_ref) <> (r_blk, n_blk) then
-         QCheck.Test.fail_reportf
-           "scenario ref/block diverged after %d insns (fuel %d): ref %d, \
-            block %d"
-           !total fuel n_ref n_blk;
        if (r_ref, n_ref) <> (r_chn, n_chn) then
          QCheck.Test.fail_reportf
            "scenario ref/chain diverged after %d insns (fuel %d): ref %d, \
@@ -367,12 +325,10 @@ let scenario_lockstep (sc : Scenario.t) =
            "scenario ref/jit diverged after %d insns (fuel %d): ref %d, \
             jit %d"
            !total fuel n_ref n_jit;
-       Obs.compare_states ~what:"scenario ref/cached" !total ref_m fast_m;
-       Obs.compare_states ~what:"scenario ref/block" !total ref_m blk_m;
        Obs.compare_states ~what:"scenario ref/chain" !total ref_m chn_m;
        Obs.compare_states ~what:"scenario ref/jit" !total ref_m jit_m;
        Obs.require_hashes_equal ~what:"scenario batch" !total ref_m
-         [ fast_m; blk_m; chn_m; jit_m ];
+         [ chn_m; jit_m ];
        total := !total + n_ref;
        match r_ref with
        | Machine.Step_halted | Machine.Step_double_fault -> raise Exit
@@ -415,8 +371,7 @@ let scenario_perf_agreement (sc : Scenario.t) =
                  (Core_model.config ~cheri:true ~load_filter:true core))
               name (show v0) (show v)
               (if h <> h0 then ", state hashes differ" else ""))
-        [ ("cached", Perf.Cached); ("block", Perf.Block);
-          ("chain", Perf.Chain); ("jit", Perf.Jit) ])
+        [ ("chain", Perf.Chain); ("jit", Perf.Jit) ])
     [ Core_model.Ibex; Core_model.Flute ];
   true
 
@@ -702,15 +657,14 @@ let arb_flat_seeded gen =
 let tests =
   [
     QCheck.Test.make
-      ~name:
-        "ref, cached, block, chain and jit dispatch agree on random streams"
+      ~name:"ref, chain and jit dispatch agree on random streams"
       ~count:(Iters.count ~default:1000) arb_flat flat_lockstep;
     QCheck.Test.make
-      ~name:"self-modifying streams agree on all five dispatch paths"
+      ~name:"self-modifying streams agree on all three dispatch tiers"
       ~count:(Iters.count ~default:400) arb_flat_smc
       (flat_lockstep ~writable_code:true);
     QCheck.Test.make
-      ~name:"interrupt injection: all five paths deliver identically"
+      ~name:"interrupt injection: all three tiers deliver identically"
       ~count:(Iters.count ~default:200)
       (arb_flat_seeded Flatgen.gen_program)
       flat_interrupt_lockstep;
@@ -735,7 +689,7 @@ let scenario_tests =
   [
     QCheck.Test.make
       ~name:
-        "multi-compartment scenarios: five dispatch paths agree under \
+        "multi-compartment scenarios: three dispatch tiers agree under \
          interrupts, churn and patches"
       ~count:(Iters.count ~default:60)
       (Scenario.arb ())

@@ -1,7 +1,7 @@
 module Machine = Cheriot_isa.Machine
 module Decode_cache = Cheriot_isa.Decode_cache
 
-type dispatch = Reference | Cached | Block | Chain | Jit
+type dispatch = Reference | Chain | Jit
 
 type stats = {
   cycles : int;
@@ -139,7 +139,7 @@ let step_exact t =
   let r =
     match t.dispatch with
     | Reference -> Machine.step m
-    | Cached | Block | Chain | Jit -> Machine.step_fast m
+    | Chain | Jit -> Machine.step_fast m
   in
   (match r with
   | Machine.Step_waiting -> idle_cycle t
@@ -157,15 +157,13 @@ let step_exact t =
    block must not see the cycles before it. *)
 let per_step t =
   match t.dispatch with
-  | Reference | Cached -> true
-  | Block | Chain | Jit ->
+  | Reference -> true
+  | Chain | Jit ->
       let m = t.machine in
       Option.is_some t.revoker || (m.Machine.mie && m.Machine.mtimecmp <> 0)
 
 let machine_dispatch = function
   | Reference -> Machine.Dispatch_ref
-  | Cached -> Machine.Dispatch_cached
-  | Block -> Machine.Dispatch_block
   | Chain -> Machine.Dispatch_chain
   | Jit -> Machine.Dispatch_jit
 

@@ -2,23 +2,21 @@
     advancing [mcycle], feeding idle memory cycles to the background
     revoker, and collecting statistics. *)
 
-(** Which fetch/decode path drives the machine.  [Reference] re-decodes
-    every instruction ([Machine.step]); [Cached] runs from the
-    decoded-instruction cache ([Machine.step_fast]); both charge each
-    step from its event.  [Block] runs whole translated basic blocks,
-    [Chain] additionally follows chained block-to-block links and
-    superblocks, and [Jit] runs chained rounds with each block under
-    its optimized check plan — each as one [Machine.timed_round], the
-    executor [Machine.run] uses, charging the cost model one block
-    segment at a time.  The batched tiers fall back to per-step cached
-    dispatch whenever interrupts are enabled with the timer armed,
-    where a comparator crossing between two instructions of a block
-    could otherwise be missed, and whenever a revoker is attached,
-    which is granted each instruction's idle cycles as they pass.  All
-    five produce identical architectural traces and cycle counts —
-    simulator-speed optimizations, invisible to the modelled
-    hardware. *)
-type dispatch = Reference | Cached | Block | Chain | Jit
+(** Which dispatch tier drives the machine.  [Reference] re-decodes
+    every instruction ([Machine.step]) and charges each step from its
+    event.  [Chain] and [Jit] run chained rounds of translated blocks —
+    every block fully checked, or under its optimized check plan — each
+    as one [Machine.timed_round], the executor [Machine.run] uses,
+    charging the cost model one block segment at a time.  The batched
+    tiers fall back to exact per-step dispatch through the
+    decoded-instruction cache ([Machine.step_fast]) whenever interrupts
+    are enabled with the timer armed, where a comparator crossing
+    between two instructions of a block could otherwise be missed, and
+    whenever a revoker is attached, which is granted each instruction's
+    idle cycles as they pass.  All three produce identical
+    architectural traces and cycle counts — simulator-speed
+    optimizations, invisible to the modelled hardware. *)
+type dispatch = Reference | Chain | Jit
 
 type stats = {
   cycles : int;

@@ -1,13 +1,14 @@
 (* Basic-block translation cache regressions.
 
-   The block dispatch path translates straight-line runs of decoded
-   instructions once and replays them with interrupt checks only at
-   block boundaries and bookkeeping deferred across simple
+   The batched tiers translate straight-line runs of decoded
+   instructions once and replay them with interrupt checks only at
+   round boundaries and bookkeeping deferred across simple
    instructions.  These tests pin the parts the differential fuzzers
    are unlikely to hit deterministically: block formation and stats
    accounting, self-modifying-code abandonment mid-block, fuel-exact
-   cutting, and the invalidation channel (SRAM stores invalidate,
-   device writes and bus-bypass writes do not). *)
+   cutting, the invalidation channel (SRAM stores invalidate, device
+   writes and bus-bypass writes do not), chaining and superblocks, and
+   the jit tier's plans. *)
 
 open Cheriot_core
 open Cheriot_isa
@@ -28,8 +29,16 @@ let result_name = function
   | Machine.Step_halted -> "halted"
   | Machine.Step_double_fault -> "double fault"
 
+(* The cache-mechanics cases run the chain tier with superblock
+   formation out of reach (a pinned, unreachable hotness threshold), so
+   every translation unit is a plain basic block as filled. *)
+let plain_blocks m =
+  m.Machine.hot_threshold <- max_int;
+  m.Machine.hot_adaptive <- false
+
 let run_block m =
-  match Machine.run ~dispatch:Machine.Dispatch_block m with
+  plain_blocks m;
+  match Machine.run ~dispatch:Machine.Dispatch_chain m with
   | Machine.Step_halted, n -> n
   | r, _ -> Alcotest.failf "did not halt: %s" (result_name r)
 
@@ -39,8 +48,9 @@ let reset m =
   Machine.set_reg m 2 Capability.null
 
 (* A 3-word counting loop (4 iterations) plus the halt: the loop body
-   re-executes from the cache, so the block path must show refills only
-   for the distinct blocks and hits for every re-entry. *)
+   re-executes from the cache, so the chain tier must show refills only
+   for the distinct blocks and a hit — a validated probe or a followed
+   link — for every re-entry. *)
 let loop_program = Insn.[ Op_imm (Add, 1, 1, 1); Branch (Ne, 1, 6, -4); Ebreak ]
 
 let test_formation_and_stats () =
@@ -63,7 +73,8 @@ let test_formation_and_stats () =
   (* blocks: [add; bne] at the loop head and [ebreak] after it *)
   Alcotest.(check int) "two distinct blocks" 2 s.Machine.blocks_filled;
   Alcotest.(check int) "cold misses only" 2 s.Machine.block_misses;
-  Alcotest.(check int) "re-entries hit" 3 s.Machine.block_hits;
+  Alcotest.(check int) "re-entries hit" 3
+    (s.Machine.block_hits + s.Machine.chain_hits);
   Alcotest.(check bool) "multi-instruction blocks" true
     (Machine.avg_block_len s > 1.0);
   Alcotest.(check int) "nothing invalidated" 0 s.Machine.block_invalidations;
@@ -121,7 +132,7 @@ let test_self_modifying_abandon () =
   Alcotest.(check int) "reference sees the patch" 16 (Machine.reg_int ref_m 2);
   let m = mk () in
   let _ = run_block m in
-  Alcotest.(check int) "block path sees the patch" 16 (Machine.reg_int m 2);
+  Alcotest.(check int) "chain tier sees the patch" 16 (Machine.reg_int m 2);
   Alcotest.(check string) "same state hash" (Machine.state_hash ref_m)
     (Machine.state_hash m);
   let s = Machine.block_stats m in
@@ -130,7 +141,7 @@ let test_self_modifying_abandon () =
   Alcotest.(check bool) "the store invalidated the block" true
     (s.Machine.block_invalidations >= 1)
 
-(* Fuel-exact cutting: driving the block path in fuel chunks of every
+(* Fuel-exact cutting: driving the chain tier in fuel chunks of every
    small size must retire exactly the reference count and land in the
    identical final state — blocks are cut mid-execution when fuel runs
    out and resumed at the fall-through PC. *)
@@ -145,10 +156,11 @@ let test_fuel_cutting () =
   let ref_hash = Machine.state_hash ref_m in
   for fuel = 1 to 7 do
     let m = mk () in
+    plain_blocks m;
     let total = ref 0 in
     let halted = ref false in
     while not !halted do
-      let r, n = Machine.run ~fuel ~dispatch:Machine.Dispatch_block m in
+      let r, n = Machine.run ~fuel ~dispatch:Machine.Dispatch_chain m in
       total := !total + n;
       match r with
       | Machine.Step_halted -> halted := true
@@ -252,11 +264,6 @@ let test_chain_links_and_unlink () =
   let s = Machine.block_stats m in
   Alcotest.(check bool) "transfers chained" true (s.Machine.chain_hits > 0);
   Alcotest.(check int) "no stale links yet" 0 s.Machine.chain_unlinks;
-  (* the block path must leave the chain counters untouched *)
-  let mb = mk () in
-  let _ = run_block mb in
-  Alcotest.(check int) "block dispatch never chains" 0
-    (Machine.block_stats mb).Machine.chain_hits;
   (* patch B's add through the bus: the snoop kills B and bumps the
      chain epoch, so A's link to the dead B must not be followed *)
   Bus.write m.Machine.bus ~width:4 (code_base + 8)
@@ -468,7 +475,7 @@ let test_jit_hoisted_guard_patch_midtrace () =
     (s.Machine.block_invalidations > 0)
 
 (* Counter accounting parity: the recording rounds ([step_jit], driving
-   the traced path) and the merged executor ([Machine.run]) must agree
+   the traced path) and the round executor ([Machine.run]) must agree
    that the optimizer engaged — both compile the same plans. *)
 let test_jit_counters_on_both_paths () =
   let mk () =

@@ -1,19 +1,18 @@
-(* Differential oracle for the decoded-instruction and basic-block
-   translation caches.
+(* Differential oracle for the dispatch tiers.
 
    [Machine.step] is the reference interpreter: it re-reads and
-   re-decodes the instruction word at the PC on every step.
-   [Machine.step_fast] fetches through the decode cache and, on a
-   validated hit, skips the fetch checks and the PC-advance
-   representability check by installing precomputed results.  The block
-   dispatch path ([Machine.run ~dispatch:Dispatch_block]) executes
-   whole translated basic blocks with interrupt checks only at block
-   boundaries and bookkeeping deferred across simple instructions; the
-   chain path ([Dispatch_chain]) additionally follows direct
-   block-to-block links and re-translates hot fall-dominated paths
-   into superblocks; the jit path ([Dispatch_jit]) runs the chained
-   rounds with per-block optimized check plans from [Ir.optimize].
-   All five must be observationally indistinguishable.
+   re-decodes the instruction word at the PC on every step.  The chain
+   tier ([Machine.run ~dispatch:Dispatch_chain]) executes chained
+   rounds of translated blocks with interrupt checks only at round
+   boundaries and bookkeeping deferred across simple instructions,
+   following direct block-to-block links and re-translating hot
+   fall-dominated paths into superblocks; the jit tier ([Dispatch_jit])
+   runs the same rounds with per-block optimized check plans from
+   [Ir.optimize].  [Machine.step_fast], the batched tiers' exact-step
+   fallback, fetches through the decode cache and, on a validated hit,
+   skips the fetch checks and the PC-advance representability check by
+   installing precomputed results.  All must be observationally
+   indistinguishable.
 
    The lockstep drivers, interrupt-injection schedules and the
    state-comparison predicate live in [Cheriot_proptest]
@@ -27,7 +26,7 @@ open Cheriot_isa
 module Props = Cheriot_proptest.Props
 
 (* The same oracle on a deterministic workload with a long trace:
-   coremark's ISA program on all five dispatch paths, equal retired
+   coremark's ISA program on all three dispatch tiers, equal retired
    counts and state hashes. *)
 let test_coremark_lockstep () =
   let module Coremark = Cheriot_workloads.Coremark in
@@ -46,17 +45,11 @@ let test_coremark_lockstep () =
     (insns, Machine.state_hash m)
   in
   let ref_insns, ref_hash = run Machine.Dispatch_ref in
-  let fast_insns, fast_hash = run Machine.Dispatch_cached in
-  let blk_insns, blk_hash = run Machine.Dispatch_block in
   let chn_insns, chn_hash = run Machine.Dispatch_chain in
   let jit_insns, jit_hash = run Machine.Dispatch_jit in
   (* an aggressive threshold forms superblocks all over the hot loops *)
   let sb_insns, sb_hash = run ~hot_threshold:2 Machine.Dispatch_chain in
   let jsb_insns, jsb_hash = run ~hot_threshold:2 Machine.Dispatch_jit in
-  Alcotest.(check int) "retired instructions (cached)" ref_insns fast_insns;
-  Alcotest.(check string) "state hash (cached)" ref_hash fast_hash;
-  Alcotest.(check int) "retired instructions (block)" ref_insns blk_insns;
-  Alcotest.(check string) "state hash (block)" ref_hash blk_hash;
   Alcotest.(check int) "retired instructions (chain)" ref_insns chn_insns;
   Alcotest.(check string) "state hash (chain)" ref_hash chn_hash;
   Alcotest.(check int) "retired instructions (jit)" ref_insns jit_insns;

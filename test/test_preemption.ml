@@ -138,7 +138,7 @@ let test_fatal_trap_in_isr_system () =
   Alcotest.(check int) "mcause = CHERI fault" 28 m.Machine.mcause
 
 (* The ISR re-arms the timer from an [mcycle] read while interrupts are
-   disabled — inside a batched round on the block, chain and jit tiers.
+   disabled — inside a batched round on the chain and jit tiers.
    Each tier must read the per-step count there, or the whole schedule
    drifts: every tier halts on the reference's cycle with the same
    totals, timer and state. *)
@@ -176,12 +176,7 @@ let test_tiers_agree () =
         ("cycles, insns, mem_busy, traps, mcycle, mtimecmp, count: " ^ name)
         v0 v;
       Alcotest.(check string) ("state hash: " ^ name) h0 h)
-    [
-      ("cached", Perf.Cached);
-      ("block", Perf.Block);
-      ("chain", Perf.Chain);
-      ("jit", Perf.Jit);
-    ]
+    [ ("chain", Perf.Chain); ("jit", Perf.Jit) ]
 
 let suite =
   [

@@ -149,7 +149,7 @@ let test_cross_compartment_patch_snoop () =
       Alcotest.(check bool) (name ^ ": the patch store invalidated a block")
         true
         (s.Machine.block_invalidations >= 1))
-    [ ("block", Machine.Dispatch_block); ("chain", Machine.Dispatch_chain) ]
+    [ ("chain", Machine.Dispatch_chain); ("jit", Machine.Dispatch_jit) ]
 
 (* Pinned regression: the {e recording} executors (what [Trace.run]
    drives) have their own side-exit handling, separate from the fast

@@ -235,11 +235,11 @@ let test_core_model_costs () =
 (* --- Perf dispatch parity --------------------------------------------- *)
 
 (* The cycle model must be blind to the dispatch machinery: runs of the
-   same program on all five tiers charge identical cycles and
+   same program on all three tiers charge identical cycles and
    instructions and land in identical machine state.  The program
    mixes the event classes the model prices differently (loads, stores,
    ALU, taken/untaken branches) and ends in a WFI with no interrupt
-   source, covering the block path's idle-round charging too. *)
+   source, covering the batched tiers' idle-round charging too. *)
 module Machine = Cheriot_isa.Machine
 module Asm = Cheriot_isa.Asm
 module Insn = Cheriot_isa.Insn
@@ -287,8 +287,7 @@ let perf_run ?(fuel = 1_000_000) ?(core = Core_model.Ibex) dispatch program
   let r = Perf.run ~fuel p in
   (r, p.Perf.stats, m.Machine.mcycle, Machine.state_hash m)
 
-let batched = [ ("block", Perf.Block); ("chain", Perf.Chain); ("jit", Perf.Jit) ]
-let tiers = ("cached", Perf.Cached) :: batched
+let tiers = [ ("chain", Perf.Chain); ("jit", Perf.Jit) ]
 
 (* Every tier against Reference: the stop, the four simulated totals,
    the final [mcycle] and the state hash. *)
@@ -320,7 +319,7 @@ let test_perf_dispatch_parity () =
       let _, s, _, _ = perf_run d parity_program (fun _ -> ()) in
       Alcotest.(check bool) ("block stats threaded: " ^ name) true
         (s.Perf.block_hits > 0 && s.Perf.avg_block_len > 1.0))
-    batched;
+    tiers;
   Alcotest.(check int) "no block activity on reference" 0
     (s_ref.Perf.block_hits + s_ref.Perf.block_misses)
 
@@ -427,7 +426,7 @@ let spin_program =
 
 (* With interrupts enabled and the timer armed, the batched tiers must
    deliver the timer interrupt at exactly the same cycle as the
-   per-step paths (they fall back to per-step dispatch in that regime —
+   reference tier (they fall back to per-step dispatch in that regime —
    a mid-block comparator crossing would otherwise be observable). *)
 let test_perf_timer_parity () =
   let setup (m : Machine.t) =
