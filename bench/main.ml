@@ -1,11 +1,10 @@
 (* The benchmark harness: regenerates every table and figure in the
    paper's evaluation (section 7) from the simulator, side by side with
-   the published numbers, plus the DESIGN.md ablations and a Bechamel
-   wall-clock microbenchmark of the simulator itself.
+   the published numbers, plus the DESIGN.md ablations.
 
    Usage:
      bench/main.exe                 -- everything
-     bench/main.exe table1|table2|table3|table4|fig5|fig6|iot|ablations|micro
+     bench/main.exe table1|table2|table3|table4|fig5|fig6|iot|ablations
 *)
 
 module Core_model = Cheriot_uarch.Core_model
@@ -277,100 +276,6 @@ let ablations () =
          interrupts-disabled window %6d cycles@."
         batch !batches !worst)
     [ 32; 128; 512; 4096 ]
-
-(* --- Bechamel microbenchmarks of the simulator itself ------------------- *)
-
-let micro () =
-  section "Bechamel -- wall-clock microbenchmarks of the simulator";
-  let open Bechamel in
-  let cap = Cheriot_core.Capability.root_mem_rw in
-  let word = Cheriot_core.Capability.to_word cap in
-  (* one Test.make per table: the dominant simulator primitive behind
-     each experiment *)
-  let t_decode =
-    Test.make ~name:"table1: cap of_word+to_word"
-      (Staged.stage (fun () ->
-           Cheriot_core.Capability.(to_word (of_word ~tag:true word))))
-  in
-  let t_gates =
-    Test.make ~name:"table2: area/power model"
-      (Staged.stage (fun () -> Gates.table2 ()))
-  in
-  let mk_machine () =
-    let bus = Cheriot_mem.Bus.create () in
-    let sram = Cheriot_mem.Sram.create ~base:0x10000 ~size:0x1000 in
-    Cheriot_mem.Bus.add_sram bus sram;
-    let img =
-      Cheriot_isa.Asm.assemble ~origin:0x10000
-        [
-          Cheriot_isa.Asm.Label "loop";
-          Cheriot_isa.Asm.I (Cheriot_isa.Insn.Op_imm (Add, 10, 10, 1));
-          Cheriot_isa.Asm.J (0, "loop");
-        ]
-    in
-    Cheriot_isa.Asm.load img sram;
-    let m = Cheriot_isa.Machine.create bus in
-    m.Cheriot_isa.Machine.pcc <-
-      Cheriot_core.Capability.(
-        set_bounds (with_address root_executable 0x10000) ~length:0x100
-          ~exact:false);
-    m
-  in
-  let m = mk_machine () in
-  let t_step =
-    Test.make ~name:"table3: machine step"
-      (Staged.stage (fun () -> ignore (Cheriot_isa.Machine.step m)))
-  in
-  let t_alloc =
-    let params = Core_model.params_of Core_model.Flute in
-    let clock = Cheriot_rtos.Clock.create params in
-    let sram = Cheriot_mem.Sram.create ~base:0x80000 ~size:0x40000 in
-    let rev =
-      Cheriot_mem.Revbits.create ~heap_base:0x80000 ~heap_size:0x40000 ()
-    in
-    let alloc =
-      Allocator.create ~temporal:Allocator.Baseline ~sram ~rev ~clock
-        ~heap_base:0x80000 ~heap_size:0x40000 ()
-    in
-    Test.make ~name:"table4: malloc+free pair"
-      (Staged.stage (fun () ->
-           match Allocator.malloc alloc 64 with
-           | Ok c -> ignore (Allocator.free alloc c)
-           | Error _ -> ()))
-  in
-  let t_sweep =
-    let sram = Cheriot_mem.Sram.create ~base:0x80000 ~size:0x10000 in
-    let rev =
-      Cheriot_mem.Revbits.create ~heap_base:0x80000 ~heap_size:0x10000 ()
-    in
-    let r = Cheriot_uarch.Revoker.create ~core:Core_model.Flute ~sram ~rev () in
-    Test.make ~name:"fig5/6: 64 KiB revoker sweep"
-      (Staged.stage (fun () ->
-           Cheriot_uarch.Revoker.kick r ~start:0x80000 ~stop:0x90000;
-           ignore (Cheriot_uarch.Revoker.run_to_completion r)))
-  in
-  let tests =
-    Test.make_grouped ~name:"cheriot-sim"
-      [ t_decode; t_gates; t_step; t_alloc; t_sweep ]
-  in
-  let raw =
-    Benchmark.all
-      (Benchmark.cfg ~limit:500 ~quota:(Time.second 0.2) ())
-      Toolkit.Instance.[ monotonic_clock ]
-      tests
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "%-40s %12.1f ns/op@." name est
-      | Some _ | None -> Format.printf "%-40s (no estimate)@." name)
-    (List.sort compare rows)
 
 (* --- dispatch-tier benchmark ---------------------------------------------- *)
 
@@ -794,8 +699,7 @@ let all () =
   jit_exec ();
   audit_bench ();
   audit_incremental_bench ();
-  planverify_bench ();
-  micro ()
+  planverify_bench ()
 
 let () =
   match Sys.argv with
@@ -817,11 +721,10 @@ let () =
       audit_incremental_bench ~smoke:true ()
   | [| _; "planverify" |] -> planverify_bench ()
   | [| _; "planverify"; "smoke" |] -> planverify_bench ~smoke:true ()
-  | [| _; "micro" |] -> micro ()
   | _ ->
       prerr_endline
         "usage: main.exe \
          [table1|table2|table3|table4|fig5|fig6|iot|ablations|jit_exec \
          [smoke]|audit [smoke]|audit_incremental [smoke]|planverify \
-         [smoke]|micro]";
+         [smoke]]";
       exit 2

@@ -21,6 +21,19 @@ let core_arg =
   in
   Arg.(value & opt core Core_model.Ibex & info [ "core" ] ~doc:"flute or ibex")
 
+(* Numeric options are validated while parsing, so an out-of-range value
+   is a command-line error (exit 2) rather than a crash or a nonsense
+   run. *)
+let refine conv check =
+  let parse s =
+    Result.bind (Arg.conv_parser conv s) (fun v ->
+        match check v with Ok () -> Ok v | Error e -> Error (`Msg e))
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let require what ok v = if ok v then Ok () else Error ("must be " ^ what)
+let pos_int = refine Arg.int (require "a positive integer" (fun n -> n > 0))
+
 (* --- coremark ---------------------------------------------------------- *)
 
 let coremark core cheri load_filter iterations =
@@ -41,7 +54,7 @@ let coremark_cmd =
     Arg.(value & flag & info [ "load-filter" ] ~doc:"enable the load filter")
   in
   let iters =
-    Arg.(value & opt int 10 & info [ "iterations" ] ~doc:"iterations")
+    Arg.(value & opt pos_int 10 & info [ "iterations" ] ~doc:"iterations")
   in
   Cmd.v
     (Cmd.info "coremark" ~doc:"run the CoreMark-shaped suite (Table 3)")
@@ -82,9 +95,15 @@ let alloc_cmd =
   let hwm =
     Arg.(value & flag & info [ "hwm" ] ~doc:"stack high-water mark assist")
   in
-  let size = Arg.(value & opt int 1024 & info [ "size" ] ~doc:"allocation size") in
+  let size =
+    (* a size the benchmark heap cannot serve fails the parse with the
+       allocator's message *)
+    let size = refine pos_int Cheriot_workloads.Alloc_bench.check_size in
+    Arg.(value & opt size 1024 & info [ "size" ] ~doc:"allocation size")
+  in
   let total =
-    Arg.(value & opt int (1 lsl 20) & info [ "total" ] ~doc:"bytes of churn")
+    Arg.(
+      value & opt pos_int (1 lsl 20) & info [ "total" ] ~doc:"bytes of churn")
   in
   Cmd.v
     (Cmd.info "alloc" ~doc:"run the allocation microbenchmark (Table 4)")
@@ -102,7 +121,11 @@ let iot seconds =
 
 let iot_cmd =
   let seconds =
-    Arg.(value & opt float 10.0 & info [ "seconds" ] ~doc:"simulated seconds")
+    let seconds =
+      refine Arg.float
+        (require "positive and finite" (fun s -> Float.is_finite s && s > 0.))
+    in
+    Arg.(value & opt seconds 10.0 & info [ "seconds" ] ~doc:"simulated seconds")
   in
   Cmd.v
     (Cmd.info "iot" ~doc:"run the end-to-end IoT application (7.2.3)")

@@ -405,7 +405,7 @@ let collect ?(dispatch = Machine.Dispatch_jit) ?(fuel = 2_000_000)
   Array.iteri
     (fun k hi ->
       if hi <> 0 then begin
-        let b = bc.Decode_cache.rc.Decode_cache.payloads.(k) in
+        let b = bc.Decode_cache.payloads.(k) in
         if b.Machine.b_jit = None then ignore (Machine.compile_jit m b)
       end)
     bc.Decode_cache.his;

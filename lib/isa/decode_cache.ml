@@ -10,88 +10,14 @@ type stats = {
 }
 
 type 'a t = {
-  tags : int array;  (* full PC of the cached word; -1 = empty *)
+  tags : int array;  (* start PC of the cached entry; -1 = empty *)
   payloads : 'a array;
-  mask : int;
-  dummy : 'a;
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidations : int;
-  mutable flushes : int;
-}
-
-let create ?(size_log2 = 11) ~dummy () =
-  if size_log2 < 1 || size_log2 > 24 then
-    invalid_arg "Decode_cache.create: size_log2 out of range";
-  let n = 1 lsl size_log2 in
-  {
-    tags = Array.make n (-1);
-    payloads = Array.make n dummy;
-    mask = n - 1;
-    dummy;
-    hits = 0;
-    misses = 0;
-    invalidations = 0;
-    flushes = 0;
-  }
-
-let entries t = Array.length t.tags
-
-(* Instructions are word-aligned, so the low two PC bits carry no
-   information: index by pc >> 2 for conflict-free coverage of contiguous
-   code. *)
-let slot t pc = (pc lsr 2) land t.mask
-
-(* [slot] is masked, so every index below is in range by construction and
-   the bounds checks are elided — this is the per-instruction hot path. *)
-let probe t ~slot ~pc =
-  if Array.unsafe_get t.tags slot = pc then begin
-    t.hits <- t.hits + 1;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    false
-  end
-
-let payload t slot = Array.unsafe_get t.payloads slot
-
-let fill t ~slot ~pc v =
-  Array.unsafe_set t.tags slot pc;
-  Array.unsafe_set t.payloads slot v
-
-let lookup t pc =
-  let s = slot t pc in
-  if probe t ~slot:s ~pc then Some t.payloads.(s) else None
-
-let kill t pc =
-  let s = slot t pc in
-  if t.tags.(s) = pc then begin
-    t.tags.(s) <- -1;
-    t.payloads.(s) <- t.dummy;
-    t.invalidations <- t.invalidations + 1
-  end
-
-(* The bus snoop reports 8-byte-granule-aligned store addresses; a
-   granule holds two instruction words. *)
-let invalidate_granule t addr =
-  let g = addr land lnot 7 in
-  kill t g;
-  kill t (g + 4)
-
-let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.payloads 0 (Array.length t.payloads) t.dummy;
-  t.flushes <- t.flushes + 1
-
-(* --- ranged entries: the basic-block layer ---------------------------- *)
-
-type 'a ranged = {
-  rc : 'a t;
   (* per-slot byte span [lo, hi) covered by the entry's instructions;
      his.(s) = 0 marks an empty slot *)
   los : int array;
   his : int array;
+  mask : int;
+  dummy : 'a;
   max_span : int;
   (* Union of every span ever filled (monotone until flush): the store
      snoop tests against this window first, so data-region stores — the
@@ -104,47 +30,67 @@ type 'a ranged = {
      a superblock replacing an entry — bumps the epoch, unlinking every
      edge in the cache in O(1). *)
   mutable chain_epoch : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable invalidations : int;
+  mutable flushes : int;
   mutable chain_hits : int;  (* transfers that skipped probe + ticket *)
   mutable chain_unlinks : int;  (* stale links observed at traversal *)
   mutable superblocks_formed : int;
   mutable side_exits : int;  (* taken interior branches of superblocks *)
 }
 
-let ranged ?size_log2 ~max_span ~dummy () =
+let create ?(size_log2 = 11) ~max_span ~dummy () =
+  if size_log2 < 1 || size_log2 > 24 then
+    invalid_arg "Decode_cache.create: size_log2 out of range";
   if max_span <= 0 || max_span land 3 <> 0 then
-    invalid_arg "Decode_cache.ranged: max_span must be a positive word multiple";
-  let rc = create ?size_log2 ~dummy () in
+    invalid_arg
+      "Decode_cache.create: max_span must be a positive word multiple";
+  let n = 1 lsl size_log2 in
   {
-    rc;
-    los = Array.make (Array.length rc.tags) 0;
-    his = Array.make (Array.length rc.tags) 0;
+    tags = Array.make n (-1);
+    payloads = Array.make n dummy;
+    los = Array.make n 0;
+    his = Array.make n 0;
+    mask = n - 1;
+    dummy;
     max_span;
     span_lo = max_int;
     span_hi = 0;
     chain_epoch = 0;
+    hits = 0;
+    misses = 0;
+    invalidations = 0;
+    flushes = 0;
     chain_hits = 0;
     chain_unlinks = 0;
     superblocks_formed = 0;
     side_exits = 0;
   }
 
+(* Instructions are word-aligned, so the low two PC bits carry no
+   information: index by pc >> 2 for conflict-free coverage of contiguous
+   code. *)
+let slot t pc = (pc lsr 2) land t.mask
+
 let chain_epoch t = t.chain_epoch
 let bump_chain_epoch t = t.chain_epoch <- t.chain_epoch + 1
 
-let rfill t ~slot ~pc ~lo ~hi v =
-  if hi - lo > t.max_span then invalid_arg "Decode_cache.rfill: span too long";
-  fill t.rc ~slot ~pc v;
+let fill t ~slot ~pc ~lo ~hi v =
+  if hi - lo > t.max_span then invalid_arg "Decode_cache.fill: span too long";
+  Array.unsafe_set t.tags slot pc;
+  Array.unsafe_set t.payloads slot v;
   t.los.(slot) <- lo;
   t.his.(slot) <- hi;
   if lo < t.span_lo then t.span_lo <- lo;
   if hi > t.span_hi then t.span_hi <- hi
 
-let rkill t slot =
-  if t.rc.tags.(slot) >= 0 then begin
-    t.rc.tags.(slot) <- -1;
-    t.rc.payloads.(slot) <- t.rc.dummy;
+let kill t slot =
+  if t.tags.(slot) >= 0 then begin
+    t.tags.(slot) <- -1;
+    t.payloads.(slot) <- t.dummy;
     t.his.(slot) <- 0;
-    t.rc.invalidations <- t.rc.invalidations + 1;
+    t.invalidations <- t.invalidations + 1;
     (* The dead entry may be the target of chained links elsewhere in
        the cache; unlink them all before the next transfer. *)
     t.chain_epoch <- t.chain_epoch + 1
@@ -156,27 +102,29 @@ let rkill t slot =
    (so lo >= g + 4 - max_span).  That is at most max_span/4 + 1
    candidate starts, each a masked probe; entries are word-granular, so
    the candidate walk covers every possible overlap. *)
-let rkill_store t addr =
+let kill_store t addr =
   let g = addr land lnot 7 in
   if g + 8 > t.span_lo && g < t.span_hi then begin
     let first = g + 4 - t.max_span and last = g + 4 in
     let pc = ref (if first < 0 then 0 else first) in
     while !pc <= last do
-      let s = slot t.rc !pc in
+      let s = slot t !pc in
       if
-        Array.unsafe_get t.rc.tags s = !pc
+        Array.unsafe_get t.tags s = !pc
         && Array.unsafe_get t.los s < g + 8
         && Array.unsafe_get t.his s > g
-      then rkill t s;
+      then kill t s;
       pc := !pc + 4
     done
   end
 
-let rflush t =
-  flush t.rc;
+let flush t =
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.payloads 0 (Array.length t.payloads) t.dummy;
   Array.fill t.his 0 (Array.length t.his) 0;
   t.span_lo <- max_int;
   t.span_hi <- 0;
+  t.flushes <- t.flushes + 1;
   t.chain_epoch <- t.chain_epoch + 1
 
 let stats t : stats =
@@ -185,25 +133,8 @@ let stats t : stats =
     misses = t.misses;
     invalidations = t.invalidations;
     flushes = t.flushes;
-    chain_hits = 0;
-    chain_unlinks = 0;
-    superblocks_formed = 0;
-    side_exits = 0;
-  }
-
-(* Ranged-cache stats: the plain counters of the underlying cache plus
-   the chain/superblock counters that only exist at this layer. *)
-let rstats t : stats =
-  {
-    (stats t.rc) with
     chain_hits = t.chain_hits;
     chain_unlinks = t.chain_unlinks;
     superblocks_formed = t.superblocks_formed;
     side_exits = t.side_exits;
   }
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.invalidations <- 0;
-  t.flushes <- 0

@@ -146,8 +146,7 @@ type t = {
   mutable ext_interrupt : bool;
   mutable waiting : bool;
   mutable last_event : event;
-  dcache : centry Decode_cache.t;
-  bcache : bentry Decode_cache.ranged;
+  bcache : bentry Decode_cache.t;
   mutable blocks_filled : int;
   mutable insns_translated : int;  (* sum of fill-time block lengths *)
   mutable block_aborts : int;
@@ -208,32 +207,15 @@ type t = {
   mutable charged_traps : int;
 }
 
-(* A decode-cache entry carries a fetch "ticket": the machine mode and
-   the exact PCC under which the fetch-side checks passed at fill time.
-   The checks are a pure function of (mode, PCC, pc), so a hit whose
-   current PCC equals the ticket can skip them wholesale — same result,
-   no bounds decode. *)
-and centry = {
-  c_insn : Insn.t;
-  c_opt : Insn.t option;  (* [Some c_insn], built once at fill so the
-                             per-step event update allocates nothing *)
-  c_mode : mode;
-  c_pcc : Capability.t;
-  c_next : Capability.t option;
-      (* [Some] of the step-advanced PCC ([next_pcc] at fill time).  The
-         PC advance is a pure function of the ticket fields, so a hit
-         whose PCC matches the ticket can install this record directly:
-         no representability check, no allocation.  [None] only in the
-         dummy. *)
-}
-
 (* A translated basic block: the decoded instructions of one
    straight-line run of code, from a fetch target up to and including
    the first control-flow or interrupt-posture-changing instruction
-   (or the length cap).  Like [centry], every per-instruction value the
-   hot loop needs — the [Some insn] event payload and the fall-through
-   PCC — is prebuilt at fill time, so executing a cached block
-   allocates nothing. *)
+   (or the length cap).  Every per-instruction value the hot loop needs
+   — the [Some insn] event payload and the fall-through PCC — is
+   prebuilt at fill time, so executing a cached block allocates
+   nothing.  A block carries a fetch "ticket": the machine mode and the
+   PCC under which the fetch-side checks passed at fill time (see
+   [ticket_ok]). *)
 and bentry = {
   b_insns : Insn.t array;
   b_opts : Insn.t option array;  (* [Some b_insns.(i)], built at fill *)
@@ -296,11 +278,11 @@ exception Trap of cause
 
 (* Blocks are capped at 16 instructions (64 bytes): long enough that
    dispatch overhead amortises away, short enough that the store-snoop
-   probe in [Decode_cache.rkill_store] stays a handful of compares. *)
+   probe in [Decode_cache.kill_store] stays a handful of compares. *)
 let max_block_len = 16
 
 (* Superblocks — hot paths re-translated across not-taken branches —
-   may grow to 64 instructions (256 bytes).  This also sets the ranged
+   may grow to 64 instructions (256 bytes).  This also sets the block
    cache's [max_span] and therefore the store-snoop candidate walk, but
    that walk only runs for stores landing inside the code-span window,
    which data stores never do. *)
@@ -313,20 +295,8 @@ let max_superblock_len = 64
 let round_cap = 128
 
 let create ?(mode = Cheriot) ?(load_filter = true) bus =
-  let dcache =
-    Decode_cache.create
-      ~dummy:
-        {
-          c_insn = Insn.Ebreak;
-          c_opt = Some Insn.Ebreak;
-          c_mode = mode;
-          c_pcc = Capability.null;
-          c_next = None;
-        }
-      ()
-  in
   let bcache =
-    Decode_cache.ranged ~max_span:(max_superblock_len * 4)
+    Decode_cache.create ~max_span:(max_superblock_len * 4)
       ~dummy:
         {
           b_insns = [||];
@@ -349,13 +319,11 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
         }
       ()
   in
-  (* Stores must kill stale decodes: self-modifying code and loader
-     patches through the bus re-decode (and re-translate) on the next
-     fetch.  The block cache needs the ranged kill — a store anywhere in
-     a block's span stales it, not just one to its start granule. *)
-  Bus.on_store bus (fun g ->
-      Decode_cache.invalidate_granule dcache g;
-      Decode_cache.rkill_store bcache g);
+  (* Stores must kill stale translations: self-modifying code and
+     loader patches through the bus re-translate on the next fetch.  A
+     store anywhere in a block's span stales it, not just one to its
+     start granule. *)
+  Bus.on_store bus (Decode_cache.kill_store bcache);
   {
     regs = Array.make 16 Capability.null;
     pcc = Capability.root_executable;
@@ -379,7 +347,6 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
     ext_interrupt = false;
     waiting = false;
     last_event = { no_event with ev_insn = None };
-    dcache;
     bcache;
     blocks_filled = 0;
     insns_translated = 0;
@@ -962,50 +929,11 @@ let fetch m =
 
 (* The reference fetch: re-read and re-decode the word at the PC on
    every step.  [step] uses this path unchanged; it is the observational
-   oracle the decoded-instruction cache is differentially tested
-   against. *)
+   oracle the batched tiers are differentially tested against. *)
 let fetch_decode m =
   match Encode.decode (fetch m) with
   | None -> raise (Trap Illegal_instruction)
   | Some insn -> insn
-
-(* The cached fetch: identical PCC/alignment checks (traps must be
-   bit-for-bit the same), but on a hit the bus read and decode are
-   skipped.  Illegal words are never cached — they trap on the slow path
-   every time, which keeps the cache total. *)
-(* Is the fill-time ticket still good?  In Rv32 mode the only fetch-side
-   check is word alignment, which the full-PC tag match already pins (a
-   fill only ever happens after the checks passed).  In CHERIoT mode the
-   checks also read the PCC, so the ticket must carry an identical one
-   and must itself have been issued under CHERIoT checks. *)
-let[@inline always] ticket_valid m e =
-  match m.mode with
-  | Rv32 -> true
-  | Cheriot ->
-      e.c_mode = Cheriot
-      &&
-      let tp = e.c_pcc and cp = m.pcc in
-      tp == cp
-      || (* [with_address] (the per-step PC advance) copies the record
-            but shares the bounds block and keeps the immediate fields,
-            so along straight-line execution every compare below is a
-            word compare.  A re-derived but identical PCC (e.g. after a
-            return) fails the physical bounds compare and merely falls
-            back to the full fetch checks — conservative, never wrong.
-
-            Only the fields that [fetch_check] and [next_pcc] read are
-            compared.  The ticket passed the checks when issued, so: its
-            tag is set (the current one is tested directly), equal
-            otypes pin "unsealed", equal perms pin EX, and the address
-            needs no compare at all — the cache's full-PC tag match
-            already proved the current PCC address equals the fill-time
-            one.  [reserved] is compared because the prebuilt [c_next]
-            carries it verbatim. *)
-      (tp.Capability.bounds == cp.Capability.bounds
-      && cp.Capability.tag
-      && tp.Capability.perms == cp.Capability.perms
-      && tp.Capability.otype == cp.Capability.otype
-      && tp.Capability.reserved = cp.Capability.reserved)
 
 (* The step-advanced PCC.  A pure function of the current PCC and mode:
    [Capability.with_address p (pc + 4)] inlined for the CHERIoT case
@@ -1029,11 +957,11 @@ let next_pcc m = next_pcc_of m.mode m.pcc
 
 let next m = m.pcc <- next_pcc m
 
-(* Fall-through PC advance.  [step_fast] passes the fill-time [c_next],
-   and a block executor the block's [b_nexts] entry, when the ticket
-   validated — [next_pcc] depends only on the ticket-compared fields,
-   so installing the prebuilt record is observationally identical to
-   recomputing it (and costs one store). *)
+(* Fall-through PC advance.  A block executor passes the block's
+   [b_nexts] entry, valid because the block ticket validated —
+   [next_pcc] depends only on the ticket-compared fields, so installing
+   the prebuilt record is observationally identical to recomputing it
+   (and costs one store).  [step] passes [None]. *)
 let advance m nextc =
   match nextc with Some c -> m.pcc <- c | None -> next m
 
@@ -1051,50 +979,6 @@ let advance_finish m nextc opt =
   ev.ev_trap <- None;
   Step_ok
 
-let fetch_cached_slow m dc s pc =
-  fetch_check m pc;
-  match Encode.decode (fetch_word m pc) with
-  | None -> raise (Trap Illegal_instruction)
-  | Some insn ->
-      let e =
-        {
-          c_insn = insn;
-          c_opt = Some insn;
-          c_mode = m.mode;
-          c_pcc = m.pcc;
-          c_next = Some (next_pcc m);
-        }
-      in
-      Decode_cache.fill dc ~slot:s ~pc e;
-      e
-
-(* The probe is hand-inlined (the representation is exposed for exactly
-   this callsite): one masked index, one tag compare, one ticket check
-   on a hit. *)
-let fetch_cached m =
-  let pc = Capability.address m.pcc in
-  let dc = m.dcache in
-  let s = (pc lsr 2) land dc.Decode_cache.mask in
-  if Array.unsafe_get dc.Decode_cache.tags s = pc then begin
-    dc.Decode_cache.hits <- dc.Decode_cache.hits + 1;
-    let e = Array.unsafe_get dc.Decode_cache.payloads s in
-    if ticket_valid m e then e
-    else begin
-      (* PCC metadata changed since fill (e.g. entry through a different
-         executable capability): re-run the checks, reissue the ticket. *)
-      fetch_check m pc;
-      let e =
-        { e with c_mode = m.mode; c_pcc = m.pcc; c_next = Some (next_pcc m) }
-      in
-      Decode_cache.fill dc ~slot:s ~pc e;
-      e
-    end
-  end
-  else begin
-    dc.Decode_cache.misses <- dc.Decode_cache.misses + 1;
-    fetch_cached_slow m dc s pc
-  end
-
 let finish m ?(taken = false) ?(mem = 0) ?(cap_mem = false) ?(store = false)
     opt =
   m.minstret <- m.minstret + 1;
@@ -1107,10 +991,9 @@ let finish m ?(taken = false) ?(mem = 0) ?(cap_mem = false) ?(store = false)
   ev.ev_trap <- None;
   Step_ok
 
-
 (* One instruction's semantics, shared verbatim by the reference
-   interpreter, [step_fast] and the block executors' generic arms: they
-   differ only in how [insn] was obtained. *)
+   interpreter and the block executors' generic arms: they differ only
+   in how [insn] was obtained. *)
 let exec m insn opt nextc =
   match insn with
   | Insn.Lui (rd, imm20) ->
@@ -1206,7 +1089,7 @@ let exec m insn opt nextc =
       exec_cap m insn;
       advance_finish m nextc opt
 
-let step_gen m ~cached =
+let step m =
   if m.waiting then
     if interrupt_pending m then m.waiting <- false else ()
   else ();
@@ -1220,21 +1103,11 @@ let step_gen m ~cached =
   end
   else
     try
-      if cached then
-        let e = fetch_cached m in
-        (* Rv32 tickets don't field-compare the PCC, so the prebuilt
-           next-PCC is only trusted in CHERIoT mode. *)
-        let nextc = match m.mode with Cheriot -> e.c_next | Rv32 -> None in
-        exec m e.c_insn e.c_opt nextc
-      else
-        let insn = fetch_decode m in
-        exec m insn (Some insn) None
+      let insn = fetch_decode m in
+      exec m insn (Some insn) None
     with Trap cause ->
       m.last_event <- { no_event with ev_trap = Some cause };
       enter_trap m cause
-
-let step m = step_gen m ~cached:false
-let step_fast m = step_gen m ~cached:true
 
 (* --- timed rounds: per-block cycle accounting -------------------------- *)
 
@@ -1344,8 +1217,8 @@ let superblock_terminator (i : Insn.t) =
    words are translated: lookahead past the current PC must not replay
    MMIO read side effects.  [None] means "this word cannot join a
    block" — the caller cuts the block there (or, for the first word,
-   falls back to a single per-step step, which reproduces the exact
-   trap / MMIO-fetch behaviour of the reference path). *)
+   falls back to one reference [step], which is the exact trap /
+   MMIO-fetch behaviour). *)
 let decode_at m pcc pc =
   match fetch_check_pcc m.mode pcc pc with
   | exception Trap _ -> None
@@ -1355,7 +1228,7 @@ let decode_at m pcc pc =
       | Some s -> (
           Bus.note_access m.bus;
           match Encode.decode (Sram.read32 s pc) with
-          | None -> None (* illegal words are never cached *)
+          | None -> None (* illegal words are never translated *)
           | Some i -> Some i))
 
 (* Translate a run of code starting at [pc0] under [pcc0].  Plain
@@ -1417,8 +1290,8 @@ let install_block m (b : bentry) =
   m.blocks_filled <- m.blocks_filled + 1;
   m.insns_translated <- m.insns_translated + b.b_len;
   let bc = m.bcache in
-  let s = Decode_cache.slot bc.Decode_cache.rc b.b_start in
-  Decode_cache.rfill bc ~slot:s ~pc:b.b_start ~lo:b.b_start
+  let s = Decode_cache.slot bc b.b_start in
+  Decode_cache.fill bc ~slot:s ~pc:b.b_start ~lo:b.b_start
     ~hi:(b.b_start + (4 * b.b_len))
     b
 
@@ -1452,22 +1325,24 @@ let form_superblock m (b : bentry) =
       Decode_cache.bump_chain_epoch bc
   | _ -> ()
 
-(* Same ticket discipline as [ticket_valid], with two differences.
-   The compare is used in {e both} modes: the prebuilt [b_nexts] chain
-   copies the fill-time PCC's metadata fields verbatim, so an Rv32 hit
-   must pin them too.  And the bounds compare falls back to {e value}
-   equality (three small-int compares): a re-derived but identical PCC
-   — e.g. after returning through a link sentry, which rebuilds the
-   bounds record — still hits, where a physical-only compare would
-   force a full re-translation of every block after every return.
-   Observational behaviour depends only on field values, so installing
-   the fill-time chain under a value-equal PCC is exact; and since the
-   chain {e is} the fill-time records, the very next compare is
-   physical again.  ([perms] is an immediate int and an executing PCC's
-   [otype] is the immediate [Otype.unsealed], so [==] already is value
-   equality for those.)  The cache's full-PC tag match pinned the
+(* Is a cached block's fetch ticket still good?  The fetch-side checks
+   are a pure function of (mode, PCC, pc), so a hit under a PCC whose
+   compared fields equal the ticket's can skip them wholesale — same
+   result, no bounds decode.  The compare is used in {e both} modes: the
+   prebuilt [b_nexts] chain copies the fill-time PCC's metadata fields
+   verbatim, so an Rv32 hit must pin them too.  The bounds compare falls
+   back to {e value} equality (three small-int compares): a re-derived
+   but identical PCC — e.g. after returning through a link sentry,
+   which rebuilds the bounds record — still hits, where a physical-only
+   compare would force a full re-translation of every block after every
+   return.  Observational behaviour depends only on field values, so
+   installing the fill-time chain under a value-equal PCC is exact; and
+   since the chain {e is} the fill-time records, the very next compare
+   is physical again.  ([perms] is an immediate int and an executing
+   PCC's [otype] is the immediate [Otype.unsealed], so [==] already is
+   value equality for those.)  The cache's full-PC tag match pinned the
    address. *)
-let[@inline always] block_ticket_valid m (b : bentry) =
+let[@inline always] ticket_ok m (b : bentry) =
   b.b_mode = m.mode
   &&
   let tp = b.b_pcc and cp = m.pcc in
@@ -1552,7 +1427,7 @@ let mark_opt_side_exit = 4
    correct, and self-modifying code is rare. *)
 let exec_block m (b : bentry) ~fuel =
   let bc = m.bcache in
-  let slot = Decode_cache.slot bc.Decode_cache.rc b.b_start in
+  let slot = Decode_cache.slot bc b.b_start in
   let n = if fuel < b.b_len then fuel else b.b_len in
   let retired = ref 0 in
   let result = ref Step_ok in
@@ -1582,8 +1457,7 @@ let exec_block m (b : bentry) ~fuel =
            end
            else if
              m.last_event.ev_is_store
-             && Array.unsafe_get bc.Decode_cache.rc.Decode_cache.tags slot
-                <> b.b_start
+             && Array.unsafe_get bc.Decode_cache.tags slot <> b.b_start
            then begin
              m.block_aborts <- m.block_aborts + 1;
              stop := true
@@ -1629,13 +1503,13 @@ let adapt_hot m =
    checking the successor — the exactness argument, in two halves:
 
    - The link was installed at a traversal where the successor passed
-     the full probe + [block_ticket_valid] under the then-live PCC.
+     the full probe + [ticket_ok] under the then-live PCC.
      Both edge targets are static (Jal offset / branch target /
      fall-through), and [exec] derives the post-edge PCC from the
      pre-edge PCC by changing only the address, so every later
      traversal of the same edge from a ticket-valid [b] produces a PCC
      whose compared fields are {e value-equal} to link time
-     ([block_ticket_valid] accepts exactly value equality, so skipping
+     ([ticket_ok] accepts exactly value equality, so skipping
      the re-compare loses nothing).  The mode is re-checked because it
      is not derived from the PCC.
    - Validity over time is the chain epoch: anything that can stale
@@ -1685,14 +1559,13 @@ let chain_edge m (b : bentry) edge =
         if lep >= 0 && lep <> epoch then
           bc.Decode_cache.chain_unlinks <- bc.Decode_cache.chain_unlinks + 1;
         let pc = Capability.address m.pcc in
-        let rc = bc.Decode_cache.rc in
-        let s = (pc lsr 2) land rc.Decode_cache.mask in
+        let s = (pc lsr 2) land bc.Decode_cache.mask in
         if
-          Array.unsafe_get rc.Decode_cache.tags s = pc
-          && block_ticket_valid m (Array.unsafe_get rc.Decode_cache.payloads s)
+          Array.unsafe_get bc.Decode_cache.tags s = pc
+          && ticket_ok m (Array.unsafe_get bc.Decode_cache.payloads s)
         then begin
-          rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-          let succ = Array.unsafe_get rc.Decode_cache.payloads s in
+          bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
+          let succ = Array.unsafe_get bc.Decode_cache.payloads s in
           if edge = 1 then begin
             b.b_taken <- Some succ;
             b.b_taken_epoch <- epoch
@@ -1703,7 +1576,7 @@ let chain_edge m (b : bentry) edge =
           end;
           succ
         end
-        else rc.Decode_cache.dummy
+        else bc.Decode_cache.dummy
         (* miss: the caller's fill path counts it and fills *)
   end
 
@@ -1713,7 +1586,7 @@ let chain_edge m (b : bentry) edge =
    {e verified} on every traversal — the target address comes from a
    register and the post-jump PCC from that register's metadata, so
    nothing links one traversal's validation to the next: the slot only
-   saves the cache probe, [block_ticket_valid] always runs.  The epoch
+   saves the cache probe, [ticket_ok] always runs.  The epoch
    check mirrors the direct links (a stale slot counts as an unlink); a
    wrong prediction under a live epoch is just re-resolved and
    overwritten, the way a BTB entry is. *)
@@ -1725,25 +1598,24 @@ let chain_edge_ind m (b : bentry) =
   match b.b_ind with
   | Some succ
     when b.b_ind_epoch = epoch && succ.b_start = pc
-         && block_ticket_valid m succ ->
+         && ticket_ok m succ ->
       bc.Decode_cache.chain_hits <- bc.Decode_cache.chain_hits + 1;
       succ
   | _ ->
       if b.b_ind_epoch >= 0 && b.b_ind_epoch <> epoch then
         bc.Decode_cache.chain_unlinks <- bc.Decode_cache.chain_unlinks + 1;
-      let rc = bc.Decode_cache.rc in
-      let s = (pc lsr 2) land rc.Decode_cache.mask in
+      let s = (pc lsr 2) land bc.Decode_cache.mask in
       if
-        Array.unsafe_get rc.Decode_cache.tags s = pc
-        && block_ticket_valid m (Array.unsafe_get rc.Decode_cache.payloads s)
+        Array.unsafe_get bc.Decode_cache.tags s = pc
+        && ticket_ok m (Array.unsafe_get bc.Decode_cache.payloads s)
       then begin
-        rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-        let succ = Array.unsafe_get rc.Decode_cache.payloads s in
+        bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
+        let succ = Array.unsafe_get bc.Decode_cache.payloads s in
         b.b_ind <- Some succ;
         b.b_ind_epoch <- epoch;
         succ
       end
-      else rc.Decode_cache.dummy
+      else bc.Decode_cache.dummy
 
 (* The recording path's entry point: derive the edge from the
    terminator and the architectural event (the generic [exec] arm set
@@ -1761,7 +1633,7 @@ let jalr_edge_stops m ~timed =
   m.mie && (interrupt_pending m || (timed && m.mtimecmp <> 0))
 
 let chain_next m (b : bentry) =
-  let dummy = m.bcache.Decode_cache.rc.Decode_cache.dummy in
+  let dummy = m.bcache.Decode_cache.dummy in
   match Array.unsafe_get b.b_insns (b.b_len - 1) with
   | Insn.Jal _ -> chain_edge m b 1
   | Insn.Branch _ ->
@@ -1930,9 +1802,8 @@ let identity_plan =
    exactly. *)
 let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
   let bc = m.bcache in
-  let rc = bc.Decode_cache.rc in
-  let tags = rc.Decode_cache.tags in
-  let dummy = rc.Decode_cache.dummy in
+  let tags = bc.Decode_cache.tags in
+  let dummy = bc.Decode_cache.dummy in
   let b = ref b0 in
   let base = ref 0 in  (* retired in completed earlier blocks *)
   let i = ref 0 in
@@ -1969,7 +1840,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
        let cost = blk.b_cost in
        let b_start = blk.b_start in
        let b_len = blk.b_len in
-       let slot = (b_start lsr 2) land rc.Decode_cache.mask in
+       let slot = (b_start lsr 2) land bc.Decode_cache.mask in
        let rem = fuel - !base in
        let n = if rem < b_len then rem else b_len in
        let t =
@@ -2074,14 +1945,14 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
                  bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
                  (if !base + !i + 1 < fuel then begin
                     let pc = Capability.address m.pcc in
-                    let s = (pc lsr 2) land rc.Decode_cache.mask in
+                    let s = (pc lsr 2) land bc.Decode_cache.mask in
                     if
                       Array.unsafe_get tags s = pc
-                      && block_ticket_valid m
-                           (Array.unsafe_get rc.Decode_cache.payloads s)
+                      && ticket_ok m
+                           (Array.unsafe_get bc.Decode_cache.payloads s)
                     then begin
-                      rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-                      cont := Array.unsafe_get rc.Decode_cache.payloads s
+                      bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
+                      cont := Array.unsafe_get bc.Decode_cache.payloads s
                     end
                   end);
                  if !cont == dummy then begin
@@ -2225,8 +2096,8 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
    instruction can change the delivery predicate (the instructions that
    can still terminate every translation unit and end the chain; the one
    chained exception, a completed [Jalr], re-checks the predicate at its
-   edge).  The hand-inlined probe mirrors [fetch_cached].  [jit] selects
-   the compiled plans over the identity plan.
+   edge).  The block-cache probe is hand-inlined.  [jit] selects the
+   compiled plans over the identity plan.
 
    A [record] round is the tracer's: it walks block-by-block through
    [exec_block], marking each ring entry.  With [jit] the walk also
@@ -2252,7 +2123,8 @@ let block_round m ~fuel ~record ~jit ~timed =
     (r, 1)
   end
   else begin
-    let dummy = m.bcache.Decode_cache.rc.Decode_cache.dummy in
+    let bc = m.bcache in
+    let dummy = bc.Decode_cache.dummy in
     let rec go b fuel used =
       (if jit then begin
          let t = match b.b_jit with Some t -> t | None -> compile_jit m b in
@@ -2278,23 +2150,23 @@ let block_round m ~fuel ~record ~jit ~timed =
       if record then go b fuel 0 else exec_round m b ~fuel ~timed ~jit
     in
     let pc = Capability.address m.pcc in
-    let rc = m.bcache.Decode_cache.rc in
-    let s = (pc lsr 2) land rc.Decode_cache.mask in
+    let s = (pc lsr 2) land bc.Decode_cache.mask in
     if
-      Array.unsafe_get rc.Decode_cache.tags s = pc
-      && block_ticket_valid m (Array.unsafe_get rc.Decode_cache.payloads s)
+      Array.unsafe_get bc.Decode_cache.tags s = pc
+      && ticket_ok m (Array.unsafe_get bc.Decode_cache.payloads s)
     then begin
-      rc.Decode_cache.hits <- rc.Decode_cache.hits + 1;
-      exec_from (Array.unsafe_get rc.Decode_cache.payloads s)
+      bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
+      exec_from (Array.unsafe_get bc.Decode_cache.payloads s)
     end
     else begin
-      rc.Decode_cache.misses <- rc.Decode_cache.misses + 1;
+      bc.Decode_cache.misses <- bc.Decode_cache.misses + 1;
       match fill_block m pc with
       | Some b -> exec_from b
       | None ->
           (* untranslatable first word (MMIO-backed code, illegal word,
-             failing fetch checks): one exact per-step step *)
-          let r = step_fast m in
+             failing fetch checks): one reference step, which re-reads
+             the word through the bus every time *)
+          let r = step m in
           if record then record_event m pc;
           (if timed then
              match r with Step_waiting -> () | _ -> charge_event m m.last_event);
@@ -2321,14 +2193,14 @@ let step_jit m = step_recorded m ~jit:true
 let set_cost_model m cm =
   m.cost <- Some cm;
   m.cost_lf <- m.load_filter;
-  if m.blocks_filled > 0 then Decode_cache.rflush m.bcache
+  if m.blocks_filled > 0 then Decode_cache.flush m.bcache
 
 let timed_round m dispatch ~fuel =
   if Option.is_none m.cost then invalid_arg "Machine.timed_round: no cost model";
   (* the tables price capability loads under one load-filter setting *)
   if m.load_filter <> m.cost_lf then begin
     m.cost_lf <- m.load_filter;
-    Decode_cache.rflush m.bcache
+    Decode_cache.flush m.bcache
   end;
   match dispatch with
   | Dispatch_chain | Dispatch_jit ->
@@ -2366,14 +2238,10 @@ let run ?(fuel = 10_000_000) ?(dispatch = Dispatch_ref) m =
       in
       go 0
 
-(* --- decode/block cache management ------------------------------------ *)
+(* --- block cache management -------------------------------------------- *)
 
-let decode_stats m = Decode_cache.stats m.dcache
-
-(* Writers that bypass the bus must drop *both* translation layers. *)
-let flush_decode_cache m =
-  Decode_cache.flush m.dcache;
-  Decode_cache.rflush m.bcache
+(* Writers that bypass the bus must drop every translated block. *)
+let flush_decode_cache m = Decode_cache.flush m.bcache
 
 type block_stats = {
   block_hits : int;
@@ -2400,7 +2268,7 @@ type block_stats = {
 }
 
 let block_stats m =
-  let s = Decode_cache.rstats m.bcache in
+  let s = Decode_cache.stats m.bcache in
   {
     block_hits = s.Decode_cache.hits;
     block_misses = s.Decode_cache.misses;

@@ -125,10 +125,7 @@ type t = {
   mutable ext_interrupt : bool;  (** external interrupt line *)
   mutable waiting : bool;  (** inside WFI *)
   mutable last_event : event;
-  dcache : centry Decode_cache.t;
-      (** decoded-instruction cache backing {!step_fast}; invalidated by
-          the bus store snoop *)
-  bcache : bentry Decode_cache.ranged;
+  bcache : bentry Decode_cache.t;
       (** basic-block translation cache backing the batched tiers;
           store snoops kill any block whose span the store hits *)
   mutable blocks_filled : int;
@@ -202,25 +199,6 @@ type t = {
   mutable charged_traps : int;  (** traps and interrupts charged *)
 }
 
-and centry = {
-  c_insn : Insn.t;
-  c_opt : Insn.t option;
-      (** always [Some c_insn], prebuilt so the per-step event update
-          does not allocate *)
-  c_mode : mode;
-  c_pcc : Cheriot_core.Capability.t;
-      (** fetch "ticket": the mode and exact PCC under which the
-          fetch-side checks passed when this entry was filled.  A hit
-          under an identical PCC skips the checks — they are a pure
-          function of (mode, PCC, pc). *)
-  c_next : Cheriot_core.Capability.t option;
-      (** the step-advanced PCC, precomputed at fill time.  The PC
-          advance is a pure function of the ticket fields, so a
-          validated hit installs this record directly instead of
-          re-running the representability check.  [None] only in the
-          cache's dummy entry. *)
-}
-
 (** A translated basic block: decoded instructions of one straight-line
     run of code, ending at (and including) the first control-flow or
     interrupt-posture-changing instruction, or at the length cap.  The
@@ -234,7 +212,10 @@ and bentry = {
       (** fall-through PCC after instruction [i] *)
   b_mode : mode;
   b_pcc : Cheriot_core.Capability.t;
-      (** fetch ticket: the fill-time block-start PCC *)
+      (** fetch "ticket": the fill-time block-start PCC.  A hit under a
+          PCC whose mode, bounds, tag, perms, otype and reserved bits
+          equal the ticket's skips the fetch-side checks — they are a
+          pure function of (mode, PCC, pc). *)
   b_start : int;  (** address of [b_insns.(0)] *)
   b_len : int;
   b_cost : int array;
@@ -300,16 +281,12 @@ val interrupt_pending : t -> bool
 val step : t -> result
 (** Execute one instruction (or take a pending interrupt).  Updates
     [last_event] for the cycle models and [minstret].  This is the
-    {e reference interpreter}: it re-reads and re-decodes the
-    instruction word on every step. *)
-
-val step_fast : t -> result
-(** Like {!step}, but fetches through the decoded-instruction cache: on
-    a hit the bus read and decode are skipped.  Observationally
-    identical to {!step} — same registers, tags, CSRs, traps and events
-    after every step (enforced by [test/test_differential.ml]).  Stores
-    through the bus invalidate stale entries; code rewritten behind the
-    bus's back (direct SRAM writes) requires {!flush_decode_cache}. *)
+    {e reference interpreter} and the machine's only per-instruction
+    path: it re-reads and re-decodes the instruction word through the
+    bus on every step, so it never sees a stale decode.  The batched
+    tiers fall back to it for a word they cannot translate (code in
+    MMIO, an illegal word, a failing fetch check), and [Perf] for its
+    exact-step regimes. *)
 
 val step_chain : t -> result
 (** The tracer's round of the [Dispatch_chain] tier: deliver a pending
@@ -402,9 +379,6 @@ val run : ?fuel:int -> ?dispatch:dispatch -> t -> result * int
     remaining fuel runs out inside it, so chunked runs resume exactly
     where a per-step run would. *)
 
-val decode_stats : t -> Decode_cache.stats
-(** Hit/miss/invalidation counters of the decoded-instruction cache. *)
-
 type block_stats = {
   block_hits : int;
   block_misses : int;
@@ -440,9 +414,10 @@ val avg_block_len : block_stats -> float
 (** Mean fill-time block length ([insns_translated / blocks_filled]). *)
 
 val flush_decode_cache : t -> unit
-(** Drop every cached decode and translated block — required after
-    rewriting code with direct SRAM writes that bypass the bus store
-    snoop (e.g. [Asm.load]). *)
+(** Drop every translated block — required before running a batched
+    tier after rewriting code with direct SRAM writes that bypass the
+    bus store snoop (e.g. [Asm.load]).  {!step} needs no flush: it
+    never caches a decode. *)
 
 val state_hash : t -> string
 (** Hex digest of all architecturally visible state: registers and tags,

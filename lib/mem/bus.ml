@@ -48,9 +48,9 @@ let device_at t addr =
     (fun d -> addr >= d.Mmio.dev_base && addr < d.Mmio.dev_base + d.dev_size)
     t.devices
 
-(* Snoops watch SRAM granules only (revoker store-race, decode- and
-   block-cache invalidation); MMIO device state is never cached, so
-   device writes must not fire them. *)
+(* Snoops watch SRAM granules only (revoker store-race, block-cache
+   invalidation); MMIO device state is never cached and device-resident
+   code is never translated, so device writes must not fire them. *)
 let snoop_store t addr = List.iter (fun f -> f (addr land lnot 7)) t.store_snoops
 
 let note_access t = t.accesses <- t.accesses + 1

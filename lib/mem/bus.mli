@@ -39,9 +39,10 @@ val write_cap : t -> int -> bool * int64 -> unit
 val on_store : t -> (int -> unit) -> unit
 (** Register a callback invoked with the (granule-aligned) address of
     every SRAM store; the background revoker uses it to re-load
-    in-flight words that the main pipeline overwrote, and the
-    decode/block caches use it to drop stale translations.  MMIO device
-    writes do not fire snoops — device state is never cached. *)
+    in-flight words that the main pipeline overwrote, and the machine's
+    block cache uses it to drop stale translations.  MMIO device writes
+    do not fire snoops — device state is never cached, and code fetched
+    from a device is never translated. *)
 
 (** {1 Window fast path}
 

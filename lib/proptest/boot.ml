@@ -1,7 +1,7 @@
 (** Shared machine-boot scaffolding for the property harness.
 
     Every differential/fuzz property used to carry its own copy of this:
-    build a bus, add SRAMs, blit the program, flush the decode cache
+    build a bus, add SRAMs, blit the program, flush the block cache
     (the blit bypasses the bus's store snoop, exactly as a loader does),
     and install the initial authority — a bounded executable PCC over
     the code region, a data capability in c3, a stack capability (local,
@@ -134,19 +134,19 @@ let authority_violations ~within m srams =
     srams;
   !bad
 
-(* --- the single-SRAM boot used by the block-cache regressions ------------ *)
+(* --- the single-SRAM boot used by the cache and MMIO regressions --------- *)
 
-(** Boot a machine with one code SRAM at [code_base] of [code_size]
-    bytes (default 0x400) and, with [device], a RAM-backed MMIO window
-    at 0x9000 (for the no-snoop rules).  Returns the machine and the
-    code SRAM. *)
-let code_only ?(code_size = 0x400) ?(device = false) words =
+(** Boot a machine (in [mode], default CHERIoT) with one code SRAM at
+    [code_base] of [code_size] bytes (default 0x400) and, with
+    [device], a RAM-backed MMIO window at 0x9000 (for the no-snoop
+    rules).  Returns the machine and the code SRAM. *)
+let code_only ?mode ?(code_size = 0x400) ?(device = false) words =
   let bus = Bus.create () in
   let code = Sram.create ~base:code_base ~size:code_size in
   Bus.add_sram bus code;
   if device then
     Bus.add_device bus (fst (Mmio.ram_backed ~name:"dev" ~base:0x9000 ~size:16));
-  let m = Machine.create bus in
+  let m = Machine.create ?mode bus in
   List.iteri (fun i w -> Sram.write32 code (code_base + (4 * i)) w) words;
   Machine.flush_decode_cache m;
   m.Machine.pcc <-

@@ -1,5 +1,4 @@
 module Machine = Cheriot_isa.Machine
-module Decode_cache = Cheriot_isa.Decode_cache
 
 type dispatch = Reference | Chain | Jit
 
@@ -8,9 +7,6 @@ type stats = {
   instructions : int;
   mem_busy : int;
   traps : int;
-  decode_hits : int;
-  decode_misses : int;
-  decode_invalidations : int;
   block_hits : int;
   block_misses : int;
   block_invalidations : int;
@@ -20,18 +16,6 @@ type stats = {
 let cpi s =
   if s.instructions = 0 then 0.0
   else float_of_int s.cycles /. float_of_int s.instructions
-
-let pp_stats fmt s =
-  Format.fprintf fmt "%d cycles, %d insns (CPI %.2f), %d mem-busy, %d traps"
-    s.cycles s.instructions (cpi s) s.mem_busy s.traps;
-  if s.decode_hits + s.decode_misses > 0 then
-    Format.fprintf fmt ", decode$ %d/%d hits (%d inval)" s.decode_hits
-      (s.decode_hits + s.decode_misses) s.decode_invalidations;
-  if s.block_hits + s.block_misses > 0 then
-    Format.fprintf fmt ", block$ %d/%d hits (%d inval, avg len %.1f)"
-      s.block_hits
-      (s.block_hits + s.block_misses)
-      s.block_invalidations s.avg_block_len
 
 type t = {
   machine : Machine.t;
@@ -51,9 +35,6 @@ let zero_stats =
     instructions = 0;
     mem_busy = 0;
     traps = 0;
-    decode_hits = 0;
-    decode_misses = 0;
-    decode_invalidations = 0;
     block_hits = 0;
     block_misses = 0;
     block_invalidations = 0;
@@ -74,10 +55,9 @@ let create ?revoker ?(dispatch = Reference) ~params machine =
     traps = 0;
   }
 
-(* The running counters become [stats], with the machine-side cache
-   counters as they stand now. *)
+(* The running counters become [stats], with the machine-side block
+   cache counters as they stand now. *)
 let publish t =
-  let dc = Machine.decode_stats t.machine in
   let bs = Machine.block_stats t.machine in
   t.stats <-
     {
@@ -85,9 +65,6 @@ let publish t =
       instructions = t.instructions;
       mem_busy = t.mem_busy;
       traps = t.traps;
-      decode_hits = dc.Decode_cache.hits;
-      decode_misses = dc.Decode_cache.misses;
-      decode_invalidations = dc.Decode_cache.invalidations;
       block_hits = bs.Machine.block_hits;
       block_misses = bs.Machine.block_misses;
       block_invalidations = bs.Machine.block_invalidations;
@@ -132,15 +109,10 @@ let idle_cycle t =
   t.cycles <- t.cycles + 1;
   match t.revoker with Some rv -> Revoker.tick rv | None -> ()
 
-(* One exact step through the per-step machinery, charged from its
-   event. *)
+(* One exact reference step, charged from its event. *)
 let step_exact t =
   let m = t.machine in
-  let r =
-    match t.dispatch with
-    | Reference -> Machine.step m
-    | Chain | Jit -> Machine.step_fast m
-  in
+  let r = Machine.step m in
   (match r with
   | Machine.Step_waiting -> idle_cycle t
   | Machine.Step_ok | Machine.Step_trap _ | Machine.Step_halted

@@ -8,12 +8,11 @@
     every block fully checked, or under its optimized check plan — each
     as one [Machine.timed_round], the executor [Machine.run] uses,
     charging the cost model one block segment at a time.  The batched
-    tiers fall back to exact per-step dispatch through the
-    decoded-instruction cache ([Machine.step_fast]) whenever interrupts
-    are enabled with the timer armed, where a comparator crossing
-    between two instructions of a block could otherwise be missed, and
-    whenever a revoker is attached, which is granted each instruction's
-    idle cycles as they pass.  All three produce identical
+    tiers fall back to exact reference steps ([Machine.step]) whenever
+    interrupts are enabled with the timer armed, where a comparator
+    crossing between two instructions of a block could otherwise be
+    missed, and whenever a revoker is attached, which is granted each
+    instruction's idle cycles as they pass.  All three produce identical
     architectural traces and cycle counts — simulator-speed
     optimizations, invisible to the modelled hardware. *)
 type dispatch = Reference | Chain | Jit
@@ -23,9 +22,6 @@ type stats = {
   instructions : int;
   mem_busy : int;  (** cycles the data bus was busy with CPU traffic *)
   traps : int;
-  decode_hits : int;  (** decoded-instruction cache hits (cumulative) *)
-  decode_misses : int;
-  decode_invalidations : int;  (** entries killed by store snoops *)
   block_hits : int;  (** block-cache hits (cumulative) *)
   block_misses : int;
   block_invalidations : int;  (** blocks killed by store snoops *)
@@ -33,7 +29,6 @@ type stats = {
 }
 
 val cpi : stats -> float
-val pp_stats : Format.formatter -> stats -> unit
 
 type t = {
   machine : Cheriot_isa.Machine.t;

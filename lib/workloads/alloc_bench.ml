@@ -117,7 +117,26 @@ let run ?(total = 1 lsl 20) ?threshold config ~size =
 
 let run_with_threshold config ~size ~threshold = run ~threshold config ~size
 
-(* --- instruction-level variant for the decode-cache bench -------------- *)
+(* Can the benchmark heap serve [size]-byte allocations?  [run] keeps at
+   most one object live, and quarantine is drained whenever the heap
+   runs low, so one [malloc] on an empty heap decides every iteration
+   under every configuration.  The error is [run]'s failure message.
+   Sizes beyond the heap are refused up front: the allocator cannot
+   bound a capability that large. *)
+let check_size size =
+  let refuse e = Error (Fmt.str "malloc(%d): %a" size Allocator.pp_error e) in
+  if size > heap_size then refuse Allocator.Out_of_memory
+  else
+    let clock = Clock.create (Core_model.params_of Core_model.Ibex) in
+    let sram = Sram.create ~base:heap_base ~size:heap_size in
+    let rev = Revbits.create ~heap_base ~heap_size () in
+    let alloc =
+      Allocator.create ~temporal:Allocator.Baseline ~sram ~rev ~clock
+        ~heap_base ~heap_size ()
+    in
+    match Allocator.malloc alloc size with Ok _ -> Ok () | Error e -> refuse e
+
+(* --- instruction-level variant for the dispatch-tier benches ----------- *)
 
 module Machine = Cheriot_isa.Machine
 module Asm = Cheriot_isa.Asm

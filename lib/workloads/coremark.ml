@@ -397,8 +397,8 @@ type result = {
 let score_scale = ref 1.0
 
 (** Build a machine with the CoreMark image loaded and registers set up,
-    ready to run to [Ebreak] — shared by {!run} and the decode-cache
-    bench, which drives [Machine.step]/[step_fast] directly. *)
+    ready to run to [Ebreak] — shared by {!run} and the dispatch-tier
+    benches and tests, which drive [Machine.run] directly. *)
 let setup ?(iterations = 10) (config : Core_model.config) =
   let bus = Bus.create () in
   let sram = Sram.create ~base:code_base ~size:0x30000 in

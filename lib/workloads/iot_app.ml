@@ -166,7 +166,7 @@ let run ?(seconds = 60.0) ?(temporal = Allocator.Hardware) () =
     context_switches = Sched.context_switches sched;
   }
 
-(* --- instruction-level variant for the decode-cache bench -------------- *)
+(* --- instruction-level variant for the dispatch-tier benches ----------- *)
 
 module Machine = Cheriot_isa.Machine
 module Asm = Cheriot_isa.Asm

@@ -204,7 +204,10 @@ let test_device_write_keeps_blocks () =
 
 (* Writes that bypass the bus (direct [Sram.write32]) are invisible to
    the snoop: the cached block is legitimately stale until
-   [flush_decode_cache], which must drop translated blocks too. *)
+   [flush_decode_cache], which must drop translated blocks.  The stale
+   read is asserted too — it proves the cache really is serving
+   translations, so this would catch the snoop watching the wrong
+   channel. *)
 let test_bypass_needs_flush () =
   let program = Insn.[ Op_imm (Add, 2, 2, 1); Ebreak ] in
   let m, code = boot (List.map Encode.encode program) in
@@ -220,7 +223,17 @@ let test_bypass_needs_flush () =
   let _ = run_block m in
   Alcotest.(check int) "after flush, new semantics" 16 (Machine.reg_int m 2);
   let s = Machine.block_stats m in
-  Alcotest.(check bool) "flush accounted" true (s.Machine.block_flushes >= 1)
+  Alcotest.(check bool) "flush accounted" true (s.Machine.block_flushes >= 1);
+  (* The reference interpreter caches nothing, so it sees the bypass
+     write immediately, flush or not. *)
+  let m2, code2 = boot (List.map Encode.encode program) in
+  let _ = Machine.run ~dispatch:Machine.Dispatch_ref m2 in
+  Alcotest.(check int) "reference, first run" 1 (Machine.reg_int m2 2);
+  Sram.write32 code2 code_base (Encode.encode (Insn.Op_imm (Add, 2, 2, 16)));
+  reset m2;
+  let _ = Machine.run ~dispatch:Machine.Dispatch_ref m2 in
+  Alcotest.(check int) "reference path sees the bypass write unflushed" 16
+    (Machine.reg_int m2 2)
 
 (* --- block chaining and superblocks ------------------------------------ *)
 

@@ -236,8 +236,8 @@ let test_roundtrip_exhaustive () =
    the decoded bounds is always representable, and decodes to the same
    region.  [Machine] installs jump/branch targets with a plain record
    update after an [in_bounds] check — skipping [with_address]'s
-   representability test — and the decode cache precomputes the advanced
-   PCC on the same grounds.  Exhaustive over the field space, probing
+   representability test — and block translation precomputes the
+   advanced PCC on the same grounds.  Exhaustive over the field space, probing
    the edges and middle of every region. *)
 let test_in_bounds_implies_representable () =
   let probe bounds ~base ~top a =

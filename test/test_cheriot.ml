@@ -15,7 +15,6 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("differential", Test_differential.suite);
       ("proptest", Test_prop.suite);
-      ("decode-cache", Test_decode_cache.suite);
       ("block-cache", Test_block_cache.suite);
       ("integration", Test_integration.suite);
       ("area", Test_area.suite);

@@ -1,68 +1,180 @@
 (* Differential oracle for the dispatch tiers.
 
-   [Machine.step] is the reference interpreter: it re-reads and
-   re-decodes the instruction word at the PC on every step.  The chain
-   tier ([Machine.run ~dispatch:Dispatch_chain]) executes chained
-   rounds of translated blocks with interrupt checks only at round
-   boundaries and bookkeeping deferred across simple instructions,
-   following direct block-to-block links and re-translating hot
-   fall-dominated paths into superblocks; the jit tier ([Dispatch_jit])
-   runs the same rounds with per-block optimized check plans from
-   [Ir.optimize].  [Machine.step_fast], the batched tiers' exact-step
-   fallback, fetches through the decode cache and, on a validated hit,
-   skips the fetch checks and the PC-advance representability check by
-   installing precomputed results.  All must be observationally
-   indistinguishable.
+   [Machine.step] is the reference interpreter and the machine's only
+   per-instruction path: it re-reads and re-decodes the instruction
+   word through the bus on every step.  The chain tier
+   ([Machine.run ~dispatch:Dispatch_chain]) executes chained rounds of
+   translated blocks with interrupt checks only at round boundaries and
+   bookkeeping deferred across simple instructions, following direct
+   block-to-block links and re-translating hot fall-dominated paths
+   into superblocks; the jit tier ([Dispatch_jit]) runs the same rounds
+   with per-block optimized check plans from [Ir.optimize].  Both fall
+   back to [step] for a word they cannot translate.  All must be
+   observationally indistinguishable.
 
    The lockstep drivers, interrupt-injection schedules and the
    state-comparison predicate live in [Cheriot_proptest]
    ({!Props.flat_lockstep}, {!Props.flat_interrupt_lockstep},
    {!Obs.compare_states}); this file is the property list, plus the
-   deterministic coremark lockstep.  The multi-compartment versions —
-   switcher cross-calls, allocator churn, revocation sweeps and code
-   patches in the loop — run in the [proptest] suite. *)
+   deterministic lockstep over the coremark, allocator and IoT ISA
+   programs and the code-in-MMIO regression.  The multi-compartment
+   versions — switcher cross-calls, allocator churn, revocation sweeps
+   and code patches in the loop — run in the [proptest] suite. *)
 
+open Cheriot_core
 open Cheriot_isa
+module Bus = Cheriot_mem.Bus
+module Core_model = Cheriot_uarch.Core_model
+module Perf = Cheriot_uarch.Perf
+module Boot = Cheriot_proptest.Boot
 module Props = Cheriot_proptest.Props
 
-(* The same oracle on a deterministic workload with a long trace:
-   coremark's ISA program on all three dispatch tiers, equal retired
-   counts and state hashes. *)
-let test_coremark_lockstep () =
-  let module Coremark = Cheriot_workloads.Coremark in
-  let module Core_model = Cheriot_uarch.Core_model in
+(* The same oracle on deterministic workloads with long traces: each
+   ISA program on all three dispatch tiers, and on chain and jit again
+   at hot threshold 2, which forms superblocks all over the hot loops.
+   Every run must halt with the reference's retired count and state
+   hash. *)
+let lockstep_programs =
+  let open Cheriot_workloads in
+  [
+    ( "coremark",
+      fun () ->
+        Coremark.setup ~iterations:2
+          (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex) );
+    ("alloc", fun () -> Alloc_bench.isa_setup ~rounds:20 ());
+    ("iot", fun () -> Iot_app.isa_setup ~packets:20 ());
+  ]
+
+let test_lockstep build () =
   let run ?hot_threshold dispatch =
-    let m =
-      Coremark.setup ~iterations:2
-        (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex)
-    in
+    let m = build () in
     (match hot_threshold with
     | Some t ->
         m.Machine.hot_threshold <- t;
         m.Machine.hot_adaptive <- false
     | None -> ());
-    let _, insns = Machine.run ~dispatch m in
+    let r, insns = Machine.run ~dispatch m in
+    Alcotest.(check bool) "halts" true (r = Machine.Step_halted);
     (insns, Machine.state_hash m)
   in
   let ref_insns, ref_hash = run Machine.Dispatch_ref in
-  let chn_insns, chn_hash = run Machine.Dispatch_chain in
-  let jit_insns, jit_hash = run Machine.Dispatch_jit in
-  (* an aggressive threshold forms superblocks all over the hot loops *)
-  let sb_insns, sb_hash = run ~hot_threshold:2 Machine.Dispatch_chain in
-  let jsb_insns, jsb_hash = run ~hot_threshold:2 Machine.Dispatch_jit in
-  Alcotest.(check int) "retired instructions (chain)" ref_insns chn_insns;
-  Alcotest.(check string) "state hash (chain)" ref_hash chn_hash;
-  Alcotest.(check int) "retired instructions (jit)" ref_insns jit_insns;
-  Alcotest.(check string) "state hash (jit)" ref_hash jit_hash;
-  Alcotest.(check int) "retired instructions (superblocks)" ref_insns sb_insns;
-  Alcotest.(check string) "state hash (superblocks)" ref_hash sb_hash;
-  Alcotest.(check int)
-    "retired instructions (jit superblocks)" ref_insns jsb_insns;
-  Alcotest.(check string) "state hash (jit superblocks)" ref_hash jsb_hash
+  List.iter
+    (fun (what, hot_threshold, dispatch) ->
+      let insns, hash = run ?hot_threshold dispatch in
+      Alcotest.(check int)
+        ("retired instructions (" ^ what ^ ")")
+        ref_insns insns;
+      Alcotest.(check string) ("state hash (" ^ what ^ ")") ref_hash hash)
+    [
+      ("chain", None, Machine.Dispatch_chain);
+      ("jit", None, Machine.Dispatch_jit);
+      ("superblocks", Some 2, Machine.Dispatch_chain);
+      ("jit superblocks", Some 2, Machine.Dispatch_jit);
+    ]
+
+(* --- code in MMIO ---------------------------------------------------- *)
+
+(* Words fetched from a device are never translated, and device writes
+   do not snoop, so every tier must re-read such a word through the bus
+   each time it executes.  The program calls a two-word routine held in
+   a RAM-backed device ([addi a1,a1,1; ret]), stores [addi a1,a1,100]
+   over the routine's first word through the device, and calls it
+   again: a1 = 1 + 100.  A tier that serves the first decode again ends
+   with a1 = 2. *)
+let dev_base = 0x9000
+let a1 = Insn.reg_a1
+
+let mmio_boot mode =
+  let call_at pc = Insn.Jal (Insn.reg_ra, dev_base - pc) in
+  let code_base = Boot.code_base in
+  let m, _ =
+    Boot.code_only ~mode ~device:true
+      (List.map Encode.encode
+         Insn.
+           [
+             call_at code_base;
+             Store { width = W; rs2 = reg_t0; rs1 = reg_gp; off = 0 };
+             call_at (code_base + 8);
+             Ebreak;
+           ])
+  in
+  List.iteri
+    (fun i insn ->
+      Bus.write m.Machine.bus ~width:4
+        (dev_base + (4 * i))
+        (Encode.encode insn))
+    Insn.[ Op_imm (Add, a1, a1, 1); Jalr (reg_zero, reg_ra, 0) ];
+  (* the routine lies outside the boot PCC's code-region bounds *)
+  m.Machine.pcc <-
+    Capability.with_address Capability.root_executable code_base;
+  (match mode with
+  | Machine.Cheriot ->
+      Machine.set_reg m Insn.reg_gp
+        (Capability.set_bounds
+           (Capability.with_address Capability.root_mem_rw dev_base)
+           ~length:16 ~exact:true)
+  | Machine.Rv32 -> Machine.set_reg_int m Insn.reg_gp dev_base);
+  Machine.set_reg_int m Insn.reg_t0
+    (Encode.encode (Insn.Op_imm (Add, a1, a1, 100)));
+  m
+
+let mode_name = function
+  | Machine.Cheriot -> "cheriot"
+  | Machine.Rv32 -> "rv32"
+
+let check_mmio_run ~what ~ref_m m r =
+  Alcotest.(check bool) (what ^ ": halts") true (r = Machine.Step_halted);
+  Alcotest.(check int) (what ^ ": a1 sees the device store") 101
+    (Machine.reg_int m a1);
+  Alcotest.(check int) (what ^ ": minstret") ref_m.Machine.minstret
+    m.Machine.minstret;
+  Alcotest.(check string) (what ^ ": state hash") (Machine.state_hash ref_m)
+    (Machine.state_hash m)
+
+(* Every tier under [Machine.run], then under [Perf.run], each checked
+   against that driver's reference run ([Perf] also advances [mcycle]). *)
+let test_mmio_code mode () =
+  let run dispatch =
+    let m = mmio_boot mode in
+    (m, fst (Machine.run ~dispatch m))
+  in
+  let ref_m, _ = run Machine.Dispatch_ref in
+  List.iter
+    (fun (tier, dispatch) ->
+      let m, r = run dispatch in
+      check_mmio_run ~what:(mode_name mode ^ " run " ^ tier) ~ref_m m r)
+    [
+      ("ref", Machine.Dispatch_ref);
+      ("chain", Machine.Dispatch_chain);
+      ("jit", Machine.Dispatch_jit);
+    ];
+  let params = Core_model.params_of Core_model.Ibex in
+  let perf_run dispatch =
+    let m = mmio_boot mode in
+    let p = Perf.create ~dispatch ~params m in
+    let r = Perf.run p in
+    (m, r, p.Perf.stats.Perf.cycles)
+  in
+  let ref_m, _, ref_cycles = perf_run Perf.Reference in
+  List.iter
+    (fun (tier, dispatch) ->
+      let m, r, cycles = perf_run dispatch in
+      let what = mode_name mode ^ " Perf " ^ tier in
+      check_mmio_run ~what ~ref_m m r;
+      Alcotest.(check int) (what ^ ": cycles") ref_cycles cycles)
+    [ ("ref", Perf.Reference); ("chain", Perf.Chain); ("jit", Perf.Jit) ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest Props.tests
-  @ [
-      Alcotest.test_case "coremark trace matches across dispatch paths" `Quick
-        test_coremark_lockstep;
-    ]
+  @ List.map
+      (fun (name, build) ->
+        Alcotest.test_case
+          (name ^ " trace matches across dispatch paths")
+          `Quick (test_lockstep build))
+      lockstep_programs
+  @ List.map
+      (fun mode ->
+        Alcotest.test_case
+          (mode_name mode ^ " code in MMIO re-reads a device-patched word")
+          `Quick (test_mmio_code mode))
+      [ Machine.Cheriot; Machine.Rv32 ]

@@ -66,7 +66,7 @@ let test_chain_identity_plan () =
       let bc = m.Machine.bcache in
       Array.iteri
         (fun k hi ->
-          let b = bc.Decode_cache.rc.Decode_cache.payloads.(k) in
+          let b = bc.Decode_cache.payloads.(k) in
           if hi <> 0 && Option.is_some b.Machine.b_jit then
             Alcotest.failf "%s: cached block at 0x%x carries a plan" name
               b.Machine.b_start)

@@ -552,12 +552,12 @@ let test_cost_tables_match_events () =
           let m = boot_perf every_kind_program in
           setup m;
           ignore (Perf.run (Perf.create ~dispatch:Perf.Jit ~params:p m));
-          let rc = m.Machine.bcache.Cheriot_isa.Decode_cache.rc in
+          let bc = m.Machine.bcache in
           let priced = Hashtbl.create 64 in
           Array.iteri
             (fun slot tag ->
               if tag >= 0 then begin
-                let b = rc.Cheriot_isa.Decode_cache.payloads.(slot) in
+                let b = bc.Cheriot_isa.Decode_cache.payloads.(slot) in
                 Array.iteri
                   (fun k insn ->
                     let d = b.Machine.b_cost.(k + 1) - b.Machine.b_cost.(k) in
@@ -572,7 +572,7 @@ let test_cost_tables_match_events () =
                     Hashtbl.replace priced (b.Machine.b_start + (4 * k)) ())
                   b.Machine.b_insns
               end)
-            rc.Cheriot_isa.Decode_cache.tags;
+            bc.Cheriot_isa.Decode_cache.tags;
           Alcotest.(check int) "every program word and the handler priced"
             (words + 1) (Hashtbl.length priced))
         [ true; false ])
