@@ -171,8 +171,10 @@ type t = {
   mutable pending_mark : int;
       (* mark attached to the next recorded event (chained entry) *)
   mutable hot_threshold : int;
-      (* edge-traversal count at which a hot fall-through edge triggers
-         superblock formation; tests lower it to fuzz the crossing *)
+      (* the batched tiers' hotness: the edge-traversal count at which a
+         hot fall-through edge triggers superblock formation, and the
+         entry count at which the jit compiles a block's plan (see
+         [block_plan]); tests lower it to fuzz both crossings *)
   mutable hot_adaptive : bool;
       (* drive [hot_threshold] from the chain-hit/unlink ratio (see
          [adapt_hot]); tests that pin [hot_threshold] turn this off *)
@@ -191,7 +193,8 @@ type t = {
      before installation; a rejected plan is replaced by the all-full
      plan with no guards (always sound) and counted.  The hook also
      serves as a plan collector for the offline `cheriot_audit plans`
-     gate.  [None] (the default) installs plans unvalidated. *)
+     gate, so while it is set the jit compiles on first entry.  [None]
+     (the default) installs plans unvalidated. *)
   mutable jit_validator : (bentry -> Ir.chk array -> Ir.guard array -> bool) option;
   mutable jit_plans_rejected : int;
   (* Timed rounds ([timed_round]): the installed cost model, the
@@ -254,9 +257,11 @@ and bentry = {
      traversals. *)
   mutable b_ind : bentry option;
   mutable b_ind_epoch : int;
-  (* The block's optimized execution plan, compiled lazily on first
-     [Dispatch_jit] entry (see [compile_jit]). *)
+  (* The block's optimized execution plan, compiled by the jit tier
+     once the block is hot (see [block_plan]); until then [b_entries]
+     counts its [Dispatch_jit] entries. *)
   mutable b_jit : jit option;
+  mutable b_entries : int;
 }
 
 (* A compiled plan for one (super)block: per-instruction check levels
@@ -316,6 +321,7 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
           b_ind = None;
           b_ind_epoch = -1;
           b_jit = None;
+          b_entries = 0;
         }
       ()
   in
@@ -1284,6 +1290,7 @@ let translate m ~pcc0 ~pc0 ~sb ~cap =
           b_ind = None;
           b_ind_epoch = -1;
           b_jit = None;
+          b_entries = 0;
         }
 
 let install_block m (b : bentry) =
@@ -1752,14 +1759,35 @@ let identity_plan =
     j_link_off = Capability.null;
   }
 
+(* The plan a block runs under on this entry, for both executors.  The
+   chain tier always runs the identity plan.  The jit tier runs a
+   block's compiled plan once it has one; a block without one counts
+   its entries and runs the identity plan until the count reaches
+   [hot_threshold], the hotness that also forms superblocks, and only
+   then pays for [compile_jit].  Cold code (a block entered once or
+   twice) never compiles.  A machine with a [jit_validator] compiles on
+   first entry, so plan collection and compile-time validation see
+   every block the run enters, whatever its hotness. *)
+let block_plan m (b : bentry) ~jit =
+  if not jit then identity_plan
+  else
+    match b.b_jit with
+    | Some t -> t
+    | None ->
+        b.b_entries <- b.b_entries + 1;
+        if b.b_entries >= m.hot_threshold || Option.is_some m.jit_validator
+        then compile_jit m b
+        else identity_plan
+
 (* The round executor behind the batched tiers ([run] and
    [timed_round]): one loop that runs block after block of a round,
-   each under a check plan — the block's lazily compiled plan with
-   [jit], the identity plan without.  Block-to-block transfers are
-   resolved {e inside} the loop ([chain_edge] / [chain_edge_ind]), so
-   one set of loop state — its refs, its [sync] closure, its result
-   tuple — serves the whole round, which in a hot loop is thousands of
-   instructions.
+   each under the check plan [block_plan] picks — with [jit], the
+   block's compiled plan once it is hot and the identity plan while it
+   is cold; without, always the identity plan.  Block-to-block
+   transfers are resolved {e inside} the loop ([chain_edge] /
+   [chain_edge_ind]), so one set of loop state — its refs, its [sync]
+   closure, its result tuple — serves the whole round, which in a hot
+   loop is thousands of instructions.
 
    PCC / minstret / retirement-event bookkeeping is deferred across
    runs of simple instructions.  The ALU arms (Lui, Op_imm, Op,
@@ -1843,10 +1871,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
        let slot = (b_start lsr 2) land bc.Decode_cache.mask in
        let rem = fuel - !base in
        let n = if rem < b_len then rem else b_len in
-       let t =
-         if not jit then identity_plan
-         else match blk.b_jit with Some t -> t | None -> compile_jit m blk
-       in
+       let t = block_plan m blk ~jit in
        (* Guards run against the entry register values, before any op:
           all pass → the reduced plan is licensed for this execution;
           any failure → deoptimize this execution to full checks. *)
@@ -2096,13 +2121,13 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
    instruction can change the delivery predicate (the instructions that
    can still terminate every translation unit and end the chain; the one
    chained exception, a completed [Jalr], re-checks the predicate at its
-   edge).  The block-cache probe is hand-inlined.  [jit] selects the
-   compiled plans over the identity plan.
+   edge).  The block-cache probe is hand-inlined.  [jit] lets hot
+   blocks run their compiled plans (see [block_plan]).
 
    A [record] round is the tracer's: it walks block-by-block through
-   [exec_block], marking each ring entry.  With [jit] the walk also
-   compiles each block it enters and evaluates its guards, so the
-   optimizer counters and the [mark_jit]/[mark_opt_side_exit] marks
+   [exec_block], marking each ring entry.  The walk picks each block's
+   plan through [block_plan] and evaluates its guards, so the compile
+   and optimizer counters and the [mark_jit]/[mark_opt_side_exit] marks
    reflect what [exec_round] would do — execution itself stays on the
    fully-checked generic path, which the plans are observationally equal
    to by construction.  Any other round is one [exec_round].  A [timed]
@@ -2126,13 +2151,11 @@ let block_round m ~fuel ~record ~jit ~timed =
     let bc = m.bcache in
     let dummy = bc.Decode_cache.dummy in
     let rec go b fuel used =
-      (if jit then begin
-         let t = match b.b_jit with Some t -> t | None -> compile_jit m b in
-         if Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
-         then begin
-           m.opt_side_exits <- m.opt_side_exits + 1;
-           m.pending_mark <- mark_opt_side_exit
-         end
+      (let t = block_plan m b ~jit in
+       if Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
+       then begin
+         m.opt_side_exits <- m.opt_side_exits + 1;
+         m.pending_mark <- mark_opt_side_exit
        end);
       let r, n = exec_block m b ~fuel in
       let used = used + n in
@@ -2177,7 +2200,7 @@ let block_round m ~fuel ~record ~jit ~timed =
 (* The tracer's entry point: one recorded round of up to [round_cap]
    instructions, every retired one in the ring ([block_events]/
    [block_pcs], [block_ev_n] live entries).  [step_jit] also compiles
-   each entered block, bumps the optimizer counters, and marks
+   each block that turns hot, bumps the optimizer counters, and marks
    [jit]/[opt-side-exit] transfers. *)
 let step_recorded m ~jit =
   m.block_ev_n <- 0;

@@ -21,13 +21,15 @@ type mode = Cheriot | Rv32
     [Jal]/[Branch] edges (and fall-throughs and completed [Jalr]s) and
     re-translating hot fall-through paths into superblocks; they differ
     only in the check plan each block runs under.  [Dispatch_chain] runs
-    every block under the identity plan (every access fully checked);
-    [Dispatch_jit] runs each under its plan compiled by {!Ir} —
-    redundant capability checks eliminated, bounds checks hoisted into
-    block-entry guards, static control flow folded.  All three are
-    observationally identical per retired instruction (enforced by
-    [test/test_differential.ml] and the ref/chain/jit lockstep
-    properties). *)
+    every block under the identity plan (every access fully checked).
+    [Dispatch_jit] runs a cold block under the identity plan too, and
+    once the block has been entered [hot_threshold] times (on first
+    entry when a [jit_validator] is installed) under its plan compiled
+    by {!Ir} — redundant capability checks eliminated, bounds checks
+    hoisted into block-entry guards, static control flow folded.  All
+    three are observationally identical per retired instruction
+    (enforced by [test/test_differential.ml] and the ref/chain/jit
+    lockstep properties). *)
 type dispatch = Dispatch_ref | Dispatch_chain | Dispatch_jit
 
 (** CHERI exception causes (reported via [mcause = 28] with the cause and
@@ -153,9 +155,12 @@ type t = {
   mutable pending_mark : int;
       (** mark attached to the next recorded ring entry *)
   mutable hot_threshold : int;
-      (** fall-through-edge traversal count at which the batched tiers
-          re-translate the joined path as a superblock (default 32;
-          tests lower it to fuzz the crossing) *)
+      (** the batched tiers' hotness (default 32, adapted within 8–512
+          unless [hot_adaptive] is off): the fall-through-edge traversal
+          count at which they re-translate the joined path as a
+          superblock, and the entry count at which the jit tier compiles
+          a block's plan.  Tests lower it to fuzz both crossings; at 1
+          the jit compiles every block on first entry. *)
   mutable hot_adaptive : bool;
       (** adapt [hot_threshold] to the chain-hit/unlink ratio (default
           [true]; tests that pin [hot_threshold] set it to [false]) *)
@@ -182,8 +187,10 @@ type t = {
       (** compile-time plan validation hook: when set, {!compile_jit}
           submits every plan before installing it; a rejected plan is
           replaced by the all-[Chk_full] no-guard plan (always sound)
-          and counted in [jit_plans_rejected].  Doubles as the plan
-          collector of the offline [cheriot_audit plans] gate. *)
+          and counted in [jit_plans_rejected].  While set, the jit tier
+          compiles every block on first entry, whatever its hotness.
+          Doubles as the plan collector of the offline
+          [cheriot_audit plans] gate. *)
   mutable jit_plans_rejected : int;
       (** plans the installed validator refused *)
   mutable cost : cost_model option;
@@ -240,8 +247,12 @@ and bentry = {
           from a live register) *)
   mutable b_ind_epoch : int;
   mutable b_jit : jit option;
-      (** compiled execution plan, built lazily on first [Dispatch_jit]
-          entry *)
+      (** compiled execution plan, built by the jit tier on the entry
+          that makes the block hot ([b_entries] reaching
+          [hot_threshold]), or on first entry under a [jit_validator];
+          [None] while the block is cold *)
+  mutable b_entries : int;
+      (** [Dispatch_jit] entries of the block while it has no plan *)
 }
 
 (** A compiled block plan: the {!Ir} optimization results plus folded
@@ -306,13 +317,16 @@ val step_chain : t -> result
     chaining). *)
 
 val step_jit : t -> result
-(** Like {!step_chain}, but for the jit tier: each block entered is
-    (lazily) compiled through {!Ir.optimize}, its block-entry guards
-    are evaluated (a failure counts an opt side exit), and chained
-    transfers carry the [mark_jit] / [mark_opt_side_exit] ring marks.
-    Execution itself follows the fully-checked generic path — the
-    recording walk is the tracer's observational twin of the round
-    executor used by {!run} and {!timed_round}. *)
+(** Like {!step_chain}, but for the jit tier: each block entered picks
+    its plan exactly as the round executor used by {!run} and
+    {!timed_round} does — the identity plan while cold, its plan
+    compiled through {!Ir.optimize} from the entry that makes it hot —
+    so the compile counters match.  A compiled plan's block-entry
+    guards are evaluated (a failure counts an opt side exit), and
+    chained transfers carry the [mark_jit] / [mark_opt_side_exit] ring
+    marks.  Execution itself follows the fully-checked generic path —
+    the recording walk is the tracer's observational twin of the round
+    executor. *)
 
 val set_cost_model : t -> cost_model -> unit
 (** Install the cost model {!timed_round} charges.  Drops every
@@ -335,11 +349,13 @@ val timed_round : t -> dispatch -> fuel:int -> result * int
 
 val compile_jit : t -> bentry -> jit
 (** Compile (and install) [bentry]'s optimized execution plan: the
-    {!Ir.optimize} passes plus the static control-flow folds.  Normally
-    called lazily by the jit tier on first block entry; exposed so the
-    offline plan-verification gate can compile blocks discovered under
-    [Dispatch_chain], which never compiles (it runs the identity plan).
-    Consults [jit_validator] when installed. *)
+    {!Ir.optimize} passes plus the static control-flow folds.  The jit
+    tier calls it on the entry that makes a block hot (see
+    [hot_threshold]), or on first entry while a [jit_validator] is
+    installed; exposed so the offline plan-verification gate can
+    compile blocks discovered under [Dispatch_chain], which never
+    compiles (it runs the identity plan).  Consults [jit_validator]
+    when installed. *)
 
 val max_block_len : int
 (** Upper bound on instructions per translated block (16). *)

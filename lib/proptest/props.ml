@@ -7,7 +7,8 @@
     + {b state-trace equivalence} of the three dispatch tiers
       (ref / chain / jit), per retired instruction and
       under interrupt injection, with a tiny [hot_threshold] so
-      superblock formation, side exits and the optimizer's check plans
+      superblock formation, side exits, the jit's crossing from the
+      identity plan to a compiled plan and the optimizer's check plans
       are constantly crossed;
     + {b cycle-model agreement}: the {!Perf} harness charges identical
       cycles and instructions on every dispatch variant, on both core
@@ -49,21 +50,49 @@ let lcg seed =
     state := ((!state * 1103515245) + 12345) land 0x3FFF_FFFF;
     !state mod bound
 
+(* --- the batched columns of every lockstep ----------------------------------- *)
+
+(* Each lockstep runs the reference against these batched columns, at
+   pinned hotness thresholds (adaptation off).  At threshold 2 a short
+   stream reaches superblock formation, and the jit's crossing from the
+   identity plan to a compiled plan falls in the middle of the stream.
+   The jit at threshold 1 ("jit@1") compiles every block on first entry,
+   so every block of the stream also runs under its compiled plan. *)
+let batched_columns =
+  [
+    ("chain", Machine.Dispatch_chain, 2);
+    ("jit", Machine.Dispatch_jit, 2);
+    ("jit@1", Machine.Dispatch_jit, 1);
+  ]
+
+(* One fresh [mk ()] per column. *)
+let fresh mk = List.map (fun _ -> mk ()) batched_columns
+
+(* Pin [m]'s hotness threshold to [k], with adaptation off. *)
+let pin_hot k (m : Machine.t) =
+  m.Machine.hot_threshold <- k;
+  m.Machine.hot_adaptive <- false
+
+(* Pin machines [ms], one per column in order, to their columns'
+   thresholds: the (name, dispatch, machine) triples a lockstep runs. *)
+let columns ms =
+  List.map2
+    (fun (name, dispatch, k) m ->
+      pin_hot k m;
+      (name, dispatch, m))
+    batched_columns ms
+
+let column_machines cols = List.map (fun (_, _, m) -> m) cols
+
 (* --- flat-stream lockstep (the PR-1..3 oracle, now harness-owned) -------- *)
 
 (** Drive the same stream on identically-booted machines in lockstep —
-    one per dispatch tier, chain/jit with [fuel:1] so every mid-block
-    state is exposed — comparing the full architectural state after
-    every single step and the state hashes at the end. *)
+    the reference and every batched column, the latter with [fuel:1] so
+    every mid-block state is exposed — comparing the full architectural
+    state after every single step and the state hashes at the end. *)
 let flat_lockstep ?(writable_code = false) words =
   let mk () = (Boot.flat ~writable_code words).Boot.m in
-  let ref_m = mk () and chn_m = mk () and jit_m = mk () in
-  (* a tiny hotness threshold makes superblock formation reachable
-     within short fuzz streams (adaptation off so it stays pinned) *)
-  chn_m.Machine.hot_threshold <- 2;
-  chn_m.Machine.hot_adaptive <- false;
-  jit_m.Machine.hot_threshold <- 2;
-  jit_m.Machine.hot_adaptive <- false;
+  let ref_m = mk () and cols = columns (fresh mk) in
   let rec go n =
     if n > 256 then ()
     else begin
@@ -72,23 +101,18 @@ let flat_lockstep ?(writable_code = false) words =
          idle round) of a batched tier; when fuel expires after a trap
          step it reports [Step_ok], exactly as the per-step [run] loop
          would, so map the reference result accordingly. *)
-      let r_chn, n_chn =
-        Machine.run ~fuel:1 ~dispatch:Machine.Dispatch_chain chn_m
-      in
-      let r_jit, n_jit =
-        Machine.run ~fuel:1 ~dispatch:Machine.Dispatch_jit jit_m
-      in
       let expect_run =
         match r_ref with
         | Machine.Step_ok | Machine.Step_trap _ -> Machine.Step_ok
         | r -> r
       in
-      if (r_chn, n_chn) <> (expect_run, 1) then
-        QCheck.Test.fail_reportf "ref/chain results diverged at step %d" n;
-      if (r_jit, n_jit) <> (expect_run, 1) then
-        QCheck.Test.fail_reportf "ref/jit results diverged at step %d" n;
-      Obs.compare_states ~what:"ref/chain" n ref_m chn_m;
-      Obs.compare_states ~what:"ref/jit" n ref_m jit_m;
+      List.iter
+        (fun (name, dispatch, m) ->
+          if Machine.run ~fuel:1 ~dispatch m <> (expect_run, 1) then
+            QCheck.Test.fail_reportf "ref/%s results diverged at step %d" name
+              n;
+          Obs.compare_states ~what:("ref/" ^ name) n ref_m m)
+        cols;
       match r_ref with
       | Machine.Step_ok | Machine.Step_trap _ -> go (n + 1)
       | Machine.Step_waiting | Machine.Step_halted | Machine.Step_double_fault
@@ -97,16 +121,18 @@ let flat_lockstep ?(writable_code = false) words =
     end
   in
   go 0;
-  Obs.require_hashes_equal ~what:"flat lockstep" 256 ref_m [ chn_m; jit_m ];
+  Obs.require_hashes_equal ~what:"flat lockstep" 256 ref_m
+    (column_machines cols);
   true
 
 (** Interrupt-injection equivalence (the heart of the block-dispatch
-    soundness argument): drive the three tiers in random-length fuel
-    batches, toggling the external interrupt line and rewriting the
-    timer comparator / cycle counter identically on all three between
-    batches.  Batched block execution checks for interrupts only at
-    block boundaries; that must deliver every interrupt at exactly the
-    same retired-instruction boundary as the per-step loops. *)
+    soundness argument): drive the reference and the batched columns in
+    random-length fuel batches, toggling the external interrupt line and
+    rewriting the timer comparator / cycle counter identically on all of
+    them between batches.  Batched block execution checks for
+    interrupts only at block boundaries; that must deliver every
+    interrupt at exactly the same retired-instruction boundary as the
+    per-step loops. *)
 let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
   let handler_cap =
     Capability.set_bounds
@@ -121,15 +147,11 @@ let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
     m.Machine.mie <- true;
     m
   in
-  let ref_m = mk () and chn_m = mk () and jit_m = mk () in
-  (* chain/jit with a tiny hotness threshold: batches cross the
-     superblock formation point mid-stream, so interrupt delivery is
-     checked against freshly re-translated superblocks too *)
-  chn_m.Machine.hot_threshold <- 2;
-  chn_m.Machine.hot_adaptive <- false;
-  jit_m.Machine.hot_threshold <- 2;
-  jit_m.Machine.hot_adaptive <- false;
-  let machines = [ ref_m; chn_m; jit_m ] in
+  (* batches cross the superblock formation point mid-stream, so
+     interrupt delivery is checked against freshly re-translated
+     superblocks too *)
+  let ref_m = mk () and cols = columns (fresh mk) in
+  let machines = ref_m :: column_machines cols in
   let rand = lcg seed in
   let total = ref 0 in
   (try
@@ -149,26 +171,18 @@ let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
        let r_ref, n_ref =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_ref ref_m
        in
-       let r_chn, n_chn =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_chain chn_m
-       in
-       let r_jit, n_jit =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_jit jit_m
-       in
-       if (r_ref, n_ref) <> (r_chn, n_chn) then
-         QCheck.Test.fail_reportf
-           "ref/chain batch diverged after %d insns (fuel %d): ref retired \
-            %d, chain retired %d"
-           !total fuel n_ref n_chn;
-       if (r_ref, n_ref) <> (r_jit, n_jit) then
-         QCheck.Test.fail_reportf
-           "ref/jit batch diverged after %d insns (fuel %d): ref retired \
-            %d, jit retired %d"
-           !total fuel n_ref n_jit;
-       Obs.compare_states ~what:"interrupt batch" !total ref_m chn_m;
-       Obs.compare_states ~what:"interrupt batch" !total ref_m jit_m;
+       List.iter
+         (fun (name, dispatch, m) ->
+           let r, n = Machine.run ~fuel ~dispatch m in
+           if (r_ref, n_ref) <> (r, n) then
+             QCheck.Test.fail_reportf
+               "ref/%s batch diverged after %d insns (fuel %d): ref retired \
+                %d, %s retired %d"
+               name !total fuel n_ref name n;
+           Obs.compare_states ~what:"interrupt batch" !total ref_m m)
+         cols;
        Obs.require_hashes_equal ~what:"interrupt batch" !total ref_m
-         [ chn_m; jit_m ];
+         (column_machines cols);
        total := !total + n_ref;
        match r_ref with
        | Machine.Step_halted | Machine.Step_double_fault -> raise Exit
@@ -280,18 +294,14 @@ let inject rand (links : Scenario.linked list) =
 
 (** State-trace equivalence of the three dispatch tiers on a linked
     multi-compartment image, under interrupt injection, allocator churn,
-    revocation sweeps and code patches, with the chain and jit machines
+    revocation sweeps and code patches, with the batched columns
     forming superblocks at [hot_threshold = 2]. *)
 let scenario_lockstep (sc : Scenario.t) =
   let mk () = Scenario.link ~instrument:true sc in
-  let l_ref = mk () and l_chn = mk () and l_jit = mk () in
-  let links = [ l_ref; l_chn; l_jit ] in
   let m_of l = l.Scenario.t.Loader.machine in
-  let ref_m = m_of l_ref and chn_m = m_of l_chn and jit_m = m_of l_jit in
-  chn_m.Machine.hot_threshold <- 2;
-  chn_m.Machine.hot_adaptive <- false;
-  jit_m.Machine.hot_threshold <- 2;
-  jit_m.Machine.hot_adaptive <- false;
+  let l_ref = mk () and col_links = fresh mk in
+  let links = l_ref :: col_links in
+  let ref_m = m_of l_ref and cols = columns (List.map m_of col_links) in
   let rand = lcg sc.Scenario.seed in
   let total = ref 0 in
   let batches = ref 0 in
@@ -303,26 +313,18 @@ let scenario_lockstep (sc : Scenario.t) =
        let r_ref, n_ref =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_ref ref_m
        in
-       let r_chn, n_chn =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_chain chn_m
-       in
-       let r_jit, n_jit =
-         Machine.run ~fuel ~dispatch:Machine.Dispatch_jit jit_m
-       in
-       if (r_ref, n_ref) <> (r_chn, n_chn) then
-         QCheck.Test.fail_reportf
-           "scenario ref/chain diverged after %d insns (fuel %d): ref %d, \
-            chain %d"
-           !total fuel n_ref n_chn;
-       if (r_ref, n_ref) <> (r_jit, n_jit) then
-         QCheck.Test.fail_reportf
-           "scenario ref/jit diverged after %d insns (fuel %d): ref %d, \
-            jit %d"
-           !total fuel n_ref n_jit;
-       Obs.compare_states ~what:"scenario ref/chain" !total ref_m chn_m;
-       Obs.compare_states ~what:"scenario ref/jit" !total ref_m jit_m;
+       List.iter
+         (fun (name, dispatch, m) ->
+           let r, n = Machine.run ~fuel ~dispatch m in
+           if (r_ref, n_ref) <> (r, n) then
+             QCheck.Test.fail_reportf
+               "scenario ref/%s diverged after %d insns (fuel %d): ref %d, \
+                %s %d"
+               name !total fuel n_ref name n;
+           Obs.compare_states ~what:("scenario ref/" ^ name) !total ref_m m)
+         cols;
        Obs.require_hashes_equal ~what:"scenario batch" !total ref_m
-         [ chn_m; jit_m ];
+         (column_machines cols);
        total := !total + n_ref;
        match r_ref with
        | Machine.Step_halted | Machine.Step_double_fault -> raise Exit
@@ -333,15 +335,25 @@ let scenario_lockstep (sc : Scenario.t) =
 
 (* --- cycle-model agreement ------------------------------------------------ *)
 
+(* The {!Perf} tiers checked against [Perf.Reference], each with how it
+   pins its machine's hotness.  Chain and jit run at the default, adaptive
+   threshold, where scenario blocks rarely turn hot and the jit mostly
+   runs its identity plan; "jit@1" compiles every block on its first
+   entry, so the timed rounds also run under compiled check plans. *)
+let perf_columns =
+  [ ("chain", Perf.Chain, ignore); ("jit", Perf.Jit, ignore);
+    ("jit@1", Perf.Jit, pin_hot 1) ]
+
 (** The {!Perf} harness must charge identical cycles, instructions, bus
     cycles and traps on every dispatch variant, for both core models,
     and leave identical [mcycle] and final architectural state. *)
 let scenario_perf_agreement (sc : Scenario.t) =
   List.iter
     (fun core ->
-      let run dispatch =
+      let run ?(pin = ignore) dispatch =
         let l = Scenario.link ~instrument:true sc in
         let m = l.Scenario.t.Loader.machine in
+        pin m;
         let p =
           Perf.create ~dispatch ~params:(Core_model.params_of core) m
         in
@@ -355,8 +367,8 @@ let scenario_perf_agreement (sc : Scenario.t) =
       let show v = String.concat "/" (List.map string_of_int v) in
       let (r0, v0, h0) = run Perf.Reference in
       List.iter
-        (fun (name, d) ->
-          let (r, v, h) = run d in
+        (fun (name, d, pin) ->
+          let (r, v, h) = run ~pin d in
           if (r, v, h) <> (r0, v0, h0) then
             QCheck.Test.fail_reportf
               "%s/%s cycle model disagrees: ref \
@@ -365,7 +377,7 @@ let scenario_perf_agreement (sc : Scenario.t) =
                  (Core_model.config ~cheri:true ~load_filter:true core))
               name (show v0) (show v)
               (if h <> h0 then ", state hashes differ" else ""))
-        [ ("chain", Perf.Chain); ("jit", Perf.Jit) ])
+        perf_columns)
     [ Core_model.Ibex; Core_model.Flute ];
   true
 

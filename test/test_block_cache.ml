@@ -29,12 +29,19 @@ let result_name = function
   | Machine.Step_halted -> "halted"
   | Machine.Step_double_fault -> "double fault"
 
+(* [hot_at k] pins the hotness threshold to [k] (adaptation off): a
+   fall edge forms a superblock after [k] traversals, and the jit
+   compiles a block's plan on its [k]-th entry.  The jit plan cases that
+   run their code once pin it to 1, so every block compiles on its first
+   entry. *)
+let hot_at k m =
+  m.Machine.hot_threshold <- k;
+  m.Machine.hot_adaptive <- false
+
 (* The cache-mechanics cases run the chain tier with superblock
    formation out of reach (a pinned, unreachable hotness threshold), so
    every translation unit is a plain basic block as filled. *)
-let plain_blocks m =
-  m.Machine.hot_threshold <- max_int;
-  m.Machine.hot_adaptive <- false
+let plain_blocks = hot_at max_int
 
 let run_block m =
   plain_blocks m;
@@ -338,8 +345,7 @@ let test_superblock_side_exit () =
   let ref_m = mk () in
   let _, n_ref = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
   let m = mk () in
-  m.Machine.hot_threshold <- 4;
-  m.Machine.hot_adaptive <- false;
+  hot_at 4 m;
   let n = run_chain m in
   Alcotest.(check int) "same retired count" n_ref n;
   Alcotest.(check int) "same minstret" ref_m.Machine.minstret
@@ -419,6 +425,7 @@ let test_jit_csetbounds_kills_facts () =
   let ref_m = mk () in
   let r_ref, n_ref = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
   let m = mk () in
+  hot_at 1 m;
   let r_jit, n_jit = Machine.run ~dispatch:Machine.Dispatch_jit m in
   Alcotest.(check string)
     "both runs end the same way" (result_name r_ref) (result_name r_jit);
@@ -458,8 +465,7 @@ let test_jit_hoisted_guard_patch_midtrace () =
   in
   let ref_m = mk () in
   let m = mk () in
-  m.Machine.hot_threshold <- 2;
-  m.Machine.hot_adaptive <- false;
+  hot_at 2 m;
   (* run both machines 30 instructions in: the loop is hot, the
      superblock formed and the guarded plan compiled and executing *)
   let r_ref0, n_ref0 = Machine.run ~fuel:30 ~dispatch:Machine.Dispatch_ref ref_m in
@@ -488,12 +494,15 @@ let test_jit_hoisted_guard_patch_midtrace () =
     (s.Machine.block_invalidations > 0)
 
 (* Counter accounting parity: the recording rounds ([step_jit], driving
-   the traced path) and the round executor ([Machine.run]) must agree
-   that the optimizer engaged — both compile the same plans. *)
+   the traced path) and the round executor ([Machine.run]) pick plans
+   through the same helper, so at the same hotness they compile the same
+   blocks — here the two loop blocks on their second entry, never the
+   halt block entered once. *)
 let test_jit_counters_on_both_paths () =
   let mk () =
     let m, _ = boot (List.map Encode.encode chained_loop) in
     Machine.set_reg_int m 6 4;
+    hot_at 2 m;
     m
   in
   let m = mk () in
@@ -511,8 +520,74 @@ let test_jit_counters_on_both_paths () =
   in
   drive ();
   let s2 = Machine.block_stats m2 in
-  Alcotest.(check bool) "recording rounds compiled plans too" true
-    (s2.Machine.jit_blocks_compiled > 0)
+  Alcotest.(check int) "recording rounds compile the same blocks"
+    s.Machine.jit_blocks_compiled s2.Machine.jit_blocks_compiled
+
+(* The jit's tiering contract at a pinned hotness [k]: a block without a
+   plan runs the identity plan and counts its entries, the entry that
+   brings the count to [k] compiles its plan, and that plan then serves
+   every later entry.  The chain tier never compiles, and an installed
+   validator makes the jit compile a block on its first entry, so plan
+   collection sees blocks that never turn hot. *)
+let test_jit_tiers_by_hotness () =
+  let k = 4 in
+  let mk () =
+    let m, _ = boot (List.map Encode.encode loop_program) in
+    Machine.set_reg_int m 6 10;
+    hot_at k m;
+    m
+  in
+  let loop_block m =
+    let bc = m.Machine.bcache in
+    let s = Decode_cache.slot bc code_base in
+    Alcotest.(check int) "the loop block is cached" code_base
+      bc.Decode_cache.tags.(s);
+    bc.Decode_cache.payloads.(s)
+  in
+  let compiled m = (Machine.block_stats m).Machine.jit_blocks_compiled in
+  let ref_m = mk () in
+  let _ = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
+  let m = mk () in
+  (* one loop iteration is one entry of the two-instruction loop block *)
+  let _ = Machine.run ~fuel:(2 * (k - 1)) ~dispatch:Machine.Dispatch_jit m in
+  let b = loop_block m in
+  Alcotest.(check int) "k - 1 entries counted" (k - 1) b.Machine.b_entries;
+  Alcotest.(check bool) "no plan after k - 1 entries" true
+    (Option.is_none b.Machine.b_jit);
+  Alcotest.(check int) "nothing compiled yet" 0 (compiled m);
+  let _ = Machine.run ~fuel:2 ~dispatch:Machine.Dispatch_jit m in
+  let plan = b.Machine.b_jit in
+  Alcotest.(check bool) "compiled on entry k" true (Option.is_some plan);
+  Alcotest.(check int) "one plan compiled" 1 (compiled m);
+  let _ = run_jit m in
+  (* the halt block is entered once: it stays cold *)
+  Alcotest.(check int) "never compiled again" 1 (compiled m);
+  Alcotest.(check bool) "the loop keeps its plan" true
+    (loop_block m == b && b.Machine.b_jit == plan);
+  Alcotest.(check string) "same state as the reference"
+    (Machine.state_hash ref_m) (Machine.state_hash m);
+  let c = mk () in
+  let _ = run_chain c in
+  Alcotest.(check int) "the chain tier compiles nothing" 0 (compiled c);
+  (* straight-line code entered once *)
+  let once () =
+    let m, _ =
+      boot
+        (List.map Encode.encode
+           Insn.[ Op_imm (Add, 1, 1, 1); Op_imm (Add, 2, 2, 1); Ebreak ])
+    in
+    hot_at k m;
+    m
+  in
+  let cold = once () in
+  let _ = run_jit cold in
+  Alcotest.(check int) "a block entered once stays cold" 0 (compiled cold);
+  let v = once () in
+  Cheriot_analysis.Planverify.install v;
+  let _ = run_jit v in
+  Alcotest.(check int) "validated: compiled on first entry" 1 (compiled v);
+  Alcotest.(check int) "validated: no plan rejected" 0
+    (Machine.block_stats v).Machine.jit_plans_rejected
 
 (* [Trace.run ~dispatch:Dispatch_jit] renders the reference stream with
    chained transfers marked [jit]; a block whose entry guard fails is
@@ -556,6 +631,7 @@ let test_trace_marks_jit () =
   let collect_g dispatch =
     let m, _ = boot (List.map Encode.encode guarded) in
     Machine.set_reg m 4 (data_cap ~len:8 ());
+    hot_at 1 m;
     let entries = ref [] in
     let r, _ =
       Trace.run m ~fuel:100 ~dispatch ~f:(fun e -> entries := e :: !entries)
@@ -598,6 +674,8 @@ let suite =
       test_jit_hoisted_guard_patch_midtrace;
     Alcotest.test_case "jit counters account on merged and recording paths"
       `Quick test_jit_counters_on_both_paths;
+    Alcotest.test_case "jit compiles a block once it is hot" `Quick
+      test_jit_tiers_by_hotness;
     Alcotest.test_case "traced jit runs mark transfers and deoptimizations"
       `Quick test_trace_marks_jit;
   ]

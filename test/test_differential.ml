@@ -30,10 +30,12 @@ module Boot = Cheriot_proptest.Boot
 module Props = Cheriot_proptest.Props
 
 (* The same oracle on deterministic workloads with long traces: each
-   ISA program on all three dispatch tiers, and on chain and jit again
-   at hot threshold 2, which forms superblocks all over the hot loops.
-   Every run must halt with the reference's retired count and state
-   hash. *)
+   ISA program on all three dispatch tiers, on chain and jit again at
+   hot threshold 2, which forms superblocks all over the hot loops (and
+   moves the jit's compile to a block's second entry), and on the jit
+   at hot threshold 1, which runs every block under its compiled plan
+   from the first entry.  Every run must halt with the reference's
+   retired count and state hash. *)
 let lockstep_programs =
   let open Cheriot_workloads in
   [
@@ -70,6 +72,7 @@ let test_lockstep build () =
       ("jit", None, Machine.Dispatch_jit);
       ("superblocks", Some 2, Machine.Dispatch_chain);
       ("jit superblocks", Some 2, Machine.Dispatch_jit);
+      ("jit compiled on entry", Some 1, Machine.Dispatch_jit);
     ]
 
 (* --- code in MMIO ---------------------------------------------------- *)

@@ -141,10 +141,12 @@ let test_fatal_trap_in_isr_system () =
    disabled — inside a batched round on the chain and jit tiers.
    Each tier must read the per-step count there, or the whole schedule
    drifts: every tier halts on the reference's cycle with the same
-   totals, timer and state. *)
+   totals, timer and state.  "jit@1" pins the hotness to 1, so the ISR
+   runs under compiled check plans from its first entry. *)
 let test_tiers_agree () =
-  let run dispatch =
+  let run ?(pin = ignore) dispatch =
     let m, sram = make () in
+    pin m;
     let perf =
       Perf.create ~dispatch ~params:(Core_model.params_of Core_model.Ibex) m
     in
@@ -169,14 +171,15 @@ let test_tiers_agree () =
     [ 10_315; 10_615; 500 ]
     [ List.nth v0 4; List.nth v0 5; List.nth v0 6 ];
   List.iter
-    (fun (name, d) ->
-      let r, v, h = run d in
+    (fun (name, d, pin) ->
+      let r, v, h = run ~pin d in
       Alcotest.(check bool) ("same stop: " ^ name) true (r = r0);
       Alcotest.(check (list int))
         ("cycles, insns, mem_busy, traps, mcycle, mtimecmp, count: " ^ name)
         v0 v;
       Alcotest.(check string) ("state hash: " ^ name) h0 h)
-    [ ("chain", Perf.Chain); ("jit", Perf.Jit) ]
+    [ ("chain", Perf.Chain, ignore); ("jit", Perf.Jit, ignore);
+      ("jit@1", Perf.Jit, Cheriot_proptest.Props.pin_hot 1) ]
 
 let suite =
   [

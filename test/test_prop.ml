@@ -124,32 +124,36 @@ let test_interrupt_at_superblock_boundary () =
 
 (* Pinned regression: a cross-compartment code patch — compartment c1
    storing over c0's patchable instruction through its granted window —
-   must invalidate c0's already-translated block on the block/chain
+   must invalidate c0's already-translated block on the chain and jit
    paths (the store snoop crossing compartment boundaries), with final
-   state identical to the reference interpreter. *)
+   state identical to the reference interpreter.  "jit@1" pins the
+   hotness to 1, so the patched block runs under its compiled plan. *)
 let test_cross_compartment_patch_snoop () =
   let sc =
     { Scenario.bodies = [ [ Call 0; Arith 1 ]; [ Patch 0; Arith 2 ] ];
       seed = 0 }
   in
-  let run dispatch =
+  let run ?(pin = ignore) dispatch =
     let l = Scenario.link ~instrument:true sc in
     let m = l.Scenario.t.Loader.machine in
+    pin m;
     let r, n = Machine.run ~fuel:4096 ~dispatch m in
     (r, n, Machine.state_hash m, Machine.block_stats m)
   in
   let r0, n0, h0, _ = run Machine.Dispatch_ref in
   Alcotest.(check bool) "reference halts" true (r0 = Machine.Step_halted);
   List.iter
-    (fun (name, d) ->
-      let r, n, h, s = run d in
+    (fun (name, d, pin) ->
+      let r, n, h, s = run ~pin d in
       Alcotest.(check bool) (name ^ ": same result") true (r = r0);
       Alcotest.(check int) (name ^ ": same retired count") n0 n;
       Alcotest.(check string) (name ^ ": same state hash") h0 h;
       Alcotest.(check bool) (name ^ ": the patch store invalidated a block")
         true
         (s.Machine.block_invalidations >= 1))
-    [ ("chain", Machine.Dispatch_chain); ("jit", Machine.Dispatch_jit) ]
+    [ ("chain", Machine.Dispatch_chain, ignore);
+      ("jit", Machine.Dispatch_jit, ignore);
+      ("jit@1", Machine.Dispatch_jit, Props.pin_hot 1) ]
 
 (* Pinned regression: the {e recording} executors (what [Trace.run]
    drives) have their own side-exit handling, separate from the fast

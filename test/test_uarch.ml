@@ -279,24 +279,32 @@ let parity_program =
     Asm.I Insn.Wfi;
   ]
 
-let perf_run ?(fuel = 1_000_000) ?(core = Core_model.Ibex) dispatch program
-    setup =
+(* The batched tiers checked against Reference, each with the hotness
+   it pins.  These programs enter their blocks only a few times, so at
+   the default threshold the jit runs its identity plan throughout;
+   "jit@1" compiles every block on its first entry, so the timed round
+   also runs under compiled check plans. *)
+let tiers =
+  [ ("chain", Perf.Chain, ignore); ("jit", Perf.Jit, ignore);
+    ("jit@1", Perf.Jit, Cheriot_proptest.Props.pin_hot 1) ]
+
+let perf_run ?(fuel = 1_000_000) ?(core = Core_model.Ibex) ?(pin = ignore)
+    dispatch program setup =
   let m = boot_perf program in
   setup m;
+  pin m;
   let p = Perf.create ~dispatch ~params:(Core_model.params_of core) m in
   let r = Perf.run ~fuel p in
   (r, p.Perf.stats, m.Machine.mcycle, Machine.state_hash m)
 
-let tiers = [ ("chain", Perf.Chain); ("jit", Perf.Jit) ]
-
 (* Every tier against Reference: the stop, the four simulated totals,
    the final [mcycle] and the state hash. *)
 let check_tiers_agree ?fuel ?core program setup =
-  let run d = perf_run ?fuel ?core d program setup in
+  let run ?pin d = perf_run ?fuel ?core ?pin d program setup in
   let r0, s0, cy0, h0 = run Perf.Reference in
   List.iter
-    (fun (name, d) ->
-      let r, s, cy, h = run d in
+    (fun (name, d, pin) ->
+      let r, s, cy, h = run ~pin d in
       let what w = Printf.sprintf "%s (%s)" w name in
       Alcotest.(check bool) (what "same stop") true (r = r0);
       Alcotest.(check int) (what "cycles") s0.Perf.cycles s.Perf.cycles;
@@ -315,8 +323,8 @@ let test_perf_dispatch_parity () =
     (r_ref = Machine.Step_waiting);
   (* the block stats really flowed through the harness *)
   List.iter
-    (fun (name, d) ->
-      let _, s, _, _ = perf_run d parity_program (fun _ -> ()) in
+    (fun (name, d, pin) ->
+      let _, s, _, _ = perf_run ~pin d parity_program (fun _ -> ()) in
       Alcotest.(check bool) ("block stats threaded: " ^ name) true
         (s.Perf.block_hits > 0 && s.Perf.avg_block_len > 1.0))
     tiers;
@@ -376,8 +384,9 @@ let test_perf_revoker_kick_mid_block () =
     @ List.init 3 (fun _ -> Asm.I (Insn.Op_imm (Add, t0, t0, 1)))
     @ [ Asm.I Insn.Ebreak ]
   in
-  let run dispatch =
+  let run ?(pin = ignore) dispatch =
     let m = boot_perf program in
+    pin m;
     let sram = Sram.create ~base:heap_base ~size:heap_size in
     let rev = Revbits.create ~heap_base ~heap_size () in
     Bus.add_sram m.Machine.bus sram;
@@ -400,8 +409,8 @@ let test_perf_revoker_kick_mid_block () =
   Alcotest.(check (pair int int)) "reference: busy cycles, words swept" (5, 1)
     (busy0, swept0);
   List.iter
-    (fun (name, d) ->
-      let busy, swept, epoch, h = run d in
+    (fun (name, d, pin) ->
+      let busy, swept, epoch, h = run ~pin d in
       Alcotest.(check int) ("busy cycles: " ^ name) busy0 busy;
       Alcotest.(check int) ("words swept: " ^ name) swept0 swept;
       Alcotest.(check int) ("epoch: " ^ name) epoch0 epoch;
