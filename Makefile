@@ -1,25 +1,21 @@
 # Entry points for local use and CI.
 #
 # `make ci` is the gate: build, lint (warnings-as-errors), the full
-# test suite (including the differential oracle between the reference,
-# chain and jit dispatch tiers, and the CLI exit-code rules), the
+# test suite (including the differential oracle between the reference
+# and jit dispatch tiers, and the CLI exit-code rules), the
 # dispatch-parity gate (the differential, property and `Perf`-tier
 # suites in isolation — it fails printing the qcheck fuzz seed and
 # shrunk program on any state-hash mismatch), the static firmware audit
 # (`cheriot_audit all`: shipped images audit clean, the bad-image corpus
 # is fully detected), the plan-soundness gate (`cheriot_audit plans`:
 # every jit check plan on the shipped images proves equivalent to the
-# all-full plan, every seeded optimizer mutant is refuted), the
+# all-full plan, every seeded optimizer mutant is refuted), and the
 # incremental-audit gate (`cheriot_audit incremental`: a one-compartment
 # patch re-analyzes only that compartment and the warm report is
-# byte-identical to a cold audit), and reduced-workload runs of the
-# jit-exec and auditor benchmarks.  jit_exec smoke exits non-zero if the
-# ref, chain and jit tiers diverge on any workload or if the optimizer
-# never engages.  The smoke benches write BENCH_*_smoke.json, which are
-# divergence gates, not performance claims, and are not committed — use
-# `make bench` for real numbers.
+# byte-identical to a cold audit).  Performance is measured by
+# perfbench, paired against a parent revision by `bench/ab.exe`.
 
-.PHONY: all build lint test parity prop-long audit verify-plans audit-incremental bench bench-smoke ci clean
+.PHONY: all build lint test parity prop-long audit verify-plans audit-incremental ci clean
 
 all: build
 
@@ -55,12 +51,13 @@ verify-plans: build
 audit-incremental: build
 	dune exec bin/cheriot_audit.exe -- incremental
 
-# Dispatch parity: the three dispatch tiers (ref / chain / jit) must be
-# observationally identical on random streams, on generated
-# multi-compartment scenarios (switcher cross-calls, allocator churn,
-# revocation sweeps, code patches), under interrupt injection, and on
-# coremark — and so must every `Perf` tier under the cycle model
-# (simulated totals, mcycle, the preemptive schedule, revoker grants).
+# Dispatch parity: the two dispatch tiers (ref / jit, the jit at its
+# default hotness and pinned to 2 and 1) must be observationally
+# identical on random streams, on generated multi-compartment scenarios
+# (switcher cross-calls, allocator churn, revocation sweeps, code
+# patches), under interrupt injection, and on coremark — and so must
+# both `Perf` tiers under the cycle model (simulated totals, mcycle,
+# the preemptive schedule, revoker grants).
 # Alcotest prints the failing qcheck seed and the shrunk program
 # listing on a mismatch.
 parity: build
@@ -79,19 +76,7 @@ prop-long: build
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test differential
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test fuzz
 
-bench: build
-	dune exec bench/main.exe -- jit_exec
-	dune exec bench/main.exe -- audit
-	dune exec bench/main.exe -- audit_incremental
-	dune exec bench/main.exe -- planverify
-
-bench-smoke: build
-	dune exec bench/main.exe -- jit_exec smoke
-	dune exec bench/main.exe -- audit smoke
-	dune exec bench/main.exe -- audit_incremental smoke
-	dune exec bench/main.exe -- planverify smoke
-
-ci: build lint test parity audit verify-plans audit-incremental bench-smoke
+ci: build lint test parity audit verify-plans audit-incremental
 
 clean:
 	dune clean

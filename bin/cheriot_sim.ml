@@ -165,7 +165,6 @@ let demo_cmd =
       Arg.enum
         [
           ("ref", Cheriot_isa.Machine.Dispatch_ref);
-          ("chain", Cheriot_isa.Machine.Dispatch_chain);
           ("jit", Cheriot_isa.Machine.Dispatch_jit);
         ]
     in
@@ -174,12 +173,11 @@ let demo_cmd =
       & opt d Cheriot_isa.Machine.Dispatch_ref
       & info [ "dispatch" ]
           ~doc:
-            "execution machinery: ref (re-decode every step), chain \
+            "execution machinery: ref (re-decode every step) or jit \
              (chained translated blocks with trace-driven superblocks, \
-             every access fully checked; traced transfers are marked \
-             [chain] / [side-exit]), or jit (the same rounds running \
-             optimized check plans; traced transfers are marked [jit], \
-             guard deoptimizations [opt-side-exit])")
+             hot blocks running optimized check plans; traced transfers \
+             are marked [chain] / [side-exit], guard deoptimizations \
+             [opt-side-exit])")
   in
   Cmd.v
     (Cmd.info "demo"

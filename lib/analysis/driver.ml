@@ -152,12 +152,11 @@ let plan_compartment (t : Loader.t) (p : Planverify.plan) =
   | Some (name, _) -> name
   | None -> "system"
 
-(* [plans ~images ?name ?dispatch ?fuel ?rule ()] boots each shipped
-   image, runs it under [dispatch] (default the jit tier, forced hot so
-   every reachable block compiles), collects every emitted plan and
-   verifies it.  Same report shape and exit-code contract as
+(* [plans ~images ?name ?fuel ?rule ()] boots each shipped image, runs
+   it under the jit tier (forced hot so every reachable block
+   compiles), collects every emitted plan and verifies it.  Same report shape and exit-code contract as
    [shipped]; [rule] filters the report the same way. *)
-let plans ~(images : images) ?name ?dispatch ?fuel ?rule () =
+let plans ~(images : images) ?name ?fuel ?rule () =
   let selected =
     match name with
     | None -> Ok images
@@ -180,7 +179,7 @@ let plans ~(images : images) ?name ?dispatch ?fuel ?rule () =
         let m = t.Loader.machine in
         m.Machine.hot_threshold <- 2;
         m.Machine.hot_adaptive <- false;
-        let ps = Planverify.collect ?dispatch ?fuel m in
+        let ps = Planverify.collect ?fuel m in
         verified := !verified + List.length ps;
         let findings =
           List.filter_map
@@ -252,8 +251,8 @@ let plan_mutants () =
       2
 
 (* [plans_all]: shipped plans + mutants; the worst exit code wins. *)
-let plans_all ~images ?name ?dispatch ?fuel ?rule () =
-  let a = plans ~images ?name ?dispatch ?fuel ?rule () in
+let plans_all ~images ?name ?fuel ?rule () =
+  let a = plans ~images ?name ?fuel ?rule () in
   let b = plan_mutants () in
   max a b
 

@@ -383,16 +383,16 @@ let dedupe plans =
       end)
     plans
 
-(* [collect ?dispatch ?fuel m] runs [m] under [dispatch] and returns
-   every plan compiled along the way, deduplicated, in compile order.
-   Collection uses the validator hook — the one point every plan passes
-   through at compile time — rather than a cache sweep, because the
-   direct-mapped block cache evicts: a block compiled early and evicted
-   late would be invisible to a post-run sweep.  [Dispatch_chain] runs
-   the identity plan and compiles nothing, so a final sweep
-   force-compiles every cached block that has no plan yet. *)
-let collect ?(dispatch = Machine.Dispatch_jit) ?(fuel = 2_000_000)
-    (m : Machine.t) =
+(* [collect ?fuel m] runs [m] under the jit tier and returns every plan
+   compiled along the way, deduplicated, in compile order.  Collection
+   uses the validator hook — the one point every plan passes through at
+   compile time — rather than a cache sweep, because the direct-mapped
+   block cache evicts: a block compiled early and evicted late would be
+   invisible to a post-run sweep.  The installed hook makes the jit
+   compile every block on its first entry; a superblock formed but
+   never entered before the run ended has no plan yet, so a final
+   sweep force-compiles every cached block still without one. *)
+let collect ?(fuel = 2_000_000) (m : Machine.t) =
   let acc = ref [] in
   let saved = m.Machine.jit_validator in
   m.Machine.jit_validator <-
@@ -400,7 +400,7 @@ let collect ?(dispatch = Machine.Dispatch_jit) ?(fuel = 2_000_000)
       (fun b chks guards ->
         acc := { p_block = b; p_chks = chks; p_guards = guards } :: !acc;
         true);
-  ignore (Machine.run ~fuel ~dispatch m);
+  ignore (Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m);
   let bc = m.Machine.bcache in
   Array.iteri
     (fun k hi ->

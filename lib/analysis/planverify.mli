@@ -69,18 +69,15 @@ type plan = {
   p_guards : Cheriot_isa.Ir.guard array;
 }
 
-val collect :
-  ?dispatch:Cheriot_isa.Machine.dispatch ->
-  ?fuel:int ->
-  Cheriot_isa.Machine.t ->
-  plan list
-(** Run the machine (default [Dispatch_jit], 2M fuel) and return every
-    plan compiled along the way — captured at compile time through the
-    validator hook, so cache evictions lose nothing — deduplicated by
-    (start address, instruction array).  Blocks the run left without a
-    plan — every block under [Dispatch_chain], which never compiles —
-    are force-compiled from the translation cache afterwards.  Restores
-    any previously installed validator. *)
+val collect : ?fuel:int -> Cheriot_isa.Machine.t -> plan list
+(** Run the machine under [Dispatch_jit] (default 2M fuel) and return
+    every plan compiled along the way — captured at compile time
+    through the validator hook, so cache evictions lose nothing —
+    deduplicated by (start address, instruction array).  The hook makes
+    every block compile on its first entry; cached blocks the run never
+    entered, such as a superblock formed on its last traversal, are
+    force-compiled from the translation cache afterwards.  Restores any
+    previously installed validator. *)
 
 val verify_plan : plan -> verdict
 

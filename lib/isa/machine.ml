@@ -6,7 +6,7 @@ module Revbits = Cheriot_mem.Revbits
 type mode = Cheriot | Rv32
 
 (** Which fetch/decode machinery drives execution. *)
-type dispatch = Dispatch_ref | Dispatch_chain | Dispatch_jit
+type dispatch = Dispatch_ref | Dispatch_jit
 
 type cheri_cause =
   | Cheri_bounds
@@ -160,7 +160,7 @@ type t = {
   mutable fm_sram : Sram.t;
   mutable fm_base : int;
   mutable fm_limit : int;
-  (* Per-round retirement ring filled by [step_chain]/[step_jit] so
+  (* Per-round retirement ring filled by [step_jit] so
      the tracer can render each retired instruction of a round
      individually: parallel arrays of (copied) events, their PCs, and a
      control-flow mark (see [mark_chained] .. [mark_opt_side_exit]). *)
@@ -171,7 +171,7 @@ type t = {
   mutable pending_mark : int;
       (* mark attached to the next recorded event (chained entry) *)
   mutable hot_threshold : int;
-      (* the batched tiers' hotness: the edge-traversal count at which a
+      (* the jit tier's hotness: the edge-traversal count at which a
          hot fall-through edge triggers superblock formation, and the
          entry count at which the jit compiles a block's plan (see
          [block_plan]); tests lower it to fuzz both crossings *)
@@ -234,7 +234,7 @@ and bentry = {
       (* packed prefix sums of the cost model's static costs:
          [b_cost.(k)] prices instructions [0, k).  Built at translation
          when a cost model is installed, [||] otherwise. *)
-  (* Direct chain slots (the batched tiers): when the block ends in a
+  (* Direct chain slots (the jit tier): when the block ends in a
      direct [Jal] or a [Branch], the validated successor block of each
      edge is cached here with the cache's chain epoch at link time.  A
      link whose epoch still matches is followed without probing the
@@ -259,7 +259,7 @@ and bentry = {
   mutable b_ind_epoch : int;
   (* The block's optimized execution plan, compiled by the jit tier
      once the block is hot (see [block_plan]); until then [b_entries]
-     counts its [Dispatch_jit] entries. *)
+     counts its entries. *)
   mutable b_jit : jit option;
   mutable b_entries : int;
 }
@@ -293,7 +293,7 @@ let max_block_len = 16
    which data stores never do. *)
 let max_superblock_len = 64
 
-(* Fuel ceiling of one recorded dispatch round ([step_chain]): bounds
+(* Fuel ceiling of one recorded dispatch round ([step_jit]): bounds
    the retirement ring.  A chained round ends early when fuel runs out,
    so any cap is exact; this one is big enough that chaining still
    amortises under the tracer. *)
@@ -935,7 +935,7 @@ let fetch m =
 
 (* The reference fetch: re-read and re-decode the word at the PC on
    every step.  [step] uses this path unchanged; it is the observational
-   oracle the batched tiers are differentially tested against. *)
+   oracle the jit tier is differentially tested against. *)
 let fetch_decode m =
   match Encode.decode (fetch m) with
   | None -> raise (Trap Illegal_instruction)
@@ -1413,10 +1413,9 @@ let retire_event m insn opt ~taken =
 (* Control-flow marks attached to ring entries for trace rendering. *)
 let mark_chained = 1
 let mark_side_exit = 2
-let mark_jit = 3
-let mark_opt_side_exit = 4
+let mark_opt_side_exit = 3
 
-(* The recording executor behind [step_chain]/[step_jit]: execute (a
+(* The recording executor behind [step_jit]: execute (a
    prefix of) a validated block through the generic [exec] arm, copying
    every retired instruction into the ring.  The PCC sits at
    [b.b_start]; the caller has established that no interrupt is
@@ -1746,9 +1745,9 @@ let compile_jit m (b : bentry) =
   t
 
 (* The identity plan: every access [Chk_full], no guards, no folds — the
-   plan [Dispatch_chain] runs every block under.  One shared static
-   value sized for the longest superblock; it is never installed in a
-   block's [b_jit], which holds only compiled plans. *)
+   plan a cold block runs under.  One shared static value sized for the
+   longest superblock; it is never installed in a block's [b_jit], which
+   holds only compiled plans. *)
 let identity_plan =
   {
     j_chk = Array.make max_superblock_len Ir.Chk_full;
@@ -1759,31 +1758,27 @@ let identity_plan =
     j_link_off = Capability.null;
   }
 
-(* The plan a block runs under on this entry, for both executors.  The
-   chain tier always runs the identity plan.  The jit tier runs a
-   block's compiled plan once it has one; a block without one counts
-   its entries and runs the identity plan until the count reaches
+(* The plan a block runs under on this entry, for both executors: its
+   compiled plan once it has one.  A block without one counts its
+   entries and runs the identity plan until the count reaches
    [hot_threshold], the hotness that also forms superblocks, and only
    then pays for [compile_jit].  Cold code (a block entered once or
    twice) never compiles.  A machine with a [jit_validator] compiles on
    first entry, so plan collection and compile-time validation see
    every block the run enters, whatever its hotness. *)
-let block_plan m (b : bentry) ~jit =
-  if not jit then identity_plan
-  else
-    match b.b_jit with
-    | Some t -> t
-    | None ->
-        b.b_entries <- b.b_entries + 1;
-        if b.b_entries >= m.hot_threshold || Option.is_some m.jit_validator
-        then compile_jit m b
-        else identity_plan
+let block_plan m (b : bentry) =
+  match b.b_jit with
+  | Some t -> t
+  | None ->
+      b.b_entries <- b.b_entries + 1;
+      if b.b_entries >= m.hot_threshold || Option.is_some m.jit_validator
+      then compile_jit m b
+      else identity_plan
 
-(* The round executor behind the batched tiers ([run] and
-   [timed_round]): one loop that runs block after block of a round,
-   each under the check plan [block_plan] picks — with [jit], the
-   block's compiled plan once it is hot and the identity plan while it
-   is cold; without, always the identity plan.  Block-to-block
+(* The round executor behind the jit tier ([run] and [timed_round]):
+   one loop that runs block after block of a round, each under the
+   check plan [block_plan] picks — the block's compiled plan once it is
+   hot, the identity plan while it is cold.  Block-to-block
    transfers are resolved {e inside} the loop ([chain_edge] /
    [chain_edge_ind]), so one set of loop state — its refs, its [sync]
    closure, its result tuple — serves the whole round, which in a hot
@@ -1828,7 +1823,7 @@ let block_plan m (b : bentry) ~jit =
    instruction — and also stops at a [Jalr] edge that leaves interrupts
    enabled with the timer armed: from there on the harness must step
    exactly. *)
-let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
+let exec_round m (b0 : bentry) ~fuel ~timed =
   let bc = m.bcache in
   let tags = bc.Decode_cache.tags in
   let dummy = bc.Decode_cache.dummy in
@@ -1871,7 +1866,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
        let slot = (b_start lsr 2) land bc.Decode_cache.mask in
        let rem = fuel - !base in
        let n = if rem < b_len then rem else b_len in
-       let t = block_plan m blk ~jit in
+       let t = block_plan m blk in
        (* Guards run against the entry register values, before any op:
           all pass → the reduced plan is licensed for this execution;
           any failure → deoptimize this execution to full checks. *)
@@ -2114,27 +2109,26 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~jit =
      result := enter_trap m cause);
   (!result, !base + !i)
 
-(* One round of a batched dispatch: interrupt/WFI handling exactly as
-   [step_gen], then up to [fuel] instructions starting from the block at
+(* One round of the jit tier: interrupt/WFI handling exactly as
+   [step], then up to [fuel] instructions starting from the block at
    the PC and chaining across block edges while fuel remains — sound
    without re-running the boundary interrupt check, because no edge
    instruction can change the delivery predicate (the instructions that
    can still terminate every translation unit and end the chain; the one
    chained exception, a completed [Jalr], re-checks the predicate at its
-   edge).  The block-cache probe is hand-inlined.  [jit] lets hot
-   blocks run their compiled plans (see [block_plan]).
+   edge).  The block-cache probe is hand-inlined.
 
    A [record] round is the tracer's: it walks block-by-block through
    [exec_block], marking each ring entry.  The walk picks each block's
    plan through [block_plan] and evaluates its guards, so the compile
-   and optimizer counters and the [mark_jit]/[mark_opt_side_exit] marks
-   reflect what [exec_round] would do — execution itself stays on the
+   and optimizer counters and the [mark_opt_side_exit] marks reflect
+   what [exec_round] would do — execution itself stays on the
    fully-checked generic path, which the plans are observationally equal
    to by construction.  Any other round is one [exec_round].  A [timed]
    round (never a recording one) charges everything it retires, traps
    and delivers to the installed cost model; a WFI wait is left to the
    caller. *)
-let block_round m ~fuel ~record ~jit ~timed =
+let block_round m ~fuel ~record ~timed =
   if m.waiting && interrupt_pending m then m.waiting <- false;
   if m.waiting then (Step_waiting, 1)
   else if m.mie && interrupt_pending m then begin
@@ -2151,7 +2145,7 @@ let block_round m ~fuel ~record ~jit ~timed =
     let bc = m.bcache in
     let dummy = bc.Decode_cache.dummy in
     let rec go b fuel used =
-      (let t = block_plan m b ~jit in
+      (let t = block_plan m b in
        if Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
        then begin
          m.opt_side_exits <- m.opt_side_exits + 1;
@@ -2163,14 +2157,14 @@ let block_round m ~fuel ~record ~jit ~timed =
       | Step_ok when n = b.b_len && fuel > n ->
           let succ = chain_next m b in
           if succ != dummy then begin
-            m.pending_mark <- (if jit then mark_jit else mark_chained);
+            m.pending_mark <- mark_chained;
             go succ (fuel - n) used
           end
           else (r, used)
       | r -> (r, used)
     in
     let exec_from b =
-      if record then go b fuel 0 else exec_round m b ~fuel ~timed ~jit
+      if record then go b fuel 0 else exec_round m b ~fuel ~timed
     in
     let pc = Capability.address m.pcc in
     let s = (pc lsr 2) land bc.Decode_cache.mask in
@@ -2197,18 +2191,16 @@ let block_round m ~fuel ~record ~jit ~timed =
     end
   end
 
-(* The tracer's entry point: one recorded round of up to [round_cap]
-   instructions, every retired one in the ring ([block_events]/
-   [block_pcs], [block_ev_n] live entries).  [step_jit] also compiles
-   each block that turns hot, bumps the optimizer counters, and marks
-   [jit]/[opt-side-exit] transfers. *)
-let step_recorded m ~jit =
+(* The tracer's entry point: one recorded round of up to [fuel]
+   instructions, at most [round_cap], every retired one in the ring
+   ([block_events]/[block_pcs], [block_ev_n] live entries).  It
+   compiles each block that turns hot, bumps the optimizer counters,
+   and marks chained, side-exit and opt-side-exit transfers. *)
+let step_jit m ~fuel =
   m.block_ev_n <- 0;
   m.pending_mark <- 0;
-  fst (block_round m ~fuel:round_cap ~record:true ~jit ~timed:false)
-
-let step_chain m = step_recorded m ~jit:false
-let step_jit m = step_recorded m ~jit:true
+  fst
+    (block_round m ~fuel:(min fuel round_cap) ~record:true ~timed:false)
 
 (* Installing a cost model drops every translated block: blocks
    translated without it (or under another) carry no (or stale) cost
@@ -2218,32 +2210,27 @@ let set_cost_model m cm =
   m.cost_lf <- m.load_filter;
   if m.blocks_filled > 0 then Decode_cache.flush m.bcache
 
-let timed_round m dispatch ~fuel =
+let timed_round m ~fuel =
   if Option.is_none m.cost then invalid_arg "Machine.timed_round: no cost model";
   (* the tables price capability loads under one load-filter setting *)
   if m.load_filter <> m.cost_lf then begin
     m.cost_lf <- m.load_filter;
     Decode_cache.flush m.bcache
   end;
-  match dispatch with
-  | Dispatch_chain | Dispatch_jit ->
-      block_round m ~fuel ~record:false ~jit:(dispatch = Dispatch_jit)
-        ~timed:true
-  | Dispatch_ref -> invalid_arg "Machine.timed_round: not a batched dispatch"
+  block_round m ~fuel ~record:false ~timed:true
 
 let run ?(fuel = 10_000_000) ?(dispatch = Dispatch_ref) m =
   match dispatch with
-  | Dispatch_chain | Dispatch_jit ->
+  | Dispatch_jit ->
       (* Batched loop: fuel accounting is identical to the per-step
          loop below — each retired instruction, delivered interrupt, or
          trap consumes one unit, and a round is cut when the remaining
          fuel runs out inside it. *)
-      let jit = dispatch = Dispatch_jit in
       let rec go n =
         if n >= fuel then (Step_ok, n)
         else
           let r, used =
-            block_round m ~fuel:(fuel - n) ~record:false ~jit ~timed:false
+            block_round m ~fuel:(fuel - n) ~record:false ~timed:false
           in
           let n = n + used in
           match r with

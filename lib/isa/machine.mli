@@ -16,21 +16,19 @@ type mode = Cheriot | Rv32
 
 (** Which machinery drives execution.  [Dispatch_ref] is the
     reference interpreter ({!step}: re-read and re-decode every
-    instruction).  The two batched tiers run one round executor over
-    the basic-block translation cache, linking blocks across direct
-    [Jal]/[Branch] edges (and fall-throughs and completed [Jalr]s) and
-    re-translating hot fall-through paths into superblocks; they differ
-    only in the check plan each block runs under.  [Dispatch_chain] runs
-    every block under the identity plan (every access fully checked).
-    [Dispatch_jit] runs a cold block under the identity plan too, and
-    once the block has been entered [hot_threshold] times (on first
-    entry when a [jit_validator] is installed) under its plan compiled
-    by {!Ir} — redundant capability checks eliminated, bounds checks
-    hoisted into block-entry guards, static control flow folded.  All
-    three are observationally identical per retired instruction
-    (enforced by [test/test_differential.ml] and the ref/chain/jit
+    instruction).  [Dispatch_jit] is the one batched tier: a round
+    executor over the basic-block translation cache, linking blocks
+    across direct [Jal]/[Branch] edges (and fall-throughs and completed
+    [Jalr]s) and re-translating hot fall-through paths into superblocks.
+    A cold block runs under the identity plan (every access fully
+    checked); once the block has been entered [hot_threshold] times (on
+    first entry when a [jit_validator] is installed) it runs under its
+    plan compiled by {!Ir} — redundant capability checks eliminated,
+    bounds checks hoisted into block-entry guards, static control flow
+    folded.  The two are observationally identical per retired
+    instruction (enforced by [test/test_differential.ml] and the ref/jit
     lockstep properties). *)
-type dispatch = Dispatch_ref | Dispatch_chain | Dispatch_jit
+type dispatch = Dispatch_ref | Dispatch_jit
 
 (** CHERI exception causes (reported via [mcause = 28] with the cause and
     the faulting register index in [mtval], as in CHERI RISC-V). *)
@@ -128,7 +126,7 @@ type t = {
   mutable waiting : bool;  (** inside WFI *)
   mutable last_event : event;
   bcache : bentry Decode_cache.t;
-      (** basic-block translation cache backing the batched tiers;
+      (** basic-block translation cache backing the jit tier;
           store snoops kill any block whose span the store hits *)
   mutable blocks_filled : int;
   mutable insns_translated : int;  (** sum of fill-time block lengths *)
@@ -140,27 +138,26 @@ type t = {
   mutable fm_base : int;
   mutable fm_limit : int;  (** 0 = window invalid *)
   block_events : event array;
-      (** retirement ring filled by {!step_chain} / {!step_jit}: one
-          copied event per instruction of the last round *)
+      (** retirement ring filled by {!step_jit}: one copied event per
+          instruction of the last round *)
   block_pcs : int array;  (** PCs parallel to [block_events] *)
   block_marks : int array;
       (** control-flow marks parallel to [block_events]: 0 = plain,
           1 ({!mark_chained}) = first instruction after a chained
           transfer, 2 ({!mark_side_exit}) = taken interior branch that
-          side-exited a superblock, 3 ({!mark_jit}) = first instruction
-          after a chained transfer under the jit tier, 4
-          ({!mark_opt_side_exit}) = first instruction of a jit block
-          execution whose entry guard failed *)
+          side-exited a superblock, 3 ({!mark_opt_side_exit}) = first
+          instruction of a block execution whose entry guard failed *)
   mutable block_ev_n : int;  (** live entries in the ring *)
   mutable pending_mark : int;
       (** mark attached to the next recorded ring entry *)
   mutable hot_threshold : int;
-      (** the batched tiers' hotness (default 32, adapted within 8–512
+      (** the jit tier's hotness (default 32, adapted within 8–512
           unless [hot_adaptive] is off): the fall-through-edge traversal
-          count at which they re-translate the joined path as a
-          superblock, and the entry count at which the jit tier compiles
-          a block's plan.  Tests lower it to fuzz both crossings; at 1
-          the jit compiles every block on first entry. *)
+          count at which it re-translates the joined path as a
+          superblock, and the entry count at which it compiles a
+          block's plan.  Tests lower it to fuzz both crossings; at 1
+          the jit compiles every block on first entry; pinned at
+          [max_int] it compiles nothing and forms no superblock. *)
   mutable hot_adaptive : bool;
       (** adapt [hot_threshold] to the chain-hit/unlink ratio (default
           [true]; tests that pin [hot_threshold] set it to [false]) *)
@@ -232,7 +229,7 @@ and bentry = {
   mutable b_taken : bentry option;
       (** chained successor of the taken [Jal]/[Branch] edge, valid
           while [b_taken_epoch] equals the cache's chain epoch
-          (batched tiers only; [-1] = never linked) *)
+          (jit tier only; [-1] = never linked) *)
   mutable b_taken_epoch : int;
   mutable b_cnt_taken : int;  (** taken-edge traversal count *)
   mutable b_fall : bentry option;  (** not-taken-edge successor *)
@@ -252,7 +249,7 @@ and bentry = {
           [hot_threshold]), or on first entry under a [jit_validator];
           [None] while the block is cold *)
   mutable b_entries : int;
-      (** [Dispatch_jit] entries of the block while it has no plan *)
+      (** entries of the block while it has no plan *)
 }
 
 (** A compiled block plan: the {!Ir} optimization results plus folded
@@ -294,49 +291,46 @@ val step : t -> result
     [last_event] for the cycle models and [minstret].  This is the
     {e reference interpreter} and the machine's only per-instruction
     path: it re-reads and re-decodes the instruction word through the
-    bus on every step, so it never sees a stale decode.  The batched
-    tiers fall back to it for a word they cannot translate (code in
-    MMIO, an illegal word, a failing fetch check), and [Perf] for its
-    exact-step regimes. *)
+    bus on every step, so it never sees a stale decode.  The jit tier
+    falls back to it for a word it cannot translate (code in MMIO, an
+    illegal word, a failing fetch check), and [Perf] for its exact-step
+    regimes. *)
 
-val step_chain : t -> result
-(** The tracer's round of the [Dispatch_chain] tier: deliver a pending
-    interrupt / WFI wake exactly as {!step}, or execute the (cached or
-    freshly translated) block at the PC and follow chained
-    block-to-block links across direct [Jal]/[Branch] edges without
-    re-probing the cache or re-checking tickets, re-translating hot
-    fall-through paths into superblocks — up to {!round_cap}
-    instructions across many blocks.  Every retired instruction of the
-    round is recorded in the [block_events]/[block_pcs] ring
-    ([block_ev_n] live entries) so [Trace.run] can render each one.
-    Interrupts are only checked between rounds; block formation
-    guarantees no instruction inside a block can change the delivery
-    predicate, and edge instructions cannot either, so this is exactly
-    per-step equivalent (a completed [Jalr] may have changed the posture
-    through a sentry, so its edge re-checks the predicate before
-    chaining). *)
+val step_jit : t -> fuel:int -> result
+(** The tracer's round of the jit tier: deliver a pending interrupt /
+    WFI wake exactly as {!step}, or execute the (cached or freshly
+    translated) block at the PC and follow chained block-to-block links
+    across direct [Jal]/[Branch] edges without re-probing the cache or
+    re-checking tickets, re-translating hot fall-through paths into
+    superblocks — up to [fuel] units (each retired instruction,
+    delivered interrupt or trap is one; clamped to {!round_cap}) across
+    many blocks.  Every retired instruction of the round is recorded in
+    the [block_events]/[block_pcs] ring ([block_ev_n] live entries) so
+    [Trace.run] can render each one.  Interrupts are only checked
+    between rounds; block formation guarantees no instruction inside a
+    block can change the delivery predicate, and edge instructions
+    cannot either, so this is exactly per-step equivalent (a completed
+    [Jalr] may have changed the posture through a sentry, so its edge
+    re-checks the predicate before chaining).
 
-val step_jit : t -> result
-(** Like {!step_chain}, but for the jit tier: each block entered picks
-    its plan exactly as the round executor used by {!run} and
-    {!timed_round} does — the identity plan while cold, its plan
-    compiled through {!Ir.optimize} from the entry that makes it hot —
-    so the compile counters match.  A compiled plan's block-entry
-    guards are evaluated (a failure counts an opt side exit), and
-    chained transfers carry the [mark_jit] / [mark_opt_side_exit] ring
-    marks.  Execution itself follows the fully-checked generic path —
-    the recording walk is the tracer's observational twin of the round
-    executor. *)
+    Each block entered picks its plan exactly as the round executor
+    used by {!run} and {!timed_round} does — the identity plan while
+    cold, its plan compiled through {!Ir.optimize} from the entry that
+    makes it hot — so the compile counters match.  A compiled plan's
+    block-entry guards are evaluated (a failure counts an opt side exit
+    and carries the [mark_opt_side_exit] ring mark), and chained
+    transfers carry [mark_chained].  Execution itself follows the
+    fully-checked generic path — the recording walk is the tracer's
+    observational twin of the round executor. *)
 
 val set_cost_model : t -> cost_model -> unit
 (** Install the cost model {!timed_round} charges.  Drops every
     translated block, so each is re-translated with its cost table. *)
 
-val timed_round : t -> dispatch -> fuel:int -> result * int
-(** One round of a batched dispatch ([Dispatch_chain] or
-    [Dispatch_jit]) of at most [fuel] units, as {!run} executes it,
-    that also charges the installed cost model: [mcycle] and the
-    [charged_*] counters advance one block segment at a time, and
+val timed_round : t -> fuel:int -> result * int
+(** One round of the jit tier of at most [fuel] units, as {!run}
+    executes it, that also charges the installed cost model: [mcycle]
+    and the [charged_*] counters advance one block segment at a time, and
     always before an instruction that can read [mcycle], so every
     observation sees the per-step count.  The round also stops at a
     [Jalr] edge that leaves interrupts enabled with the timer armed.
@@ -344,8 +338,7 @@ val timed_round : t -> dispatch -> fuel:int -> result * int
     result and the fuel units used.  The caller must step exactly
     while interrupts are enabled with the timer armed, where a charge
     could cross the comparator between two instructions of a block.
-    Raises [Invalid_argument] without a cost model or for
-    [Dispatch_ref]. *)
+    Raises [Invalid_argument] without a cost model. *)
 
 val compile_jit : t -> bentry -> jit
 (** Compile (and install) [bentry]'s optimized execution plan: the
@@ -353,9 +346,9 @@ val compile_jit : t -> bentry -> jit
     tier calls it on the entry that makes a block hot (see
     [hot_threshold]), or on first entry while a [jit_validator] is
     installed; exposed so the offline plan-verification gate can
-    compile blocks discovered under [Dispatch_chain], which never
-    compiles (it runs the identity plan).  Consults [jit_validator]
-    when installed. *)
+    compile blocks the run translated but never entered, such as a
+    superblock formed on a loop's last traversal.  Consults
+    [jit_validator] when installed. *)
 
 val max_block_len : int
 (** Upper bound on instructions per translated block (16). *)
@@ -365,7 +358,7 @@ val max_superblock_len : int
 
 val round_cap : int
 (** Fuel ceiling of one recorded round (128), which bounds the
-    retirement ring; also the fuel of one [Perf.step] round on a batched
+    retirement ring; also the fuel of one [Perf.step] round on the jit
     tier. *)
 
 val mark_chained : int
@@ -376,20 +369,16 @@ val mark_side_exit : int
 (** [block_marks] value on a taken interior branch that side-exited a
     superblock. *)
 
-val mark_jit : int
-(** [block_marks] value on the first instruction after a chained
-    transfer under the jit tier. *)
-
 val mark_opt_side_exit : int
-(** [block_marks] value on the first instruction of a jit block
-    execution whose entry guard failed (deoptimized to full checks). *)
+(** [block_marks] value on the first instruction of a block execution
+    whose entry guard failed (deoptimized to full checks). *)
 
 val run : ?fuel:int -> ?dispatch:dispatch -> t -> result * int
 (** Step until halt/double-fault/waiting or [fuel] (default 10M)
     instructions; returns the final result and instructions retired.
     Traps are not stopping events (the handler runs).  [dispatch]
-    selects the execution machinery (default [Dispatch_ref]).  The
-    batched tiers run chained rounds, each block under its plan: fuel
+    selects the execution machinery (default [Dispatch_ref]).  The jit
+    tier runs chained rounds, each block under its plan: fuel
     accounting is identical — each retired instruction, delivered
     interrupt or trap costs one unit, and a round is cut when the
     remaining fuel runs out inside it, so chunked runs resume exactly
@@ -430,7 +419,7 @@ val avg_block_len : block_stats -> float
 (** Mean fill-time block length ([insns_translated / blocks_filled]). *)
 
 val flush_decode_cache : t -> unit
-(** Drop every translated block — required before running a batched
+(** Drop every translated block — required before running the jit
     tier after rewriting code with direct SRAM writes that bypass the
     bus store snoop (e.g. [Asm.load]).  {!step} needs no flush: it
     never caches a decode. *)

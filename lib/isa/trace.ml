@@ -11,10 +11,10 @@ type entry = {
   tr_result : Machine.result;
   tr_cycles : int;  (** cumulative, if a perf harness drives the clock *)
   tr_mark : int;
-      (** control-flow mark of a batched tier's round: a
-          [Machine.block_marks] value ([mark_chained], [mark_side_exit],
-          [mark_jit] or [mark_opt_side_exit]); 0 on a plain entry and
-          always on [Dispatch_ref] *)
+      (** control-flow mark of a jit round: a [Machine.block_marks]
+          value ([mark_chained], [mark_side_exit] or
+          [mark_opt_side_exit]); 0 on a plain entry and always on
+          [Dispatch_ref] *)
 }
 
 let pp_result fmt = function
@@ -30,7 +30,6 @@ let pp_result fmt = function
 let pp_mark fmt m =
   if m = Machine.mark_chained then Format.fprintf fmt "  [chain]"
   else if m = Machine.mark_side_exit then Format.fprintf fmt "  [side-exit]"
-  else if m = Machine.mark_jit then Format.fprintf fmt "  [jit]"
   else if m = Machine.mark_opt_side_exit then
     Format.fprintf fmt "  [opt-side-exit]"
 
@@ -43,11 +42,12 @@ let pp_entry fmt e =
 
 (** Step [m] up to [fuel] instructions, calling [f] per retired
     instruction with a trace entry.  Returns the final result and step
-    count.  [dispatch] picks the execution machinery; the batched tiers
-    emit one entry per instruction of each executed round (from the
-    machine's retirement ring), so the rendered trace is the same
-    stream the reference path produces — chained transfers, superblock
-    side exits and guard deoptimizations carry a [tr_mark]. *)
+    count.  [dispatch] picks the execution machinery; the jit tier
+    emits one entry per instruction of each executed round (from the
+    machine's retirement ring), each round cut to the fuel left, so the
+    rendered trace is the same stream the reference path produces —
+    chained transfers, superblock side exits and guard deoptimizations
+    carry a [tr_mark]. *)
 let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
   match dispatch with
   | Machine.Dispatch_ref ->
@@ -73,16 +73,12 @@ let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
         end
       in
       go 0
-  | Machine.Dispatch_chain | Machine.Dispatch_jit ->
-      let round =
-        if dispatch = Machine.Dispatch_jit then Machine.step_jit
-        else Machine.step_chain
-      in
+  | Machine.Dispatch_jit ->
       let rec go i =
         if i >= fuel then (Machine.Step_ok, i)
         else begin
           let pc = Capability.address m.Machine.pcc in
-          let r = round m in
+          let r = Machine.step_jit m ~fuel:(fuel - i) in
           let n = m.Machine.block_ev_n in
           let i =
             if n = 0 then begin

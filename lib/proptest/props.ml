@@ -4,8 +4,8 @@
     ({!Flatgen}) and well-formed multi-compartment scenarios
     ({!Scenario}) — and one family of properties over it:
 
-    + {b state-trace equivalence} of the three dispatch tiers
-      (ref / chain / jit), per retired instruction and
+    + {b state-trace equivalence} of the two dispatch tiers
+      (ref / jit), per retired instruction and
       under interrupt injection, with a tiny [hot_threshold] so
       superblock formation, side exits, the jit's crossing from the
       identity plan to a compiled plan and the optimizer's check plans
@@ -52,18 +52,13 @@ let lcg seed =
 
 (* --- the batched columns of every lockstep ----------------------------------- *)
 
-(* Each lockstep runs the reference against these batched columns, at
+(* Each lockstep runs the reference against these jit columns, at
    pinned hotness thresholds (adaptation off).  At threshold 2 a short
    stream reaches superblock formation, and the jit's crossing from the
    identity plan to a compiled plan falls in the middle of the stream.
    The jit at threshold 1 ("jit@1") compiles every block on first entry,
    so every block of the stream also runs under its compiled plan. *)
-let batched_columns =
-  [
-    ("chain", Machine.Dispatch_chain, 2);
-    ("jit", Machine.Dispatch_jit, 2);
-    ("jit@1", Machine.Dispatch_jit, 1);
-  ]
+let batched_columns = [ ("jit", 2); ("jit@1", 1) ]
 
 (* One fresh [mk ()] per column. *)
 let fresh mk = List.map (fun _ -> mk ()) batched_columns
@@ -74,15 +69,15 @@ let pin_hot k (m : Machine.t) =
   m.Machine.hot_adaptive <- false
 
 (* Pin machines [ms], one per column in order, to their columns'
-   thresholds: the (name, dispatch, machine) triples a lockstep runs. *)
+   thresholds: the (name, machine) pairs a lockstep runs. *)
 let columns ms =
   List.map2
-    (fun (name, dispatch, k) m ->
+    (fun (name, k) m ->
       pin_hot k m;
-      (name, dispatch, m))
+      (name, m))
     batched_columns ms
 
-let column_machines cols = List.map (fun (_, _, m) -> m) cols
+let column_machines cols = List.map snd cols
 
 (* --- flat-stream lockstep (the PR-1..3 oracle, now harness-owned) -------- *)
 
@@ -107,8 +102,10 @@ let flat_lockstep ?(writable_code = false) words =
         | r -> r
       in
       List.iter
-        (fun (name, dispatch, m) ->
-          if Machine.run ~fuel:1 ~dispatch m <> (expect_run, 1) then
+        (fun (name, m) ->
+          if Machine.run ~fuel:1 ~dispatch:Machine.Dispatch_jit m
+             <> (expect_run, 1)
+          then
             QCheck.Test.fail_reportf "ref/%s results diverged at step %d" name
               n;
           Obs.compare_states ~what:("ref/" ^ name) n ref_m m)
@@ -172,8 +169,8 @@ let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_ref ref_m
        in
        List.iter
-         (fun (name, dispatch, m) ->
-           let r, n = Machine.run ~fuel ~dispatch m in
+         (fun (name, m) ->
+           let r, n = Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m in
            if (r_ref, n_ref) <> (r, n) then
              QCheck.Test.fail_reportf
                "ref/%s batch diverged after %d insns (fuel %d): ref retired \
@@ -292,7 +289,7 @@ let inject rand (links : Scenario.linked list) =
     | [] -> ()
   end
 
-(** State-trace equivalence of the three dispatch tiers on a linked
+(** State-trace equivalence of the two dispatch tiers on a linked
     multi-compartment image, under interrupt injection, allocator churn,
     revocation sweeps and code patches, with the batched columns
     forming superblocks at [hot_threshold = 2]. *)
@@ -314,8 +311,8 @@ let scenario_lockstep (sc : Scenario.t) =
          Machine.run ~fuel ~dispatch:Machine.Dispatch_ref ref_m
        in
        List.iter
-         (fun (name, dispatch, m) ->
-           let r, n = Machine.run ~fuel ~dispatch m in
+         (fun (name, m) ->
+           let r, n = Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m in
            if (r_ref, n_ref) <> (r, n) then
              QCheck.Test.fail_reportf
                "scenario ref/%s diverged after %d insns (fuel %d): ref %d, \
@@ -335,17 +332,16 @@ let scenario_lockstep (sc : Scenario.t) =
 
 (* --- cycle-model agreement ------------------------------------------------ *)
 
-(* The {!Perf} tiers checked against [Perf.Reference], each with how it
-   pins its machine's hotness.  Chain and jit run at the default, adaptive
-   threshold, where scenario blocks rarely turn hot and the jit mostly
-   runs its identity plan; "jit@1" compiles every block on its first
-   entry, so the timed rounds also run under compiled check plans. *)
-let perf_columns =
-  [ ("chain", Perf.Chain, ignore); ("jit", Perf.Jit, ignore);
-    ("jit@1", Perf.Jit, pin_hot 1) ]
+(* The {!Perf.Jit} columns checked against [Perf.Reference], each with
+   how it pins its machine's hotness.  "jit" runs at the default,
+   adaptive threshold, where scenario blocks rarely turn hot and the jit
+   mostly runs its identity plan; "jit@1" compiles every block on its
+   first entry, so the timed rounds also run under compiled check
+   plans. *)
+let perf_columns = [ ("jit", ignore); ("jit@1", pin_hot 1) ]
 
 (** The {!Perf} harness must charge identical cycles, instructions, bus
-    cycles and traps on every dispatch variant, for both core models,
+    cycles and traps on every dispatch column, for both core models,
     and leave identical [mcycle] and final architectural state. *)
 let scenario_perf_agreement (sc : Scenario.t) =
   List.iter
@@ -367,8 +363,8 @@ let scenario_perf_agreement (sc : Scenario.t) =
       let show v = String.concat "/" (List.map string_of_int v) in
       let (r0, v0, h0) = run Perf.Reference in
       List.iter
-        (fun (name, d, pin) ->
-          let (r, v, h) = run ~pin d in
+        (fun (name, pin) ->
+          let (r, v, h) = run ~pin Perf.Jit in
           if (r, v, h) <> (r0, v0, h0) then
             QCheck.Test.fail_reportf
               "%s/%s cycle model disagrees: ref \
@@ -663,14 +659,14 @@ let arb_flat_seeded gen =
 let tests =
   [
     QCheck.Test.make
-      ~name:"ref, chain and jit dispatch agree on random streams"
+      ~name:"ref and jit dispatch agree on random streams"
       ~count:(Iters.count ~default:1000) arb_flat flat_lockstep;
     QCheck.Test.make
-      ~name:"self-modifying streams agree on all three dispatch tiers"
+      ~name:"self-modifying streams agree on every dispatch column"
       ~count:(Iters.count ~default:400) arb_flat_smc
       (flat_lockstep ~writable_code:true);
     QCheck.Test.make
-      ~name:"interrupt injection: all three tiers deliver identically"
+      ~name:"interrupt injection: all three tier columns deliver identically"
       ~count:(Iters.count ~default:200)
       (arb_flat_seeded Flatgen.gen_program)
       flat_interrupt_lockstep;
@@ -695,7 +691,7 @@ let scenario_tests =
   [
     QCheck.Test.make
       ~name:
-        "multi-compartment scenarios: three dispatch tiers agree under \
+        "multi-compartment scenarios: three dispatch columns agree under \
          interrupts, churn and patches"
       ~count:(Iters.count ~default:60)
       (Scenario.arb ())

@@ -1,6 +1,6 @@
 module Machine = Cheriot_isa.Machine
 
-type dispatch = Reference | Chain | Jit
+type dispatch = Reference | Jit
 
 type stats = {
   cycles : int;
@@ -120,7 +120,7 @@ let step_exact t =
       charge t m.Machine.last_event);
   r
 
-(* The batched tiers run timed rounds, which charge per block segment,
+(* The jit tier runs timed rounds, which charge per block segment,
    except in two regimes that need a charge per instruction.  With
    interrupts enabled and the timer armed, a comparator crossing could
    become deliverable between two instructions of a block, a boundary
@@ -130,14 +130,9 @@ let step_exact t =
 let per_step t =
   match t.dispatch with
   | Reference -> true
-  | Chain | Jit ->
+  | Jit ->
       let m = t.machine in
       Option.is_some t.revoker || (m.Machine.mie && m.Machine.mtimecmp <> 0)
-
-let machine_dispatch = function
-  | Reference -> Machine.Dispatch_ref
-  | Chain -> Machine.Dispatch_chain
-  | Jit -> Machine.Dispatch_jit
 
 (* One timed round of at most [fuel] units; a round ending in a WFI
    wait then idles one cycle, as the per-step loop does. *)
@@ -147,9 +142,7 @@ let timed_round t ~fuel =
   m.Machine.charged_busy <- 0;
   m.Machine.charged_insns <- 0;
   m.Machine.charged_traps <- 0;
-  let ((r, _) as round) =
-    Machine.timed_round m (machine_dispatch t.dispatch) ~fuel
-  in
+  let ((r, _) as round) = Machine.timed_round m ~fuel in
   t.cycles <- t.cycles + m.Machine.charged_cycles;
   t.mem_busy <- t.mem_busy + m.Machine.charged_busy;
   t.instructions <- t.instructions + m.Machine.charged_insns;

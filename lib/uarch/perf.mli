@@ -4,18 +4,18 @@
 
 (** Which dispatch tier drives the machine.  [Reference] re-decodes
     every instruction ([Machine.step]) and charges each step from its
-    event.  [Chain] and [Jit] run chained rounds of translated blocks —
-    every block fully checked, or under its optimized check plan — each
-    as one [Machine.timed_round], the executor [Machine.run] uses,
-    charging the cost model one block segment at a time.  The batched
-    tiers fall back to exact reference steps ([Machine.step]) whenever
-    interrupts are enabled with the timer armed, where a comparator
-    crossing between two instructions of a block could otherwise be
-    missed, and whenever a revoker is attached, which is granted each
-    instruction's idle cycles as they pass.  All three produce identical
-    architectural traces and cycle counts — simulator-speed
+    event.  [Jit] runs chained rounds of translated blocks — each block
+    under the identity plan while cold, under its optimized check plan
+    once hot — each round as one [Machine.timed_round], the executor
+    [Machine.run] uses, charging the cost model one block segment at a
+    time.  [Jit] falls back to exact reference steps ([Machine.step])
+    whenever interrupts are enabled with the timer armed, where a
+    comparator crossing between two instructions of a block could
+    otherwise be missed, and whenever a revoker is attached, which is
+    granted each instruction's idle cycles as they pass.  Both produce
+    identical architectural traces and cycle counts — simulator-speed
     optimizations, invisible to the modelled hardware. *)
-type dispatch = Reference | Chain | Jit
+type dispatch = Reference | Jit
 
 type stats = {
   cycles : int;
@@ -50,7 +50,7 @@ val create : ?revoker:Revoker.t -> ?dispatch:dispatch ->
     static costs on the machine ([Machine.set_cost_model]). *)
 
 val step : t -> Cheriot_isa.Machine.result
-(** One instruction (one round on a batched tier outside the per-step
+(** One instruction (one round on [Jit] outside the per-step
     regimes): steps the machine via the configured dispatch path,
     charges cycles, grants the revoker the idle memory slots of those
     cycles. *)

@@ -126,15 +126,15 @@ let coremark ?(iterations = 1) () =
   in
   Loader.link [ bench ] ~boot:("bench", "bench")
 
-(* --- the audit-incremental bench grid ------------------------------------- *)
+(* --- the audit-incremental fleet ------------------------------------------ *)
 
 (** [fleet ~variant ()] is the coremark compartment plus a tiny "sensor"
     compartment calling into it.  [bench] is linked first, so its code
     and globals layout — and therefore its audit summary hash — is
     identical across variants; only the sensor's code (which embeds
     [variant]) differs.  A summary cache shared across the fleet thus
-    re-analyzes the expensive coremark fixpoint exactly once, which is
-    what [bench audit_incremental] measures. *)
+    re-analyzes the expensive coremark fixpoint exactly once, which
+    [test_incremental] pins and perfbench's audit job times. *)
 let fleet ?(iterations = 1) ~variant () =
   let bench =
     Compartment.v ~name:"bench" ~globals_size:0x1000 ~exports:[ export "bench" ]

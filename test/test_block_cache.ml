@@ -1,14 +1,14 @@
 (* Basic-block translation cache regressions.
 
-   The batched tiers translate straight-line runs of decoded
-   instructions once and replay them with interrupt checks only at
-   round boundaries and bookkeeping deferred across simple
-   instructions.  These tests pin the parts the differential fuzzers
-   are unlikely to hit deterministically: block formation and stats
-   accounting, self-modifying-code abandonment mid-block, fuel-exact
-   cutting, the invalidation channel (SRAM stores invalidate, device
-   writes and bus-bypass writes do not), chaining and superblocks, and
-   the jit tier's plans. *)
+   The jit tier translates straight-line runs of decoded instructions
+   once and replays them with interrupt checks only at round boundaries
+   and bookkeeping deferred across simple instructions.  These tests
+   pin the parts the differential fuzzers are unlikely to hit
+   deterministically: block formation and stats accounting,
+   self-modifying-code abandonment mid-block, fuel-exact cutting, the
+   invalidation channel (SRAM stores invalidate, device writes and
+   bus-bypass writes do not), chaining and superblocks, and the jit
+   tier's plans. *)
 
 open Cheriot_core
 open Cheriot_isa
@@ -38,16 +38,20 @@ let hot_at k m =
   m.Machine.hot_threshold <- k;
   m.Machine.hot_adaptive <- false
 
-(* The cache-mechanics cases run the chain tier with superblock
-   formation out of reach (a pinned, unreachable hotness threshold), so
-   every translation unit is a plain basic block as filled. *)
+(* The cache-mechanics cases run the jit with every block left cold: a
+   pinned, unreachable hotness threshold compiles no plan and forms no
+   superblock, so every translation unit is a plain basic block as
+   filled, run under the identity plan. *)
 let plain_blocks = hot_at max_int
+
+let run_jit m =
+  match Machine.run ~dispatch:Machine.Dispatch_jit m with
+  | Machine.Step_halted, n -> n
+  | r, _ -> Alcotest.failf "did not halt: %s" (result_name r)
 
 let run_block m =
   plain_blocks m;
-  match Machine.run ~dispatch:Machine.Dispatch_chain m with
-  | Machine.Step_halted, n -> n
-  | r, _ -> Alcotest.failf "did not halt: %s" (result_name r)
+  run_jit m
 
 let reset m =
   m.Machine.pcc <- Capability.with_address m.Machine.pcc code_base;
@@ -55,7 +59,7 @@ let reset m =
   Machine.set_reg m 2 Capability.null
 
 (* A 3-word counting loop (4 iterations) plus the halt: the loop body
-   re-executes from the cache, so the chain tier must show refills only
+   re-executes from the cache, so the jit must show refills only
    for the distinct blocks and a hit — a validated probe or a followed
    link — for every re-entry. *)
 let loop_program = Insn.[ Op_imm (Add, 1, 1, 1); Branch (Ne, 1, 6, -4); Ebreak ]
@@ -139,7 +143,7 @@ let test_self_modifying_abandon () =
   Alcotest.(check int) "reference sees the patch" 16 (Machine.reg_int ref_m 2);
   let m = mk () in
   let _ = run_block m in
-  Alcotest.(check int) "chain tier sees the patch" 16 (Machine.reg_int m 2);
+  Alcotest.(check int) "jit tier sees the patch" 16 (Machine.reg_int m 2);
   Alcotest.(check string) "same state hash" (Machine.state_hash ref_m)
     (Machine.state_hash m);
   let s = Machine.block_stats m in
@@ -148,10 +152,12 @@ let test_self_modifying_abandon () =
   Alcotest.(check bool) "the store invalidated the block" true
     (s.Machine.block_invalidations >= 1)
 
-(* Fuel-exact cutting: driving the chain tier in fuel chunks of every
-   small size must retire exactly the reference count and land in the
+(* Fuel-exact cutting: driving the jit in fuel chunks of every small
+   size must retire exactly the reference count and land in the
    identical final state — blocks are cut mid-execution when fuel runs
-   out and resumed at the fall-through PC. *)
+   out and resumed at the fall-through PC.  A traced run given the same
+   fuel must stop where the traced reference run stops: same entry
+   count, [minstret] and state. *)
 let test_fuel_cutting () =
   let mk () =
     let m, _ = boot (List.map Encode.encode loop_program) in
@@ -161,13 +167,20 @@ let test_fuel_cutting () =
   let ref_m = mk () in
   let _, n_ref = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
   let ref_hash = Machine.state_hash ref_m in
+  let traced ~fuel dispatch =
+    let m = mk () in
+    plain_blocks m;
+    let entries = ref 0 in
+    let _ = Trace.run m ~fuel ~dispatch ~f:(fun _ -> incr entries) in
+    (!entries, m.Machine.minstret, Machine.state_hash m)
+  in
   for fuel = 1 to 7 do
     let m = mk () in
     plain_blocks m;
     let total = ref 0 in
     let halted = ref false in
     while not !halted do
-      let r, n = Machine.run ~fuel ~dispatch:Machine.Dispatch_chain m in
+      let r, n = Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m in
       total := !total + n;
       match r with
       | Machine.Step_halted -> halted := true
@@ -179,7 +192,18 @@ let test_fuel_cutting () =
       n_ref !total;
     Alcotest.(check string)
       (Printf.sprintf "fuel %d: state hash" fuel)
-      ref_hash (Machine.state_hash m)
+      ref_hash (Machine.state_hash m);
+    let ref_n, ref_insns, ref_h = traced ~fuel Machine.Dispatch_ref in
+    let n, insns, h = traced ~fuel Machine.Dispatch_jit in
+    Alcotest.(check int)
+      (Printf.sprintf "fuel %d: traced entries" fuel)
+      ref_n n;
+    Alcotest.(check int)
+      (Printf.sprintf "fuel %d: traced minstret" fuel)
+      ref_insns insns;
+    Alcotest.(check string)
+      (Printf.sprintf "fuel %d: traced state hash" fuel)
+      ref_h h
   done
 
 (* Device writes must not invalidate cached blocks (satellite of the
@@ -244,11 +268,6 @@ let test_bypass_needs_flush () =
 
 (* --- block chaining and superblocks ------------------------------------ *)
 
-let run_chain m =
-  match Machine.run ~dispatch:Machine.Dispatch_chain m with
-  | Machine.Step_halted, n -> n
-  | r, _ -> Alcotest.failf "did not halt: %s" (result_name r)
-
 (* A two-block loop joined by a direct jal — the chain path must follow
    both the jal edge and the backedge without re-probing, and a store
    that kills a chained successor must unlink the edge {e before} the
@@ -277,7 +296,7 @@ let test_chain_links_and_unlink () =
   let ref_m = mk () in
   let _, n_ref = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
   let m = mk () in
-  let n = run_chain m in
+  let n = run_block m in
   Alcotest.(check int) "same retired count" n_ref n;
   Alcotest.(check string) "same state hash" (Machine.state_hash ref_m)
     (Machine.state_hash m);
@@ -293,7 +312,7 @@ let test_chain_links_and_unlink () =
     (s2.Machine.block_invalidations > s.Machine.block_invalidations);
   reset m;
   Machine.set_reg_int m 6 4;
-  let _ = run_chain m in
+  let _ = run_block m in
   Alcotest.(check int) "patched semantics, not the stale link" (16 * 4)
     (Machine.reg_int m 2);
   let s3 = Machine.block_stats m in
@@ -306,14 +325,14 @@ let test_chain_links_and_unlink () =
 let test_chain_epoch_flush () =
   let m, _ = boot (List.map Encode.encode chained_loop) in
   Machine.set_reg_int m 6 4;
-  let _ = run_chain m in
+  let _ = run_block m in
   let e1 = Decode_cache.chain_epoch m.Machine.bcache in
   Machine.flush_decode_cache m;
   let e2 = Decode_cache.chain_epoch m.Machine.bcache in
   Alcotest.(check bool) "flush bumps the chain epoch" true (e2 > e1);
   reset m;
   Machine.set_reg_int m 6 4;
-  let _ = run_chain m in
+  let _ = run_block m in
   Alcotest.(check int) "re-run after flush still correct" (4 + 4)
     (Machine.reg_int m 1 + Machine.reg_int m 2)
 
@@ -346,7 +365,7 @@ let test_superblock_side_exit () =
   let _, n_ref = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
   let m = mk () in
   hot_at 4 m;
-  let n = run_chain m in
+  let n = run_jit m in
   Alcotest.(check int) "same retired count" n_ref n;
   Alcotest.(check int) "same minstret" ref_m.Machine.minstret
     m.Machine.minstret;
@@ -358,38 +377,7 @@ let test_superblock_side_exit () =
   Alcotest.(check bool) "the exit took a side exit" true
     (s.Machine.side_exits >= 1)
 
-(* The recording entry point ([Trace.run ~dispatch:Dispatch_chain]) must
-   emit the same per-instruction stream as the reference path, with
-   chained transfers carrying [Machine.mark_chained] — the mark is how a
-   rendered trace distinguishes a linked transfer from a probe. *)
-let test_trace_marks_chained_transfers () =
-  let collect dispatch =
-    let m, _ = boot (List.map Encode.encode chained_loop) in
-    Machine.set_reg_int m 6 4;
-    let entries = ref [] in
-    let _ = Trace.run m ~fuel:10_000 ~dispatch ~f:(fun e -> entries := e :: !entries) in
-    (m, List.rev !entries)
-  in
-  let ref_m, ref_t = collect Machine.Dispatch_ref in
-  let chn_m, chn_t = collect Machine.Dispatch_chain in
-  Alcotest.(check string) "traced runs agree on state"
-    (Machine.state_hash ref_m) (Machine.state_hash chn_m);
-  Alcotest.(check int) "same trace length" (List.length ref_t)
-    (List.length chn_t);
-  List.iter2
-    (fun r c ->
-      Alcotest.(check int) "same traced pc" r.Trace.tr_pc c.Trace.tr_pc;
-      Alcotest.(check int) "reference trace is unmarked" 0 r.Trace.tr_mark)
-    ref_t chn_t;
-  Alcotest.(check bool) "chained transfers are marked" true
-    (List.exists (fun e -> e.Trace.tr_mark = Machine.mark_chained) chn_t)
-
 (* --- the trace-jit tier ------------------------------------------------- *)
-
-let run_jit m =
-  match Machine.run ~dispatch:Machine.Dispatch_jit m with
-  | Machine.Step_halted, n -> n
-  | r, _ -> Alcotest.failf "did not halt: %s" (result_name r)
 
 (* a 16-byte readable/writable window inside the code SRAM, away from
    the program words *)
@@ -514,7 +502,7 @@ let test_jit_counters_on_both_paths () =
     (s.Machine.dead_bookkeeping_removed > 0);
   let m2 = mk () in
   let rec drive () =
-    match Machine.step_jit m2 with
+    match Machine.step_jit m2 ~fuel:Machine.round_cap with
     | Machine.Step_ok | Machine.Step_trap _ -> drive ()
     | _ -> ()
   in
@@ -526,9 +514,9 @@ let test_jit_counters_on_both_paths () =
 (* The jit's tiering contract at a pinned hotness [k]: a block without a
    plan runs the identity plan and counts its entries, the entry that
    brings the count to [k] compiles its plan, and that plan then serves
-   every later entry.  The chain tier never compiles, and an installed
-   validator makes the jit compile a block on its first entry, so plan
-   collection sees blocks that never turn hot. *)
+   every later entry.  An unreachable threshold never compiles, and an
+   installed validator makes the jit compile a block on its first
+   entry, so plan collection sees blocks that never turn hot. *)
 let test_jit_tiers_by_hotness () =
   let k = 4 in
   let mk () =
@@ -567,8 +555,9 @@ let test_jit_tiers_by_hotness () =
   Alcotest.(check string) "same state as the reference"
     (Machine.state_hash ref_m) (Machine.state_hash m);
   let c = mk () in
-  let _ = run_chain c in
-  Alcotest.(check int) "the chain tier compiles nothing" 0 (compiled c);
+  let _ = run_block c in
+  Alcotest.(check int) "an unreachable threshold compiles nothing" 0
+    (compiled c);
   (* straight-line code entered once *)
   let once () =
     let m, _ =
@@ -589,34 +578,50 @@ let test_jit_tiers_by_hotness () =
   Alcotest.(check int) "validated: no plan rejected" 0
     (Machine.block_stats v).Machine.jit_plans_rejected
 
-(* [Trace.run ~dispatch:Dispatch_jit] renders the reference stream with
-   chained transfers marked [jit]; a block whose entry guard fails is
-   marked [opt-side-exit] and deoptimizes to full checks, so the
-   faulting access (here: a hoisted load past the end of a short
-   region) traps at exactly the reference point. *)
-let test_trace_marks_jit () =
-  let collect ?len dispatch =
-    let m, _ = boot (List.map Encode.encode chained_loop) in
-    Machine.set_reg_int m 6 4;
-    (match len with Some l -> Machine.set_reg m 4 (data_cap ~len:l ()) | None -> ());
-    let entries = ref [] in
-    let _ =
-      Trace.run m ~fuel:10_000 ~dispatch ~f:(fun e -> entries := e :: !entries)
-    in
-    (m, List.rev !entries)
+(* Trace [chained_loop] under [dispatch]; [prep] configures the machine
+   after boot. *)
+let trace_chained_loop ?(prep = ignore) dispatch =
+  let m, _ = boot (List.map Encode.encode chained_loop) in
+  Machine.set_reg_int m 6 4;
+  prep m;
+  let entries = ref [] in
+  let _ =
+    Trace.run m ~fuel:10_000 ~dispatch ~f:(fun e -> entries := e :: !entries)
   in
-  let ref_m, ref_t = collect Machine.Dispatch_ref in
-  let jit_m, jit_t = collect Machine.Dispatch_jit in
+  (m, List.rev !entries)
+
+(* A traced jit run must emit the same per-instruction stream as the
+   reference path, with chained transfers carrying
+   [Machine.mark_chained] — the mark is how a rendered trace
+   distinguishes a linked transfer from a probe. *)
+let check_trace_marks_chained ?prep () =
+  let ref_m, ref_t = trace_chained_loop Machine.Dispatch_ref in
+  let jit_m, jit_t = trace_chained_loop ?prep Machine.Dispatch_jit in
   Alcotest.(check string) "traced runs agree on state"
     (Machine.state_hash ref_m) (Machine.state_hash jit_m);
   Alcotest.(check int) "same trace length" (List.length ref_t)
     (List.length jit_t);
   List.iter2
     (fun r c ->
-      Alcotest.(check int) "same traced pc" r.Trace.tr_pc c.Trace.tr_pc)
+      Alcotest.(check int) "same traced pc" r.Trace.tr_pc c.Trace.tr_pc;
+      Alcotest.(check int) "reference trace is unmarked" 0 r.Trace.tr_mark)
     ref_t jit_t;
-  Alcotest.(check bool) "jit transfers are marked" true
-    (List.exists (fun e -> e.Trace.tr_mark = Machine.mark_jit) jit_t);
+  Alcotest.(check bool) "chained transfers are marked" true
+    (List.exists (fun e -> e.Trace.tr_mark = Machine.mark_chained) jit_t)
+
+(* Chaining alone: with every block left cold the jit links plain basic
+   blocks under the identity plan, and the trace still marks each
+   chained transfer. *)
+let test_trace_marks_chained_transfers () =
+  check_trace_marks_chained ~prep:plain_blocks ()
+
+(* At the default hotness the same stream carries the same marks.  A
+   block whose entry guard fails is marked [opt-side-exit] and
+   deoptimizes to full checks, so the faulting access (here: a hoisted
+   load past the end of a short region) traps at exactly the reference
+   point. *)
+let test_trace_marks_jit () =
+  check_trace_marks_chained ();
   (* guard-failure rendering: two guarded loads whose union span
      overruns an 8-byte region — the plan deopts ([opt-side-exit]) and
      the second load traps exactly as on the reference path *)
@@ -666,8 +671,6 @@ let suite =
       test_chain_epoch_flush;
     Alcotest.test_case "superblock side exit is architecturally exact" `Quick
       test_superblock_side_exit;
-    Alcotest.test_case "traced chain runs mark chained transfers" `Quick
-      test_trace_marks_chained_transfers;
     Alcotest.test_case "in-block csetbounds kills eliminated-check facts"
       `Quick test_jit_csetbounds_kills_facts;
     Alcotest.test_case "hoisted guard survives a mid-trace code patch" `Quick
@@ -676,6 +679,8 @@ let suite =
       `Quick test_jit_counters_on_both_paths;
     Alcotest.test_case "jit compiles a block once it is hot" `Quick
       test_jit_tiers_by_hotness;
+    Alcotest.test_case "traced chain runs mark chained transfers" `Quick
+      test_trace_marks_chained_transfers;
     Alcotest.test_case "traced jit runs mark transfers and deoptimizations"
       `Quick test_trace_marks_jit;
   ]

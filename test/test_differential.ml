@@ -2,15 +2,14 @@
 
    [Machine.step] is the reference interpreter and the machine's only
    per-instruction path: it re-reads and re-decodes the instruction
-   word through the bus on every step.  The chain tier
-   ([Machine.run ~dispatch:Dispatch_chain]) executes chained rounds of
+   word through the bus on every step.  The jit tier
+   ([Machine.run ~dispatch:Dispatch_jit]) executes chained rounds of
    translated blocks with interrupt checks only at round boundaries and
    bookkeeping deferred across simple instructions, following direct
-   block-to-block links and re-translating hot fall-dominated paths
-   into superblocks; the jit tier ([Dispatch_jit]) runs the same rounds
-   with per-block optimized check plans from [Ir.optimize].  Both fall
-   back to [step] for a word they cannot translate.  All must be
-   observationally indistinguishable.
+   block-to-block links, re-translating hot fall-dominated paths into
+   superblocks and running hot blocks under optimized check plans from
+   [Ir.optimize].  It falls back to [step] for a word it cannot
+   translate.  The two must be observationally indistinguishable.
 
    The lockstep drivers, interrupt-injection schedules and the
    state-comparison predicate live in [Cheriot_proptest]
@@ -30,24 +29,28 @@ module Boot = Cheriot_proptest.Boot
 module Props = Cheriot_proptest.Props
 
 (* The same oracle on deterministic workloads with long traces: each
-   ISA program on all three dispatch tiers, on chain and jit again at
-   hot threshold 2, which forms superblocks all over the hot loops (and
-   moves the jit's compile to a block's second entry), and on the jit
-   at hot threshold 1, which runs every block under its compiled plan
-   from the first entry.  Every run must halt with the reference's
-   retired count and state hash. *)
+   ISA program on the reference and on the jit at its default hotness,
+   again at hot threshold 2, which forms superblocks all over the hot
+   loops (and moves the compile to a block's second entry), and at hot
+   threshold 1, which runs every block under its compiled plan from the
+   first entry.  Every run must halt with the reference's retired count
+   and state hash.  On coremark ([engages]) the jit at its default
+   hotness must also have formed a superblock and eliminated a check:
+   an optimizer that never engages on a real workload is a regression,
+   not a neutral result. *)
 let lockstep_programs =
   let open Cheriot_workloads in
   [
     ( "coremark",
+      true,
       fun () ->
         Coremark.setup ~iterations:2
           (Core_model.config ~cheri:true ~load_filter:true Core_model.Ibex) );
-    ("alloc", fun () -> Alloc_bench.isa_setup ~rounds:20 ());
-    ("iot", fun () -> Iot_app.isa_setup ~packets:20 ());
+    ("alloc", false, fun () -> Alloc_bench.isa_setup ~rounds:20 ());
+    ("iot", false, fun () -> Iot_app.isa_setup ~packets:20 ());
   ]
 
-let test_lockstep build () =
+let test_lockstep ~engages build () =
   let run ?hot_threshold dispatch =
     let m = build () in
     (match hot_threshold with
@@ -57,22 +60,26 @@ let test_lockstep build () =
     | None -> ());
     let r, insns = Machine.run ~dispatch m in
     Alcotest.(check bool) "halts" true (r = Machine.Step_halted);
-    (insns, Machine.state_hash m)
+    (insns, Machine.state_hash m, Machine.block_stats m)
   in
-  let ref_insns, ref_hash = run Machine.Dispatch_ref in
+  let ref_insns, ref_hash, _ = run Machine.Dispatch_ref in
   List.iter
-    (fun (what, hot_threshold, dispatch) ->
-      let insns, hash = run ?hot_threshold dispatch in
+    (fun (what, hot_threshold) ->
+      let insns, hash, s = run ?hot_threshold Machine.Dispatch_jit in
       Alcotest.(check int)
         ("retired instructions (" ^ what ^ ")")
         ref_insns insns;
-      Alcotest.(check string) ("state hash (" ^ what ^ ")") ref_hash hash)
+      Alcotest.(check string) ("state hash (" ^ what ^ ")") ref_hash hash;
+      if engages && hot_threshold = None then begin
+        Alcotest.(check bool) "a superblock formed" true
+          (s.Machine.superblocks_formed >= 1);
+        Alcotest.(check bool) "the optimizer eliminated a check" true
+          (s.Machine.checks_eliminated >= 1)
+      end)
     [
-      ("chain", None, Machine.Dispatch_chain);
-      ("jit", None, Machine.Dispatch_jit);
-      ("superblocks", Some 2, Machine.Dispatch_chain);
-      ("jit superblocks", Some 2, Machine.Dispatch_jit);
-      ("jit compiled on entry", Some 1, Machine.Dispatch_jit);
+      ("jit", None);
+      ("jit superblocks", Some 2);
+      ("jit compiled on entry", Some 1);
     ]
 
 (* --- code in MMIO ---------------------------------------------------- *)
@@ -146,11 +153,7 @@ let test_mmio_code mode () =
     (fun (tier, dispatch) ->
       let m, r = run dispatch in
       check_mmio_run ~what:(mode_name mode ^ " run " ^ tier) ~ref_m m r)
-    [
-      ("ref", Machine.Dispatch_ref);
-      ("chain", Machine.Dispatch_chain);
-      ("jit", Machine.Dispatch_jit);
-    ];
+    [ ("ref", Machine.Dispatch_ref); ("jit", Machine.Dispatch_jit) ];
   let params = Core_model.params_of Core_model.Ibex in
   let perf_run dispatch =
     let m = mmio_boot mode in
@@ -165,15 +168,15 @@ let test_mmio_code mode () =
       let what = mode_name mode ^ " Perf " ^ tier in
       check_mmio_run ~what ~ref_m m r;
       Alcotest.(check int) (what ^ ": cycles") ref_cycles cycles)
-    [ ("ref", Perf.Reference); ("chain", Perf.Chain); ("jit", Perf.Jit) ]
+    [ ("ref", Perf.Reference); ("jit", Perf.Jit) ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest Props.tests
   @ List.map
-      (fun (name, build) ->
+      (fun (name, engages, build) ->
         Alcotest.test_case
           (name ^ " trace matches across dispatch paths")
-          `Quick (test_lockstep build))
+          `Quick (test_lockstep ~engages build))
       lockstep_programs
   @ List.map
       (fun mode ->

@@ -1,9 +1,12 @@
 (* Tests for the incremental (summary-cache) audit mode (DESIGN.md §15).
 
-   Three layers:
+   Four layers:
    - warm-cache identity: re-auditing every shipped and corpus image
      through a primed cache reuses every compartment summary and
      reproduces the cold report byte for byte;
+   - the fleet sweep: near-identical images audited through one shared
+     cache reuse the common compartment's summary across images and
+     still match their cold reports byte for byte;
    - the qcheck property: over random multi-compartment scenarios, a
      warm re-audit after a single-compartment code patch re-analyzes
      exactly the patched compartment and still matches a from-scratch
@@ -50,6 +53,27 @@ let test_warm_identity () =
         (name ^ ": warm report byte-identical")
         (report name cold) (report name warm))
     (all_images ())
+
+(* A fleet of images that share the coremark compartment and differ in
+   the sensor compartment's code, audited through one cache: each image
+   after the first reuses the coremark summary (one hit each) and
+   re-analyzes only its own sensor, and every warm report is
+   byte-identical to a cold [Audit.run] of the same image. *)
+let test_fleet_shared_cache () =
+  let cache = Summary.create_cache () in
+  let hits =
+    List.fold_left
+      (fun hits variant ->
+        let name = Printf.sprintf "fleet-%d" variant in
+        let warm, st = Audit.run_stats ~cache (Firmware.fleet ~variant ()) in
+        let cold = Audit.run (Firmware.fleet ~variant ()) in
+        Alcotest.(check string)
+          (name ^ ": warm report byte-identical to cold")
+          (report name cold) (report name warm);
+        hits + st.Audit.cache_hits)
+      0 [ 0; 1; 2 ]
+  in
+  Alcotest.(check int) "variants 1 and 2 reuse the coremark summary" 2 hits
 
 (* The scenario compiler places a patchable [Add a3, a3, 0] at a fixed
    offset in every compartment's prologue; bumping its immediate is the
@@ -101,6 +125,8 @@ let suite =
   [
     Alcotest.test_case "warm-cache re-audit byte-identical on every image"
       `Quick test_warm_identity;
+    Alcotest.test_case "fleet audit shares one summary cache" `Quick
+      test_fleet_shared_cache;
     QCheck_alcotest.to_alcotest t_incremental;
     Alcotest.test_case "Driver.incremental exit codes" `Quick
       test_driver_contract;

@@ -4,9 +4,8 @@
      - every plan compiled from the three shipped images proves Sound
        (the `make verify-plans` gate, in-tree so `dune runtest` catches
        verifier or optimizer regressions);
-     - the identity-plan contract: a chain-tier run compiles nothing and
-       leaves no plan in the cache, and collecting under the chain tier
-       still yields Sound plans for every shipped image;
+     - the identity-plan contract: a jit run that leaves every block
+       cold compiles nothing and leaves no plan in the cache;
      - every seeded optimizer mutant is refuted with exactly its
        expected plan-* rule, and the mutants jointly cover the whole
        plan catalogue;
@@ -50,18 +49,19 @@ let check_shipped_sound name build () =
 
 (* --- the identity-plan contract ------------------------------------------- *)
 
-(* [Dispatch_chain] runs every block under the shared identity plan:
-   it never calls [compile_jit] and never stores that plan in a block's
-   [b_jit].  Offline collection under the chain tier therefore sees
-   only uncompiled blocks and force-compiles them, so it still yields
-   plans — at least one per shipped image, every one Sound. *)
-let test_chain_identity_plan () =
+(* A cold block runs under the shared identity plan: the jit never
+   calls [compile_jit] for it and never stores that plan in a block's
+   [b_jit].  Pinned at an unreachable hotness threshold, every block of
+   every shipped image stays cold. *)
+let test_cold_identity_plan () =
   List.iter
     (fun (name, build) ->
       let m = (build ()).Loader.machine in
-      ignore (Machine.run ~fuel:2_000_000 ~dispatch:Machine.Dispatch_chain m);
+      m.Machine.hot_threshold <- max_int;
+      m.Machine.hot_adaptive <- false;
+      ignore (Machine.run ~fuel:2_000_000 ~dispatch:Machine.Dispatch_jit m);
       Alcotest.(check int)
-        (name ^ ": the chain tier compiles no plan")
+        (name ^ ": a cold jit compiles no plan")
         0 (Machine.block_stats m).Machine.jit_blocks_compiled;
       let bc = m.Machine.bcache in
       Array.iteri
@@ -70,17 +70,7 @@ let test_chain_identity_plan () =
           if hi <> 0 && Option.is_some b.Machine.b_jit then
             Alcotest.failf "%s: cached block at 0x%x carries a plan" name
               b.Machine.b_start)
-        bc.Decode_cache.his;
-      let m = (build ()).Loader.machine in
-      let plans = Planverify.collect ~dispatch:Machine.Dispatch_chain m in
-      Alcotest.(check bool) (name ^ ": chain collection yields plans") true
-        (plans <> []);
-      List.iter
-        (fun (p : Planverify.plan) ->
-          if Planverify.verify_plan p <> Planverify.Sound then
-            Alcotest.failf "%s: unsound plan at 0x%x" name
-              p.Planverify.p_block.Machine.b_start)
-        plans)
+        bc.Decode_cache.his)
     Firmware.shipped
 
 (* --- seeded mutants ------------------------------------------------------ *)
@@ -368,8 +358,9 @@ let suite =
           `Quick (check_mutant e))
       Planmutants.entries
   @ [
-      Alcotest.test_case "chain runs the identity plan, compiles nothing"
-        `Quick test_chain_identity_plan;
+      Alcotest.test_case
+        "cold jit blocks run the identity plan, compile nothing" `Quick
+        test_cold_identity_plan;
       Alcotest.test_case "mutants cover the plan catalogue" `Quick
         test_mutants_cover_plan_catalogue;
       Alcotest.test_case "observable complements Ir.deferrable" `Quick

@@ -138,7 +138,7 @@ let test_fatal_trap_in_isr_system () =
   Alcotest.(check int) "mcause = CHERI fault" 28 m.Machine.mcause
 
 (* The ISR re-arms the timer from an [mcycle] read while interrupts are
-   disabled — inside a batched round on the chain and jit tiers.
+   disabled — inside a batched round on the jit tier.
    Each tier must read the per-step count there, or the whole schedule
    drifts: every tier halts on the reference's cycle with the same
    totals, timer and state.  "jit@1" pins the hotness to 1, so the ISR
@@ -171,15 +171,14 @@ let test_tiers_agree () =
     [ 10_315; 10_615; 500 ]
     [ List.nth v0 4; List.nth v0 5; List.nth v0 6 ];
   List.iter
-    (fun (name, d, pin) ->
-      let r, v, h = run ~pin d in
+    (fun (name, pin) ->
+      let r, v, h = run ~pin Perf.Jit in
       Alcotest.(check bool) ("same stop: " ^ name) true (r = r0);
       Alcotest.(check (list int))
         ("cycles, insns, mem_busy, traps, mcycle, mtimecmp, count: " ^ name)
         v0 v;
       Alcotest.(check string) ("state hash: " ^ name) h0 h)
-    [ ("chain", Perf.Chain, ignore); ("jit", Perf.Jit, ignore);
-      ("jit@1", Perf.Jit, Cheriot_proptest.Props.pin_hot 1) ]
+    [ ("jit", ignore); ("jit@1", Cheriot_proptest.Props.pin_hot 1) ]
 
 let suite =
   [

@@ -20,8 +20,8 @@ module Props = Cheriot_proptest.Props
 let run_gen gen st = QCheck.Gen.generate1 ~rand:st gen
 
 (* Generate a fixed batch of full-vocabulary scenarios and drive each
-   one on a chain-dispatch machine with the property harness's tiny
-   hot threshold; the aggregate block statistics must show every
+   one on a jit machine with the property harness's tiny hot
+   threshold; the aggregate block statistics must show every
    mechanism the equivalence properties claim to exercise. *)
 let test_generator_coverage () =
   let st = Random.State.make [| 0x5eed |] in
@@ -41,7 +41,7 @@ let test_generator_coverage () =
       if l.Scenario.n > 1 then Some (Loader.find l.Scenario.t "c1") else None
     in
     ignore
-      (Trace.run m ~fuel:4096 ~dispatch:Machine.Dispatch_chain ~f:(fun e ->
+      (Trace.run m ~fuel:4096 ~dispatch:Machine.Dispatch_jit ~f:(fun e ->
            (match c1 with
            | Some b ->
                let o = b.Loader.image.Asm.origin in
@@ -76,7 +76,7 @@ let test_generator_coverage () =
 
 (* Pinned regression: a timer interrupt armed while a superblock is hot
    must be delivered at exactly the same retired-instruction boundary on
-   the reference and chain paths — the delivery point is a superblock
+   the reference and jit paths — the delivery point is a superblock
    side exit, the corner DESIGN.md §10 argues correct. *)
 let test_interrupt_at_superblock_boundary () =
   let sc = { Scenario.bodies = [ [ Fall_loop 7; Fall_loop 3; Arith 1 ] ];
@@ -85,8 +85,8 @@ let test_interrupt_at_superblock_boundary () =
     let l = Scenario.link ~instrument:true sc in
     l.Scenario.t.Loader.machine
   in
-  let ref_m = mk () and chn_m = mk () in
-  chn_m.Machine.hot_threshold <- 2;
+  let ref_m = mk () and jit_m = mk () in
+  jit_m.Machine.hot_threshold <- 2;
   let batch = ref 0 in
   let interrupted = ref false in
   let finished = ref false in
@@ -94,40 +94,40 @@ let test_interrupt_at_superblock_boundary () =
     incr batch;
     if !batch = 3 then
       (* arm the timer mid-run: by now the fall loop is hot and the
-         chain machine is executing a formed superblock *)
+         jit machine is executing a formed superblock *)
       List.iter
         (fun (m : Machine.t) ->
           m.Machine.mtimecmp <- 1;
           m.Machine.mcycle <- 1)
-        [ ref_m; chn_m ];
+        [ ref_m; jit_m ];
     let r_ref, n_ref = Machine.run ~fuel:5 ~dispatch:Machine.Dispatch_ref ref_m in
-    let r_chn, n_chn =
-      Machine.run ~fuel:5 ~dispatch:Machine.Dispatch_chain chn_m
+    let r_jit, n_jit =
+      Machine.run ~fuel:5 ~dispatch:Machine.Dispatch_jit jit_m
     in
     if ref_m.Machine.mcause land 0x8000_0000 <> 0 then interrupted := true;
     Alcotest.(check bool)
       (Printf.sprintf "batch %d: same result and retired count" !batch)
       true
-      ((r_ref, n_ref) = (r_chn, n_chn));
+      ((r_ref, n_ref) = (r_jit, n_jit));
     Alcotest.(check string)
       (Printf.sprintf "batch %d: same state hash" !batch)
-      (Machine.state_hash ref_m) (Machine.state_hash chn_m);
+      (Machine.state_hash ref_m) (Machine.state_hash jit_m);
     match r_ref with
     | Machine.Step_halted | Machine.Step_double_fault | Machine.Step_waiting ->
         finished := true
     | _ -> if !batch > 200 then finished := true
   done;
   Alcotest.(check bool) "an interrupt was delivered" true !interrupted;
-  let s = Machine.block_stats chn_m in
+  let s = Machine.block_stats jit_m in
   Alcotest.(check bool) "a superblock had formed" true
     (s.Machine.superblocks_formed >= 1)
 
 (* Pinned regression: a cross-compartment code patch — compartment c1
    storing over c0's patchable instruction through its granted window —
-   must invalidate c0's already-translated block on the chain and jit
-   paths (the store snoop crossing compartment boundaries), with final
-   state identical to the reference interpreter.  "jit@1" pins the
-   hotness to 1, so the patched block runs under its compiled plan. *)
+   must invalidate c0's already-translated block on the jit path (the
+   store snoop crossing compartment boundaries), with final state
+   identical to the reference interpreter.  "jit@1" pins the hotness to
+   1, so the patched block runs under its compiled plan. *)
 let test_cross_compartment_patch_snoop () =
   let sc =
     { Scenario.bodies = [ [ Call 0; Arith 1 ]; [ Patch 0; Arith 2 ] ];
@@ -143,21 +143,19 @@ let test_cross_compartment_patch_snoop () =
   let r0, n0, h0, _ = run Machine.Dispatch_ref in
   Alcotest.(check bool) "reference halts" true (r0 = Machine.Step_halted);
   List.iter
-    (fun (name, d, pin) ->
-      let r, n, h, s = run ~pin d in
+    (fun (name, pin) ->
+      let r, n, h, s = run ~pin Machine.Dispatch_jit in
       Alcotest.(check bool) (name ^ ": same result") true (r = r0);
       Alcotest.(check int) (name ^ ": same retired count") n0 n;
       Alcotest.(check string) (name ^ ": same state hash") h0 h;
       Alcotest.(check bool) (name ^ ": the patch store invalidated a block")
         true
         (s.Machine.block_invalidations >= 1))
-    [ ("chain", Machine.Dispatch_chain, ignore);
-      ("jit", Machine.Dispatch_jit, ignore);
-      ("jit@1", Machine.Dispatch_jit, Props.pin_hot 1) ]
+    [ ("jit", ignore); ("jit@1", Props.pin_hot 1) ]
 
-(* Pinned regression: the {e recording} executors (what [Trace.run]
-   drives) have their own side-exit handling, separate from the fast
-   paths the lockstep properties exercise.  A traced chain run over a
+(* Pinned regression: the {e recording} executor (what [Trace.run]
+   drives) has its own side-exit handling, separate from the fast
+   path the lockstep properties exercise.  A traced jit run over a
    superblock-forming scenario must land on the reference state with the
    reference retired count, and must actually have taken a recorded side
    exit — without this, a stale-entry bug in the record-mode executor is
@@ -176,7 +174,7 @@ let test_traced_superblock_matches_reference () =
   m.Machine.hot_threshold <- 2;
   let entries = ref 0 in
   ignore
-    (Trace.run m ~fuel:4096 ~dispatch:Machine.Dispatch_chain ~f:(fun _ ->
+    (Trace.run m ~fuel:4096 ~dispatch:Machine.Dispatch_jit ~f:(fun _ ->
          incr entries));
   Alcotest.(check int) "traced run retires the reference count" n_ref !entries;
   Alcotest.(check string) "traced run lands on the reference state"

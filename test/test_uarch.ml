@@ -235,11 +235,11 @@ let test_core_model_costs () =
 (* --- Perf dispatch parity --------------------------------------------- *)
 
 (* The cycle model must be blind to the dispatch machinery: runs of the
-   same program on all three tiers charge identical cycles and
-   instructions and land in identical machine state.  The program
-   mixes the event classes the model prices differently (loads, stores,
-   ALU, taken/untaken branches) and ends in a WFI with no interrupt
-   source, covering the batched tiers' idle-round charging too. *)
+   same program on both tiers charge identical cycles and instructions
+   and land in identical machine state.  The program mixes the event
+   classes the model prices differently (loads, stores, ALU,
+   taken/untaken branches) and ends in a WFI with no interrupt source,
+   covering the jit's idle-round charging too. *)
 module Machine = Cheriot_isa.Machine
 module Asm = Cheriot_isa.Asm
 module Insn = Cheriot_isa.Insn
@@ -279,14 +279,12 @@ let parity_program =
     Asm.I Insn.Wfi;
   ]
 
-(* The batched tiers checked against Reference, each with the hotness
-   it pins.  These programs enter their blocks only a few times, so at
-   the default threshold the jit runs its identity plan throughout;
-   "jit@1" compiles every block on its first entry, so the timed round
-   also runs under compiled check plans. *)
-let tiers =
-  [ ("chain", Perf.Chain, ignore); ("jit", Perf.Jit, ignore);
-    ("jit@1", Perf.Jit, Cheriot_proptest.Props.pin_hot 1) ]
+(* The [Perf.Jit] columns checked against Reference, each with the
+   hotness it pins.  These programs enter their blocks only a few times,
+   so at the default threshold the jit runs its identity plan
+   throughout; "jit@1" compiles every block on its first entry, so the
+   timed round also runs under compiled check plans. *)
+let tiers = [ ("jit", ignore); ("jit@1", Cheriot_proptest.Props.pin_hot 1) ]
 
 let perf_run ?(fuel = 1_000_000) ?(core = Core_model.Ibex) ?(pin = ignore)
     dispatch program setup =
@@ -303,8 +301,8 @@ let check_tiers_agree ?fuel ?core program setup =
   let run ?pin d = perf_run ?fuel ?core ?pin d program setup in
   let r0, s0, cy0, h0 = run Perf.Reference in
   List.iter
-    (fun (name, d, pin) ->
-      let r, s, cy, h = run ~pin d in
+    (fun (name, pin) ->
+      let r, s, cy, h = run ~pin Perf.Jit in
       let what w = Printf.sprintf "%s (%s)" w name in
       Alcotest.(check bool) (what "same stop") true (r = r0);
       Alcotest.(check int) (what "cycles") s0.Perf.cycles s.Perf.cycles;
@@ -323,8 +321,8 @@ let test_perf_dispatch_parity () =
     (r_ref = Machine.Step_waiting);
   (* the block stats really flowed through the harness *)
   List.iter
-    (fun (name, d, pin) ->
-      let _, s, _, _ = perf_run ~pin d parity_program (fun _ -> ()) in
+    (fun (name, pin) ->
+      let _, s, _, _ = perf_run ~pin Perf.Jit parity_program (fun _ -> ()) in
       Alcotest.(check bool) ("block stats threaded: " ^ name) true
         (s.Perf.block_hits > 0 && s.Perf.avg_block_len > 1.0))
     tiers;
@@ -409,8 +407,8 @@ let test_perf_revoker_kick_mid_block () =
   Alcotest.(check (pair int int)) "reference: busy cycles, words swept" (5, 1)
     (busy0, swept0);
   List.iter
-    (fun (name, d, pin) ->
-      let busy, swept, epoch, h = run ~pin d in
+    (fun (name, pin) ->
+      let busy, swept, epoch, h = run ~pin Perf.Jit in
       Alcotest.(check int) ("busy cycles: " ^ name) busy0 busy;
       Alcotest.(check int) ("words swept: " ^ name) swept0 swept;
       Alcotest.(check int) ("epoch: " ^ name) epoch0 epoch;
@@ -433,9 +431,9 @@ let install_halting_handler (m : Machine.t) =
 let spin_program =
   [ Asm.Label "spin"; Asm.I (Insn.Op_imm (Add, 5, 5, 1)); Asm.J (0, "spin") ]
 
-(* With interrupts enabled and the timer armed, the batched tiers must
+(* With interrupts enabled and the timer armed, the jit tier must
    deliver the timer interrupt at exactly the same cycle as the
-   reference tier (they fall back to per-step dispatch in that regime —
+   reference tier (it falls back to per-step dispatch in that regime —
    a mid-block comparator crossing would otherwise be observable). *)
 let test_perf_timer_parity () =
   let setup (m : Machine.t) =
