@@ -160,16 +160,15 @@ type t = {
   mutable fm_sram : Sram.t;
   mutable fm_base : int;
   mutable fm_limit : int;
-  (* Per-round retirement ring filled by [step_jit] so
-     the tracer can render each retired instruction of a round
-     individually: parallel arrays of (copied) events, their PCs, and a
-     control-flow mark (see [mark_chained] .. [mark_opt_side_exit]). *)
-  block_events : event array;
+  (* Per-round retirement ring filled by [step_jit] so the tracer can
+     render each retired instruction of a round individually: parallel
+     arrays of the instruction ([None] for a trap or interrupt entry),
+     its PC and a control-flow mark (see [mark_chained] ..
+     [mark_opt_side_exit]). *)
+  block_insns : Insn.t option array;
   block_pcs : int array;
   block_marks : int array;
   mutable block_ev_n : int;
-  mutable pending_mark : int;
-      (* mark attached to the next recorded event (chained entry) *)
   mutable hot_threshold : int;
       (* the jit tier's hotness: the edge-traversal count at which a
          hot fall-through edge triggers superblock formation, and the
@@ -240,7 +239,7 @@ and bentry = {
      link whose epoch still matches is followed without probing the
      cache or re-checking the successor's ticket: the link was
      validated under a PCC value-equal to the one every later traversal
-     of the same edge produces (see [chain_next]).  [b_*_epoch = -1]
+     of the same edge produces (see [chain_edge]).  [b_*_epoch = -1]
      marks an edge never linked.  The counters drive superblock
      formation. *)
   mutable b_taken : bentry option;
@@ -293,10 +292,10 @@ let max_block_len = 16
    which data stores never do. *)
 let max_superblock_len = 64
 
-(* Fuel ceiling of one recorded dispatch round ([step_jit]): bounds
-   the retirement ring.  A chained round ends early when fuel runs out,
-   so any cap is exact; this one is big enough that chaining still
-   amortises under the tracer. *)
+(* Fuel ceiling of one recorded dispatch round ([step_jit]): every fuel
+   unit is one ring entry, so it sizes the retirement ring.  A chained
+   round ends early when fuel runs out, so any cap is exact; this one is
+   big enough that chaining still amortises under the tracer. *)
 let round_cap = 128
 
 let create ?(mode = Cheriot) ?(load_filter = true) bus =
@@ -360,12 +359,10 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
     fm_sram = Sram.create ~base:0 ~size:8;
     fm_base = 0;
     fm_limit = 0;
-    block_events =
-      Array.init (round_cap + 1) (fun _ -> { no_event with ev_insn = None });
-    block_pcs = Array.make (round_cap + 1) 0;
-    block_marks = Array.make (round_cap + 1) 0;
+    block_insns = Array.make round_cap None;
+    block_pcs = Array.make round_cap 0;
+    block_marks = Array.make round_cap 0;
     block_ev_n = 0;
-    pending_mark = 0;
     hot_threshold = 32;
     hot_adaptive = true;
     ht_resolves = 0;
@@ -963,7 +960,7 @@ let next_pcc m = next_pcc_of m.mode m.pcc
 
 let next m = m.pcc <- next_pcc m
 
-(* Fall-through PC advance.  A block executor passes the block's
+(* Fall-through PC advance.  The round executor passes the block's
    [b_nexts] entry, valid because the block ticket validated —
    [next_pcc] depends only on the ticket-compared fields, so installing
    the prebuilt record is observationally identical to recomputing it
@@ -998,7 +995,7 @@ let finish m ?(taken = false) ?(mem = 0) ?(cap_mem = false) ?(store = false)
   Step_ok
 
 (* One instruction's semantics, shared verbatim by the reference
-   interpreter and the block executors' generic arms: they differ only
+   interpreter and the round executor's generic arm: they differ only
    in how [insn] was obtained. *)
 let exec m insn opt nextc =
   match insn with
@@ -1172,12 +1169,8 @@ let charge_trap m =
 
 (* Instruction [k] left the generic arm with [r]: a WFI that went to
    sleep is the harness's idle cycle, not a retirement. *)
-let charge_generic m cost k insn r =
-  match r with
-  | Step_waiting -> ()
-  | _ ->
-      charge_seg m cost k (k + 1);
-      charge_branch m insn ~taken:m.last_event.ev_taken_branch
+let charge_generic m cost k r =
+  match r with Step_waiting -> () | _ -> charge_seg m cost k (k + 1)
 
 (* One per-step step's event, for a timed round's untranslatable-word
    fallback.  Every step that does not wait retires an instruction or
@@ -1361,27 +1354,9 @@ let[@inline always] ticket_ok m (b : bentry) =
      && tp.Capability.otype == cp.Capability.otype
      && tp.Capability.reserved = cp.Capability.reserved)
 
-(* Copy the live [last_event] (reused in place every instruction) into
-   the retirement ring so the tracer can render each instruction of the
-   round after it completes. *)
-let record_event m pc =
-  let n = m.block_ev_n in
-  let dst = Array.unsafe_get m.block_events n in
-  let src = m.last_event in
-  dst.ev_insn <- src.ev_insn;
-  dst.ev_taken_branch <- src.ev_taken_branch;
-  dst.ev_mem_bytes <- src.ev_mem_bytes;
-  dst.ev_is_cap_mem <- src.ev_is_cap_mem;
-  dst.ev_is_store <- src.ev_is_store;
-  dst.ev_trap <- src.ev_trap;
-  m.block_pcs.(n) <- pc;
-  m.block_marks.(n) <- m.pending_mark;
-  m.pending_mark <- 0;
-  m.block_ev_n <- n + 1
-
 (* Rebuild [last_event] for an instruction that retired without
    trapping, field for field what [finish] writes: for everything the
-   batched executors defer or run inline, the event is a function of
+   round executor defers or runs inline, the event is a function of
    the decoded instruction and the branch direction alone. *)
 let retire_event m insn opt ~taken =
   let ev = m.last_event in
@@ -1415,70 +1390,26 @@ let mark_chained = 1
 let mark_side_exit = 2
 let mark_opt_side_exit = 3
 
-(* The recording executor behind [step_jit]: execute (a
-   prefix of) a validated block through the generic [exec] arm, copying
-   every retired instruction into the ring.  The PCC sits at
-   [b.b_start]; the caller has established that no interrupt is
-   deliverable, and the body invariant (see [block_terminator]) keeps
-   that true across every non-final instruction.  Returns
-   [(result, retired)] where [retired] counts fuel units exactly as the
-   per-step [run] loop does (a trapping instruction consumes one).
+(* The ring writes of a recorded round.  [ring_push] appends one
+   unmarked entry (a delivered interrupt, a reference-step fallback);
+   [ring_block] appends instructions [0, k) of a block execution at
+   their PCs — the first keeps the mark written when the block was
+   entered, the rest are plain. *)
+let ring_push m pc insn =
+  let n = m.block_ev_n in
+  m.block_pcs.(n) <- pc;
+  m.block_insns.(n) <- insn;
+  m.block_marks.(n) <- 0;
+  m.block_ev_n <- n + 1
 
-   Stops early when fuel runs out (the next round re-enters at the
-   fall-through PC — a new block forms there) or when a store from the
-   block invalidates the block itself: the remaining decoded entries
-   are stale, so execution abandons them and re-translates from the
-   live bytes.  Abandonment at {e block} granularity is conservative —
-   the store may have patched an already-executed word — but always
-   correct, and self-modifying code is rare. *)
-let exec_block m (b : bentry) ~fuel =
-  let bc = m.bcache in
-  let slot = Decode_cache.slot bc b.b_start in
-  let n = if fuel < b.b_len then fuel else b.b_len in
-  let retired = ref 0 in
-  let result = ref Step_ok in
-  let stop = ref false in
-  (try
-     while not !stop && !retired < n do
-       let i = !retired in
-       let r =
-         exec m
-           (Array.unsafe_get b.b_insns i)
-           (Array.unsafe_get b.b_opts i)
-           (Array.unsafe_get b.b_nexts i)
-       in
-       incr retired;
-       record_event m (b.b_start + (4 * i));
-       match r with
-       | Step_ok ->
-           if m.last_event.ev_taken_branch && !retired < b.b_len then begin
-             (* taken interior branch of a superblock: the PCC left the
-                straight-line path, so the remaining entries no longer
-                apply — side-exit back into the dispatch loop.  The
-                generic [exec] arm already left exact PCC / minstret /
-                event state, so stopping {e is} the stub. *)
-             bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-             m.block_marks.(m.block_ev_n - 1) <- mark_side_exit;
-             stop := true
-           end
-           else if
-             m.last_event.ev_is_store
-             && Array.unsafe_get bc.Decode_cache.tags slot <> b.b_start
-           then begin
-             m.block_aborts <- m.block_aborts + 1;
-             stop := true
-           end
-       | (Step_trap _ | Step_waiting | Step_halted | Step_double_fault) as r
-         ->
-           result := r;
-           stop := true
-     done
-   with Trap cause ->
-     m.last_event <- { no_event with ev_trap = Some cause };
-     incr retired;
-     record_event m (b.b_start + (4 * (!retired - 1)));
-     result := enter_trap m cause);
-  (!result, !retired)
+let ring_block m (b : bentry) k =
+  let n = m.block_ev_n in
+  for j = 0 to k - 1 do
+    m.block_pcs.(n + j) <- b.b_start + (4 * j);
+    m.block_insns.(n + j) <- Array.unsafe_get b.b_opts j;
+    if j > 0 then m.block_marks.(n + j) <- 0
+  done;
+  m.block_ev_n <- n + k
 
 (* Adaptive hotness: every 1024 edge resolutions, compare the unlink
    rate against a fixed budget.  Lots of unlinks means translations are
@@ -1623,36 +1554,16 @@ let chain_edge_ind m (b : bentry) =
       end
       else bc.Decode_cache.dummy
 
-(* The recording path's entry point: derive the edge from the
-   terminator and the architectural event (the generic [exec] arm set
-   [ev_taken_branch]); [exec_round] calls [chain_edge] /
-   [chain_edge_ind] directly because it tracks the branch direction
-   itself.  A [Jalr] may have entered through a sentry that
-   enabled interrupts, so its edge chains only when the delivery
-   predicate is still false — the same check the next round would run
-   first (and [mcycle]/[ext_interrupt] cannot move inside an untimed
-   round, so checking it here is exactly per-step equivalent).  A timed
+(* A completed [Jalr] may have entered through a sentry that enabled
+   interrupts, so its edge chains only when the delivery predicate is
+   still false — the same check the next round would run first (and
+   [mcycle]/[ext_interrupt] cannot move inside an untimed round, so
+   checking it at the edge is exactly per-step equivalent).  A timed
    round advances [mcycle], so it stops as soon as interrupts are
    enabled with the timer armed: a charge could then cross the
    comparator between two instructions. *)
 let jalr_edge_stops m ~timed =
   m.mie && (interrupt_pending m || (timed && m.mtimecmp <> 0))
-
-let chain_next m (b : bentry) =
-  let dummy = m.bcache.Decode_cache.dummy in
-  match Array.unsafe_get b.b_insns (b.b_len - 1) with
-  | Insn.Jal _ -> chain_edge m b 1
-  | Insn.Branch _ ->
-      chain_edge m b (if m.last_event.ev_taken_branch then 1 else 0)
-  | Insn.Jalr _ ->
-      if jalr_edge_stops m ~timed:false then dummy else chain_edge_ind m b
-  | i ->
-      (* Mret/Csr/…: posture-changing, never chained.  A block that
-         ended without a terminator (length cap, or the next word was
-         untranslatable) fell through: non-terminators cannot change
-         the delivery predicate, so its fall edge chains like a
-         not-taken branch's. *)
-      if block_terminator i then dummy else chain_edge m b 0
 
 (* Compile [b]'s optimized execution plan: the [Ir] pass results plus
    compile-time folds of the static control-flow capabilities.  A
@@ -1758,11 +1669,10 @@ let identity_plan =
     j_link_off = Capability.null;
   }
 
-(* The plan a block runs under on this entry, for both executors: its
-   compiled plan once it has one.  A block without one counts its
-   entries and runs the identity plan until the count reaches
-   [hot_threshold], the hotness that also forms superblocks, and only
-   then pays for [compile_jit].  Cold code (a block entered once or
+(* The plan a block runs under on this entry: its compiled plan once
+   it has one.  A block without one counts its entries and runs the
+   identity plan until the count reaches [hot_threshold], the hotness
+   that also forms superblocks, and only then pays for [compile_jit].  Cold code (a block entered once or
    twice) never compiles.  A machine with a [jit_validator] compiles on
    first entry, so plan collection and compile-time validation see
    every block the run enters, whatever its hotness. *)
@@ -1775,8 +1685,8 @@ let block_plan m (b : bentry) =
       then compile_jit m b
       else identity_plan
 
-(* The round executor behind the jit tier ([run] and [timed_round]):
-   one loop that runs block after block of a round, each under the
+(* The round executor behind the jit tier ([run], [timed_round] and
+   [step_jit]): one loop that runs block after block of a round, each under the
    check plan [block_plan] picks — the block's compiled plan once it is
    hot, the identity plan while it is cold.  Block-to-block
    transfers are resolved {e inside} the loop ([chain_edge] /
@@ -1816,14 +1726,26 @@ let block_plan m (b : bentry) =
      per-step path computes, with no bounds decode or allocation.
 
    A taken interior branch of a superblock side-exits (continuing the
-   round at a translated block at its target, if one validates), and a
-   store that kills the running block abandons it (self-modifying code;
-   see [exec_block]).  A [timed] round charges the cost model one block
-   segment at a time — [seg] is the current block's first uncharged
-   instruction — and also stops at a [Jalr] edge that leaves interrupts
-   enabled with the timer armed: from there on the harness must step
-   exactly. *)
-let exec_round m (b0 : bentry) ~fuel ~timed =
+   round at a translated block at its target, if one validates).  A
+   store that kills the running block abandons it: the remaining decoded
+   entries are stale, so the round ends and the next one re-translates
+   from the live bytes.  Abandonment at {e block} granularity is
+   conservative — the store may have patched an already-executed word —
+   but always correct, and self-modifying code is rare.
+
+   A [timed] round charges the cost model one block segment at a time —
+   [seg] is the current block's first uncharged instruction — and also
+   stops at a [Jalr] edge that leaves interrupts enabled with the timer
+   armed: from there on the harness must step exactly.  A [record]
+   round (the tracer's, [step_jit]) appends each block execution's
+   retired instructions to the retirement ring when it leaves the block
+   or traps in it, and marks them from state the loop holds anyway: the
+   first entry [mark_opt_side_exit] when the guards failed, else
+   [mark_chained] when the block was entered by a transfer inside the
+   round ([!base > 0]); a taken interior [Branch] ending the block
+   [mark_side_exit].  Recording adds no work to the per-instruction
+   loop; outside a recorded round each block only tests [record]. *)
+let exec_round m (b0 : bentry) ~fuel ~timed ~record =
   let bc = m.bcache in
   let tags = bc.Decode_cache.tags in
   let dummy = bc.Decode_cache.dummy in
@@ -1874,6 +1796,13 @@ let exec_round m (b0 : bentry) ~fuel ~timed =
          Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
        in
        if full then m.opt_side_exits <- m.opt_side_exits + 1;
+       (* the first ring entry's mark is written now: a trap leaves the
+          loop, and [full] with it, before the block's exit *)
+       if record then
+         m.block_marks.(m.block_ev_n) <-
+           (if full then mark_opt_side_exit
+            else if !base > 0 then mark_chained
+            else 0);
        let chks = if full then identity_plan.j_chk else t.j_chk in
        let jbr = t.j_br in
        nexts_r := nexts;
@@ -2002,6 +1931,11 @@ let exec_round m (b0 : bentry) ~fuel ~timed =
              exec_cap m insn;
              incr pending
          | insn -> (
+             (* Auipcc, Jalr, Ecall, Ebreak, Mret, Wfi, Csr, Cspecialrw:
+                none stores to memory or is a [Branch], and the two that
+                redirect the PCC (Jalr, Mret) are block terminators, so
+                this arm needs no side exit, own-store abort or
+                taken-branch charge *)
              sync ();
              if timed then begin
                charge_seg m cost !seg !i;
@@ -2011,23 +1945,11 @@ let exec_round m (b0 : bentry) ~fuel ~timed =
                exec m insn (Array.unsafe_get opts !i) (Array.unsafe_get nexts !i)
              in
              if timed then begin
-               charge_generic m cost !i insn r;
+               charge_generic m cost !i r;
                seg := !i + 1
              end;
              match r with
-             | Step_ok ->
-                 if m.last_event.ev_taken_branch && !i < b_len - 1 then begin
-                   bc.Decode_cache.side_exits <-
-                     bc.Decode_cache.side_exits + 1;
-                   stop := true
-                 end
-                 else if
-                   m.last_event.ev_is_store
-                   && Array.unsafe_get tags slot <> b_start
-                 then begin
-                   m.block_aborts <- m.block_aborts + 1;
-                   stop := true
-                 end
+             | Step_ok -> ()
              | (Step_trap _ | Step_waiting | Step_halted | Step_double_fault)
                as r ->
                  result := r;
@@ -2035,6 +1957,14 @@ let exec_round m (b0 : bentry) ~fuel ~timed =
          incr i
        done;
        if timed then charge_seg m cost !seg !i;
+       if record && !i > 0 then begin
+         ring_block m blk !i;
+         let k = !i - 1 in
+         match Array.unsafe_get insns k with
+         | Insn.Branch _ when !br_taken && k < b_len - 1 ->
+             m.block_marks.(m.block_ev_n - 1) <- mark_side_exit
+         | _ -> ()
+       end;
        if !cont != dummy then begin
          (* side-exit continue: transfer to the probed block *)
          base := !base + !i;
@@ -2106,28 +2036,27 @@ let exec_round m (b0 : bentry) ~fuel ~timed =
      end;
      m.last_event <- { no_event with ev_trap = Some cause };
      incr i;
+     if record then begin
+       ring_block m !b !i;
+       (* the trapping instruction retired nothing *)
+       m.block_insns.(m.block_ev_n - 1) <- None
+     end;
      result := enter_trap m cause);
   (!result, !base + !i)
 
 (* One round of the jit tier: interrupt/WFI handling exactly as
-   [step], then up to [fuel] instructions starting from the block at
-   the PC and chaining across block edges while fuel remains — sound
-   without re-running the boundary interrupt check, because no edge
-   instruction can change the delivery predicate (the instructions that
-   can still terminate every translation unit and end the chain; the one
-   chained exception, a completed [Jalr], re-checks the predicate at its
-   edge).  The block-cache probe is hand-inlined.
+   [step], then one [exec_round] of up to [fuel] instructions starting
+   from the block at the PC and chaining across block edges while fuel
+   remains — sound without re-running the boundary interrupt check,
+   because no edge instruction can change the delivery predicate (the
+   instructions that can still terminate every translation unit and end
+   the chain; the one chained exception, a completed [Jalr], re-checks
+   the predicate at its edge).  The block-cache probe is hand-inlined.
 
-   A [record] round is the tracer's: it walks block-by-block through
-   [exec_block], marking each ring entry.  The walk picks each block's
-   plan through [block_plan] and evaluates its guards, so the compile
-   and optimizer counters and the [mark_opt_side_exit] marks reflect
-   what [exec_round] would do — execution itself stays on the
-   fully-checked generic path, which the plans are observationally equal
-   to by construction.  Any other round is one [exec_round].  A [timed]
-   round (never a recording one) charges everything it retires, traps
-   and delivers to the installed cost model; a WFI wait is left to the
-   caller. *)
+   A [record] round (the tracer's) also puts a delivered interrupt and a
+   reference-step fallback in the ring.  A [timed] round (never a
+   recording one) charges everything it retires, traps and delivers to
+   the installed cost model; a WFI wait is left to the caller. *)
 let block_round m ~fuel ~record ~timed =
   if m.waiting && interrupt_pending m then m.waiting <- false;
   if m.waiting then (Step_waiting, 1)
@@ -2137,35 +2066,12 @@ let block_round m ~fuel ~record ~timed =
     in
     m.last_event <- { no_event with ev_trap = Some cause };
     let r = enter_trap m cause in
-    if record then record_event m (Capability.address m.mepcc);
+    if record then ring_push m (Capability.address m.mepcc) None;
     if timed then charge_trap m;
     (r, 1)
   end
   else begin
     let bc = m.bcache in
-    let dummy = bc.Decode_cache.dummy in
-    let rec go b fuel used =
-      (let t = block_plan m b in
-       if Array.length t.j_guards > 0 && not (jit_guards_ok m t.j_guards)
-       then begin
-         m.opt_side_exits <- m.opt_side_exits + 1;
-         m.pending_mark <- mark_opt_side_exit
-       end);
-      let r, n = exec_block m b ~fuel in
-      let used = used + n in
-      match r with
-      | Step_ok when n = b.b_len && fuel > n ->
-          let succ = chain_next m b in
-          if succ != dummy then begin
-            m.pending_mark <- mark_chained;
-            go succ (fuel - n) used
-          end
-          else (r, used)
-      | r -> (r, used)
-    in
-    let exec_from b =
-      if record then go b fuel 0 else exec_round m b ~fuel ~timed
-    in
     let pc = Capability.address m.pcc in
     let s = (pc lsr 2) land bc.Decode_cache.mask in
     if
@@ -2173,18 +2079,19 @@ let block_round m ~fuel ~record ~timed =
       && ticket_ok m (Array.unsafe_get bc.Decode_cache.payloads s)
     then begin
       bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
-      exec_from (Array.unsafe_get bc.Decode_cache.payloads s)
+      exec_round m (Array.unsafe_get bc.Decode_cache.payloads s) ~fuel ~timed
+        ~record
     end
     else begin
       bc.Decode_cache.misses <- bc.Decode_cache.misses + 1;
       match fill_block m pc with
-      | Some b -> exec_from b
+      | Some b -> exec_round m b ~fuel ~timed ~record
       | None ->
           (* untranslatable first word (MMIO-backed code, illegal word,
              failing fetch checks): one reference step, which re-reads
              the word through the bus every time *)
           let r = step m in
-          if record then record_event m pc;
+          if record then ring_push m pc m.last_event.ev_insn;
           (if timed then
              match r with Step_waiting -> () | _ -> charge_event m m.last_event);
           (r, 1)
@@ -2193,12 +2100,10 @@ let block_round m ~fuel ~record ~timed =
 
 (* The tracer's entry point: one recorded round of up to [fuel]
    instructions, at most [round_cap], every retired one in the ring
-   ([block_events]/[block_pcs], [block_ev_n] live entries).  It
-   compiles each block that turns hot, bumps the optimizer counters,
-   and marks chained, side-exit and opt-side-exit transfers. *)
+   ([block_insns]/[block_pcs]/[block_marks], [block_ev_n] live
+   entries). *)
 let step_jit m ~fuel =
   m.block_ev_n <- 0;
-  m.pending_mark <- 0;
   fst
     (block_round m ~fuel:(min fuel round_cap) ~record:true ~timed:false)
 

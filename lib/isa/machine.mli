@@ -137,19 +137,19 @@ type t = {
       (** resolved-SRAM window for the allocation-free data fast path *)
   mutable fm_base : int;
   mutable fm_limit : int;  (** 0 = window invalid *)
-  block_events : event array;
-      (** retirement ring filled by {!step_jit}: one copied event per
-          instruction of the last round *)
-  block_pcs : int array;  (** PCs parallel to [block_events] *)
+  block_insns : Insn.t option array;
+      (** retirement ring filled by {!step_jit}: one entry per fuel unit
+          of the last round, the instruction it retired ([None] for a
+          trap or a delivered interrupt) *)
+  block_pcs : int array;  (** PCs parallel to [block_insns] *)
   block_marks : int array;
-      (** control-flow marks parallel to [block_events]: 0 = plain,
-          1 ({!mark_chained}) = first instruction after a chained
-          transfer, 2 ({!mark_side_exit}) = taken interior branch that
+      (** control-flow marks parallel to [block_insns]: 0 = plain,
+          1 ({!mark_chained}) = first instruction of a block entered by
+          a transfer inside the round (a chained edge or a side-exit
+          continue), 2 ({!mark_side_exit}) = taken interior branch that
           side-exited a superblock, 3 ({!mark_opt_side_exit}) = first
           instruction of a block execution whose entry guard failed *)
   mutable block_ev_n : int;  (** live entries in the ring *)
-  mutable pending_mark : int;
-      (** mark attached to the next recorded ring entry *)
   mutable hot_threshold : int;
       (** the jit tier's hotness (default 32, adapted within 8–512
           unless [hot_adaptive] is off): the fall-through-edge traversal
@@ -297,31 +297,13 @@ val step : t -> result
     regimes. *)
 
 val step_jit : t -> fuel:int -> result
-(** The tracer's round of the jit tier: deliver a pending interrupt /
-    WFI wake exactly as {!step}, or execute the (cached or freshly
-    translated) block at the PC and follow chained block-to-block links
-    across direct [Jal]/[Branch] edges without re-probing the cache or
-    re-checking tickets, re-translating hot fall-through paths into
-    superblocks — up to [fuel] units (each retired instruction,
-    delivered interrupt or trap is one; clamped to {!round_cap}) across
-    many blocks.  Every retired instruction of the round is recorded in
-    the [block_events]/[block_pcs] ring ([block_ev_n] live entries) so
-    [Trace.run] can render each one.  Interrupts are only checked
-    between rounds; block formation guarantees no instruction inside a
-    block can change the delivery predicate, and edge instructions
-    cannot either, so this is exactly per-step equivalent (a completed
-    [Jalr] may have changed the posture through a sentry, so its edge
-    re-checks the predicate before chaining).
-
-    Each block entered picks its plan exactly as the round executor
-    used by {!run} and {!timed_round} does — the identity plan while
-    cold, its plan compiled through {!Ir.optimize} from the entry that
-    makes it hot — so the compile counters match.  A compiled plan's
-    block-entry guards are evaluated (a failure counts an opt side exit
-    and carries the [mark_opt_side_exit] ring mark), and chained
-    transfers carry [mark_chained].  Execution itself follows the
-    fully-checked generic path — the recording walk is the tracer's
-    observational twin of the round executor. *)
+(** The tracer's round of the jit tier: one round of at most [fuel]
+    units (each retired instruction, delivered interrupt or trap is
+    one; clamped to {!round_cap}), run by the same round executor as
+    {!run} — interrupt / WFI handling exactly as {!step}, then chained
+    blocks under their plans, side exits and all — that also records
+    every unit in the [block_insns]/[block_pcs]/[block_marks] ring
+    ([block_ev_n] live entries) so [Trace.run] can render each one. *)
 
 val set_cost_model : t -> cost_model -> unit
 (** Install the cost model {!timed_round} charges.  Drops every
@@ -357,13 +339,13 @@ val max_superblock_len : int
 (** Upper bound on instructions per superblock (64). *)
 
 val round_cap : int
-(** Fuel ceiling of one recorded round (128), which bounds the
+(** Fuel ceiling of one recorded round (128), which sizes the
     retirement ring; also the fuel of one [Perf.step] round on the jit
     tier. *)
 
 val mark_chained : int
-(** [block_marks] value on the first instruction after a chained
-    transfer. *)
+(** [block_marks] value on the first instruction of a block entered by
+    a transfer inside the round. *)
 
 val mark_side_exit : int
 (** [block_marks] value on a taken interior branch that side-exited a

@@ -55,12 +55,18 @@ let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
         if i >= fuel then (Machine.Step_ok, i)
         else begin
           let pc = Capability.address m.Machine.pcc in
+          let retired = m.Machine.minstret in
           let r = Machine.step m in
           f
             {
               tr_index = i;
               tr_pc = pc;
-              tr_insn = m.Machine.last_event.Machine.ev_insn;
+              tr_insn =
+                (* a machine already in WFI steps without retiring, and
+                   leaves the previous step's event in place *)
+                (if r = Machine.Step_waiting && m.Machine.minstret = retired
+                 then None
+                 else m.Machine.last_event.Machine.ev_insn);
               tr_result = r;
               tr_cycles = m.Machine.mcycle;
               tr_mark = 0;
@@ -100,7 +106,7 @@ let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
                   {
                     tr_index = i + k;
                     tr_pc = m.Machine.block_pcs.(k);
-                    tr_insn = m.Machine.block_events.(k).Machine.ev_insn;
+                    tr_insn = m.Machine.block_insns.(k);
                     (* intermediate instructions of a round all retired
                        normally; only the round's last entry carries the
                        round result *)

@@ -481,11 +481,10 @@ let test_jit_hoisted_guard_patch_midtrace () =
   Alcotest.(check bool) "the patch invalidated the planned block" true
     (s.Machine.block_invalidations > 0)
 
-(* Counter accounting parity: the recording rounds ([step_jit], driving
-   the traced path) and the round executor ([Machine.run]) pick plans
-   through the same helper, so at the same hotness they compile the same
-   blocks — here the two loop blocks on their second entry, never the
-   halt block entered once. *)
+(* Counter accounting parity: a traced round ([step_jit]) is a recorded
+   round of the executor [Machine.run] drives, so at the same hotness the
+   two compile the same blocks — here the two loop blocks on their
+   second entry, never the halt block entered once. *)
 let test_jit_counters_on_both_paths () =
   let mk () =
     let m, _ = boot (List.map Encode.encode chained_loop) in
@@ -591,21 +590,38 @@ let trace_chained_loop ?(prep = ignore) dispatch =
   (m, List.rev !entries)
 
 (* A traced jit run must emit the same per-instruction stream as the
-   reference path, with chained transfers carrying
-   [Machine.mark_chained] — the mark is how a rendered trace
+   reference path: pc, instruction ([None] on a trapping entry) and
+   result, entry for entry. *)
+let check_same_stream ref_t jit_t =
+  Alcotest.(check int) "same trace length" (List.length ref_t)
+    (List.length jit_t);
+  List.iter2
+    (fun r c ->
+      Alcotest.(check int) "same traced pc" r.Trace.tr_pc c.Trace.tr_pc;
+      Alcotest.(check (option string)) "same traced instruction"
+        (Option.map Insn.to_string r.Trace.tr_insn)
+        (Option.map Insn.to_string c.Trace.tr_insn);
+      Alcotest.(check string) "same traced result"
+        (Fmt.str "%a" Trace.pp_result r.Trace.tr_result)
+        (Fmt.str "%a" Trace.pp_result c.Trace.tr_result);
+      Alcotest.(check int) "reference trace is unmarked" 0 r.Trace.tr_mark)
+    ref_t jit_t
+
+(* The reference stream again, with chained transfers carrying
+   [Machine.mark_chained]: the mark is how a rendered trace
    distinguishes a linked transfer from a probe. *)
 let check_trace_marks_chained ?prep () =
   let ref_m, ref_t = trace_chained_loop Machine.Dispatch_ref in
   let jit_m, jit_t = trace_chained_loop ?prep Machine.Dispatch_jit in
   Alcotest.(check string) "traced runs agree on state"
     (Machine.state_hash ref_m) (Machine.state_hash jit_m);
-  Alcotest.(check int) "same trace length" (List.length ref_t)
-    (List.length jit_t);
-  List.iter2
-    (fun r c ->
-      Alcotest.(check int) "same traced pc" r.Trace.tr_pc c.Trace.tr_pc;
-      Alcotest.(check int) "reference trace is unmarked" 0 r.Trace.tr_mark)
-    ref_t jit_t;
+  check_same_stream ref_t jit_t;
+  (* the loop's taken backedge ends its block: a transfer, not a side
+     exit *)
+  Alcotest.(check int) "only side exits are marked [side-exit]"
+    (Machine.block_stats jit_m).Machine.side_exits
+    (List.length
+       (List.filter (fun e -> e.Trace.tr_mark = Machine.mark_side_exit) jit_t));
   Alcotest.(check bool) "chained transfers are marked" true
     (List.exists (fun e -> e.Trace.tr_mark = Machine.mark_chained) jit_t)
 
@@ -643,12 +659,13 @@ let test_trace_marks_jit () =
     in
     (m, r, List.rev !entries)
   in
-  let grm, gr, _ = collect_g Machine.Dispatch_ref in
+  let grm, gr, grt = collect_g Machine.Dispatch_ref in
   let gjm, gj, gjt = collect_g Machine.Dispatch_jit in
   Alcotest.(check string) "guard failure ends both runs identically"
     (result_name gr) (result_name gj);
   Alcotest.(check string) "guard failure reaches the reference state"
     (Machine.state_hash grm) (Machine.state_hash gjm);
+  check_same_stream grt gjt;
   Alcotest.(check bool) "the deoptimized block is marked" true
     (List.exists (fun e -> e.Trace.tr_mark = Machine.mark_opt_side_exit) gjt)
 

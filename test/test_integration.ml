@@ -13,6 +13,7 @@ module Clock = Cheriot_rtos.Clock
 module Allocator = Cheriot_rtos.Allocator
 module Sw_revoker = Cheriot_rtos.Sw_revoker
 module Core_model = Cheriot_uarch.Core_model
+module Boot = Cheriot_proptest.Boot
 
 let a0 = Insn.reg_a0
 let t0 = Insn.reg_t0
@@ -120,7 +121,60 @@ let test_trace_records () =
         ignore (Fmt.str "%a" Trace.pp_entry e))
   in
   Alcotest.(check bool) "halted" true (result = Machine.Step_halted);
-  Alcotest.(check int) "one entry per step" steps !entries
+  Alcotest.(check int) "one entry per step" steps !entries;
+  let tiers = [ ("ref", Machine.Dispatch_ref); ("jit", Machine.Dispatch_jit) ] in
+  let boot words = Boot.code_only (List.map Encode.encode words) in
+  let addi_wfi_ebreak = Insn.[ Op_imm (Add, a0, a0, 1); Wfi; Ebreak ] in
+  (* A delivered interrupt and a word the jit cannot translate (here an
+     illegal one, which it hands to a reference step) render alike on
+     both tiers: no instruction, at the pc they stopped. *)
+  let rendered ~prep words dispatch =
+    let m, _ = boot words in
+    prep m;
+    let es = ref [] in
+    ignore
+      (Trace.run m ~dispatch ~f:(fun e ->
+           es := Fmt.str "%a" Trace.pp_entry e :: !es));
+    List.rev !es
+  in
+  let interrupted (m : Machine.t) =
+    m.Machine.mie <- true;
+    m.Machine.ext_interrupt <- true;
+    m.Machine.mtcc <-
+      Capability.with_address m.Machine.pcc (Boot.code_base + 8)
+  in
+  List.iter
+    (fun (name, prep, words) ->
+      let r = rendered ~prep words Machine.Dispatch_ref in
+      Alcotest.(check int) (name ^ ": two entries") 2 (List.length r);
+      Alcotest.(check (list string)) (name ^ ": same trace on both tiers") r
+        (rendered ~prep words Machine.Dispatch_jit))
+    [
+      ("interrupt", interrupted, addi_wfi_ebreak);
+      ("illegal word", ignore, Insn.[ Op_imm (Add, a0, a0, 1) ]);
+    ];
+  (* A machine already in WFI steps without retiring anything: on both
+     tiers the tracer renders that step as [<no retire>] at the pc after
+     the [wfi], not as the previous instruction. *)
+  List.iter
+    (fun (name, dispatch) ->
+      let m, _ = boot addi_wfi_ebreak in
+      let first, _ = Trace.run m ~dispatch ~f:ignore in
+      Alcotest.(check bool) (name ^ ": the first call stops in wfi") true
+        (first = Machine.Step_waiting);
+      let entries = ref [] in
+      let _ = Trace.run m ~dispatch ~f:(fun e -> entries := e :: !entries) in
+      match !entries with
+      | [ e ] ->
+          Alcotest.(check string)
+            (name ^ ": the waiting step retires nothing")
+            (Printf.sprintf "%8d  %8d  0x%08x  <no retire>  (wfi)" 0 0
+               (Boot.code_base + 8))
+            (Fmt.str "%a" Trace.pp_entry e)
+      | es ->
+          Alcotest.failf "%s: %d entries for one waiting step" name
+            (List.length es))
+    tiers
 
 let suite =
   [

@@ -153,13 +153,13 @@ let test_cross_compartment_patch_snoop () =
         (s.Machine.block_invalidations >= 1))
     [ ("jit", ignore); ("jit@1", Props.pin_hot 1) ]
 
-(* Pinned regression: the {e recording} executor (what [Trace.run]
-   drives) has its own side-exit handling, separate from the fast
-   path the lockstep properties exercise.  A traced jit run over a
-   superblock-forming scenario must land on the reference state with the
-   reference retired count, and must actually have taken a recorded side
-   exit — without this, a stale-entry bug in the record-mode executor is
-   invisible to every other equivalence check. *)
+(* Pinned regression: a traced jit run over a superblock-forming
+   scenario must render the traced reference stream entry for entry —
+   same pc, instruction and result — land on the reference state, and
+   mark its side exits: [mark_side_exit] only ever on a [Branch] entry,
+   and at least one.  A traced round is a recorded round of the round
+   executor, so this pins the ring writes at block exits and traps and
+   the marks derived there, which no untraced equivalence check sees. *)
 let test_traced_superblock_matches_reference () =
   let sc =
     { Scenario.bodies = [ [ Fall_loop 7; Arith 5; Fall_loop 2 ] ]; seed = 0 }
@@ -168,22 +168,60 @@ let test_traced_superblock_matches_reference () =
     let l = Scenario.link ~instrument:true sc in
     l.Scenario.t.Loader.machine
   in
+  let traced ?(fuel = 4096) m dispatch =
+    let entries = ref [] in
+    ignore (Trace.run m ~fuel ~dispatch ~f:(fun e -> entries := e :: !entries));
+    List.rev !entries
+  in
+  let render (e : Trace.entry) =
+    Fmt.str "0x%08x %s%a" e.tr_pc
+      (match e.tr_insn with Some i -> Insn.to_string i | None -> "<no retire>")
+      Trace.pp_result e.tr_result
+  in
   let ref_m = mk () in
   let _, n_ref = Machine.run ~fuel:4096 ~dispatch:Machine.Dispatch_ref ref_m in
-  let m = mk () in
-  m.Machine.hot_threshold <- 2;
-  let entries = ref 0 in
-  ignore
-    (Trace.run m ~fuel:4096 ~dispatch:Machine.Dispatch_jit ~f:(fun _ ->
-         incr entries));
-  Alcotest.(check int) "traced run retires the reference count" n_ref !entries;
+  let ref_t = traced (mk ()) Machine.Dispatch_ref in
+  let jit () =
+    let m = mk () in
+    m.Machine.hot_threshold <- 2;
+    m
+  in
+  let m = jit () in
+  let jit_t = traced m Machine.Dispatch_jit in
+  Alcotest.(check int) "traced run retires the reference count" n_ref
+    (List.length jit_t);
+  Alcotest.(check (list string)) "traced jit stream is the reference stream"
+    (List.map render ref_t) (List.map render jit_t);
   Alcotest.(check string) "traced run lands on the reference state"
     (Machine.state_hash ref_m) (Machine.state_hash m);
   let s = Machine.block_stats m in
   Alcotest.(check bool) "the traced run formed a superblock" true
     (s.Machine.superblocks_formed >= 1);
   Alcotest.(check bool) "the traced run took a side exit" true
-    (s.Machine.side_exits >= 1)
+    (s.Machine.side_exits >= 1);
+  let side_exit (e : Trace.entry) = e.tr_mark = Machine.mark_side_exit in
+  let on_branch (e : Trace.entry) =
+    match e.tr_insn with Some (Insn.Branch _) -> true | _ -> false
+  in
+  Alcotest.(check bool) "a side exit is marked on its branch" true
+    (List.exists (fun e -> side_exit e && on_branch e) jit_t);
+  Alcotest.(check bool) "side-exit marks sit only on branches" true
+    (List.for_all (fun e -> (not (side_exit e)) || on_branch e) jit_t);
+  let marks_side_exits m t =
+    Alcotest.(check int) "every side exit is marked, and only those"
+      (Machine.block_stats m).Machine.side_exits
+      (List.length (List.filter side_exit t))
+  in
+  marks_side_exits m jit_t;
+  (* a trace cut right after a branch it did not mark — in a superblock
+     interior, a not-taken one — must not mark it either *)
+  List.iteri
+    (fun k e ->
+      if on_branch e && not (side_exit e) then begin
+        let m = jit () in
+        marks_side_exits m (traced ~fuel:(k + 1) m Machine.Dispatch_jit)
+      end)
+    jit_t
 
 (* Pinned regression: the generator shook this scenario out of
    [scenario_lockstep].  [Allocator.revoke_now] used to sweep only
