@@ -3,7 +3,7 @@
 # `make ci` is the gate: build, lint (warnings-as-errors), the full
 # test suite (including the differential oracle between the reference
 # and jit dispatch tiers, and the CLI exit-code rules), the
-# dispatch-parity gate (the differential, property and `Perf`-tier
+# dispatch-parity gate (the differential, property, `Perf`-tier and block-cache
 # suites in isolation — it fails printing the qcheck fuzz seed and
 # shrunk program on any state-hash mismatch), the static firmware audit
 # (`cheriot_audit all`: shipped images audit clean, the bad-image corpus
@@ -57,7 +57,9 @@ audit-incremental: build
 # (switcher cross-calls, allocator churn, revocation sweeps, code
 # patches), under interrupt injection, and on coremark — and so must
 # both `Perf` tiers under the cycle model (simulated totals, mcycle,
-# the preemptive schedule, revoker grants).
+# the preemptive schedule, revoker grants).  The block-cache suite pins
+# the translation cache the jit runs on: chaining, store kills, flushes,
+# superblocks, slot conflicts and the paged slot table.
 # Alcotest prints the failing qcheck seed and the shrunk program
 # listing on a mismatch.
 parity: build
@@ -65,6 +67,7 @@ parity: build
 	dune exec test/test_cheriot.exe -- test proptest
 	dune exec test/test_cheriot.exe -- test uarch
 	dune exec test/test_cheriot.exe -- test preemption
+	dune exec test/test_cheriot.exe -- test block-cache
 	dune exec bin/cheriot_audit.exe -- plans
 
 # The same property family with 20x the iteration counts (PROP_ITERS

@@ -401,14 +401,9 @@ let collect ?(fuel = 2_000_000) (m : Machine.t) =
         acc := { p_block = b; p_chks = chks; p_guards = guards } :: !acc;
         true);
   ignore (Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m);
-  let bc = m.Machine.bcache in
-  Array.iteri
-    (fun k hi ->
-      if hi <> 0 then begin
-        let b = bc.Decode_cache.payloads.(k) in
-        if b.Machine.b_jit = None then ignore (Machine.compile_jit m b)
-      end)
-    bc.Decode_cache.his;
+  Decode_cache.iter
+    (fun b -> if b.Machine.b_jit = None then ignore (Machine.compile_jit m b))
+    m.Machine.bcache;
   m.Machine.jit_validator <- saved;
   dedupe (List.rev !acc)
 

@@ -187,9 +187,11 @@ let encode_exn s =
   | None -> assert false
 
 (* [encode]/[encode_exn] run on every capability store ([to_word] in the
-   emulator's CSC path), and the format search above is a list walk with
-   set algebra per candidate.  A set is 12 bits, so memoize both as
-   4096-entry tables; results are identical by construction. *)
+   emulator's CSC path), and [legalize] on every permission derivation
+   ([CAndPerm], the loader's capability derivations, load attenuation);
+   the format searches above are list walks with set algebra per
+   candidate.  A set is 12 bits, so memoize all three as 4096-entry
+   tables; results are identical by construction. *)
 let encode_slow = encode
 let encode_exn_slow = encode_exn
 
@@ -198,6 +200,9 @@ let encode_table =
 
 let encode_exn_table =
   Array.init 4096 (fun s -> try encode_exn_slow s with Assert_failure _ -> -1)
+
+let legalize_table = Array.init 4096 legalize
+let legalize s = Array.unsafe_get legalize_table (s land 0xfff)
 
 let encode s =
   let b = encode_table.(s land 0xfff) in

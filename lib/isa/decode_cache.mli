@@ -1,20 +1,30 @@
-(** The basic-block translation cache behind the batched dispatch tiers.
+(** The basic-block translation cache behind the batched dispatch tier.
 
-    A direct-mapped cache keyed by the {e physical} start PC of a
-    translated block, mapping it to an arbitrary payload (the machine
-    stores its [bentry]; nothing here depends on the payload type).
-    Keys are full PCs, so a hit can only ever return the entry
+    A direct-mapped cache of 2 048 slots keyed by the {e physical} start
+    PC of a translated block, holding the block itself (the machine
+    stores its [bentry]; nothing here depends on the payload type beyond
+    the [start] and [len] functions it is created with).  An entry's key
+    is its full start PC, so a hit can only ever return the entry
     translated at exactly that address.
 
+    The slots live in eight 256-slot pages, and every page starts out as
+    one shared, never-written page of empty slots; the first {!fill} that
+    lands in a page allocates it.  A cache therefore costs a few words
+    until it translates, and each page it does allocate (257 words) is
+    small enough for OCaml 5's minor heap — an array over 256 words is
+    allocated directly in the major heap, which is what the flat
+    2 048-slot arrays cost every [Machine.create].  Paging changes no
+    slot: the slot function stays [(pc lsr 2) land 2047], so hits,
+    misses, evictions and kills are what a flat table would give.
+
     A block translated at PC [p] covers the byte span of every
-    instruction it holds, so a store anywhere in that span must kill it
-    — not just a store to the granule of [p].  Each slot therefore
-    carries its span, and the bus store snoop becomes a bounded probe:
-    a store granule can only intersect blocks whose start PC lies
-    within [max_span] bytes of it, so {!kill_store} probes those few
-    candidate slots and nothing else.  A monotone window over all live
-    spans filters the common case (data-region stores) down to two
-    integer compares.
+    instruction it holds, [[p, p + 4 * len)], so a store anywhere in that
+    span must kill it — not just a store to the granule of [p].  The bus
+    store snoop is therefore a bounded probe: a store granule can only
+    intersect blocks whose start PC lies within [max_span] bytes of it,
+    so {!kill_store} probes those few candidate slots and nothing else.
+    A monotone window over all live spans filters the common case
+    (data-region stores) down to two integer compares.
 
     Correctness protocol (kept honest by [test/test_block_cache.ml] and
     the differential suites):
@@ -33,23 +43,25 @@
     architectural behaviour, only skips the bus reads and decodes. *)
 
 type 'a t = {
-  tags : int array;  (** start PC of the entry per slot; -1 = empty *)
-  payloads : 'a array;
-  los : int array;  (** per-slot span start (bytes, inclusive) *)
-  his : int array;  (** per-slot span end (exclusive); 0 = empty *)
-  mask : int;
-  dummy : 'a;
+  pages : 'a array array;
+      (** 8 pages of 256 slots: slot [s] is [pages.(s lsr 8).(s land 255)] *)
+  empty : 'a array;  (** the shared page of a page index never filled *)
+  dummy : 'a;  (** the content of every empty slot *)
+  start : 'a -> int;
+  len : 'a -> int;
   max_span : int;
   mutable span_lo : int;  (** union window over live spans *)
   mutable span_hi : int;
   mutable chain_epoch : int;
       (** global link-validity epoch: chained block-to-block edges
           record it at link time and are only followed while it still
-          matches; a kill, {!flush} and superblock installation bump
-          it, unlinking every edge in O(1) *)
+          matches; a kill, a conflict eviction, {!flush} and
+          superblock installation bump it, unlinking every edge in
+          O(1) *)
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
+  mutable evictions : int;
   mutable flushes : int;
   mutable chain_hits : int;
   mutable chain_unlinks : int;
@@ -57,14 +69,20 @@ type 'a t = {
   mutable side_exits : int;
 }
 (** The representation is exposed so [Machine]'s dispatch loop can
-    probe without function-call overhead; use the accessors below
-    everywhere else.  Invariant: every array has [mask + 1] slots and
-    every index produced by {!slot} is in range. *)
+    probe without function-call overhead: the entry for [pc] is
+    [pages.((pc lsr 10) land 7).((pc lsr 2) land 255)], [dummy] when
+    the slot is empty.  Only {!fill} replaces a page and only {!flush}
+    drops one, so a page read at a block's entry stays the page of that
+    block's slot until the next fill or flush.  Use the functions below
+    everywhere else. *)
 
 type stats = {
   hits : int;
   misses : int;
   invalidations : int;  (** entries killed by store snoops *)
+  evictions : int;
+      (** fills that overwrote a live entry for another start PC (a
+          slot conflict) *)
   flushes : int;  (** whole-cache flushes *)
   chain_hits : int;
       (** block transfers that followed a direct chained link, skipping
@@ -78,26 +96,32 @@ type stats = {
           normal dispatch loop *)
 }
 
-val create : ?size_log2:int -> max_span:int -> dummy:'a -> unit -> 'a t
-(** [create ~max_span ~dummy ()] is an empty cache with [2^size_log2]
-    slots (default 11).  [max_span] is the largest [hi - lo] any entry
-    may cover (a positive multiple of 4); it bounds the store-snoop
-    probe count.  [dummy] is stored in empty payload slots and never
-    returned by a hit. *)
+val create :
+  max_span:int -> dummy:'a -> start:('a -> int) -> len:('a -> int) -> 'a t
+(** [create ~max_span ~dummy ~start ~len] is an empty cache.  An entry
+    [b] starts at PC [start b] and spans [4 * len b] bytes; [max_span]
+    bounds that span (a positive multiple of 4) and with it the
+    store-snoop probe count.  [dummy] fills empty slots and is never
+    returned by a hit: [start dummy] must be negative.  Allocates no
+    page. *)
 
-val slot : 'a t -> int -> int
-(** [slot t pc]: the direct-mapped index of a start address. *)
-
-val fill : 'a t -> slot:int -> pc:int -> lo:int -> hi:int -> 'a -> unit
-(** Install the entry starting at [pc] and covering [[lo, hi)],
-    evicting whatever the slot held. *)
+val fill : 'a t -> 'a -> unit
+(** Install an entry in its start PC's slot, evicting whatever the slot
+    held, and allocate the slot's page if this is its first entry.
+    Evicting a live entry for another PC bumps the chain epoch: a store
+    into the evicted block's span could no longer find it to kill it,
+    so no link may lead to it. *)
 
 val kill_store : 'a t -> int -> unit
 (** [kill_store t addr] kills every entry whose span intersects the
     8-byte granule containing [addr] — the store-snoop hook. *)
 
 val flush : 'a t -> unit
-(** Drop every entry (code rewritten behind the bus's back). *)
+(** Drop every entry and every page (code rewritten behind the bus's
+    back). *)
+
+val iter : ('a -> unit) -> 'a t -> unit
+(** [iter f t] applies [f] to every live entry, in slot order. *)
 
 val chain_epoch : 'a t -> int
 val bump_chain_epoch : 'a t -> unit

@@ -301,6 +301,7 @@ let round_cap = 128
 let create ?(mode = Cheriot) ?(load_filter = true) bus =
   let bcache =
     Decode_cache.create ~max_span:(max_superblock_len * 4)
+      ~start:(fun b -> b.b_start) ~len:(fun b -> b.b_len)
       ~dummy:
         {
           b_insns = [||];
@@ -322,7 +323,6 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
           b_jit = None;
           b_entries = 0;
         }
-      ()
   in
   (* Stores must kill stale translations: self-modifying code and
      loader patches through the bus re-translate on the next fetch.  A
@@ -1289,11 +1289,7 @@ let translate m ~pcc0 ~pc0 ~sb ~cap =
 let install_block m (b : bentry) =
   m.blocks_filled <- m.blocks_filled + 1;
   m.insns_translated <- m.insns_translated + b.b_len;
-  let bc = m.bcache in
-  let s = Decode_cache.slot bc b.b_start in
-  Decode_cache.fill bc ~slot:s ~pc:b.b_start ~lo:b.b_start
-    ~hi:(b.b_start + (4 * b.b_len))
-    b
+  Decode_cache.fill m.bcache b
 
 (* Translate and install the block at [pc0] (the current PC; the caller
    just missed in the block cache). *)
@@ -1340,8 +1336,8 @@ let form_superblock m (b : bentry) =
    since the chain {e is} the fill-time records, the very next compare
    is physical again.  ([perms] is an immediate int and an executing
    PCC's [otype] is the immediate [Otype.unsealed], so [==] already is
-   value equality for those.)  The cache's full-PC tag match pinned the
-   address. *)
+   value equality for those.)  The probe's full-PC start match pinned
+   the address. *)
 let[@inline always] ticket_ok m (b : bentry) =
   b.b_mode = m.mode
   &&
@@ -1353,6 +1349,21 @@ let[@inline always] ticket_ok m (b : bentry) =
      && tp.Capability.perms == cp.Capability.perms
      && tp.Capability.otype == cp.Capability.otype
      && tp.Capability.reserved = cp.Capability.reserved)
+
+(* The block-cache probe, written out here rather than called, because
+   every dispatch point runs it (the slot layout is [Decode_cache.t]'s:
+   slot (pc lsr 2) land 2047 in 8 pages of 256).  [probe] is the entry
+   translated at exactly [pc] if its ticket holds under the live PCC,
+   else [dummy] (whose start, -1, matches no PC); the caller counts the
+   hit. *)
+let[@inline always] bc_page bc pc =
+  Array.unsafe_get bc.Decode_cache.pages ((pc lsr 10) land 7)
+
+let[@inline always] bc_offset pc = (pc lsr 2) land 255
+
+let[@inline always] probe m bc pc =
+  let e = Array.unsafe_get (bc_page bc pc) (bc_offset pc) in
+  if e.b_start = pc && ticket_ok m e then e else bc.Decode_cache.dummy
 
 (* Rebuild [last_event] for an instruction that retired without
    trapping, field for field what [finish] writes: for everything the
@@ -1495,14 +1506,9 @@ let chain_edge m (b : bentry) edge =
     | _ ->
         if lep >= 0 && lep <> epoch then
           bc.Decode_cache.chain_unlinks <- bc.Decode_cache.chain_unlinks + 1;
-        let pc = Capability.address m.pcc in
-        let s = (pc lsr 2) land bc.Decode_cache.mask in
-        if
-          Array.unsafe_get bc.Decode_cache.tags s = pc
-          && ticket_ok m (Array.unsafe_get bc.Decode_cache.payloads s)
-        then begin
+        let succ = probe m bc (Capability.address m.pcc) in
+        if succ != bc.Decode_cache.dummy then begin
           bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
-          let succ = Array.unsafe_get bc.Decode_cache.payloads s in
           if edge = 1 then begin
             b.b_taken <- Some succ;
             b.b_taken_epoch <- epoch
@@ -1510,11 +1516,11 @@ let chain_edge m (b : bentry) edge =
           else begin
             b.b_fall <- Some succ;
             b.b_fall_epoch <- epoch
-          end;
-          succ
-        end
-        else bc.Decode_cache.dummy
-        (* miss: the caller's fill path counts it and fills *)
+          end
+        end;
+        succ
+        (* [dummy] is a miss: the caller's fill path counts it and
+           fills *)
   end
 
 (* [b]'s terminator was a [Jalr] that completed (edge 2): resolve the
@@ -1541,18 +1547,13 @@ let chain_edge_ind m (b : bentry) =
   | _ ->
       if b.b_ind_epoch >= 0 && b.b_ind_epoch <> epoch then
         bc.Decode_cache.chain_unlinks <- bc.Decode_cache.chain_unlinks + 1;
-      let s = (pc lsr 2) land bc.Decode_cache.mask in
-      if
-        Array.unsafe_get bc.Decode_cache.tags s = pc
-        && ticket_ok m (Array.unsafe_get bc.Decode_cache.payloads s)
-      then begin
+      let succ = probe m bc pc in
+      if succ != bc.Decode_cache.dummy then begin
         bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
-        let succ = Array.unsafe_get bc.Decode_cache.payloads s in
         b.b_ind <- Some succ;
-        b.b_ind_epoch <- epoch;
-        succ
-      end
-      else bc.Decode_cache.dummy
+        b.b_ind_epoch <- epoch
+      end;
+      succ
 
 (* A completed [Jalr] may have entered through a sentry that enabled
    interrupts, so its edge chains only when the delivery predicate is
@@ -1747,7 +1748,6 @@ let block_plan m (b : bentry) =
    loop; outside a recorded round each block only tests [record]. *)
 let exec_round m (b0 : bentry) ~fuel ~timed ~record =
   let bc = m.bcache in
-  let tags = bc.Decode_cache.tags in
   let dummy = bc.Decode_cache.dummy in
   let b = ref b0 in
   let base = ref 0 in  (* retired in completed earlier blocks *)
@@ -1785,7 +1785,14 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
        let cost = blk.b_cost in
        let b_start = blk.b_start in
        let b_len = blk.b_len in
-       let slot = (b_start lsr 2) land bc.Decode_cache.mask in
+       (* the block's own slot, for the own-kill check after a store.
+          A block runs only while its slot holds it: it came from a
+          probe, or from a link, which a kill, eviction, replacement or
+          flush would have unlinked.  So after a store the block is dead
+          exactly when its slot no longer holds it — one load, as no
+          fill (which could replace the page) happens mid-block. *)
+       let page = bc_page bc b_start in
+       let slot_off = bc_offset b_start in
        let rem = fuel - !base in
        let n = if rem < b_len then rem else b_len in
        let t = block_plan m blk in
@@ -1831,7 +1838,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
              ignore
                (do_store m (Array.unsafe_get chks !i) ~rs1 ~off ~width ~rs2);
              incr pending;
-             if Array.unsafe_get tags slot <> b_start then begin
+             if Array.unsafe_get page slot_off != blk then begin
                m.block_aborts <- m.block_aborts + 1;
                stop := true
              end
@@ -1841,7 +1848,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
          | Insn.Csc (rs2, rs1, off) ->
              do_csc m (Array.unsafe_get chks !i) ~rs2 ~rs1 ~off;
              incr pending;
-             if Array.unsafe_get tags slot <> b_start then begin
+             if Array.unsafe_get page slot_off != blk then begin
                m.block_aborts <- m.block_aborts + 1;
                stop := true
              end
@@ -1893,16 +1900,9 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
                     the miss). *)
                  bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
                  (if !base + !i + 1 < fuel then begin
-                    let pc = Capability.address m.pcc in
-                    let s = (pc lsr 2) land bc.Decode_cache.mask in
-                    if
-                      Array.unsafe_get tags s = pc
-                      && ticket_ok m
-                           (Array.unsafe_get bc.Decode_cache.payloads s)
-                    then begin
-                      bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
-                      cont := Array.unsafe_get bc.Decode_cache.payloads s
-                    end
+                    cont := probe m bc (Capability.address m.pcc);
+                    if !cont != dummy then
+                      bc.Decode_cache.hits <- bc.Decode_cache.hits + 1
                   end);
                  if !cont == dummy then begin
                    (* the round ends on the branch: its event is due *)
@@ -2073,14 +2073,10 @@ let block_round m ~fuel ~record ~timed =
   else begin
     let bc = m.bcache in
     let pc = Capability.address m.pcc in
-    let s = (pc lsr 2) land bc.Decode_cache.mask in
-    if
-      Array.unsafe_get bc.Decode_cache.tags s = pc
-      && ticket_ok m (Array.unsafe_get bc.Decode_cache.payloads s)
-    then begin
+    let b = probe m bc pc in
+    if b != bc.Decode_cache.dummy then begin
       bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
-      exec_round m (Array.unsafe_get bc.Decode_cache.payloads s) ~fuel ~timed
-        ~record
+      exec_round m b ~fuel ~timed ~record
     end
     else begin
       bc.Decode_cache.misses <- bc.Decode_cache.misses + 1;
@@ -2162,6 +2158,7 @@ type block_stats = {
   block_hits : int;
   block_misses : int;
   block_invalidations : int;  (* blocks killed by store snoops *)
+  block_evictions : int;  (* fills over a live block at another pc *)
   block_flushes : int;
   blocks_filled : int;
   insns_translated : int;  (* sum of fill-time block lengths *)
@@ -2188,6 +2185,7 @@ let block_stats m =
     block_hits = s.Decode_cache.hits;
     block_misses = s.Decode_cache.misses;
     block_invalidations = s.Decode_cache.invalidations;
+    block_evictions = s.Decode_cache.evictions;
     block_flushes = s.Decode_cache.flushes;
     blocks_filled = m.blocks_filled;
     insns_translated = m.insns_translated;

@@ -370,6 +370,9 @@ type block_stats = {
   block_hits : int;
   block_misses : int;
   block_invalidations : int;  (** blocks killed by store snoops *)
+  block_evictions : int;
+      (** fills that overwrote a live block starting at another PC
+          (slot conflicts) *)
   block_flushes : int;
   blocks_filled : int;
   insns_translated : int;  (** sum of fill-time block lengths *)

@@ -525,11 +525,13 @@ let test_jit_tiers_by_hotness () =
     m
   in
   let loop_block m =
-    let bc = m.Machine.bcache in
-    let s = Decode_cache.slot bc code_base in
-    Alcotest.(check int) "the loop block is cached" code_base
-      bc.Decode_cache.tags.(s);
-    bc.Decode_cache.payloads.(s)
+    let at_base = ref [] in
+    Decode_cache.iter
+      (fun b -> if b.Machine.b_start = code_base then at_base := b :: !at_base)
+      m.Machine.bcache;
+    match !at_base with
+    | [ b ] -> b
+    | _ -> Alcotest.fail "the loop block is cached"
   in
   let compiled m = (Machine.block_stats m).Machine.jit_blocks_compiled in
   let ref_m = mk () in
@@ -669,6 +671,165 @@ let test_trace_marks_jit () =
   Alcotest.(check bool) "the deoptimized block is marked" true
     (List.exists (fun e -> e.Trace.tr_mark = Machine.mark_opt_side_exit) gjt)
 
+(* --- the paged slot table ------------------------------------------ *)
+
+(* The cache's pages that hold entries: every page but the shared empty
+   one. *)
+let live_pages m =
+  let bc = m.Machine.bcache in
+  Array.to_list bc.Decode_cache.pages
+  |> List.filter (fun p -> p != bc.Decode_cache.empty)
+
+let cached_starts m =
+  let acc = ref [] in
+  Decode_cache.iter (fun b -> acc := b.Machine.b_start :: !acc) m.Machine.bcache;
+  List.rev !acc
+
+(* A [Jal] at [code_base] to an [Ebreak] [off] bytes on, with no-ops in
+   between: two one-instruction blocks [off] bytes apart. *)
+let jump_program off =
+  List.init
+    ((off / 4) + 1)
+    (fun i ->
+      Encode.encode
+        (if i = 0 then Insn.Jal (0, off)
+         else if i = off / 4 then Insn.Ebreak
+         else Insn.Op_imm (Add, 0, 0, 0)))
+
+(* Creating a machine allocates no page: every page index points at the
+   one shared empty page, so nothing of the cache is over OCaml's
+   256-word minor-heap limit and nothing lands in the major heap. *)
+let test_create_allocates_no_major_words () =
+  let bus = Bus.create () in
+  Bus.add_sram bus (Sram.create ~base:code_base ~size:code_size);
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let m = Machine.create bus in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "Machine.create: %.0f major-heap words, under 256" words)
+    true (words < 256.);
+  Alcotest.(check int) "no page allocated" 0 (List.length (live_pages m))
+
+(* A block starting 8 bytes before a page boundary (pc = 0x3f8 mod
+   0x2000) runs 16 bytes into the next page.  A store at 0x408 lands in
+   the next page, which holds no entry, so the snoop's candidate walk
+   must cross back into the block's page to kill it; the re-run must
+   then see the patched word. *)
+let test_kill_across_page_boundary () =
+  let start = 0x3f8 in
+  let program =
+    List.init ((start / 4) + 6) (fun i ->
+        Encode.encode
+          (if i = 0 then Insn.Jal (0, start)
+           else if i = (start / 4) + 5 then Insn.Ebreak
+           else Insn.Op_imm (Add, 1, 1, 1)))
+  in
+  let m, _ = Boot.code_only ~code_size:0x800 program in
+  let _ = run_block m in
+  Alcotest.(check int) "five adds ran" 5 (Machine.reg_int m 1);
+  Alcotest.(check (list int)) "the jump and the block across the boundary"
+    [ code_base; code_base + start ] (cached_starts m);
+  Alcotest.(check int) "only the first page holds entries" 1
+    (List.length (live_pages m));
+  Bus.write m.Machine.bus ~width:4 (code_base + 0x408)
+    (Encode.encode (Insn.Op_imm (Add, 1, 1, 16)));
+  let s = Machine.block_stats m in
+  Alcotest.(check int) "the store killed the block" 1
+    s.Machine.block_invalidations;
+  Alcotest.(check (list int)) "only the jump is left" [ code_base ]
+    (cached_starts m);
+  reset m;
+  let _ = run_block m in
+  Alcotest.(check int) "the re-run sees the patch" (4 + 16) (Machine.reg_int m 1);
+  Alcotest.(check int) "a refill at the same pc is no eviction" 0
+    (Machine.block_stats m).Machine.block_evictions
+
+(* [flush] drops every page back to the shared empty one, and the next
+   fill in a page allocates a fresh one. *)
+let test_flush_drops_pages () =
+  let m, _ = Boot.code_only ~code_size:0x800 (jump_program 0x400) in
+  let _ = run_block m in
+  let before = live_pages m in
+  Alcotest.(check int) "blocks in two pages fill both" 2 (List.length before);
+  Machine.flush_decode_cache m;
+  Alcotest.(check int) "flush drops every page" 0 (List.length (live_pages m));
+  Alcotest.(check (list int)) "and every entry" [] (cached_starts m);
+  reset m;
+  let _ = run_block m in
+  let after = live_pages m in
+  Alcotest.(check int) "the re-run fills both pages again" 2
+    (List.length after);
+  Alcotest.(check bool) "with fresh pages" true
+    (List.for_all (fun p -> not (List.memq p before)) after)
+
+(* Two blocks 8 KiB apart share a slot (2 048 slots of 4 bytes): the
+   second fill evicts the first, and each re-run refills one over the
+   other. *)
+let test_slot_conflict_evicts () =
+  let m, _ = Boot.code_only ~code_size:0x2400 (jump_program 0x2000) in
+  let _ = run_block m in
+  let s = Machine.block_stats m in
+  Alcotest.(check int) "both blocks filled" 2 s.Machine.blocks_filled;
+  Alcotest.(check int) "the second evicted the first" 1
+    s.Machine.block_evictions;
+  Alcotest.(check (list int)) "one slot holds the second"
+    [ code_base + 0x2000 ] (cached_starts m);
+  reset m;
+  let _ = run_block m in
+  let s = Machine.block_stats m in
+  Alcotest.(check int) "the re-run evicts each in turn" 3
+    s.Machine.block_evictions;
+  Alcotest.(check int) "kills are not evictions" 0
+    s.Machine.block_invalidations
+
+(* An evicted block can still be the target of a live chained link.
+   Here the loop block A (linked from the jump P) is evicted by the
+   exit block B 8 KiB above it; a later store patches A's code, but A
+   is no longer in its slot, so the snoop cannot kill it.  The re-run
+   enters through P: following P's link to the evicted A would run A's
+   old code, so the eviction must have unlinked it. *)
+let test_eviction_unlinks () =
+  let a = 0x100 and b = 0x2100 in
+  let program =
+    List.init ((b / 4) + 1) (fun i ->
+        Encode.encode
+          (if i = 0 then Insn.Jal (0, a)
+           else if i = a / 4 then Insn.Op_imm (Add, 1, 1, 1)
+           else if i = (a / 4) + 1 then Insn.Branch (Lt, 1, 6, -(a + 4))
+           else if i = (a / 4) + 2 then Insn.Jal (0, b - (a + 8))
+           else if i = b / 4 then Insn.Ebreak
+           else Insn.Op_imm (Add, 0, 0, 0)))
+  in
+  let mk () =
+    let m, _ = Boot.code_only ~code_size:0x2400 program in
+    Machine.set_reg_int m 6 3;
+    plain_blocks m;
+    m
+  in
+  let patch m =
+    Bus.write m.Machine.bus ~width:4 (code_base + a)
+      (Encode.encode (Insn.Op_imm (Add, 1, 1, 16)))
+  in
+  let ref_m = mk () in
+  let _ = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
+  patch ref_m;
+  reset ref_m;
+  Machine.set_reg_int ref_m 6 3;
+  let _ = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
+  let m = mk () in
+  let _ = run_jit m in
+  let s = Machine.block_stats m in
+  Alcotest.(check bool) "P chained into A" true (s.Machine.chain_hits > 0);
+  Alcotest.(check int) "B evicted A" 1 s.Machine.block_evictions;
+  patch m;
+  reset m;
+  Machine.set_reg_int m 6 3;
+  let _ = run_jit m in
+  Alcotest.(check int) "the re-run runs the patched A" 16 (Machine.reg_int m 1);
+  Alcotest.(check string) "same state as the reference"
+    (Machine.state_hash ref_m) (Machine.state_hash m)
+
 let suite =
   [
     Alcotest.test_case "block formation and stats accounting" `Quick
@@ -696,6 +857,16 @@ let suite =
       `Quick test_jit_counters_on_both_paths;
     Alcotest.test_case "jit compiles a block once it is hot" `Quick
       test_jit_tiers_by_hotness;
+    Alcotest.test_case "Machine.create allocates no major-heap words" `Quick
+      test_create_allocates_no_major_words;
+    Alcotest.test_case "store snoop kills a block across a page boundary"
+      `Quick test_kill_across_page_boundary;
+    Alcotest.test_case "flush drops every page, the next fill makes one"
+      `Quick test_flush_drops_pages;
+    Alcotest.test_case "slot conflicts count as evictions" `Quick
+      test_slot_conflict_evicts;
+    Alcotest.test_case "an eviction unlinks the evicted block" `Quick
+      test_eviction_unlinks;
     Alcotest.test_case "traced chain runs mark chained transfers" `Quick
       test_trace_marks_chained_transfers;
     Alcotest.test_case "traced jit runs mark transfers and deoptimizations"

@@ -73,6 +73,37 @@ let test_legalize_examples () =
   (* MC alone is meaningless: collapses to nothing. *)
   Alcotest.(check (list (Alcotest.testable Perm.pp ( = )))) "MC alone" [] (lg [ MC ])
 
+(* [legalize] against its specification, over every one of the 4096
+   permission sets and without the format search it memoizes: the result
+   is representable and a subset of the input, and no representable
+   subset of the input holds more permissions — 3^12 subset checks. *)
+let test_legalize_exhaustive () =
+  let popcount n =
+    let rec go n k = if n = 0 then k else go (n land (n - 1)) (k + 1) in
+    go n 0
+  in
+  for bits = 0 to 4095 do
+    let s = Perm.Set.of_arch_bits bits in
+    let l = Perm.legalize s in
+    let lbits = Perm.Set.to_arch_bits l in
+    if Perm.encode l = None then
+      Alcotest.failf "legalize 0x%03x = 0x%03x is not representable" bits lbits;
+    if not (Perm.Set.subset l s) then
+      Alcotest.failf "legalize 0x%03x = 0x%03x is not a subset" bits lbits;
+    (* every subset t of [bits], [bits] itself down to the empty set *)
+    let rec subsets t =
+      if Perm.encode (Perm.Set.of_arch_bits t) <> None
+         && popcount t > popcount lbits
+      then
+        Alcotest.failf
+          "legalize 0x%03x = 0x%03x, but its subset 0x%03x is representable \
+           and larger"
+          bits lbits t;
+      if t > 0 then subsets ((t - 1) land bits)
+    in
+    subsets bits
+  done
+
 let prop_legalize_subset =
   QCheck.Test.make ~name:"legalize yields a subset" ~count:2000 qcheck_set
     (fun s -> Perm.Set.subset (Perm.legalize s) s)
@@ -115,6 +146,8 @@ let suite =
       test_seal_mem_separation;
     Alcotest.test_case "format classification" `Quick test_formats;
     Alcotest.test_case "legalize examples" `Quick test_legalize_examples;
+    Alcotest.test_case "legalize meets its spec on all 4096 sets" `Quick
+      test_legalize_exhaustive;
     Alcotest.test_case "arch bit order" `Quick test_arch_bit_order;
     q prop_legalize_subset;
     q prop_legalize_idempotent;

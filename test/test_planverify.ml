@@ -63,14 +63,12 @@ let test_cold_identity_plan () =
       Alcotest.(check int)
         (name ^ ": a cold jit compiles no plan")
         0 (Machine.block_stats m).Machine.jit_blocks_compiled;
-      let bc = m.Machine.bcache in
-      Array.iteri
-        (fun k hi ->
-          let b = bc.Decode_cache.payloads.(k) in
-          if hi <> 0 && Option.is_some b.Machine.b_jit then
+      Decode_cache.iter
+        (fun b ->
+          if Option.is_some b.Machine.b_jit then
             Alcotest.failf "%s: cached block at 0x%x carries a plan" name
               b.Machine.b_start)
-        bc.Decode_cache.his)
+        m.Machine.bcache)
     Firmware.shipped
 
 (* --- seeded mutants ------------------------------------------------------ *)

@@ -559,27 +559,23 @@ let test_cost_tables_match_events () =
           let m = boot_perf every_kind_program in
           setup m;
           ignore (Perf.run (Perf.create ~dispatch:Perf.Jit ~params:p m));
-          let bc = m.Machine.bcache in
           let priced = Hashtbl.create 64 in
-          Array.iteri
-            (fun slot tag ->
-              if tag >= 0 then begin
-                let b = bc.Cheriot_isa.Decode_cache.payloads.(slot) in
-                Array.iteri
-                  (fun k insn ->
-                    let d = b.Machine.b_cost.(k + 1) - b.Machine.b_cost.(k) in
-                    let e = { (ev insn) with ev_mem_bytes = mem_bytes insn } in
-                    let what w = Format.asprintf "%s %a" w Insn.pp insn in
-                    Alcotest.(check int) (what "cycles")
-                      (Core_model.cycles_of_event p ~load_filter e)
-                      (Machine.cost_cycles d);
-                    Alcotest.(check int) (what "bus-busy cycles")
-                      (Core_model.mem_cycles_of_event p e)
-                      (Machine.cost_busy d);
-                    Hashtbl.replace priced (b.Machine.b_start + (4 * k)) ())
-                  b.Machine.b_insns
-              end)
-            bc.Cheriot_isa.Decode_cache.tags;
+          Cheriot_isa.Decode_cache.iter
+            (fun b ->
+              Array.iteri
+                (fun k insn ->
+                  let d = b.Machine.b_cost.(k + 1) - b.Machine.b_cost.(k) in
+                  let e = { (ev insn) with ev_mem_bytes = mem_bytes insn } in
+                  let what w = Format.asprintf "%s %a" w Insn.pp insn in
+                  Alcotest.(check int) (what "cycles")
+                    (Core_model.cycles_of_event p ~load_filter e)
+                    (Machine.cost_cycles d);
+                  Alcotest.(check int) (what "bus-busy cycles")
+                    (Core_model.mem_cycles_of_event p e)
+                    (Machine.cost_busy d);
+                  Hashtbl.replace priced (b.Machine.b_start + (4 * k)) ())
+                b.Machine.b_insns)
+            m.Machine.bcache;
           Alcotest.(check int) "every program word and the handler priced"
             (words + 1) (Hashtbl.length priced))
         [ true; false ])
