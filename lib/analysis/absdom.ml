@@ -45,8 +45,11 @@ module Iv = struct
   let limit = 1 lsl 32
   let full = { lo = 0; hi = limit }
   let exact n = if n < 0 || n > limit then full else { lo = n; hi = n }
-  let v lo hi = { lo = max 0 lo; hi = min limit hi }
-  let join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+  (* [Int.min]/[Int.max] compile to an inline compare; Stdlib's
+     polymorphic [min]/[max] are calls into the generic comparison, paid
+     on every bound the fixpoint joins. *)
+  let v lo hi = { lo = Int.max 0 lo; hi = Int.min limit hi }
+  let join a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
   let is_exact a = a.lo = a.hi
   let equal a b = a.lo = b.lo && a.hi = b.hi
 

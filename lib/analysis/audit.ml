@@ -30,19 +30,29 @@ open Absdom
 
 (* --- findings accumulator (dedupe by rule + compartment + pc) ---------- *)
 
+(* Findings, newest first.  Every fixpoint round fills an accumulator of
+   its own; [analyze_compartment] keeps the one round whose results it
+   reports and copies that round's findings into the compartment's. *)
 type acc = {
   mutable findings : Rules.finding list;
   seen : (string * string * int option, unit) Hashtbl.t;
-  mutable enabled : bool;  (* flow emission muted during warm-up rounds *)
 }
 
-let acc_create () = { findings = []; seen = Hashtbl.create 16; enabled = true }
+let acc_create () = { findings = []; seen = Hashtbl.create 16 }
 
 let emit acc ?pc ~compartment rule detail =
-  if acc.enabled && not (Hashtbl.mem acc.seen (rule, compartment, pc)) then begin
+  if not (Hashtbl.mem acc.seen (rule, compartment, pc)) then begin
     Hashtbl.replace acc.seen (rule, compartment, pc) ();
     acc.findings <- Rules.v ?pc ~compartment rule detail :: acc.findings
   end
+
+(* [emit] each of [findings], oldest first. *)
+let emit_all acc (findings : Rules.finding list) =
+  List.iter
+    (fun (f : Rules.finding) ->
+      emit acc ?pc:f.Rules.pc ~compartment:f.Rules.compartment f.Rules.rule
+        f.Rules.detail)
+    findings
 
 (* --- per-compartment analysis context ----------------------------------- *)
 
@@ -94,8 +104,8 @@ type ctx = {
          cross-compartment call through the switcher *)
   mutable xcall_out : v option;
       (* join of the a0 argument at every cross-compartment call site,
-         recomputed each round (the final emission round's value feeds
-         the interface summary) *)
+         recomputed each round (the kept round's value feeds the
+         interface summary) *)
   mutable xcall_out_pc : int option;
   mutable stored_xcall : int option;
       (* pc of a Csc provably storing an unmodified import-call return
@@ -740,9 +750,13 @@ let successors acc ctx (cfg : Cfg.t) (b : Cfg.block) (st : state) =
               end
               else [ (b.Cfg.term_pc + 4, clobbered st) ]))
 
-let run_fixpoint acc ctx (cfg : Cfg.t) =
+(* One round: the worklist fixpoint from the entry states, against the
+   memory and call summaries as the earlier rounds left them.  Returns
+   the round's findings, oldest first. *)
+let run_fixpoint ctx (cfg : Cfg.t) =
   (* cross-call observations are recomputed from scratch each round; the
-     final (emission) round's values feed the interface summary *)
+     kept round's values feed the interface summary *)
+  let acc = acc_create () in
   ctx.xcall_out <- None;
   ctx.xcall_out_pc <- None;
   ctx.stored_xcall <- None;
@@ -790,7 +804,8 @@ let run_fixpoint acc ctx (cfg : Cfg.t) =
         if Cfg.is_return b then record_return ctx pc st;
         List.iter (fun (succ, st') -> push succ st')
           (successors acc ctx cfg b st)
-  done
+  done;
+  List.rev acc.findings
 
 (* --- per-compartment driver ------------------------------------------------ *)
 
@@ -911,51 +926,54 @@ let analyze_compartment ~call_summaries ~field_sensitive ~key (t : Loader.t)
   let cfg =
     Cfg.build ~comp:name ~sram:t.Loader.sram ~lo:code_lo ~hi:code_hi ~entries
   in
-  List.iter
-    (fun (f : Rules.finding) ->
-      emit acc ?pc:f.Rules.pc ~compartment:f.Rules.compartment f.Rules.rule
-        f.Rules.detail)
-    cfg.Cfg.findings;
+  emit_all acc cfg.Cfg.findings;
   (* Register every export entry as a summarised callee up front, so the
      fixpoint attributes return states to it and the interface summary
      can report what each export returns. *)
   List.iter
     (fun e -> if Hashtbl.mem cfg.Cfg.blocks e then register_callee ctx cfg e)
     entries;
-  (* Warm-up rounds with flow emission muted, until the memory and call
-     summaries reach a joint fixpoint; then one emission round.  This
-     keeps findings independent of the order in which stores and calls
-     were discovered.  Each round re-runs from scratch against the
-     summaries the previous rounds accumulated (both are monotone). *)
-  acc.enabled <- false;
+  (* Rounds until the memory and call summaries reach a joint fixpoint.
+     Each round re-runs from scratch against the summaries the earlier
+     rounds accumulated (both are monotone), which keeps findings
+     independent of the order in which stores and calls were
+     discovered.  The analysis reports one round: its findings, its
+     cross-call observations and the summaries as it leaves them.
+
+     The first round that grows no memory summary, no call summary and
+     no callee set is that round.  It left every input of
+     [run_fixpoint] as it found it, and [run_fixpoint] is
+     deterministic, so running it again would replay it step for step.
+     A round that grew only the callee set is run once more: the new
+     callee's return blocks are attributed to it from the start of the
+     re-run, including any the round reached before it registered the
+     callee. *)
   let rec warm round =
     ctx.mem_dirty <- false;
     ctx.sum_dirty <- false;
-    run_fixpoint acc ctx cfg;
+    let callees = Hashtbl.length ctx.callees in
+    let this_round = run_fixpoint ctx cfg in
     if ctx.mem_dirty || ctx.sum_dirty then
       if round >= 8 then begin
         (* give up on memory and call precision rather than iterating
-           further: coarse but sound *)
+           further: coarse but sound.  The fallback round is final as
+           run: with [wild] at top every globals load reads top (an int
+           load, unknown), and with summaries off no call reads one, so
+           a re-run would see the same value at every load and call. *)
         ctx.soup <- top_v;
         Hashtbl.reset ctx.granules;
         ctx.wild <- Some top_v;
         Hashtbl.reset ctx.summaries;
         ctx.use_summaries <- false;
-        ctx.mem_dirty <- false;
-        ctx.sum_dirty <- false;
-        run_fixpoint acc ctx cfg
+        run_fixpoint ctx cfg
       end
       else warm (round + 1)
+    else if Hashtbl.length ctx.callees > callees then run_fixpoint ctx cfg
+    else this_round
   in
-  warm 0;
-  acc.enabled <- true;
-  run_fixpoint acc ctx cfg;
+  emit_all acc (warm 0);
   (* interrupt-posture rules over the same CFG *)
-  List.iter
-    (fun (f : Rules.finding) ->
-      emit acc ?pc:f.Rules.pc ~compartment:f.Rules.compartment f.Rules.rule
-        f.Rules.detail)
-    (Irq.analyze ~comp:name ~cfg ~entries:posture_entries ());
+  emit_all acc (Irq.analyze ~comp:name ~cfg ~entries:posture_entries ());
   let exports =
     List.map
       (fun (e : Compartment.export) ->

@@ -11,13 +11,23 @@
        the helper-call image is invisible without call summaries, the
        laundering image invisible without the field-sensitive store map;
      - the Driver exit-code contract (0 clean / 1 findings / 2 error)
-       and deterministic finding order. *)
+       and deterministic finding order;
+     - pinned report digests over perfbench's catalogue and a seeded
+       batch of generated scenarios, and one hand-built image for each
+       rare exit of the fixpoint's warm-up loop. *)
 
 module Rules = Cheriot_analysis.Rules
 module Audit = Cheriot_analysis.Audit
 module Corpus = Cheriot_analysis.Corpus
 module Driver = Cheriot_analysis.Driver
 module Firmware = Cheriot_workloads.Firmware
+module Scenario = Cheriot_proptest.Scenario
+module Loader = Cheriot_rtos.Loader
+module Compartment = Cheriot_rtos.Compartment
+module Asm = Cheriot_isa.Asm
+module Insn = Cheriot_isa.Insn
+module Capability = Cheriot_core.Capability
+module Otype = Cheriot_core.Otype
 
 let rules_of findings =
   List.sort_uniq compare (List.map (fun f -> f.Rules.rule) findings)
@@ -204,6 +214,157 @@ let test_json_report_wellformed () =
   Alcotest.(check bool) "counts the findings" true
     (contains ~sub:"\"total_findings\":1" s)
 
+(* --- pinned reports ---------------------------------------------------------- *)
+
+(* Audits [images] one at a time and checks the MD5 of their sorted JSON
+   report; a mismatch prints the whole report. *)
+let check_report_digest ~what ~pinned images =
+  let json =
+    Rules.report_to_json
+      (List.map
+         (fun (name, build) ->
+           (name, Rules.sort_findings (Audit.run (build ()))))
+         images)
+  in
+  let digest = Digest.to_hex (Digest.string json) in
+  if digest <> pinned then
+    Alcotest.failf "%s report digest %s, pinned %s; the report:\n%s" what
+      digest pinned json
+
+(* perfbench's audit catalogue under perfbench's image names, so the
+   digest equals its [Pinned.audit]. *)
+let catalogue =
+  Firmware.shipped
+  @ List.map
+      (fun (e : Corpus.entry) -> ("corpus/" ^ e.Corpus.name, e.Corpus.build))
+      Corpus.entries
+  @ List.init 8 (fun i ->
+        (Printf.sprintf "fleet-%d" i, fun () -> Firmware.fleet ~variant:i ()))
+
+let test_catalogue_report_pinned () =
+  check_report_digest ~what:"catalogue"
+    ~pinned:"984c1dff9bd9b52685d63948ee3c4502" catalogue
+
+(* 200 generated scenarios from a fixed seed, alternating clean and
+   unclean programs, each pair linked with and then without the
+   instrumentation (heap and patch capabilities in globals, an ISR). *)
+let generated_batch () =
+  let rand = Random.State.make [| 11 |] in
+  Array.to_list
+    (Array.init 200 (fun i ->
+         let clean = i mod 2 = 0 and instrument = i / 2 mod 2 = 0 in
+         let sc = QCheck.Gen.generate1 ~rand (Scenario.gen ~clean ()) in
+         ( Printf.sprintf "sc-%03d" i,
+           fun () -> (Scenario.link ~instrument sc).Scenario.t )))
+
+let test_generated_report_pinned () =
+  check_report_digest ~what:"generated batch"
+    ~pinned:"fa1d05c1d8c709ca64ab588f8d0fb09d" (generated_batch ())
+
+(* --- the warm-up loop's two rare exits ---------------------------------------- *)
+
+(* Neither exit is reached by the catalogue or by generated scenarios.
+   Each image below reports different findings in its first warm-up
+   round than in the round the audit keeps, so keeping the wrong round
+   fails the test. *)
+
+let pc_of (t : Loader.t) comp label =
+  Asm.label (Loader.find t comp).Loader.image label
+
+let check_flow_findings name t expected =
+  Alcotest.(check (list (pair string (option int))))
+    (name ^ " findings")
+    (List.map (fun (rule, comp, label) -> (rule, Some (pc_of t comp label)))
+       expected)
+    (List.map
+       (fun (f : Rules.finding) -> (f.Rules.rule, f.Rules.pc))
+       (Rules.sort_findings (Audit.run t)))
+
+let chain_slots = 12
+
+(* Exit (a), the 8-round cap.  Slot [k + 1] of a globals chain is loaded
+   from slot [k], last pair first, and [gp] is stored into slot 0 at the
+   end: each load comes before, in code order, the store that feeds it,
+   so the tagged value advances one slot per round and the memory
+   summary still grows in round 8.  The jump through the chain's end is
+   provably untagged in every round up to the cap (one
+   flow-jump-not-executable finding); after the cap's fallback the end
+   is unknown, the jump may succeed, and the integer dereference behind
+   it is what the audit reports. *)
+let cap_image () =
+  let slot j = 8 * (j + 1) in
+  let copies =
+    List.concat
+      (List.init chain_slots (fun i ->
+           let k = chain_slots - 1 - i in
+           [ Asm.I (Insn.Clc (Insn.reg_t0, Insn.reg_gp, slot k));
+             Asm.I (Insn.Csc (Insn.reg_t0, Insn.reg_gp, slot (k + 1))) ]))
+  in
+  Loader.link
+    [ Compartment.v ~name:"chain"
+        ~globals_size:(slot (chain_slots + 1))
+        ~exports:[ Corpus.export "main" ]
+        ((Asm.Label "main" :: copies)
+        @ [ Asm.I (Insn.Csc (Insn.reg_gp, Insn.reg_gp, slot 0));
+            Asm.I (Insn.Clc (Insn.reg_t1, Insn.reg_gp, slot chain_slots));
+            Asm.I (Insn.Jalr (Insn.reg_ra, Insn.reg_t1, 0));
+            Asm.I (Insn.Op_imm (Insn.Add, Insn.reg_t2, 0, 5));
+            Asm.Label "deref";
+            Corpus.lw Insn.reg_a0 Insn.reg_t2 0;
+            Asm.I Insn.Ebreak ]) ]
+    ~boot:("chain", "main")
+
+let test_cap_exit () =
+  check_flow_findings "cap image" (cap_image ())
+    [ (Rules.flow_untagged_deref, "chain", "deref") ]
+
+(* Exit (b), a converged round that registered a new callee.  Export
+   [b] (analyzed first) jumps through globals slot 16, which export [a]
+   later fills with the sentry to [helper] that slot 24 holds from the
+   image.  Round 0 finds the jump provably untagged; in round 1 it may
+   succeed, and past it the intra-compartment sentry call through slot
+   24 registers [helper] as a callee.  [helper]'s return block already
+   ran in round 1, reached through [a]'s unknown call with a state the
+   sentry call adds nothing to, so round 1 grows nothing but the
+   callee set and reports no finding.  Only a re-run attributes
+   [helper]'s return, and its summary (a0 = 0) makes the dereference
+   after the call provably untagged. *)
+let late_callee_image () =
+  let t =
+    Loader.link
+      [ Compartment.v ~name:"late" ~globals_size:64
+          ~exports:[ Corpus.export "b"; Corpus.export "a" ]
+          [ Asm.Label "b";
+            Asm.I (Insn.Clc (Insn.reg_t0, Insn.reg_gp, 16));
+            Asm.I (Insn.Jalr (Insn.reg_ra, Insn.reg_t0, 0));
+            Asm.J (0, "call");
+            Asm.Label "call";
+            Asm.I (Insn.Clc (Insn.reg_t1, Insn.reg_gp, 24));
+            Asm.I (Insn.Jalr (Insn.reg_ra, Insn.reg_t1, 0));
+            Asm.Label "deref";
+            Corpus.lw Insn.reg_a1 Insn.reg_a0 0;
+            Asm.I Insn.Ebreak;
+            Asm.Label "a";
+            Asm.I (Insn.Clc (Insn.reg_t2, Insn.reg_gp, 24));
+            Asm.I (Insn.Csc (Insn.reg_t2, Insn.reg_gp, 16));
+            Asm.I (Insn.Jalr (Insn.reg_ra, Insn.reg_a1, 0));
+            Asm.Label "helper";
+            Asm.I (Insn.Op_imm (Insn.Add, Insn.reg_a0, 0, 0));
+            Asm.Ret ] ]
+      ~boot:("late", "b")
+  in
+  let b = Loader.find t "late" in
+  Corpus.write_cap t
+    (b.Loader.globals_base + 24)
+    (Corpus.sentry
+       (Capability.with_address b.Loader.code_cap (pc_of t "late" "helper"))
+       Otype.Sentry_enable);
+  t
+
+let test_late_callee_exit () =
+  check_flow_findings "late-callee image" (late_callee_image ())
+    [ (Rules.flow_untagged_deref, "late", "deref") ]
+
 let suite =
   List.concat
     [
@@ -241,5 +402,13 @@ let suite =
           test_flow_finding_has_pc;
         Alcotest.test_case "json report is well-formed" `Quick
           test_json_report_wellformed;
+        Alcotest.test_case "catalogue report is pinned" `Quick
+          test_catalogue_report_pinned;
+        Alcotest.test_case "generated-scenario report is pinned" `Quick
+          test_generated_report_pinned;
+        Alcotest.test_case "warm-up cap keeps the fallback round" `Quick
+          test_cap_exit;
+        Alcotest.test_case "late callee re-runs the converged round" `Quick
+          test_late_callee_exit;
       ];
     ]
