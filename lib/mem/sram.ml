@@ -27,26 +27,48 @@ let check t addr size align =
   if addr land (align - 1) <> 0 then
     invalid_arg (Printf.sprintf "Sram: 0x%x misaligned (%d)" addr align)
 
-let microtag_get t bit =
-  Char.code (Bytes.get t.microtags (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
+(* Every micro-tag update below works a bitmap byte at a time.  A byte
+   holds the pairs of four granules, so one granule or one half is a
+   single read-modify-write, and a range is two masked edge bytes around
+   a [Bytes.fill] of the bytes in between. *)
 
-let microtag_set t bit v =
-  let byte = Char.code (Bytes.get t.microtags (bit lsr 3)) in
-  let mask = 1 lsl (bit land 7) in
-  let byte = if v then byte lor mask else byte land lnot mask in
-  Bytes.set t.microtags (bit lsr 3) (Char.chr byte)
+let clear_bits t i mask =
+  Bytes.set t.microtags i
+    (Char.unsafe_chr (Char.code (Bytes.get t.microtags i) land lnot mask))
 
-(* granule index and half (0 = low word, 1 = high word) of an address *)
-let granule t addr = (addr - t.base) lsr 3
-let half addr = (addr lsr 2) land 1
+(* The micro-tag of 32-bit half [h] (counted from [base]) is bit [h] of
+   the bitmap.  An aligned access of at most four bytes touches one half,
+   so every ISA store pays exactly this. *)
+let clear_half t h = clear_bits t (h lsr 3) (1 lsl (h land 7))
 
 let clear_microtags_for_write t addr len =
-  (* Any data write clears the micro-tag of each 32-bit half it touches. *)
+  (* Any data write clears the micro-tag of each 32-bit half it touches:
+     bits [first, last] of the bitmap. *)
   let first = (addr - t.base) lsr 2 in
   let last = (addr + len - 1 - t.base) lsr 2 in
-  for half_idx = first to last do
-    microtag_set t half_idx false
-  done
+  let fb = first lsr 3 and lb = last lsr 3 in
+  let lo_mask = (0xff lsl (first land 7)) land 0xff in
+  let hi_mask = (2 lsl (last land 7)) - 1 in
+  if fb = lb then clear_bits t fb (lo_mask land hi_mask)
+  else begin
+    clear_bits t fb lo_mask;
+    Bytes.fill t.microtags (fb + 1) (lb - fb - 1) '\000';
+    clear_bits t lb hi_mask
+  end
+
+(* granule index of an address *)
+let granule t addr = (addr - t.base) lsr 3
+
+(* The two micro-tags of granule [g] as bits 0 (low half) and 1 (high
+   half) of an int, and their replacement by [pair]. *)
+let get_pair t g =
+  (Char.code (Bytes.get t.microtags (g lsr 2)) lsr ((g land 3) lsl 1)) land 3
+
+let set_pair t g pair =
+  let i = g lsr 2 and shift = (g land 3) lsl 1 in
+  let byte = Char.code (Bytes.get t.microtags i) in
+  Bytes.set t.microtags i
+    (Char.unsafe_chr (byte land lnot (3 lsl shift) lor (pair lsl shift)))
 
 (* Unchecked variants for the machine's resolved-window fast path: the
    caller has already proved the access in range and aligned (the window
@@ -62,15 +84,15 @@ let read32_u t addr =
 
 let write8_u t addr v =
   Bytes.unsafe_set t.data (addr - t.base) (Char.unsafe_chr (v land 0xff));
-  clear_microtags_for_write t addr 1
+  clear_half t ((addr - t.base) lsr 2)
 
 let write16_u t addr v =
   Bytes.set_uint16_le t.data (addr - t.base) (v land 0xffff);
-  clear_microtags_for_write t addr 2
+  clear_half t ((addr - t.base) lsr 2)
 
 let write32_u t addr v =
   Bytes.set_int32_le t.data (addr - t.base) (Int32.of_int v);
-  clear_microtags_for_write t addr 4
+  clear_half t ((addr - t.base) lsr 2)
 
 let read8 t addr =
   check t addr 1 1;
@@ -87,45 +109,33 @@ let read32 t addr =
 let write8 t addr v =
   check t addr 1 1;
   Bytes.set t.data (addr - t.base) (Char.chr (v land 0xff));
-  clear_microtags_for_write t addr 1
+  clear_half t ((addr - t.base) lsr 2)
 
 let write16 t addr v =
   check t addr 2 2;
   Bytes.set_uint16_le t.data (addr - t.base) (v land 0xffff);
-  clear_microtags_for_write t addr 2
+  clear_half t ((addr - t.base) lsr 2)
 
 let write32 t addr v =
   check t addr 4 4;
   Bytes.set_int32_le t.data (addr - t.base) (Int32.of_int v);
-  clear_microtags_for_write t addr 4
+  clear_half t ((addr - t.base) lsr 2)
 
 let read_cap t addr =
   check t addr 8 8;
-  let g = granule t addr in
-  let tag = microtag_get t (2 * g) && microtag_get t ((2 * g) + 1) in
-  (tag, Bytes.get_int64_le t.data (addr - t.base))
+  (get_pair t (granule t addr) = 3, Bytes.get_int64_le t.data (addr - t.base))
 
 let write_cap t addr (tag, word) =
   check t addr 8 8;
   Bytes.set_int64_le t.data (addr - t.base) word;
-  let g = granule t addr in
-  microtag_set t (2 * g) tag;
-  microtag_set t ((2 * g) + 1) tag
+  set_pair t (granule t addr) (if tag then 3 else 0)
 
 let read_microtags t addr =
-  let g = granule t (addr land lnot 7) in
-  (microtag_get t (2 * g), microtag_get t ((2 * g) + 1))
+  let pair = get_pair t (granule t (addr land lnot 7)) in
+  (pair land 1 <> 0, pair land 2 <> 0)
 
-let clear_tag_at t addr =
-  let g = granule t (addr land lnot 7) in
-  microtag_set t (2 * g) false;
-  microtag_set t ((2 * g) + 1) false
-
-let tag_at t addr =
-  let lo, hi = read_microtags t addr in
-  lo && hi
-
-let _ = half
+let clear_tag_at t addr = set_pair t (granule t (addr land lnot 7)) 0
+let tag_at t addr = get_pair t (granule t (addr land lnot 7)) = 3
 
 let fill t ~addr ~len c =
   if len > 0 then begin

@@ -19,7 +19,8 @@
     + {b codec/engine invariants}: the E'4/B'9/T'9 bounds round-trip
       properties (in [test_bounds], over {!Flatgen.gen_region}) and
       [Revoker.tick_n] ≡ tick-loop equivalence under random grant and
-      snoop schedules;
+      snoop schedules, and the byte-wise [Revbits]/[Sram] bitmap updates
+      and the tag-first software sweep ≡ their bit-at-a-time oracles;
     + {b auditor precision}: every generated {e clean} scenario audits
       with zero findings — the zero-false-positive claim pinned under
       generated, not hand-written, inputs.
@@ -38,6 +39,8 @@ module Perf = Cheriot_uarch.Perf
 module Revoker = Cheriot_uarch.Revoker
 module Loader = Cheriot_rtos.Loader
 module Allocator = Cheriot_rtos.Allocator
+module Clock = Cheriot_rtos.Clock
+module Sw_revoker = Cheriot_rtos.Sw_revoker
 module Audit = Cheriot_analysis.Audit
 module Rules = Cheriot_analysis.Rules
 module Planverify = Cheriot_analysis.Planverify
@@ -544,6 +547,24 @@ type revoker_case = {
 let revoker_heap_base = 0x40000
 let revoker_heap_size = 0x2000
 
+(* Store a tagged 8-byte capability to granule [target] at granule [at]
+   for each [(at, target, freed)], painting [target] revoked if [freed]
+   (indices wrap into the heap). *)
+let place_caps sram rev caps =
+  let granules = revoker_heap_size / 8 in
+  List.iter
+    (fun (at, target, freed) ->
+      let at = revoker_heap_base + (8 * (at mod granules)) in
+      let target = revoker_heap_base + (8 * (target mod granules)) in
+      let c =
+        Capability.set_bounds
+          (Capability.with_address Capability.root_mem_rw target)
+          ~length:8 ~exact:true
+      in
+      Sram.write_cap sram at (true, Capability.to_word c);
+      if freed then Revbits.paint rev ~addr:target ~len:8)
+    caps
+
 (** [tick_n k] must be bit-identical to [k] successive [tick]s — sweep
     results, statistics, epoch transitions and final memory — under
     random capability layouts, grant schedules and mid-sweep snoops. *)
@@ -555,18 +576,7 @@ let revoker_tick_n_agrees (rc : revoker_case) =
       Revbits.create ~heap_base:revoker_heap_base
         ~heap_size:revoker_heap_size ()
     in
-    List.iter
-      (fun (at, target, freed) ->
-        let at = revoker_heap_base + (8 * (at mod granules)) in
-        let target = revoker_heap_base + (8 * (target mod granules)) in
-        let c =
-          Capability.set_bounds
-            (Capability.with_address Capability.root_mem_rw target)
-            ~length:8 ~exact:true
-        in
-        Sram.write_cap sram at (true, Capability.to_word c);
-        if freed then Revbits.paint rev ~addr:target ~len:8)
-      rc.rc_caps;
+    place_caps sram rev rc.rc_caps;
     let r =
       Revoker.create ~pipelined:rc.rc_pipelined ~core:rc.rc_core ~sram ~rev ()
     in
@@ -644,6 +654,343 @@ let arb_revoker_case =
         (String.concat ";" (List.map string_of_int rc.rc_grants))
         (String.concat ";" (List.map string_of_int rc.rc_snoops)))
     gen_revoker_case
+
+(* --- byte-wise bitmaps ≡ the bit-at-a-time originals --------------------- *)
+
+(* [Revbits] and [Sram] update their bitmaps a byte at a time.  The
+   oracles below are the bit-at-a-time code they replaced, run over one
+   bool per revocation granule or per micro-tag half; every byte-wise
+   path must agree with them at every granule after every operation. *)
+
+type revbits_case = {
+  rb_granule_log2 : int;
+  rb_heap_size : int;
+  rb_ops : (bool * int * int) list;
+      (** (paint?, address, length), the address relative to the heap
+          base and possibly below it *)
+}
+
+let revbits_heap_base = 0x40000
+
+(* Bit-at-a-time [paint]/[clear]: every granule of [[addr, addr+len)]
+   that lies in the heap, one at a time. *)
+let revbits_oracle (rb : revbits_case) bits v ~addr ~len =
+  let heap_end = revbits_heap_base + rb.rb_heap_size in
+  let lo = max addr revbits_heap_base in
+  let last_addr = min (addr + len - 1) (heap_end - 1) in
+  if len > 0 && last_addr >= lo then
+    for i = (lo - revbits_heap_base) lsr rb.rb_granule_log2
+        to (last_addr - revbits_heap_base) lsr rb.rb_granule_log2 do
+      bits.(i) <- v
+    done
+
+(** Byte-wise [Revbits.paint]/[clear] leave [is_revoked] at every granule
+    and [painted_granules] exactly where the per-granule model does, over
+    granule sizes 8, 16 and 32 B, heap sizes that are no multiple of 8
+    granules, empty and one-byte ranges and ranges overhanging either
+    edge of the heap. *)
+let revbits_bytewise_agrees (rb : revbits_case) =
+  let g = 1 lsl rb.rb_granule_log2 in
+  let rev =
+    Revbits.create ~granule_log2:rb.rb_granule_log2
+      ~heap_base:revbits_heap_base ~heap_size:rb.rb_heap_size ()
+  in
+  let bits = Array.make ((rb.rb_heap_size + g - 1) / g) false in
+  List.iteri
+    (fun k (v, off, len) ->
+      let addr = revbits_heap_base + off in
+      if v then Revbits.paint rev ~addr ~len
+      else Revbits.clear rev ~addr ~len;
+      revbits_oracle rb bits v ~addr ~len;
+      Array.iteri
+        (fun i b ->
+          let a = revbits_heap_base + (i * g) in
+          let a_end =
+            min (a + g) (revbits_heap_base + rb.rb_heap_size) - 1
+          in
+          if Revbits.is_revoked rev a <> b || Revbits.is_revoked rev a_end <> b
+          then
+            QCheck.Test.fail_reportf
+              "op %d: granule %d is_revoked disagrees with the model (%b)" k i
+              b)
+        bits;
+      let model = Array.fold_left (fun n b -> if b then n + 1 else n) 0 bits in
+      if Revbits.painted_granules rev <> model then
+        QCheck.Test.fail_reportf "op %d: painted_granules %d, model %d" k
+          (Revbits.painted_granules rev) model;
+      if
+        Revbits.is_revoked rev (revbits_heap_base - 1)
+        || Revbits.is_revoked rev (revbits_heap_base + rb.rb_heap_size)
+      then QCheck.Test.fail_reportf "op %d: revoked outside the heap" k)
+    rb.rb_ops;
+  true
+
+let gen_revbits_case : revbits_case QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* log2 = oneofl [ 3; 4; 5 ] in
+  let g = 1 lsl log2 in
+  let* granules = 1 -- 80
+  and* trim = frequency [ (1, return 0); (1, 0 -- (g - 1)) ] in
+  let size = (granules * g) - trim in
+  let op =
+    let* v = bool in
+    let* off = (-3 * g) -- (size + (3 * g)) in
+    let* len =
+      frequency
+        [ (1, return 0); (1, return 1); (4, 1 -- (size + (4 * g)));
+          (1, return (size + (8 * g))) ]
+    in
+    return (v, off, len)
+  in
+  let* ops = list_size (1 -- 20) op in
+  return { rb_granule_log2 = log2; rb_heap_size = size; rb_ops = ops }
+
+let arb_revbits_case =
+  QCheck.make
+    ~print:(fun rb ->
+      Printf.sprintf "granule %d B, heap %d B, ops [%s]"
+        (1 lsl rb.rb_granule_log2) rb.rb_heap_size
+        (String.concat "; "
+           (List.map
+              (fun (v, off, len) ->
+                Printf.sprintf "%s %+d %d"
+                  (if v then "paint" else "clear")
+                  off len)
+              rb.rb_ops)))
+    gen_revbits_case
+
+type sram_op =
+  | Op_cap of int * bool  (** [write_cap] at a granule, tagged or not *)
+  | Op_store of int * int * bool
+      (** [write8]/[16]/[32] (size, offset, unchecked [_u] twin?) *)
+  | Op_fill of int * int  (** [fill] (offset, length) *)
+  | Op_blit of int * int  (** [blit_string] (offset, length) *)
+  | Op_clear_tag of int  (** [clear_tag_at] any byte of a granule *)
+
+let sram_case_base = 0x20000
+
+let show_sram_op = function
+  | Op_cap (g, tag) -> Printf.sprintf "cap %d %b" g tag
+  | Op_store (n, off, u) ->
+      Printf.sprintf "write%d%s %d" (8 * n) (if u then "_u" else "") off
+  | Op_fill (off, len) -> Printf.sprintf "fill %d %d" off len
+  | Op_blit (off, len) -> Printf.sprintf "blit %d %d" off len
+  | Op_clear_tag off -> Printf.sprintf "clear_tag %d" off
+
+(* Bit-at-a-time micro-tag clearing: every half a data write touches,
+   one at a time. *)
+let sram_oracle_clear halves off len =
+  for h = off lsr 2 to (off + len - 1) lsr 2 do
+    halves.(h) <- false
+  done
+
+(** Byte-wise micro-tag updates agree with one bool per half: after every
+    [write_cap], data store ([_u] or checked), [fill], [blit_string] and
+    [clear_tag_at], [read_microtags], [tag_at] and the [read_cap] tag
+    match the model at every granule. *)
+let sram_bytewise_agrees (granules, ops) =
+  let sram = Sram.create ~base:sram_case_base ~size:(8 * granules) in
+  let halves = Array.make (2 * granules) false in
+  List.iteri
+    (fun k op ->
+      let at off = sram_case_base + off in
+      (match op with
+      | Op_cap (g, tag) ->
+          Sram.write_cap sram (at (8 * g)) (tag, Int64.of_int (g + 1));
+          halves.(2 * g) <- tag;
+          halves.((2 * g) + 1) <- tag
+      | Op_store (n, off, u) ->
+          (match (n, u) with
+          | 1, false -> Sram.write8 sram (at off) 0x5a
+          | 1, true -> Sram.write8_u sram (at off) 0x5a
+          | 2, false -> Sram.write16 sram (at off) 0x5a5a
+          | 2, true -> Sram.write16_u sram (at off) 0x5a5a
+          | _, false -> Sram.write32 sram (at off) 0x5a5a5a5a
+          | _, true -> Sram.write32_u sram (at off) 0x5a5a5a5a);
+          sram_oracle_clear halves off n
+      | Op_fill (off, len) ->
+          Sram.fill sram ~addr:(at off) ~len '\x00';
+          if len > 0 then sram_oracle_clear halves off len
+      | Op_blit (off, len) ->
+          Sram.blit_string sram ~addr:(at off) (String.make len '\xa5');
+          if len > 0 then sram_oracle_clear halves off len
+      | Op_clear_tag off ->
+          Sram.clear_tag_at sram (at off);
+          halves.(2 * (off lsr 3)) <- false;
+          halves.((2 * (off lsr 3)) + 1) <- false);
+      for g = 0 to granules - 1 do
+        let lo = halves.(2 * g) and hi = halves.((2 * g) + 1) in
+        let a = at (8 * g) in
+        if
+          Sram.read_microtags sram (a + 5) <> (lo, hi)
+          || Sram.tag_at sram a <> (lo && hi)
+          || Sram.tag_at sram (a + 7) <> (lo && hi)
+          || fst (Sram.read_cap sram a) <> (lo && hi)
+        then
+          QCheck.Test.fail_reportf
+            "after op %d (%s): granule %d micro-tags (%b, %b), model (%b, %b)"
+            k (show_sram_op op) g
+            (fst (Sram.read_microtags sram a))
+            (snd (Sram.read_microtags sram a))
+            lo hi
+      done)
+    ops;
+  true
+
+let gen_sram_case : (int * sram_op list) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* granules = 1 -- 48 in
+  let size = 8 * granules in
+  let range =
+    let* off = 0 -- (size - 1) in
+    let* len =
+      frequency [ (1, return 0); (1, 1 -- 4); (3, 0 -- (size - off)) ]
+    in
+    return (off, min len (size - off))
+  in
+  let op =
+    frequency
+      [
+        (5, map2 (fun g tag -> Op_cap (g, tag)) (0 -- (granules - 1))
+              (frequency [ (4, return true); (1, return false) ]));
+        (3, let* n = oneofl [ 1; 2; 4 ] and* u = bool in
+            let* w = 0 -- ((size / n) - 1) in
+            return (Op_store (n, n * w, u)));
+        (2, map (fun (off, len) -> Op_fill (off, len)) range);
+        (1, map (fun (off, len) -> Op_blit (off, len)) range);
+        (1, map (fun off -> Op_clear_tag off) (0 -- (size - 1)));
+      ]
+  in
+  let* ops = list_size (1 -- 40) op in
+  return (granules, ops)
+
+let arb_sram_case =
+  QCheck.make
+    ~print:(fun (granules, ops) ->
+      Printf.sprintf "%d granules: %s" granules
+        (String.concat "; " (List.map show_sram_op ops)))
+    gen_sram_case
+
+type sweep_case = {
+  sw_core : Core_model.core;
+  sw_batch : int;
+  sw_caps : (int * int * bool) list;
+      (** (granule index, target granule index, freed?) as in
+          [revoker_case] *)
+  sw_stores : (int * int) list;
+      (** (capability index, half) data stores that leave a placed
+          capability with one micro-tag *)
+  sw_range : int * int;  (** [start, stop) relative to the SRAM base *)
+}
+
+(* A software sweep that reads every granule's word with [read_cap],
+   tagged or not, on the range [Sw_revoker.sweep] clamps to. *)
+let sweep_oracle sram rev clock ~batch ~start ~stop =
+  let lo = Sram.base sram in
+  let start = max lo (start land lnot 7) in
+  let stop = min (lo + Sram.size sram) (stop land lnot 7) in
+  let cost = Sw_revoker.pair_cost clock.Clock.params in
+  let invalidated = ref 0 and pos = ref start in
+  while !pos < stop do
+    let batch_end = min stop (!pos + (batch * 8)) in
+    let granules = (batch_end - !pos) / 8 in
+    while !pos < batch_end do
+      let tag, word = Sram.read_cap sram !pos in
+      if tag then begin
+        let c = Capability.of_word ~tag word in
+        if Revbits.is_revoked rev (Capability.base c) then begin
+          Sram.write_cap sram !pos (false, word);
+          incr invalidated
+        end
+      end;
+      pos := !pos + 8
+    done;
+    Clock.advance clock
+      (((granules + 1) / 2) * cost)
+      ~mem_busy:(granules * 2 * (8 / clock.Clock.params.bus_bytes))
+  done;
+  !invalidated
+
+(** The tag-first software sweep invalidates, writes and charges exactly
+    what a sweep that reads every granule's word does, on ranges inside
+    and overhanging the SRAM. *)
+let sw_sweep_agrees (sc : sweep_case) =
+  let granules = revoker_heap_size / 8 in
+  let mk () =
+    let sram = Sram.create ~base:revoker_heap_base ~size:revoker_heap_size in
+    let rev =
+      Revbits.create ~heap_base:revoker_heap_base
+        ~heap_size:revoker_heap_size ()
+    in
+    place_caps sram rev sc.sw_caps;
+    List.iter
+      (fun (k, half) ->
+        let at, _, _ = List.nth sc.sw_caps (k mod List.length sc.sw_caps) in
+        Sram.write32 sram
+          (revoker_heap_base + (8 * (at mod granules)) + (4 * half))
+          0x1234)
+      sc.sw_stores;
+    (sram, rev, Clock.create (Core_model.params_of sc.sw_core))
+  in
+  let start = revoker_heap_base + fst sc.sw_range in
+  let stop = revoker_heap_base + snd sc.sw_range in
+  let sram_a, rev_a, clock_a = mk () and sram_b, rev_b, clock_b = mk () in
+  let sw =
+    Sw_revoker.create ~batch_granules:sc.sw_batch ~sram:sram_a ~rev:rev_a
+      ~clock:clock_a ()
+  in
+  Sw_revoker.sweep sw ~start ~stop;
+  let expected =
+    sweep_oracle sram_b rev_b clock_b ~batch:sc.sw_batch ~start ~stop
+  in
+  if Sw_revoker.invalidated sw <> expected then
+    QCheck.Test.fail_reportf "invalidated %d, oracle %d"
+      (Sw_revoker.invalidated sw) expected;
+  if Sram.digest sram_a <> Sram.digest sram_b then
+    QCheck.Test.fail_reportf "memory differs from the oracle's";
+  if Clock.cycles clock_a <> Clock.cycles clock_b then
+    QCheck.Test.fail_reportf "cycles %d, oracle %d" (Clock.cycles clock_a)
+      (Clock.cycles clock_b);
+  if Sw_revoker.epoch sw land 1 <> 0 then
+    QCheck.Test.fail_reportf "sweep left epoch %d odd" (Sw_revoker.epoch sw);
+  true
+
+let gen_sweep_case : sweep_case QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* core = oneofl [ Core_model.Ibex; Core_model.Flute ] in
+  let* batch = frequency [ (3, 1 -- 200); (1, return 128) ] in
+  let* caps =
+    list_size (1 -- 40)
+      (let* at = int_bound 1023
+       and* target = int_bound 1023
+       and* freed = bool in
+       return (at, target, freed))
+  in
+  let* stores = list_size (0 -- 8) (pair (int_bound 39) (int_bound 1)) in
+  let edge =
+    frequency [ (3, 0 -- revoker_heap_size); (1, (-200) -- 0);
+                (1, revoker_heap_size -- (revoker_heap_size + 200)) ]
+  in
+  let* a = edge and* b = edge in
+  return
+    { sw_core = core; sw_batch = batch; sw_caps = caps; sw_stores = stores;
+      sw_range = (min a b, max a b) }
+
+let arb_sweep_case =
+  QCheck.make
+    ~print:(fun sc ->
+      Printf.sprintf "%s batch=%d caps=[%s] stores=[%s] range=[%d, %d)"
+        (match sc.sw_core with Core_model.Ibex -> "ibex" | _ -> "flute")
+        sc.sw_batch
+        (String.concat ";"
+           (List.map
+              (fun (a, t, f) ->
+                Printf.sprintf "%d->%d%s" a t (if f then "!" else ""))
+              sc.sw_caps))
+        (String.concat ";"
+           (List.map (fun (k, h) -> Printf.sprintf "%d.%d" k h) sc.sw_stores))
+        (fst sc.sw_range) (snd sc.sw_range))
+    gen_sweep_case
 
 (* --- the assembled test family -------------------------------------------- *)
 
@@ -727,4 +1074,14 @@ let scenario_tests =
       ~name:"Revoker.tick_n is bit-identical to the tick loop"
       ~count:(Iters.count ~default:100) arb_revoker_case
       revoker_tick_n_agrees;
+    QCheck.Test.make
+      ~name:"byte-wise revocation bitmap agrees with the per-granule model"
+      ~count:(Iters.count ~default:300) arb_revbits_case
+      revbits_bytewise_agrees;
+    QCheck.Test.make
+      ~name:"byte-wise micro-tag updates agree with the per-half model"
+      ~count:(Iters.count ~default:300) arb_sram_case sram_bytewise_agrees;
+    QCheck.Test.make
+      ~name:"tag-first software sweep agrees with a word-reading sweep"
+      ~count:(Iters.count ~default:100) arb_sweep_case sw_sweep_agrees;
   ]

@@ -39,10 +39,12 @@ let pair_cost params =
   let access = params.base + params.mem_extra + beats - 1 in
   (4 * access) + 1
 
+(* Only tagged granules pay the word read and the capability decode: an
+   untagged one, the bulk of a sweep, costs one micro-tag byte read. *)
 let sweep_granule t addr =
-  let tag, word = Sram.read_cap t.sram addr in
-  if tag then begin
-    let c = Cheriot_core.Capability.of_word ~tag word in
+  if Sram.tag_at t.sram addr then begin
+    let _, word = Sram.read_cap t.sram addr in
+    let c = Cheriot_core.Capability.of_word ~tag:true word in
     if Revbits.is_revoked t.rev (Cheriot_core.Capability.base c) then begin
       (* The store-back writes the tag-stripped value. *)
       Sram.write_cap t.sram addr (false, word);
@@ -52,12 +54,18 @@ let sweep_granule t addr =
 
 (** Sweep [\[start, stop)], batched; [on_batch_end] runs between batches
     with interrupts conceptually re-enabled (the scheduler may preempt
-    there). *)
+    there).  As {!Cheriot_uarch.Revoker.kick} does, both ends are
+    rounded down to a granule and clamped into the SRAM, so a range that
+    overhangs it sweeps, and is charged for, only its in-range granules,
+    and the sweep always completes its epoch. *)
 let sweep ?(on_batch_end = fun () -> ()) t ~start ~stop =
+  let lo = Sram.base t.sram in
+  let start = Int.max lo (start land lnot 7) in
+  let stop = Int.min (lo + Sram.size t.sram) (stop land lnot 7) in
   t.epoch <- t.epoch + 1;
   t.sweeps <- t.sweeps + 1;
   let cost = pair_cost t.clock.Clock.params in
-  let pos = ref (start land lnot 7) in
+  let pos = ref start in
   while !pos < stop do
     let batch_end = min stop (!pos + (t.batch_granules * 8)) in
     let granules = (batch_end - !pos) / 8 in

@@ -308,6 +308,49 @@ let test_sw_revoker_preemptable () =
   Alcotest.(check int) "preemption points" (heap_size / 8 / 64) !batches;
   Alcotest.(check int) "epoch advanced twice" 2 (Sw_revoker.epoch sw)
 
+(* A sweep range that overhangs its SRAM on both sides is clamped into
+   it: the sweep completes its epoch, untags exactly the revoked
+   capabilities and charges what a sweep of the SRAM itself charges. *)
+let test_sw_revoker_clamps_overhang () =
+  let size = 4096 in
+  let revoked = heap_base + 0x800 and live = heap_base + 0x900 in
+  let slots = [ (0, revoked); (10, live); (100, revoked); (511, revoked) ] in
+  let setup () =
+    let clock = Clock.create (Core_model.params_of Core_model.Flute) in
+    let sram = Sram.create ~base:heap_base ~size in
+    let rev = Revbits.create ~heap_base ~heap_size:size () in
+    List.iter
+      (fun (slot, target) ->
+        let c =
+          Capability.set_bounds
+            (Capability.with_address Capability.root_mem_rw target)
+            ~length:8 ~exact:true
+        in
+        Sram.write_cap sram
+          (heap_base + (8 * slot))
+          (true, Capability.to_word c))
+      slots;
+    Revbits.paint rev ~addr:revoked ~len:8;
+    (clock, sram, Sw_revoker.create ~sram ~rev ~clock ())
+  in
+  let clock, sram, sw = setup () in
+  Sw_revoker.sweep sw ~start:(heap_base - 64) ~stop:(heap_base + size + 64);
+  Alcotest.(check int) "epoch even: the sweep completed" 2
+    (Sw_revoker.epoch sw);
+  Alcotest.(check int) "revoked capabilities invalidated" 3
+    (Sw_revoker.invalidated sw);
+  List.iter
+    (fun (slot, target) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "granule %d keeps its tag iff live" slot)
+        (target = live)
+        (Sram.tag_at sram (heap_base + (8 * slot))))
+    slots;
+  let clock_in, _, sw_in = setup () in
+  Sw_revoker.sweep sw_in ~start:heap_base ~stop:(heap_base + size);
+  Alcotest.(check int) "charged as the in-range sweep" (Clock.cycles clock_in)
+    (Clock.cycles clock)
+
 (* --- scheduler ------------------------------------------------------------ *)
 
 let test_sched_priorities () =
@@ -365,6 +408,8 @@ let suite =
       test_switcher_hwm_less_zeroing;
     Alcotest.test_case "software revoker batches" `Quick
       test_sw_revoker_preemptable;
+    Alcotest.test_case "software sweep clamps an overhanging range" `Quick
+      test_sw_revoker_clamps_overhang;
     Alcotest.test_case "scheduler priorities + sleep" `Quick
       test_sched_priorities;
     Alcotest.test_case "context switch cost of HWM CSRs" `Quick

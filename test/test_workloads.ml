@@ -2,7 +2,8 @@
    (Table 3), the allocation microbenchmark (Table 4 / Figs 5-6) and the
    IoT application (7.2.3).  These check the qualitative claims of the
    paper's evaluation — who wins, and in which direction each mechanism
-   moves the numbers — not absolute values. *)
+   moves the numbers — not absolute values, apart from the pins of exact
+   simulated numbers (a Table 4 cycle grid per size, the IoT load). *)
 
 module Core_model = Cheriot_uarch.Core_model
 module Coremark = Cheriot_workloads.Coremark
@@ -130,8 +131,39 @@ let test_alloc_bench_deterministic () =
   let b = ab Core_model.Ibex Allocator.Hardware true ~size:4096 in
   Alcotest.(check int) "deterministic" a.Alloc_bench.cycles b.Alloc_bench.cycles
 
+(* MD5 of a Table 4 cycle grid in perfbench's order: Flute then Ibex,
+   without then with the HWM, Baseline/Metadata/Software/Hardware. *)
+let table4_grid ?total size =
+  let cycles core hwm temporal =
+    (Alloc_bench.run ?total { Alloc_bench.core; temporal; hwm } ~size)
+      .Alloc_bench.cycles
+  in
+  List.concat_map
+    (fun core ->
+      List.concat_map
+        (fun hwm ->
+          List.map (cycles core hwm)
+            Allocator.[ Baseline; Metadata; Software; Hardware ])
+        [ false; true ])
+    [ Core_model.Flute; Core_model.Ibex ]
+  |> List.map string_of_int |> String.concat "," |> Digest.string
+  |> Digest.to_hex
+
+(* Simulated cycles are properties of the modelled hardware: a change
+   that only speeds up the simulator must leave these grids identical.
+   The 4096 B grid is perfbench's slice pin. *)
+let test_table4_pinned () =
+  Alcotest.(check string) "4096 B, 1 MiB (perfbench slice)"
+    "443d78b36dee1e2e78786e92a073a8c7" (table4_grid 4096);
+  Alcotest.(check string) "32 B, 128 KiB" "b12c4972e91e05eb5d51fec99538560a"
+    (table4_grid ~total:(128 * 1024) 32);
+  Alcotest.(check string) "256 B, 128 KiB" "9262dd0caebc0f059da728d04a8e9223"
+    (table4_grid ~total:(128 * 1024) 256)
+
 let test_iot_app () =
   let r = Iot_app.run ~seconds:3.0 () in
+  Alcotest.(check string) "CPU load pinned" "21.065416360887831"
+    (Printf.sprintf "%.17g" r.Iot_app.cpu_load_percent);
   Alcotest.(check bool)
     (Printf.sprintf "CPU load plausible (%.1f%%)" r.Iot_app.cpu_load_percent)
     true
@@ -172,6 +204,7 @@ let suite =
       test_alloc_bench_ibex_hwm_anomaly;
     Alcotest.test_case "alloc bench deterministic" `Quick
       test_alloc_bench_deterministic;
+    Alcotest.test_case "Table 4 cycle grids pinned" `Quick test_table4_pinned;
     Alcotest.test_case "IoT app ~17.5% CPU" `Quick test_iot_app;
     Alcotest.test_case "IoT app software-revoker variant" `Quick
       test_iot_app_software_revoker_variant;
