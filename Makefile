@@ -72,12 +72,16 @@ parity: build
 
 # The same property family with 20x the iteration counts (PROP_ITERS
 # multiplies every qcheck ~count in lib/proptest and the harness-scaled
-# unit suites).  Not part of `make ci`; run before cutting a release or
-# after touching the dispatch paths.
+# unit suites), plus the auditor's scaled suites: the abstract domain's
+# lattice laws and join contract, and incremental re-audit against
+# from-scratch.  Not part of `make ci`; run before cutting a release or
+# after touching the dispatch paths or the auditor's fixpoint.
 prop-long: build
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test proptest
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test differential
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test fuzz
+	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test absdom
+	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test incremental
 
 ci: build lint test parity audit verify-plans audit-incremental
 

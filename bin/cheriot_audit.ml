@@ -19,8 +19,10 @@
                       reused (the `make audit-incremental` CI gate)
      rules            list the rule catalogue (image + plan rules)
 
-   All image-auditing subcommands accept `--rule ID` to restrict the
-   report (shipped, plans) or the corpus selection to one rule.
+   shipped, corpus, all and plans accept `--rule ID` to restrict the
+   report (shipped, plans) or the corpus selection (corpus) to one rule;
+   all restricts both.  incremental compares whole reports and takes no
+   `--rule`: it is a malformed command line there (exit 2).
 
    Exit codes: 0 clean; 1 findings / corpus failure; 2 analysis error,
    unknown image, unknown rule or malformed command line.

@@ -143,41 +143,6 @@ let equal_ot a b =
   | Ot_any, Ot_any -> true
   | _ -> false
 
-let join a b =
-  {
-    tag = Tri.join a.tag b.tag;
-    ot = join_ot a.ot b.ot;
-    pmust = Perm.Set.inter a.pmust b.pmust;
-    pmay = Perm.Set.union a.pmay b.pmay;
-    base = Iv.join a.base b.base;
-    top = Iv.join a.top b.top;
-    addr = Iv.join a.addr b.addr;
-    from_load = a.from_load || b.from_load;
-    xret = Tri.join a.xret b.xret;
-  }
-
-(* Join with interval widening relative to [old] — applied at loop heads
-   once a block's input has been joined into often enough. *)
-let widen old nw =
-  {
-    tag = Tri.join old.tag nw.tag;
-    ot = join_ot old.ot nw.ot;
-    pmust = Perm.Set.inter old.pmust nw.pmust;
-    pmay = Perm.Set.union old.pmay nw.pmay;
-    base = Iv.widen old.base (Iv.join old.base nw.base);
-    top = Iv.widen old.top (Iv.join old.top nw.top);
-    addr = Iv.widen old.addr (Iv.join old.addr nw.addr);
-    from_load = old.from_load || nw.from_load;
-    xret = Tri.join old.xret nw.xret;
-  }
-
-let equal a b =
-  a.tag = b.tag && equal_ot a.ot b.ot
-  && Perm.Set.equal a.pmust b.pmust
-  && Perm.Set.equal a.pmay b.pmay
-  && Iv.equal a.base b.base && Iv.equal a.top b.top && Iv.equal a.addr b.addr
-  && a.from_load = b.from_load && a.xret = b.xret
-
 (* Abstract ordering: [leq a b] iff every concretization of [a] is one of
    [b] — i.e. [b] is the more abstract value.  Must-components shrink
    upward, may-components grow. *)
@@ -197,6 +162,50 @@ let leq a b =
   && leq_iv a.base b.base && leq_iv a.top b.top && leq_iv a.addr b.addr
   && ((not a.from_load) || b.from_load)
   && (a.xret = b.xret || b.xret = Tri.Any)
+
+(* [join a b] and [widen a b] are [a] itself exactly when [leq b a]: by
+   the lattice laws the result then equals [a].  Most of the fixpoint's
+   joins grow nothing, so it keeps the old value instead of a copy; the
+   [==] test settles a register the path left untouched without
+   comparing it. *)
+let join a b =
+  if b == a || leq b a then a
+  else
+    {
+      tag = Tri.join a.tag b.tag;
+      ot = join_ot a.ot b.ot;
+      pmust = Perm.Set.inter a.pmust b.pmust;
+      pmay = Perm.Set.union a.pmay b.pmay;
+      base = Iv.join a.base b.base;
+      top = Iv.join a.top b.top;
+      addr = Iv.join a.addr b.addr;
+      from_load = a.from_load || b.from_load;
+      xret = Tri.join a.xret b.xret;
+    }
+
+(* Join with interval widening relative to [old] — applied at loop heads
+   once a block has been processed often enough. *)
+let widen old nw =
+  if nw == old || leq nw old then old
+  else
+    {
+      tag = Tri.join old.tag nw.tag;
+      ot = join_ot old.ot nw.ot;
+      pmust = Perm.Set.inter old.pmust nw.pmust;
+      pmay = Perm.Set.union old.pmay nw.pmay;
+      base = Iv.widen old.base (Iv.join old.base nw.base);
+      top = Iv.widen old.top (Iv.join old.top nw.top);
+      addr = Iv.widen old.addr (Iv.join old.addr nw.addr);
+      from_load = old.from_load || nw.from_load;
+      xret = Tri.join old.xret nw.xret;
+    }
+
+let equal a b =
+  a.tag = b.tag && equal_ot a.ot b.ot
+  && Perm.Set.equal a.pmust b.pmust
+  && Perm.Set.equal a.pmay b.pmay
+  && Iv.equal a.base b.base && Iv.equal a.top b.top && Iv.equal a.addr b.addr
+  && a.from_load = b.from_load && a.xret = b.xret
 
 (* --- must-queries (the only evidence findings may use) ------------------ *)
 
@@ -239,11 +248,34 @@ let set (st : state) r x = if r <> 0 then st.(r land 15) <- x
 
 let copy_state (st : state) : state = Array.copy st
 
-let join_state (a : state) (b : state) : state = Array.map2 join a b
+(* [f a.(i) b.(i)] for every register, where [f] returns its first
+   argument itself when it grows nothing: [a] itself when no register
+   grows, otherwise a copy sharing every register that did not. *)
+let map2_grow f (a : state) (b : state) : state =
+  let n = Array.length a in
+  let rec scan i =
+    if i = n then a
+    else
+      let x = f a.(i) b.(i) in
+      if x == a.(i) then scan (i + 1)
+      else begin
+        let r = Array.copy a in
+        r.(i) <- x;
+        for j = i + 1 to n - 1 do
+          r.(j) <- f a.(j) b.(j)
+        done;
+        r
+      end
+  in
+  scan 0
 
-let widen_state (a : state) (b : state) : state = Array.map2 widen a b
+let join_state (a : state) (b : state) : state = map2_grow join a b
+
+let widen_state (a : state) (b : state) : state = map2_grow widen a b
 
 let equal_state (a : state) (b : state) =
-  let ok = ref true in
-  Array.iteri (fun i x -> if not (equal x b.(i)) then ok := false) a;
-  !ok
+  a == b
+  ||
+  let n = Array.length a in
+  let rec go i = i = n || ((a.(i) == b.(i) || equal a.(i) b.(i)) && go (i + 1)) in
+  go 0

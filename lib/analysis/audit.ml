@@ -632,7 +632,7 @@ let register_callee ctx (cfg : Cfg.t) entry =
     let seen = Hashtbl.create 16 in
     let queue = Queue.create () in
     let push pc =
-      if Hashtbl.mem cfg.Cfg.blocks pc && not (Hashtbl.mem seen pc) then begin
+      if Cfg.node cfg pc >= 0 && not (Hashtbl.mem seen pc) then begin
         Hashtbl.replace seen pc ();
         Queue.push pc queue
       end
@@ -640,7 +640,7 @@ let register_callee ctx (cfg : Cfg.t) entry =
     push entry;
     while not (Queue.is_empty queue) do
       let pc = Queue.pop queue in
-      match Hashtbl.find_opt cfg.Cfg.blocks pc with
+      match Cfg.find cfg pc with
       | None -> ()
       | Some b ->
           if Cfg.is_return b then
@@ -707,7 +707,7 @@ let intra_sentry_target ctx (cfg : Cfg.t) (target : v) off =
     | Some (Otype.Sentry_enable | Otype.Sentry_disable | Otype.Sentry_inherit)
       when Iv.is_exact target.addr ->
         let a = target.addr.Iv.lo in
-        if a >= ctx.code_lo && a < ctx.code_hi && Hashtbl.mem cfg.Cfg.blocks a
+        if a >= ctx.code_lo && a < ctx.code_hi && Cfg.node cfg a >= 0
         then Some a
         else None
     | _ -> None
@@ -718,7 +718,7 @@ let successors acc ctx (cfg : Cfg.t) (b : Cfg.block) (st : state) =
   match b.Cfg.term with
   | Cfg.T_fall next -> [ (next, st) ]
   | Cfg.T_stop | Cfg.T_halt -> []
-  | Cfg.T_branch target -> [ (target, st); (b.Cfg.term_pc + 4, copy_state st) ]
+  | Cfg.T_branch target -> [ (target, st); (b.Cfg.term_pc + 4, st) ]
   | Cfg.T_jal (rd, target) ->
       let callee = copy_state st in
       if rd <> 0 then set callee rd (link_v ctx (b.Cfg.term_pc + 4));
@@ -752,7 +752,10 @@ let successors acc ctx (cfg : Cfg.t) (b : Cfg.block) (st : state) =
 
 (* One round: the worklist fixpoint from the entry states, against the
    memory and call summaries as the earlier rounds left them.  Returns
-   the round's findings, oldest first. *)
+   the round's findings, oldest first.  The worklist state lives in
+   arrays indexed by block number ({!Cfg.node}); the queue stays FIFO,
+   because when a join widens depends on how often its block has been
+   processed. *)
 let run_fixpoint ctx (cfg : Cfg.t) =
   (* cross-call observations are recomputed from scratch each round; the
      kept round's values feed the interface summary *)
@@ -760,50 +763,50 @@ let run_fixpoint ctx (cfg : Cfg.t) =
   ctx.xcall_out <- None;
   ctx.xcall_out_pc <- None;
   ctx.stored_xcall <- None;
-  let in_states : (int, state) Hashtbl.t = Hashtbl.create 64 in
-  let visits : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let n = Array.length cfg.Cfg.nodes in
+  let in_states : state option array = Array.make n None in
+  let visits = Array.make n 0 in
+  let queued = Array.make n false in
   let queue = Queue.create () in
-  let queued = Hashtbl.create 64 in
+  (* A state handed to [push] is never written again (the loop below
+     steps a copy of the in-state, and every successor state is that
+     copy or fresh), so an in-state may be the pushed array itself. *)
   let push pc st =
-    if Hashtbl.mem cfg.Cfg.blocks pc then begin
+    let k = Cfg.node cfg pc in
+    if k >= 0 then begin
       let changed =
-        match Hashtbl.find_opt in_states pc with
+        match in_states.(k) with
         | None ->
-            Hashtbl.replace in_states pc (copy_state st);
+            in_states.(k) <- Some st;
             true
         | Some old ->
-            let n = try Hashtbl.find visits pc with Not_found -> 0 in
             let joined =
-              if n > 8 then widen_state old (join_state old st)
+              if visits.(k) > 8 then widen_state old (join_state old st)
               else join_state old st
             in
             if equal_state old joined then false
             else begin
-              Hashtbl.replace in_states pc joined;
+              in_states.(k) <- Some joined;
               true
             end
       in
-      if changed && not (Hashtbl.mem queued pc) then begin
-        Hashtbl.replace queued pc ();
-        Queue.push pc queue
+      if changed && not queued.(k) then begin
+        queued.(k) <- true;
+        Queue.push k queue
       end
     end
   in
   List.iter (fun e -> push e (entry_state ctx)) cfg.Cfg.entries;
   while not (Queue.is_empty queue) do
-    let pc = Queue.pop queue in
-    Hashtbl.remove queued pc;
-    Hashtbl.replace visits pc
-      (1 + (try Hashtbl.find visits pc with Not_found -> 0));
-    match Hashtbl.find_opt cfg.Cfg.blocks pc with
-    | None -> ()
-    | Some b ->
-        Hashtbl.reset ctx.fwd;
-        let st = copy_state (Hashtbl.find in_states pc) in
-        List.iter (fun (ipc, i) -> step acc ctx st ipc i) b.Cfg.body;
-        if Cfg.is_return b then record_return ctx pc st;
-        List.iter (fun (succ, st') -> push succ st')
-          (successors acc ctx cfg b st)
+    let k = Queue.pop queue in
+    queued.(k) <- false;
+    visits.(k) <- visits.(k) + 1;
+    let b = cfg.Cfg.nodes.(k) in
+    Hashtbl.reset ctx.fwd;
+    let st = copy_state (Option.get in_states.(k)) in
+    List.iter (fun (ipc, i) -> step acc ctx st ipc i) b.Cfg.body;
+    if Cfg.is_return b then record_return ctx b.Cfg.start st;
+    List.iter (fun (succ, st') -> push succ st') (successors acc ctx cfg b st)
   done;
   List.rev acc.findings
 
@@ -817,7 +820,11 @@ let run_fixpoint ctx (cfg : Cfg.t) =
    tags), the layout the abstract domain bakes into entry states and
    region classification, the capability roots it derives from, the
    export table (labels, postures, entry pcs), the boot entry when it
-   lands in this compartment, and the analysis flags. *)
+   lands in this compartment, and the analysis flags.  The layout
+   includes the SRAM base: the fixpoint derives the switcher window that
+   marks a cross-compartment call from it, and two images linked at
+   different bases can place identical compartment bytes at the same
+   addresses. *)
 let summary_key ~call_summaries ~field_sensitive (t : Loader.t)
     (name, (b : Loader.built)) =
   let sram = t.Loader.sram in
@@ -828,8 +835,8 @@ let summary_key ~call_summaries ~field_sensitive (t : Loader.t)
   let buf = Buffer.create (4 * (code_hi - code_lo) + 1024) in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   addf "%s|%b|%b|" name call_summaries field_sensitive;
-  addf "%d %d %d %d %d %d %d %d|" code_lo code_hi gbase gsize
-    t.Loader.stack_base t.Loader.stack_size t.Loader.heap_base
+  addf "%d %d %d %d %d %d %d %d %d|" (Sram.base sram) code_lo code_hi gbase
+    gsize t.Loader.stack_base t.Loader.stack_size t.Loader.heap_base
     t.Loader.heap_size;
   let add_cap (c : Capability.t) =
     addf "%b:%Lx;" c.Capability.tag (Capability.to_word c)
@@ -931,7 +938,7 @@ let analyze_compartment ~call_summaries ~field_sensitive ~key (t : Loader.t)
      fixpoint attributes return states to it and the interface summary
      can report what each export returns. *)
   List.iter
-    (fun e -> if Hashtbl.mem cfg.Cfg.blocks e then register_callee ctx cfg e)
+    (fun e -> if Cfg.node cfg e >= 0 then register_callee ctx cfg e)
     entries;
   (* Rounds until the memory and call summaries reach a joint fixpoint.
      Each round re-runs from scratch against the summaries the earlier
@@ -1212,10 +1219,11 @@ type stats = {
 (** [run_stats ?cache t] audits a linked image and reports summary-cache
     reuse.  The linkage audit and the {!Linkflow} pass always run fresh
     (they are cheap and depend on cross-compartment state); only the
-    per-compartment fixpoints are cached, keyed by {!summary_key}.  A
-    warm re-audit is byte-identical to a cold one because a hash hit
-    replays the exact findings and interface the cold analysis of the
-    same inputs would recompute.  [call_summaries] and [field_sensitive]
+    per-compartment fixpoints are cached, keyed by {!summary_key}; an
+    audit without a cache computes no key, and its summaries carry an
+    empty [sm_key].  A warm re-audit is byte-identical to a cold one
+    because a hash hit replays the exact findings and interface the
+    cold analysis of the same inputs would recompute.  [call_summaries] and [field_sensitive]
     exist to let tests prove the interprocedural and store-map layers
     catch what the coarse analysis misses; production callers leave them
     on. *)
@@ -1227,20 +1235,20 @@ let run_stats ?(call_summaries = true) ?(field_sensitive = true)
   let sums =
     List.map
       (fun cb ->
-        let key = summary_key ~call_summaries ~field_sensitive t cb in
-        let fresh () =
+        let fresh key =
           incr misses;
           analyze_compartment ~call_summaries ~field_sensitive ~key t cb
         in
         match cache with
-        | None -> fresh ()
+        | None -> fresh ""
         | Some c -> (
+            let key = summary_key ~call_summaries ~field_sensitive t cb in
             match Summary.find c key with
             | Some s ->
                 incr hits;
                 s
             | None ->
-                let s = fresh () in
+                let s = fresh key in
                 Summary.add c s;
                 s))
       t.Loader.compartments

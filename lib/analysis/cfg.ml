@@ -37,10 +37,25 @@ type t = {
   comp : string;
   lo : int;  (* code region [lo, hi) *)
   hi : int;
-  blocks : (int, block) Hashtbl.t;  (* leader pc -> block *)
+  nodes : block array;  (* every block, numbered by ascending leader pc *)
+  node_at : int array;
+      (* (pc - lo) / 4 -> the number of the block led at pc, or -1 *)
   entries : int list;
   findings : Rules.finding list;
 }
+
+(* The number of the block led at [pc] (its index in [nodes]), or -1
+   when no block starts there. *)
+let node t pc =
+  let d = pc - t.lo in
+  if d >= 0 && d land 3 = 0 && d lsr 2 < Array.length t.node_at then
+    t.node_at.(d lsr 2)
+  else -1
+
+(* The block led at [pc], if any. *)
+let find t pc =
+  let k = node t pc in
+  if k < 0 then None else Some t.nodes.(k)
 
 (* Direct static successors of a block, posture- and context-preserving:
    fall-throughs, both branch arms, direct jump/call targets and call
@@ -144,42 +159,61 @@ let build ~comp ~sram ~lo ~hi ~entries =
     done
   done;
   (* Pass 2: carve blocks at leaders. *)
-  let blocks = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun leader () ->
-      let body = ref [] in
-      let rec walk pc =
-        match Hashtbl.find_opt insns pc with
-        | None ->
-            (* recovery stopped at [pc]: undecodable or fell off the
-               region; the finding is already recorded *)
-            { start = leader; body = List.rev !body; term_pc = pc; term = T_stop }
-        | Some i when is_block_end i ->
-            let term =
-              match i with
-              | Insn.Jal (rd, off) -> (
-                  let target = pc + off in
-                  if target >= lo && target < hi && target land 3 = 0 then
-                    T_jal (rd, target)
-                  else T_stop (* flagged cross edge: not followed *))
-              | Insn.Branch (_, _, _, off) -> (
-                  let target = pc + off in
-                  if target >= lo && target < hi && target land 3 = 0 then
-                    T_branch target
-                  else T_stop)
-              | Insn.Jalr (rd, rs1, off) -> T_jalr (rd, rs1, off)
-              | _ -> T_halt
-            in
-            { start = leader; body = List.rev !body; term_pc = pc; term }
-        | Some i ->
-            if pc <> leader && Hashtbl.mem leaders pc then
-              { start = leader; body = List.rev !body; term_pc = pc;
-                term = T_fall pc }
-            else begin
-              body := (pc, i) :: !body;
-              walk (pc + 4)
-            end
-      in
-      Hashtbl.replace blocks leader (walk leader))
-    leaders;
-  { comp; lo; hi; blocks; entries; findings = List.rev !findings }
+  let carve leader =
+    let body = ref [] in
+    let rec walk pc =
+      match Hashtbl.find_opt insns pc with
+      | None ->
+          (* recovery stopped at [pc]: undecodable or fell off the
+             region; the finding is already recorded *)
+          { start = leader; body = List.rev !body; term_pc = pc;
+            term = T_stop }
+      | Some i when is_block_end i ->
+          let term =
+            match i with
+            | Insn.Jal (rd, off) -> (
+                let target = pc + off in
+                if target >= lo && target < hi && target land 3 = 0 then
+                  T_jal (rd, target)
+                else T_stop (* flagged cross edge: not followed *))
+            | Insn.Branch (_, _, _, off) -> (
+                let target = pc + off in
+                if target >= lo && target < hi && target land 3 = 0 then
+                  T_branch target
+                else T_stop)
+            | Insn.Jalr (rd, rs1, off) -> T_jalr (rd, rs1, off)
+            | _ -> T_halt
+          in
+          { start = leader; body = List.rev !body; term_pc = pc; term }
+      | Some i ->
+          if pc <> leader && Hashtbl.mem leaders pc then
+            { start = leader; body = List.rev !body; term_pc = pc;
+              term = T_fall pc }
+          else begin
+            body := (pc, i) :: !body;
+            walk (pc + 4)
+          end
+    in
+    walk leader
+  in
+  (* Number the blocks, for the auditor's worklist and for a pc lookup
+     that hashes nothing.  Every leader is a word of [lo, hi]: one
+     inside the region was decoded, which takes an aligned [read32], and
+     is reached from an export label (a word of the image) by whole
+     words or is a direct target checked aligned; one past the region
+     is [hi] itself, a label at the image's end or the fall-through of
+     its last word. *)
+  let nodes =
+    Array.of_list
+      (List.sort
+         (fun a b -> Int.compare a.start b.start)
+         (Hashtbl.fold (fun leader () l -> carve leader :: l) leaders []))
+  in
+  let node_at = Array.make (((max 0 (hi - lo) + 3) / 4) + 1) (-1) in
+  Array.iteri
+    (fun i b ->
+      let d = b.start - lo in
+      assert (d >= 0 && d land 3 = 0);
+      node_at.(d lsr 2) <- i)
+    nodes;
+  { comp; lo; hi; nodes; node_at; entries; findings = List.rev !findings }

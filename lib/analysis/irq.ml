@@ -60,7 +60,7 @@ let analyze ~comp ~(cfg : Cfg.t) ?(budget = default_budget) ~entries () :
   in
   let queue = Queue.create () in
   let add ~via_edge pc ~on ~off =
-    if Hashtbl.mem cfg.Cfg.blocks pc then begin
+    if Cfg.node cfg pc >= 0 then begin
       (if via_edge then
          match declared pc with
          | Some (Some true) when off ->
@@ -90,7 +90,7 @@ let analyze ~comp ~(cfg : Cfg.t) ?(budget = default_budget) ~entries () :
     entries;
   while not (Queue.is_empty queue) do
     let pc = Queue.pop queue in
-    match Hashtbl.find_opt cfg.Cfg.blocks pc with
+    match Cfg.find cfg pc with
     | None -> ()
     | Some b ->
         let p = posture_of pc in
@@ -107,12 +107,12 @@ let analyze ~comp ~(cfg : Cfg.t) ?(budget = default_budget) ~entries () :
     |> List.sort compare
   in
   let succs pc =
-    match Hashtbl.find_opt cfg.Cfg.blocks pc with
+    match Cfg.find cfg pc with
     | None -> []
     | Some b -> List.filter off_block (Cfg.block_succs b)
   in
   let weight pc =
-    match Hashtbl.find_opt cfg.Cfg.blocks pc with
+    match Cfg.find cfg pc with
     | None -> 0
     | Some b -> List.length b.Cfg.body + 1
   in

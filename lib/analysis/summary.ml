@@ -10,12 +10,8 @@
    ({!digest} over the code region, globals image, layout, export table
    and analysis flags), so {!Linkflow} and the incremental driver can
    reuse a cached summary whenever the hash is unchanged and still
-   produce byte-identical reports.
+   produce byte-identical reports. *)
 
-   The abstract values come straight from {!Absdom}; [v_to_json] gives
-   the serialized form the incremental report and DESIGN.md document. *)
-
-open Cheriot_core
 open Absdom
 
 type export_summary = {
@@ -29,7 +25,9 @@ type export_summary = {
 
 type t = {
   sm_comp : string;
-  sm_key : string;  (** content hash (hex digest) the cache is keyed by *)
+  sm_key : string;
+      (** content hash (hex digest) the cache is keyed by; empty when the
+          summary was computed without a cache *)
   sm_exports : export_summary list;
   sm_xcall_out : v option;
       (** join of the a0 argument at every cross-compartment call site *)
@@ -57,54 +55,3 @@ type cache = { tbl : (string, t) Hashtbl.t }
 let create_cache () = { tbl = Hashtbl.create 16 }
 let find cache key = Hashtbl.find_opt cache.tbl key
 let add cache (s : t) = Hashtbl.replace cache.tbl s.sm_key s
-let cache_size cache = Hashtbl.length cache.tbl
-
-(* --- serialization ------------------------------------------------------ *)
-
-let tri_to_string = function
-  | Tri.True -> "true"
-  | Tri.False -> "false"
-  | Tri.Any -> "any"
-
-let v_to_json (x : v) =
-  let perms ps =
-    String.concat ","
-      (List.filter_map
-         (fun p -> if Perm.Set.mem p ps then Some (Perm.to_string p) else None)
-         Perm.all)
-  in
-  Printf.sprintf
-    "{\"tag\":\"%s\",\"sealed\":\"%s\",\"pmust\":\"%s\",\"pmay\":\"%s\",\
-     \"base\":[%d,%d],\"top\":[%d,%d],\"addr\":[%d,%d],\"xret\":\"%s\"}"
-    (tri_to_string x.tag)
-    (if must_sealed x then "true"
-     else if must_unsealed x then "false"
-     else "any")
-    (perms x.pmust) (perms x.pmay) x.base.Iv.lo x.base.Iv.hi x.top.Iv.lo
-    x.top.Iv.hi x.addr.Iv.lo x.addr.Iv.hi (tri_to_string x.xret)
-
-let opt_v_to_json = function None -> "null" | Some x -> v_to_json x
-
-let to_json (s : t) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"compartment\":\"%s\",\"key\":\"%s\",\"exports\":["
-       (Rules.json_escape s.sm_comp)
-       (Rules.json_escape s.sm_key));
-  List.iteri
-    (fun i (e : export_summary) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"label\":\"%s\",\"entry\":%d,\"returns\":%s}"
-           (Rules.json_escape e.xs_label)
-           e.xs_entry (opt_v_to_json e.xs_ret)))
-    s.sm_exports;
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"xcall_out\":%s,\"stored_xcall_pc\":%s,\"findings\":%d}"
-       (opt_v_to_json s.sm_xcall_out)
-       (match s.sm_stored_xcall_pc with
-       | Some pc -> string_of_int pc
-       | None -> "null")
-       (List.length s.sm_findings));
-  Buffer.contents b

@@ -6,7 +6,10 @@
    order-independent), widening must sit above the join (so it only
    loses precision, never soundness), and every ascending chain pushed
    through the auditor's 8-join-budget policy must stabilize (so the
-   fixpoint terminates). *)
+   fixpoint terminates).  The join contract the fixpoint leans on for
+   speed is pinned too: a join or widen that grows nothing returns its
+   first argument itself, a state join shares every register that did
+   not grow, and [equal_state] agrees with register-wise [equal]. *)
 
 open Cheriot_core
 module A = Cheriot_analysis.Absdom
@@ -156,6 +159,73 @@ let t_widening_terminates =
             rest;
           !monotone && !changes <= 42)
 
+(* --- the join contract ------------------------------------------------------ *)
+
+(* A value equal to [v] but not physically [v]. *)
+let fresh (v : A.v) = { v with A.tag = v.A.tag }
+
+(* Pairs [(a, b)] with [leq b a] about half the time: [a] raised to
+   [join a b], [b] a fresh copy of [a], or two random values. *)
+let arb_contract =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (a, b) -> pp_v a ^ " / " ^ pp_v b)
+    ( pair v_gen v_gen >>= fun (a, b) ->
+      frequency
+        [ (2, return (a, b)); (2, return (A.join a b, b)); (1, return (a, fresh a)) ] )
+
+let t_join_keeps_first =
+  QCheck.Test.make ~name:"join and widen return a itself exactly when leq b a"
+    ~count:(Iters.count ~default:1000) arb_contract (fun (a, b) ->
+      let le = A.leq b a in
+      (A.join a b == a) = le && (A.widen a b == a) = le)
+
+(* Two 16-register states, the second mixing the first's registers
+   (shared or fresh copies) with random ones, so that no register grows
+   in about one pair out of six. *)
+let arb_states =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (a, b) ->
+      String.concat "\n"
+        (List.init (Array.length a) (fun i ->
+             Printf.sprintf "x%d: %s / %s" i (pp_v a.(i)) (pp_v b.(i)))))
+    ( array_repeat 16 v_gen >>= fun a ->
+      map
+        (fun b -> (a, b))
+        (flatten_a
+           (Array.map
+              (fun x -> frequency [ (6, return x); (2, return (fresh x)); (1, v_gen) ])
+              a)) )
+
+(* [op a b] is [a] itself exactly when no register grows under [f];
+   otherwise it shares every register that did not grow and holds
+   [f a.(i) b.(i)] in every one that did.  [a] is left as it was. *)
+let state_contract op f (a, b) =
+  let a0 = Array.copy a in
+  let r = op a b in
+  let grows = Array.map2 (fun x y -> not (A.leq y x)) a b in
+  Array.for_all2 ( == ) a a0
+  && (r == a) = not (Array.exists Fun.id grows)
+  && (r == a
+     || Array.for_all Fun.id
+          (Array.mapi
+             (fun i g ->
+               if g then A.equal r.(i) (f a.(i) b.(i)) else r.(i) == a.(i))
+             grows))
+
+let t_state_joins_share =
+  QCheck.Test.make
+    ~name:"join_state and widen_state keep every register that does not grow"
+    ~count:(Iters.count ~default:300) arb_states (fun ab ->
+      state_contract A.join_state A.join ab && state_contract A.widen_state A.widen ab)
+
+let t_equal_state =
+  QCheck.Test.make ~name:"equal_state is register-wise equal"
+    ~count:(Iters.count ~default:300) arb_states (fun (a, b) ->
+      A.equal_state a b = Array.for_all2 A.equal a b
+      && A.equal_state a (Array.map fresh a))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -167,4 +237,7 @@ let suite =
       t_top_absorbs;
       t_join_invariant;
       t_widening_terminates;
+      t_join_keeps_first;
+      t_state_joins_share;
+      t_equal_state;
     ]

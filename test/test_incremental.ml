@@ -1,9 +1,11 @@
 (* Tests for the incremental (summary-cache) audit mode (DESIGN.md §15).
 
-   Four layers:
+   Five layers:
    - warm-cache identity: re-auditing every shipped and corpus image
      through a primed cache reuses every compartment summary and
      reproduces the cold report byte for byte;
+   - key coverage: the summary key changes with the SRAM base, which the
+     fixpoint reads, even when every byte sits where it was;
    - the fleet sweep: near-identical images audited through one shared
      cache reuse the common compartment's summary across images and
      still match their cold reports byte for byte;
@@ -53,6 +55,52 @@ let test_warm_identity () =
         (name ^ ": warm report byte-identical")
         (report name cold) (report name warm))
     (all_images ())
+
+(* A copy of [t] whose SRAM starts [delta] bytes lower, with the same
+   bytes and tags at the same absolute addresses: every compartment's
+   code, globals and layout are unchanged, but the switcher window the
+   fixpoint derives from the SRAM base has moved. *)
+let rebase_lower (t : Loader.t) delta =
+  let old = t.Loader.sram in
+  let lo = Sram.base old in
+  let sram = Sram.create ~base:(lo - delta) ~size:(Sram.size old + delta) in
+  let a = ref lo in
+  while !a < lo + Sram.size old do
+    Sram.write_cap sram !a (Sram.read_cap old !a);
+    a := !a + 8
+  done;
+  { t with Loader.sram }
+
+(* Two such images must never share a summary: every compartment gets a
+   different key, and the fixpoint does see the move (a cross-call
+   through the old window is no longer one). *)
+let test_key_covers_sram_base () =
+  let key t cb =
+    Audit.summary_key ~call_summaries:true ~field_sensitive:true t cb
+  in
+  let analyze t cb =
+    Audit.analyze_compartment ~call_summaries:true ~field_sensitive:true
+      ~key:"" t cb
+  in
+  let moved =
+    List.map
+      (fun (name, build) ->
+        let t = build () in
+        let r = rebase_lower t 0x1000 in
+        List.iter2
+          (fun ((c, _) as cb) cb' ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s/%s: key covers the SRAM base" name c)
+              true
+              (key t cb <> key r cb'))
+          t.Loader.compartments r.Loader.compartments;
+        List.exists2
+          (fun cb cb' -> analyze t cb <> analyze r cb')
+          t.Loader.compartments r.Loader.compartments)
+      Firmware.shipped
+  in
+  Alcotest.(check bool) "some shipped summary depends on the SRAM base" true
+    (List.mem true moved)
 
 (* A fleet of images that share the coremark compartment and differ in
    the sensor compartment's code, audited through one cache: each image
@@ -127,6 +175,8 @@ let suite =
       `Quick test_warm_identity;
     Alcotest.test_case "fleet audit shares one summary cache" `Quick
       test_fleet_shared_cache;
+    Alcotest.test_case "summary key covers the SRAM base" `Quick
+      test_key_covers_sram_base;
     QCheck_alcotest.to_alcotest t_incremental;
     Alcotest.test_case "Driver.incremental exit codes" `Quick
       test_driver_contract;
