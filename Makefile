@@ -22,8 +22,10 @@ all: build
 build:
 	dune build
 
-# Warnings-as-errors pass over the whole tree (the `lint` env profile in
-# the root `dune` file promotes every enabled warning to an error).
+# Warnings-as-errors pass over the whole tree.  The `lint` env profile
+# in the root `dune` file enables the same warning set the default build
+# makes fatal and promotes every enabled warning to an error, so `make
+# lint` is at least as strict as `dune build`.
 lint:
 	dune build --profile lint @check
 

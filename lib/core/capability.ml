@@ -62,7 +62,7 @@ let sentry_kind c = Otype.sentry_of_otype c.otype
 let is_sentry c = Option.is_some (sentry_kind c)
 let is_global c = has_perm c GL
 
-let in_bounds c ?(size = 1) a =
+let in_bounds c ~size a =
   Bounds.in_bounds c.bounds ~addr:c.addr ~access:a ~size
 
 let clear_tag c = { c with tag = false }
@@ -111,7 +111,8 @@ let seal c ~key =
   if not key.tag then Error "seal: key untagged"
   else if is_sealed key then Error "seal: key sealed"
   else if not (has_perm key SE) then Error "seal: key lacks SE"
-  else if not (in_bounds key key.addr) then Error "seal: otype out of bounds"
+  else if not (in_bounds key ~size:1 key.addr) then
+    Error "seal: otype out of bounds"
   else if not c.tag then Error "seal: target untagged"
   else if is_sealed c then Error "seal: target already sealed"
   else if key.addr < 1 || key.addr > 7 then Error "seal: invalid otype value"
@@ -123,7 +124,7 @@ let unseal c ~key =
   if not key.tag then Error "unseal: key untagged"
   else if is_sealed key then Error "unseal: key sealed"
   else if not (has_perm key US) then Error "unseal: key lacks US"
-  else if not (in_bounds key key.addr) then
+  else if not (in_bounds key ~size:1 key.addr) then
     Error "unseal: otype out of bounds"
   else if not c.tag then Error "unseal: target untagged"
   else

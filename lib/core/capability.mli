@@ -59,9 +59,11 @@ val sentry_kind : t -> Otype.sentry option
 val is_global : t -> bool
 (** Has the GL permission — may be stored through non-SL capabilities. *)
 
-val in_bounds : t -> ?size:int -> int -> bool
+val in_bounds : t -> size:int -> int -> bool
 (** [in_bounds c ~size a]: is the access [[a, a+size)] within bounds?
-    [size] defaults to 1. *)
+    [size] is required, not optional: an optional argument would
+    allocate its [Some] on every call that is not inlined, and bounds
+    checks sit on every simulated memory access. *)
 
 (** {1 Guarded manipulation}
 

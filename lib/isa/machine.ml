@@ -124,7 +124,12 @@ type cost_model = {
 }
 
 type t = {
-  regs : Capability.t array;
+  (* The split register file (see [reg]): every register's address in
+     [reg_addrs]; its full value in [reg_caps] only while its bit in
+     [reg_is_cap] is set. *)
+  reg_caps : Capability.t array;
+  reg_addrs : int array;
+  mutable reg_is_cap : int;
   mutable pcc : Capability.t;
   bus : Bus.t;
   mutable mode : mode;
@@ -330,7 +335,9 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
      start granule. *)
   Bus.on_store bus (Decode_cache.kill_store bcache);
   {
-    regs = Array.make 16 Capability.null;
+    reg_caps = Array.make 16 Capability.null;
+    reg_addrs = Array.make 16 0;
+    reg_is_cap = 0xFFFF;
     pcc = Capability.root_executable;
     bus;
     mode;
@@ -383,20 +390,42 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
     charged_traps = 0;
   }
 
-(* regs.(0) is initialised to null and [set_reg] never writes it, so the
-   zero register needs no special-casing on the read side.  The masked
-   index is always in [0, 15], so the bounds check is elided. *)
-let reg m r = Array.unsafe_get m.regs (r land 15)
-
-let set_reg m r c =
+(* The register file is split so that an integer write allocates
+   nothing.  Invariant: [reg_addrs.(r)] is the address field of
+   register [r]'s value; if bit [r] of [reg_is_cap] is set,
+   [reg_caps.(r)] is the value, and if it is clear, the value is the
+   untagged capability with null metadata at that address.
+   [set_reg_int] stores the address and clears the bit — an immediate
+   store into an [int array] and a mutable int field, so no allocation
+   and no write barrier — and [reg] rebuilds that capability on demand,
+   so what it returns (and [state_hash]) does not depend on which
+   setter wrote the register.  Register 0 is null in both arrays with
+   its bit set, and neither setter writes it, so the zero register
+   needs no special-casing on the read side.  The masked index is
+   always in [0, 15], so the bounds checks are elided. *)
+let[@inline] reg m r =
   let r = r land 15 in
-  if r <> 0 then Array.unsafe_set m.regs r c
+  if m.reg_is_cap land (1 lsl r) <> 0 then Array.unsafe_get m.reg_caps r
+  else { Capability.null with addr = Array.unsafe_get m.reg_addrs r }
 
-let reg_int m r = (Array.unsafe_get m.regs (r land 15)).Capability.addr
+let[@inline] set_reg m r c =
+  let r = r land 15 in
+  if r <> 0 then begin
+    Array.unsafe_set m.reg_caps r c;
+    Array.unsafe_set m.reg_addrs r c.Capability.addr;
+    m.reg_is_cap <- m.reg_is_cap lor (1 lsl r)
+  end
+
+let[@inline] reg_int m r = Array.unsafe_get m.reg_addrs (r land 15)
 
 let mask32 = 0xFFFF_FFFF
-let[@inline always] int_cap v = Capability.{ null with addr = v land mask32 }
-let[@inline always] set_reg_int m r v = set_reg m r (int_cap v)
+
+let[@inline] set_reg_int m r v =
+  let r = r land 15 in
+  if r <> 0 then begin
+    Array.unsafe_set m.reg_addrs r (v land mask32);
+    m.reg_is_cap <- m.reg_is_cap land lnot (1 lsl r)
+  end
 
 let timer_pending m = m.mtimecmp <> 0 && m.mcycle >= m.mtimecmp
 let interrupt_pending m = timer_pending m || m.ext_interrupt
@@ -523,14 +552,15 @@ let[@inline] check_plan m chk ~cap ~ridx ~addr ~size ~store ~is_cap =
 (* The effective address always comes from [rs1]'s address field; only
    the authorizing capability differs by mode (the register itself, or
    the implicit DDC).  Computed field-by-field at each call site so no
-   intermediate pair is built on the per-access hot path.  [chk] is the
+   intermediate pair is built on the per-access hot path, and the
+   register's capability is read only in CHERIoT mode, so an Rv32
+   access through an integer register allocates nothing.  [chk] is the
    access's plan entry ([Chk_full] outside a jit plan). *)
 
 let do_load m chk ~rs1 ~off ~width ~signed ~rd =
   let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
-  let r = reg m rs1 in
-  let addr = (r.Capability.addr + off) land mask32 in
-  let cap = match m.mode with Cheriot -> r | Rv32 -> m.ddc in
+  let addr = (reg_int m rs1 + off) land mask32 in
+  let cap = match m.mode with Cheriot -> reg m rs1 | Rv32 -> m.ddc in
   check_plan m chk ~cap ~ridx:rs1 ~addr ~size ~store:false ~is_cap:false;
   let v = data_read m ~size addr in
   let v =
@@ -546,9 +576,8 @@ let do_load m chk ~rs1 ~off ~width ~signed ~rd =
 
 let do_store m chk ~rs1 ~off ~width ~rs2 =
   let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
-  let r = reg m rs1 in
-  let addr = (r.Capability.addr + off) land mask32 in
-  let cap = match m.mode with Cheriot -> r | Rv32 -> m.ddc in
+  let addr = (reg_int m rs1 + off) land mask32 in
+  let cap = match m.mode with Cheriot -> reg m rs1 | Rv32 -> m.ddc in
   check_plan m chk ~cap ~ridx:rs1 ~addr ~size ~store:true ~is_cap:false;
   data_write m ~size addr (reg_int m rs2);
   note_store m addr;
@@ -1686,14 +1715,32 @@ let block_plan m (b : bentry) =
       then compile_jit m b
       else identity_plan
 
+(* Replay the deferred bookkeeping of [exec_round]: [pending]
+   instructions ending at instruction [i - 1] of the block whose
+   fall-through chain is [nexts] retired without touching the PCC or
+   [minstret].  Returns the new pending count, 0.  A top-level function
+   rather than a closure in [exec_round], so that the round's counters
+   stay unboxed locals (see there). *)
+let sync m nexts i pending =
+  if pending > 0 then begin
+    m.minstret <- m.minstret + pending;
+    match Array.unsafe_get nexts (i - 1) with
+    | Some c -> m.pcc <- c
+    | None -> ()
+  end;
+  0
+
 (* The round executor behind the jit tier ([run], [timed_round] and
    [step_jit]): one loop that runs block after block of a round, each under the
    check plan [block_plan] picks — the block's compiled plan once it is
    hot, the identity plan while it is cold.  Block-to-block
    transfers are resolved {e inside} the loop ([chain_edge] /
-   [chain_edge_ind]), so one set of loop state — its refs, its [sync]
-   closure, its result tuple — serves the whole round, which in a hot
-   loop is thousands of instructions.
+   [chain_edge_ind]), so one set of loop state — its counters and its
+   result tuple — serves the whole round, which in a hot loop is
+   thousands of instructions.  The function holds no local closure: a
+   ref that a closure captures is a heap cell, so every [incr] of the
+   per-instruction counters would go through memory, while an
+   uncaptured ref compiles to a plain local variable.
 
    PCC / minstret / retirement-event bookkeeping is deferred across
    runs of simple instructions.  The ALU arms (Lui, Op_imm, Op,
@@ -1756,18 +1803,6 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
   let pending = ref 0 in
   let result = ref Step_ok in
   let stop = ref false in
-  (* [sync] reads the current block's PCC-advance array through a ref
-     so the one closure serves every block of the round *)
-  let nexts_r = ref b0.b_nexts in
-  let sync () =
-    if !pending > 0 then begin
-      m.minstret <- m.minstret + !pending;
-      (match Array.unsafe_get !nexts_r (!i - 1) with
-      | Some c -> m.pcc <- c
-      | None -> ());
-      pending := 0
-    end
-  in
   (* direction of the last executed [Branch] (the inline arm bypasses
      [last_event], so the chain point cannot read [ev_taken_branch]) *)
   let br_taken = ref false in
@@ -1812,7 +1847,6 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
             else 0);
        let chks = if full then identity_plan.j_chk else t.j_chk in
        let jbr = t.j_br in
-       nexts_r := nexts;
        i := 0;
        seg := 0;
        while (not !stop) && !cont == dummy && !i < n do
@@ -1865,7 +1899,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
                m.pcc <- t.j_jal_target
              end
              else begin
-               sync ();
+               pending := sync m nexts !i !pending;
                do_jal m rd off;
                m.minstret <- m.minstret + 1
              end
@@ -1879,7 +1913,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
                  m.pcc <- tgt
                end
                else begin
-                 sync ();
+                 pending := sync m nexts !i !pending;
                  let pc = Capability.address m.pcc in
                  let target = (pc + off) land mask32 in
                  if
@@ -1936,7 +1970,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
                 redirect the PCC (Jalr, Mret) are block terminators, so
                 this arm needs no side exit, own-store abort or
                 taken-branch charge *)
-             sync ();
+             pending := sync m nexts !i !pending;
              if timed then begin
                charge_seg m cost !seg !i;
                seg := !i
@@ -1987,7 +2021,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
            else begin
              (* the fall edge may still be deferred: materialize PCC
                 (and retire counts) before the probe below or a stop *)
-             sync ();
+             pending := sync m nexts !i !pending;
              if edge = 2 && jalr_edge_stops m ~timed then
                (* a sentry [Jalr] re-enabled interrupts: stop exactly
                   where the per-step loop would deliver (or, timed,
@@ -2018,18 +2052,14 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
          else stop := true
      done;
      if !pending > 0 then begin
-       m.minstret <- m.minstret + !pending;
-       (match Array.unsafe_get (!b).b_nexts (!i - 1) with
-       | Some c -> m.pcc <- c
-       | None -> ());
-       pending := 0;
+       pending := sync m (!b).b_nexts !i !pending;
        retire_event m
          (Array.unsafe_get (!b).b_insns (!i - 1))
          (Array.unsafe_get (!b).b_opts (!i - 1))
          ~taken:false
      end
    with Trap cause ->
-     sync ();
+     pending := sync m (!b).b_nexts !i !pending;
      if timed then begin
        charge_seg m (!b).b_cost !seg !i;
        charge_trap m
@@ -2222,7 +2252,9 @@ let state_hash m =
          (if c.Capability.tag then 't' else 'u')
          (Capability.to_word c))
   in
-  Array.iter add_cap m.regs;
+  for r = 0 to 15 do
+    add_cap (reg m r)
+  done;
   add_cap m.pcc;
   add_cap m.ddc;
   add_cap m.mtcc;

@@ -100,7 +100,15 @@ val cost_busy : int -> int
 (** The bus-busy cycles of a packed cost. *)
 
 type t = {
-  regs : Cheriot_core.Capability.t array;  (** c1..c15 at indices 1..15 *)
+  reg_caps : Cheriot_core.Capability.t array;
+      (** c1..c15 at indices 1..15, each valid only while its bit in
+          [reg_is_cap] is set; read registers through {!reg} *)
+  reg_addrs : int array;
+      (** every register's address field (what {!reg_int} reads) *)
+  mutable reg_is_cap : int;
+      (** bit [r] set: [reg_caps.(r)] holds register [r]'s value; clear:
+          the register holds the untagged integer [reg_addrs.(r)] (the
+          last write was {!set_reg_int}) *)
   mutable pcc : Cheriot_core.Capability.t;
   bus : Cheriot_mem.Bus.t;
   mutable mode : mode;
@@ -272,16 +280,19 @@ val create : ?mode:mode -> ?load_filter:bool -> Cheriot_mem.Bus.t -> t
     needs them, as early-boot software does (paper 3.1.1). *)
 
 val reg : t -> int -> Cheriot_core.Capability.t
-(** Read a register; c0 always reads as NULL. *)
+(** Read a register; c0 always reads as NULL.  A register last written
+    by {!set_reg_int} reads as a fresh [{ null with addr }] record. *)
 
 val set_reg : t -> int -> Cheriot_core.Capability.t -> unit
 (** Write a register; writes to c0 are discarded. *)
 
 val reg_int : t -> int -> int
-(** The 32-bit address field of a register. *)
+(** The 32-bit address field of a register.  Allocates nothing. *)
 
 val set_reg_int : t -> int -> int -> unit
-(** Write an integer result (an untagged capability with that address). *)
+(** Write an integer result, masked to 32 bits: the register then reads
+    as an untagged capability with that address and null metadata.
+    Allocates nothing. *)
 
 val timer_pending : t -> bool
 val interrupt_pending : t -> bool

@@ -48,10 +48,18 @@ let device_at t addr =
     (fun d -> addr >= d.Mmio.dev_base && addr < d.Mmio.dev_base + d.dev_size)
     t.devices
 
+(* A recursive walk, not [List.iter] over a closure capturing the
+   granule, so firing the snoops allocates nothing on an SRAM store. *)
+let rec fire_snoops granule = function
+  | [] -> ()
+  | f :: rest ->
+      f granule;
+      fire_snoops granule rest
+
 (* Snoops watch SRAM granules only (revoker store-race, block-cache
    invalidation); MMIO device state is never cached and device-resident
    code is never translated, so device writes must not fire them. *)
-let snoop_store t addr = List.iter (fun f -> f (addr land lnot 7)) t.store_snoops
+let snoop_store t addr = fire_snoops (addr land lnot 7) t.store_snoops
 
 let note_access t = t.accesses <- t.accesses + 1
 

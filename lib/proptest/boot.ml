@@ -115,7 +115,7 @@ let authority_violations ~within m srams =
     if not (within c) then bad := Fmt.str "%s=%a" what Capability.pp c :: !bad
   in
   for r = 1 to 15 do
-    chk (Printf.sprintf "c%d" r) m.Machine.regs.(r)
+    chk (Printf.sprintf "c%d" r) (Machine.reg m r)
   done;
   chk "pcc" m.Machine.pcc;
   chk "mepcc" m.Machine.mepcc;

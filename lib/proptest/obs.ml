@@ -41,7 +41,7 @@ let compare_states ?(what = "paths") step_no (ref_m : Machine.t)
   in
   if not (cap_eq ref_m.pcc fast_m.pcc) then fail "pcc";
   for r = 1 to 15 do
-    if not (cap_eq ref_m.regs.(r) fast_m.regs.(r)) then
+    if not (cap_eq (Machine.reg ref_m r) (Machine.reg fast_m r)) then
       fail (Printf.sprintf "c%d" r)
   done;
   List.iter

@@ -395,7 +395,7 @@ let boot_envelope (l : Scenario.linked) =
         (Capability.base c, Capability.top c, Capability.perms c) :: !caps
   in
   for r = 1 to 15 do
-    add m.Machine.regs.(r)
+    add (Machine.reg m r)
   done;
   add m.Machine.pcc;
   add m.Machine.mtcc;

@@ -830,6 +830,93 @@ let test_eviction_unlinks () =
   Alcotest.(check string) "same state as the reference"
     (Machine.state_hash ref_m) (Machine.state_hash m)
 
+(* --- the warm jit's heap traffic ------------------------------------------ *)
+
+(* A hot loop over the jit's deferred arms: an [Lui], an [Op_imm]
+   counter, an [Op], a word [Store] and [Load] through the flat boot's
+   data capability c3, and a backward [Branch] that stays taken.  Warmed
+   well past [hot_threshold], the block runs its compiled plan with the
+   branch folded, and nothing left in an iteration needs the heap:
+   integer results go to the integer half of the register file, the
+   round's counters are locals rather than cells a closure captured, the
+   bounds check takes its size unboxed and the store snoop walks its
+   list without building a closure.  A cold block would still build a
+   PCC record per taken branch, so the warm-up matters.  A round itself
+   allocates only its result pair; a closure over the round's counters
+   would add the closure and a heap cell per captured counter to every
+   round, so the loop is also run as many short rounds. *)
+let alloc_loop =
+  Insn.
+    [
+      Lui (5, 0x12);
+      Op_imm (Add, 1, 1, 1);
+      Op (Xor, 6, 1, 5);
+      Store { width = W; rs2 = 6; rs1 = 3; off = 8 };
+      Load { signed = false; width = W; rd = 7; rs1 = 3; off = 8 };
+      Branch (Ne, 1, 0, -20);
+    ]
+
+let warm_insns = 100_000
+let measured_insns = 5_000_000
+
+(* The bound is a constant: a per-instruction word over the measured
+   run would be 5 000 000 words. *)
+let alloc_bound = 1_000.
+
+(* Short rounds: the result pair is 3 words. *)
+let short_rounds = 10_000
+let words_per_round_bound = 8.
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_warm_loop what m run =
+  run warm_insns;
+  let start = m.Machine.minstret in
+  let words = minor_words_of (fun () -> run measured_insns) in
+  Alcotest.(check int)
+    (what ^ " retired the measured instructions")
+    measured_insns
+    (m.Machine.minstret - start);
+  Alcotest.(check bool) (what ^ " compiled the loop") true
+    ((Machine.block_stats m).Machine.jit_blocks_compiled >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f minor words over %d warm instructions, under %.0f"
+       what words measured_insns alloc_bound)
+    true (words < alloc_bound)
+
+let test_warm_jit_allocates_nothing () =
+  let words = List.map Encode.encode alloc_loop in
+  let m = (Boot.flat words).Boot.m in
+  check_warm_loop "Machine.run" m (fun fuel ->
+      match Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m with
+      | Machine.Step_ok, n when n = fuel -> ()
+      | r, _ -> Alcotest.failf "Machine.run stopped: %s" (result_name r));
+  let m = (Boot.flat words).Boot.m in
+  let p =
+    Cheriot_uarch.Perf.create ~dispatch:Cheriot_uarch.Perf.Jit
+      ~params:Cheriot_uarch.Core_model.(params_of Ibex)
+      m
+  in
+  check_warm_loop "Perf.run" m (fun fuel ->
+      match Cheriot_uarch.Perf.run ~fuel p with
+      | Machine.Step_ok -> ()
+      | r -> Alcotest.failf "Perf.run stopped: %s" (result_name r));
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to short_rounds do
+          ignore (Machine.timed_round m ~fuel:Machine.round_cap)
+        done)
+  in
+  let per_round = words /. float_of_int short_rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per warm round, under %.0f" per_round
+       words_per_round_bound)
+    true
+    (per_round < words_per_round_bound)
+
 let suite =
   [
     Alcotest.test_case "block formation and stats accounting" `Quick
@@ -871,4 +958,6 @@ let suite =
       test_trace_marks_chained_transfers;
     Alcotest.test_case "traced jit runs mark transfers and deoptimizations"
       `Quick test_trace_marks_jit;
+    Alcotest.test_case "the warm jit allocates nothing per instruction" `Quick
+      test_warm_jit_allocates_nothing;
   ]

@@ -104,9 +104,9 @@ let test_narrow_then_oob () =
   let c = Capability.with_address Capability.root_mem_rw 0x2000 in
   let c = Capability.set_bounds c ~length:256 ~exact:true in
   Alcotest.(check bool) "tagged" true c.Capability.tag;
-  Alcotest.(check bool) "in" true (Capability.in_bounds c 0x20ff);
-  Alcotest.(check bool) "out" false (Capability.in_bounds c 0x2100);
-  Alcotest.(check bool) "before" false (Capability.in_bounds c 0x1fff);
+  Alcotest.(check bool) "in" true (Capability.in_bounds c ~size:1 0x20ff);
+  Alcotest.(check bool) "out" false (Capability.in_bounds c ~size:1 0x2100);
+  Alcotest.(check bool) "before" false (Capability.in_bounds c ~size:1 0x1fff);
   (* Widening attempt: set bounds bigger than current -> tag cleared. *)
   let widened = Capability.set_bounds c ~length:512 ~exact:false in
   Alcotest.(check bool) "widening clears tag" false widened.Capability.tag

@@ -170,6 +170,41 @@ let test_mmio_code mode () =
       Alcotest.(check int) (what ^ ": cycles") ref_cycles cycles)
     [ ("ref", Perf.Reference); ("jit", Perf.Jit) ]
 
+(* --- a pinned program state --------------------------------------- *)
+
+(* The lockstep cases compare the tiers with each other, so a change
+   that moved both alike would pass them.  CoreMark's RV32E build (20
+   iterations on Ibex, perfbench's "coremark-rv32e-ibex") is pinned to
+   its retired count, cycles and state hashes, under [Machine.run] and
+   under [Perf.run] on the jit: a representation change that moves any
+   hashed bit fails here, not only in perfbench. *)
+let test_coremark_rv32e_pinned () =
+  let build () =
+    Cheriot_workloads.Coremark.setup ~iterations:20
+      (Core_model.config ~cheri:false Core_model.Ibex)
+  in
+  let m = build () in
+  let r, n = Machine.run ~fuel:50_000_000 ~dispatch:Machine.Dispatch_jit m in
+  Alcotest.(check bool) "Machine.run halts" true (r = Machine.Step_halted);
+  Alcotest.(check int) "Machine.run retired count" 209_585 n;
+  Alcotest.(check int) "checksum in a0" 784_460
+    (Machine.reg_int m Insn.reg_a0);
+  Alcotest.(check string) "Machine.run state hash"
+    "31d9ffdbf184641ac97685cbf8d3e35e" (Machine.state_hash m);
+  let m = build () in
+  let p =
+    Perf.create ~dispatch:Perf.Jit
+      ~params:(Core_model.params_of Core_model.Ibex)
+      m
+  in
+  Alcotest.(check bool) "Perf.run halts" true
+    (Perf.run p = Machine.Step_halted);
+  Alcotest.(check int) "Perf.run cycles" 287_244 p.Perf.stats.Perf.cycles;
+  Alcotest.(check int) "Perf.run instructions" 209_585
+    p.Perf.stats.Perf.instructions;
+  Alcotest.(check string) "Perf.run state hash"
+    "cf27806bef0421b4eebb94ab0b40e672" (Machine.state_hash m)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest Props.tests
   @ List.map
@@ -184,3 +219,7 @@ let suite =
           (mode_name mode ^ " code in MMIO re-reads a device-patched word")
           `Quick (test_mmio_code mode))
       [ Machine.Cheriot; Machine.Rv32 ]
+  @ [
+      Alcotest.test_case "coremark RV32E jit state is pinned" `Quick
+        test_coremark_rv32e_pinned;
+    ]

@@ -723,6 +723,204 @@ let test_mret_roundtrip () =
   check_halted result;
   Alcotest.(check int) "resumed after mret" 7 (Machine.reg_int sys.m a0)
 
+(* --- the split register file ---------------------------------------- *)
+
+(* The machine keeps every register's address in an [int array] and its
+   capability only while a mask bit says the register holds one, so an
+   integer write allocates nothing.  The property drives random
+   interleavings over all 16 registers — [set_reg] with tagged,
+   untagged-with-metadata and null capabilities, [set_reg_int] with
+   values far outside 32 bits, and runs of the register-writing
+   instructions the jit executes inline (ALU, [Lui], a word load,
+   [Cmove], [Cincaddrimm]) — against a plain [Capability.t array] model.
+   After every step [reg] and [reg_int] must read the model, c0 must
+   read [Capability.null] itself, and [state_hash] must equal the hash
+   of a second machine whose registers were all written from the model
+   with [set_reg]. *)
+
+module Boot = Cheriot_proptest.Boot
+
+type rf_step =
+  | Set_cap of int * Capability.t
+  | Set_int of int * int
+  | Run of Insn.t list  (** executed by the jit as one run *)
+  | Load_via of int * int * int
+      (** [(rb, rd, k)]: install the data capability in [rb], then the
+          jit runs [lw rd, 4k(rb)] *)
+
+let rf_words = 64
+let rf_pattern k = (0x9E37_79B9 * (k + 1)) land 0xFFFF_FFFF
+
+let rf_data_cap =
+  Capability.set_bounds
+    (Capability.with_address Capability.root_mem_rw Boot.data_base)
+    ~length:(4 * rf_words) ~exact:false
+
+let rf_load rb rd k =
+  Insn.Load { signed = false; width = W; rd; rs1 = rb; off = 4 * k }
+
+let gen_rf_cap =
+  let open QCheck.Gen in
+  let tagged =
+    let* root =
+      oneofl Capability.[ root_mem_rw; root_executable; root_sealing ]
+    and* base = int_bound 0xFFFF
+    and* length = int_bound 0x1000
+    and* off = int_bound 0x40 in
+    let c =
+      Capability.set_bounds
+        (Capability.with_address root (base * 16))
+        ~length ~exact:false
+    in
+    return (Capability.incr_address c off)
+  in
+  frequency
+    [
+      (3, tagged);
+      (2, map Capability.clear_tag tagged);
+      (1, return Capability.null);
+      ( 1,
+        map (fun addr -> { Capability.null with addr }) (int_bound 0xFFFF_FFFF)
+      );
+    ]
+
+let gen_rf_int =
+  let open QCheck.Gen in
+  oneof
+    [
+      int_bound 0xFFFF_FFFF;
+      map (fun v -> v lsl 24) (int_bound 0xFFFF_FFFF);
+      map (fun v -> -v) (int_bound 0xFFFF);
+      oneofl [ -1; min_int; max_int; 0x1_0000_0000 ];
+    ]
+
+let gen_rf_insn =
+  let open QCheck.Gen in
+  let reg = int_bound 15 in
+  let imm12 = map (fun n -> n - 2048) (int_bound 4095) in
+  oneof
+    [
+      map2 (fun rd i -> Insn.Lui (rd, i)) reg (int_bound 0xfffff);
+      (let* op = oneofl Insn.[ Add; Xor; Or; And ] and* rd = reg
+       and* rs1 = reg and* i = imm12 in
+       return (Insn.Op_imm (op, rd, rs1, i)));
+      (let* op = oneofl Insn.[ Add; Sub; Xor; Or; And ] and* rd = reg
+       and* rs1 = reg and* rs2 = reg in
+       return (Insn.Op (op, rd, rs1, rs2)));
+      map2 (fun cd cs1 -> Insn.Cmove (cd, cs1)) reg reg;
+      map3 (fun cd cs1 i -> Insn.Cincaddrimm (cd, cs1, i)) reg reg imm12;
+    ]
+
+let gen_rf_step =
+  let open QCheck.Gen in
+  let reg = int_bound 15 in
+  frequency
+    [
+      (3, map2 (fun r c -> Set_cap (r, c)) reg gen_rf_cap);
+      (3, map2 (fun r v -> Set_int (r, v)) reg gen_rf_int);
+      (4, map (fun is -> Run is) (list_size (int_range 1 4) gen_rf_insn));
+      ( 1,
+        map3 (fun rb rd k -> Load_via (rb, rd, k)) (int_range 1 15) reg
+          (int_bound (rf_words - 1)) );
+    ]
+
+let print_rf_step = function
+  | Set_cap (r, c) -> Fmt.str "set_reg c%d %a" r Capability.pp c
+  | Set_int (r, v) -> Printf.sprintf "set_reg_int c%d %d" r v
+  | Run is -> "run [" ^ String.concat "; " (List.map Insn.to_string is) ^ "]"
+  | Load_via (rb, rd, k) -> "load " ^ Insn.to_string (rf_load rb rd k)
+
+(* What an integer write leaves in a register, in the model. *)
+let rf_int v = { Capability.null with addr = v land 0xFFFF_FFFF }
+
+(* The model's semantics of each instruction [gen_rf_insn] makes. *)
+let rf_model_exec (model : Capability.t array) (i : Insn.t) =
+  let a r = model.(r).Capability.addr in
+  let alu op x y =
+    match op with
+    | Insn.Add -> x + y
+    | Sub -> x - y
+    | Xor -> x lxor y
+    | Or -> x lor y
+    | And -> x land y
+    | _ -> invalid_arg "rf_model_exec"
+  in
+  let write rd c = if rd <> 0 then model.(rd) <- c in
+  match i with
+  | Insn.Lui (rd, imm) -> write rd (rf_int (imm lsl 12))
+  | Op_imm (op, rd, rs1, imm) ->
+      write rd (rf_int (alu op (a rs1) (imm land 0xFFFF_FFFF)))
+  | Op (op, rd, rs1, rs2) -> write rd (rf_int (alu op (a rs1) (a rs2)))
+  | Cmove (cd, cs1) -> write cd model.(cs1)
+  | Cincaddrimm (cd, cs1, imm) ->
+      write cd (Capability.incr_address model.(cs1) imm)
+  | Load { rd; off; _ } -> write rd (rf_int (rf_pattern (off / 4)))
+  | _ -> invalid_arg "rf_model_exec"
+
+let prop_split_register_file =
+  QCheck.Test.make ~name:"split register file reads as a capability array"
+    ~count:(Cheriot_proptest.Iters.count ~default:200)
+    (QCheck.make
+       ~print:(fun steps -> String.concat "\n" (List.map print_rf_step steps))
+       QCheck.Gen.(list_size (int_range 1 40) gen_rf_step))
+    (fun steps ->
+      let code =
+        List.concat_map
+          (function
+            | Run is -> is
+            | Load_via (rb, rd, k) -> [ rf_load rb rd k ]
+            | Set_cap _ | Set_int _ -> [])
+          steps
+      in
+      let boot () =
+        let f = Boot.flat (List.map Encode.encode (code @ [ Insn.Ebreak ])) in
+        for k = 0 to rf_words - 1 do
+          Sram.write32 f.Boot.data (Boot.data_base + (4 * k)) (rf_pattern k)
+        done;
+        f.Boot.m
+      in
+      let m = boot () and shadow = boot () in
+      m.Machine.hot_threshold <- 1;
+      m.Machine.hot_adaptive <- false;
+      let model = Array.init 16 (fun r -> Machine.reg m r) in
+      let run is =
+        let n = List.length is in
+        match Machine.run ~fuel:n ~dispatch:Machine.Dispatch_jit m with
+        | Machine.Step_ok, used when used = n ->
+            List.iter (rf_model_exec model) is
+        | _ ->
+            QCheck.Test.fail_report
+              "the jit run did not retire its instructions"
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Set_cap (r, c) ->
+              Machine.set_reg m r c;
+              if r <> 0 then model.(r) <- c
+          | Set_int (r, v) ->
+              Machine.set_reg_int m r v;
+              if r <> 0 then model.(r) <- rf_int v
+          | Run is -> run is
+          | Load_via (rb, rd, k) ->
+              Machine.set_reg m rb rf_data_cap;
+              model.(rb) <- rf_data_cap;
+              run [ rf_load rb rd k ]);
+          for r = 1 to 15 do
+            Machine.set_reg shadow r model.(r)
+          done;
+          shadow.Machine.pcc <- m.Machine.pcc;
+          shadow.Machine.minstret <- m.Machine.minstret;
+          Machine.reg m 0 == Capability.null
+          && Machine.reg_int m 0 = 0
+          && List.for_all
+               (fun r ->
+                 Cheriot_proptest.Obs.cap_eq (Machine.reg m r) model.(r)
+                 && Machine.reg_int m r = model.(r).Capability.addr)
+               (List.init 16 Fun.id)
+          && Machine.state_hash m = Machine.state_hash shadow)
+        steps)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -757,4 +955,5 @@ let suite =
     Alcotest.test_case "rv32 rejects cap instructions" `Quick
       test_rv32_rejects_cap_insns;
     Alcotest.test_case "ecall trap + mret" `Quick test_mret_roundtrip;
+    q prop_split_register_file;
   ]
