@@ -1,6 +1,7 @@
 # Entry points for local use and CI.
 #
-# `make ci` is the gate: build, lint (warnings-as-errors), the full
+# `make ci` is the gate: build, the build-profile guard (no library
+# module compiled with `-opaque`), lint (warnings-as-errors), the full
 # test suite (including the differential oracle between the reference
 # and jit dispatch tiers, and the CLI exit-code rules), the
 # dispatch-parity gate (the differential, property, `Perf`-tier and block-cache
@@ -15,12 +16,23 @@
 # byte-identical to a cold audit).  Performance is measured by
 # perfbench, paired against a parent revision by `bench/ab.exe`.
 
-.PHONY: all build lint test parity prop-long audit verify-plans audit-incremental ci clean
+.PHONY: all build no-opaque lint test parity prop-long audit verify-plans audit-incremental ci clean
 
 all: build
 
 build:
 	dune build
+
+# Build-profile guard: no library module may be compiled with `-opaque`
+# (dune's dev profile passes it, which stops cross-module inlining;
+# `dune-workspace` selects the release profile instead).  Fails when
+# the build left no .cmx to inspect, or when any compile line of one
+# carries the flag.
+no-opaque: build
+	@cmx=$$(find _build/default/lib -name '*.cmx'); \
+	test -n "$$cmx" || { echo "no-opaque: no .cmx under _build/default/lib"; exit 1; }; \
+	n=$$(dune rules $$cmx | grep -c -- -opaque); \
+	test "$$n" -eq 0 || { echo "no-opaque: $$n library compile lines carry -opaque"; exit 1; }
 
 # Warnings-as-errors pass over the whole tree.  The `lint` env profile
 # in the root `dune` file enables the same warning set the default build
@@ -85,7 +97,7 @@ prop-long: build
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test absdom
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test incremental
 
-ci: build lint test parity audit verify-plans audit-incremental
+ci: build no-opaque lint test parity audit verify-plans audit-incremental
 
 clean:
 	dune clean

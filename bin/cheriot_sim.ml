@@ -135,8 +135,9 @@ let iot_cmd =
 
 let demo trace dispatch =
   (* The two-compartment demo image from {!Cheriot_workloads.Firmware}
-     (app calls svc.double through the switcher), with optional
-     instruction tracing. *)
+     (app calls svc.double(21) through the switcher), with optional
+     instruction tracing.  Exits 1 unless the run halts with the
+     service's answer, 42, in a0. *)
   let open Cheriot_isa in
   let t = Cheriot_workloads.Firmware.demo () in
   let m = t.Cheriot_rtos.Loader.machine in
@@ -146,15 +147,20 @@ let demo trace dispatch =
           Format.printf "%a@." Trace.pp_entry e)
     else Machine.run ~fuel:10_000 ~dispatch m
   in
-  (match result with
+  match result with
   | Machine.Step_halted ->
+      let a0 = Machine.reg_int m Insn.reg_a0 in
       Format.printf
         "halted after %d instructions; app received %d from the svc \
          compartment@."
-        steps
-        (Machine.reg_int m Insn.reg_a0)
-  | _ -> Format.printf "did not halt cleanly@.");
-  ()
+        steps a0;
+      if a0 <> 42 then begin
+        Format.printf "expected 42@.";
+        exit 1
+      end
+  | _ ->
+      Format.printf "did not halt cleanly@.";
+      exit 1
 
 let demo_cmd =
   let trace =

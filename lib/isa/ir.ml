@@ -20,12 +20,14 @@
     dynamic half of each argument — "the dominating check actually ran,
     in this block execution, against the same register value".
 
-    The three passes — redundant-check elimination, guard hoisting,
-    dead-bookkeeping removal — are specified once, in DESIGN.md §13
-    (pass ordering, residual-check semantics, deopt contract); the doc
-    comments here only state what each binding contributes.  The
-    soundness argument for every plan the optimizer emits is DESIGN.md
-    §14, mechanized by [Planverify] in [lib/analysis]. *)
+    The two passes — redundant-check elimination and guard hoisting —
+    are specified once, in DESIGN.md §13 (pass ordering,
+    residual-check semantics, deopt contract); the doc comments here
+    only state what each binding contributes.  A plan holds checks and
+    guards only: the executor defers bookkeeping in every block, and
+    translation builds every block's direct edges.  The soundness
+    argument for every plan the optimizer emits is DESIGN.md §14,
+    mechanized by [Planverify] in [lib/analysis]. *)
 
 (** How much of the architectural check sequence
     (tag → seal → permissions → bounds → alignment, the order of
@@ -65,9 +67,6 @@ type stats = {
       (** the subset of [hoisted] reached through a {e derived} register
           version (a [Cmove]/[Cincaddrimm] chain from the entry value)
           rather than through the entry version itself *)
-  dead_bookkeeping : int;
-      (** per-op PCC/minstret/event epilogues elided by the deferred
-          window (pass 3, accounted at compile time) *)
 }
 
 (* --- op classification ------------------------------------------------- *)
@@ -164,8 +163,8 @@ let def_of (i : Insn.t) =
   let d = if d < 0 then d else d land 15 in
   if d = 0 then -1 else d
 
-(* Ops whose PCC/minstret/event epilogue the executor defers (pass 3's
-   accounting): everything that neither reads the PC/CSRs nor transfers
+(* Ops whose PCC/minstret/event epilogue the executor defers, in every
+   block: everything that neither reads the PC/CSRs nor transfers
    control.  Mirrors the deferral classes of [Machine.exec_round]. *)
 let deferrable (i : Insn.t) =
   match i with
@@ -195,22 +194,11 @@ type rfacts = {
 let optimize ~cheri (insns : Insn.t array) =
   let n = Array.length insns in
   let chks = Array.make n Chk_full in
-  let dead = ref 0 in
-  for i = 0 to n - 1 do
-    if deferrable insns.(i) then incr dead
-  done;
   if not cheri then
     (* Rv32 accesses are authorized by the immutable DDC, not the cited
        register, so register-version reasoning does not apply; the
        baseline keeps full checks (they are two compares anyway). *)
-    ( chks,
-      [||],
-      {
-        eliminated = 0;
-        hoisted = 0;
-        hoisted_nonentry = 0;
-        dead_bookkeeping = !dead;
-      } )
+    (chks, [||], { eliminated = 0; hoisted = 0; hoisted_nonentry = 0 })
   else begin
     let facts =
       Array.init 16 (fun _ ->
@@ -357,6 +345,5 @@ let optimize ~cheri (insns : Insn.t array) =
         eliminated = !eliminated;
         hoisted = !hoisted;
         hoisted_nonentry = !hoisted_nonentry;
-        dead_bookkeeping = !dead;
       } )
   end

@@ -190,7 +190,6 @@ type t = {
   mutable checks_eliminated : int;
   mutable checks_hoisted : int;
   mutable checks_hoisted_nonentry : int;
-  mutable dead_bookkeeping_removed : int;
   mutable opt_side_exits : int;
   (* Compile-time plan validation (translation validation): when set,
      every plan [compile_jit] produces is submitted to the validator
@@ -218,11 +217,11 @@ type t = {
    straight-line run of code, from a fetch target up to and including
    the first control-flow or interrupt-posture-changing instruction
    (or the length cap).  Every per-instruction value the hot loop needs
-   — the [Some insn] event payload and the fall-through PCC — is
-   prebuilt at fill time, so executing a cached block allocates
-   nothing.  A block carries a fetch "ticket": the machine mode and the
-   PCC under which the fetch-side checks passed at fill time (see
-   [ticket_ok]). *)
+   — the [Some insn] event payload, the fall-through PCC, the taken PCC
+   of a direct edge and the link of a final [Jal] — is prebuilt at fill
+   time, so executing a cached block allocates nothing.  A block
+   carries a fetch "ticket": the machine mode and the PCC under which
+   the fetch-side checks passed at fill time (see [ticket_ok]). *)
 and bentry = {
   b_insns : Insn.t array;
   b_opts : Insn.t option array;  (* [Some b_insns.(i)], built at fill *)
@@ -230,6 +229,14 @@ and bentry = {
       (* fall-through PCC after instruction [i]: the fill-time
          [next_pcc] chain.  Valid whenever the block ticket validates —
          each link is a pure function of the ticket fields. *)
+  b_takens : Capability.t array;
+      (* taken PCC of each direct [Branch]/[Jal] (see [taken_pcc]),
+         valid under the ticket like [b_nexts]; [Capability.null]
+         (compared physically) elsewhere and where the target fails
+         the PCC bounds check; [[||]] in a block without one *)
+  b_link_on : Capability.t;
+      (* the final [Jal]'s link when [mie] is set... *)
+  b_link_off : Capability.t;  (* ...and when it is clear *)
   b_mode : mode;
   b_pcc : Capability.t;  (* fetch ticket: the fill-time block-start PCC *)
   b_start : int;  (* address of b_insns.(0) *)
@@ -269,18 +276,10 @@ and bentry = {
 }
 
 (* A compiled plan for one (super)block: per-instruction check levels
-   and block-entry guards from [Ir.optimize], plus compile-time folds
-   of the block's static control-flow capabilities.  [Capability.null]
-   (physical compare) marks a fold that was not taken. *)
+   and block-entry guards from [Ir.optimize]. *)
 and jit = {
   j_chk : Ir.chk array;  (* per-instruction residual access checks *)
   j_guards : Ir.guard array;  (* block-entry hoisted checks *)
-  j_br : Capability.t array;
-      (* per-instruction folded taken-target PCC of an in-bounds
-         direct [Branch]; [Capability.null] where not folded *)
-  j_jal_target : Capability.t;  (* folded final-[Jal] target PCC *)
-  j_link_on : Capability.t;  (* its link sentry when [mie] is set... *)
-  j_link_off : Capability.t;  (* ...and when it is clear *)
 }
 
 exception Trap of cause
@@ -312,6 +311,9 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
           b_insns = [||];
           b_opts = [||];
           b_nexts = [||];
+          b_takens = [||];
+          b_link_on = Capability.null;
+          b_link_off = Capability.null;
           b_mode = mode;
           b_pcc = Capability.null;
           b_start = -1;
@@ -378,7 +380,6 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
     checks_eliminated = 0;
     checks_hoisted = 0;
     checks_hoisted_nonentry = 0;
-    dead_bookkeeping_removed = 0;
     opt_side_exits = 0;
     jit_validator = None;
     jit_plans_rejected = 0;
@@ -725,12 +726,13 @@ let apply_sentry_posture m = function
   | Sentry_enable | Sentry_ret_enable -> m.mie <- true
   | Sentry_disable | Sentry_ret_disable -> m.mie <- false
 
-let link_cap m next_addr =
-  (* The link register receives a return sentry recording the interrupt
-     posture at the call site (3.1.2). *)
-  let c = Capability.with_address m.pcc next_addr in
+(* The link register receives a return sentry recording the interrupt
+   posture [mie] at the call site (3.1.2): the caller's [pcc] at
+   [next_addr], sealed, or untagged where it cannot be sealed. *)
+let link_cap pcc ~mie next_addr =
+  let c = Capability.with_address pcc next_addr in
   match
-    Capability.seal_sentry c (Otype.return_sentry ~interrupts_enabled:m.mie)
+    Capability.seal_sentry c (Otype.return_sentry ~interrupts_enabled:mie)
   with
   | Ok sealed -> sealed
   | Error _ -> Capability.clear_tag c
@@ -745,7 +747,7 @@ let do_jal m rd off =
   | Cheriot ->
       if not (Capability.in_bounds m.pcc ~size:4 target) then
         raise (Trap (Cheri_fault (Cheri_bounds, 16)));
-      set_reg m rd (link_cap m (pc + 4));
+      set_reg m rd (link_cap m.pcc ~mie:m.mie (pc + 4));
       (* In-bounds addresses are always representable (the concentrate
          encoding's defining invariant, checked exhaustively by
          test_bounds), and the PCC is tagged and unsealed here — so
@@ -768,14 +770,14 @@ let do_jalr m rd rs1 off =
         if Capability.is_sealed cap then begin
           match Capability.sentry_kind cap with
           | Some kind when off = 0 ->
-              let link = link_cap m (pc + 4) in
+              let link = link_cap m.pcc ~mie:m.mie (pc + 4) in
               apply_sentry_posture m kind;
               set_reg m rd link;
               Capability.{ cap with otype = Otype.unsealed }
           | Some _ | None -> raise (Trap (Cheri_fault (Cheri_seal, rs1)))
         end
         else begin
-          set_reg m rd (link_cap m (pc + 4));
+          set_reg m rd (link_cap m.pcc ~mie:m.mie (pc + 4));
           cap
         end
       in
@@ -1259,6 +1261,42 @@ let decode_at m pcc pc =
           | None -> None (* illegal words are never translated *)
           | Some i -> Some i))
 
+(* A block's direct edges, derived once at translation from the PCC
+   [pcc] the edge instruction was fetched under.  Every execution of
+   the block reaches that instruction under a PCC value-equal to
+   [pcc]: the entry PCC passed the ticket compare ([ticket_ok]), and
+   each instruction before the edge left the next link of the [b_nexts]
+   chain that [pcc] belongs to.  So what is built here is value-equal
+   to what the per-step path ([exec]'s [Branch] arm, [do_jal]) builds
+   from the live PCC.  [taken_pcc] is the PCC a taken [Branch] or a
+   [Jal] installs, or [Capability.null] where the target fails the
+   CHERIoT bounds check and the edge traps.  [jal_link] is a [Jal]'s
+   link under posture [mie]; in Rv32 mode it is the untagged,
+   null-metadata integer that [set_reg_int] writes, which [reg],
+   [reg_int] and [state_hash] read identically. *)
+let taken_pcc mode pcc (i : Insn.t) =
+  match i with
+  | Branch (_, _, _, off) | Jal (_, off) -> (
+      let target = (pcc.Capability.addr + off) land mask32 in
+      match (mode, i) with
+      | Rv32, Jal _ -> Capability.{ root_executable with addr = target }
+      | Rv32, _ -> { pcc with Capability.addr = target }
+      | Cheriot, _ ->
+          (* in bounds implies representable, so the record update is
+             [with_address] *)
+          if Capability.in_bounds pcc ~size:4 target then
+            { pcc with Capability.addr = target }
+          else Capability.null)
+  | _ -> Capability.null
+
+let jal_link mode pcc ~mie =
+  let next = pcc.Capability.addr + 4 in
+  match mode with
+  | Cheriot -> link_cap pcc ~mie next
+  | Rv32 ->
+      let addr = next land mask32 in
+      Capability.{ null with addr }
+
 (* Translate a run of code starting at [pc0] under [pcc0].  Plain
    blocks ([sb:false]) stop at every [block_terminator]; superblocks
    ([sb:true]) keep translating across not-taken [Branch]es up to
@@ -1271,14 +1309,12 @@ let translate m ~pcc0 ~pc0 ~sb ~cap =
   | None -> None
   | Some first ->
       let buf_i = Array.make cap first in
-      let buf_o = Array.make cap None in
       let buf_n = Array.make cap None in
       let term = if sb then superblock_terminator else block_terminator in
       let rec grow pcc i len =
         (* invariant: [i] decoded at [pc0 + 4*len] under [pcc], with the
            fetch-side checks passed *)
         buf_i.(len) <- i;
-        buf_o.(len) <- Some i;
         let nx = next_pcc_of m.mode pcc in
         buf_n.(len) <- Some nx;
         let len = len + 1 in
@@ -1293,11 +1329,35 @@ let translate m ~pcc0 ~pc0 ~sb ~cap =
       in
       let len = grow pcc0 first 0 in
       let insns = Array.sub buf_i 0 len in
+      let nexts = Array.sub buf_n 0 len in
+      (* The taken PCC of each direct edge, from the PCC [!pcc] the
+         instruction was fetched under.  Most blocks hold no direct edge
+         (they end at a [Jalr], a system instruction or the length cap)
+         and keep the empty array, which the executor's edge arms never
+         read. *)
+      let takens = ref [||] and pcc = ref pcc0 in
+      for k = 0 to len - 1 do
+        if k > 0 then pcc := Option.get nexts.(k - 1);
+        match insns.(k) with
+        | (Insn.Branch _ | Insn.Jal _) as i ->
+            if Array.length !takens = 0 then
+              takens := Array.make len Capability.null;
+            !takens.(k) <- taken_pcc m.mode !pcc i
+        | _ -> ()
+      done;
+      (* a [Jal] is a terminator, so only the last instruction can be
+         one, and [!pcc] is its PCC *)
+      let jal = match insns.(len - 1) with Insn.Jal _ -> true | _ -> false in
       Some
         {
           b_insns = insns;
-          b_opts = Array.sub buf_o 0 len;
-          b_nexts = Array.sub buf_n 0 len;
+          b_opts = Array.map Option.some insns;
+          b_nexts = nexts;
+          b_takens = !takens;
+          b_link_on =
+            (if jal then jal_link m.mode !pcc ~mie:true else Capability.null);
+          b_link_off =
+            (if jal then jal_link m.mode !pcc ~mie:false else Capability.null);
           b_mode = m.mode;
           b_pcc = pcc0;
           b_start = pc0;
@@ -1595,109 +1655,37 @@ let chain_edge_ind m (b : bentry) =
 let jalr_edge_stops m ~timed =
   m.mie && (interrupt_pending m || (timed && m.mtimecmp <> 0))
 
-(* Compile [b]'s optimized execution plan: the [Ir] pass results plus
-   compile-time folds of the static control-flow capabilities.  A
-   direct branch (or the final [Jal]) whose target is in bounds of the
-   block's PCC at that instruction can have its whole taken path —
-   bounds check, target PCC, and for [Jal] the sealed link sentry —
-   computed here once: every runtime traversal starts from a PCC
-   value-equal to the ticket (that is what admits the block), so the
-   folded records are value-equal to what the per-step path builds,
-   and an out-of-bounds target is simply left unfolded (the generic
-   path re-derives its trap exactly).  The fold base is rebuilt at the
-   {e instruction's} address — [Capability.with_address] decodes
-   relative to the current address, so [cur] must match the runtime
-   value exactly. *)
+(* Compile [b]'s optimized execution plan: the [Ir] pass results. *)
 let compile_jit m (b : bentry) =
-  let cheri = b.b_mode = Cheriot in
-  let chks, guards, (st : Ir.stats) = Ir.optimize ~cheri b.b_insns in
+  let chks, guards, (st : Ir.stats) =
+    Ir.optimize ~cheri:(b.b_mode = Cheriot) b.b_insns
+  in
   (* Translation validation: an installed validator must accept the
-     plan; otherwise install the unoptimized (always sound) plan.  The
-     deferred-bookkeeping accounting survives rejection — deferral is a
-     structural property of the executor, not of the check plan. *)
+     plan; otherwise install the unoptimized (always sound) plan. *)
   let chks, guards, st =
     match m.jit_validator with
     | Some validate when not (validate b chks guards) ->
         m.jit_plans_rejected <- m.jit_plans_rejected + 1;
         ( Array.make b.b_len Ir.Chk_full,
           [||],
-          { st with Ir.eliminated = 0; hoisted = 0; hoisted_nonentry = 0 } )
+          { Ir.eliminated = 0; hoisted = 0; hoisted_nonentry = 0 } )
     | _ -> (chks, guards, st)
   in
-  let brs = Array.make b.b_len Capability.null in
-  let jal_t = ref Capability.null in
-  let link_on = ref Capability.null in
-  let link_off = ref Capability.null in
-  let folds = ref 0 in
-  if cheri then
-    for i = 0 to b.b_len - 1 do
-      match Array.unsafe_get b.b_insns i with
-      | Insn.Branch (_, _, _, off) ->
-          let pc = b.b_start + (4 * i) in
-          let target = (pc + off) land mask32 in
-          let at = { b.b_pcc with Capability.addr = pc } in
-          if Capability.in_bounds at ~size:4 target then begin
-            brs.(i) <- { at with Capability.addr = target };
-            incr folds
-          end
-      | Insn.Jal (_, off) when i = b.b_len - 1 ->
-          let pc = b.b_start + (4 * i) in
-          let target = (pc + off) land mask32 in
-          let at = { b.b_pcc with Capability.addr = pc } in
-          if Capability.in_bounds at ~size:4 target then begin
-            jal_t := { at with Capability.addr = target };
-            let link = Capability.with_address at (pc + 4) in
-            (link_on :=
-               match
-                 Capability.seal_sentry link
-                   (Otype.return_sentry ~interrupts_enabled:true)
-               with
-               | Ok s -> s
-               | Error _ -> Capability.clear_tag link);
-            (link_off :=
-               match
-                 Capability.seal_sentry link
-                   (Otype.return_sentry ~interrupts_enabled:false)
-               with
-               | Ok s -> s
-               | Error _ -> Capability.clear_tag link);
-            incr folds
-          end
-      | _ -> ()
-    done;
   m.jit_blocks_compiled <- m.jit_blocks_compiled + 1;
   m.checks_eliminated <- m.checks_eliminated + st.Ir.eliminated;
   m.checks_hoisted <- m.checks_hoisted + st.Ir.hoisted;
   m.checks_hoisted_nonentry <-
     m.checks_hoisted_nonentry + st.Ir.hoisted_nonentry;
-  m.dead_bookkeeping_removed <-
-    m.dead_bookkeeping_removed + st.Ir.dead_bookkeeping + !folds;
-  let t =
-    {
-      j_chk = chks;
-      j_guards = guards;
-      j_br = brs;
-      j_jal_target = !jal_t;
-      j_link_on = !link_on;
-      j_link_off = !link_off;
-    }
-  in
+  let t = { j_chk = chks; j_guards = guards } in
   b.b_jit <- Some t;
   t
 
-(* The identity plan: every access [Chk_full], no guards, no folds — the
-   plan a cold block runs under.  One shared static value sized for the
+(* The identity plan: every access [Chk_full], no guards — the plan a
+   cold block runs under.  One shared static value sized for the
    longest superblock; it is never installed in a block's [b_jit], which
    holds only compiled plans. *)
 let identity_plan =
-  {
-    j_chk = Array.make max_superblock_len Ir.Chk_full;
-    j_guards = [||];
-    j_br = Array.make max_superblock_len Capability.null;
-    j_jal_target = Capability.null;
-    j_link_on = Capability.null;
-    j_link_off = Capability.null;
-  }
+  { j_chk = Array.make max_superblock_len Ir.Chk_full; j_guards = [||] }
 
 (* The plan a block runs under on this entry: its compiled plan once
    it has one.  A block without one counts its entries and runs the
@@ -1759,19 +1747,20 @@ let sync m nexts i pending =
    Everything else [sync]s and takes the generic [exec] arm, except the
    edge instructions ([Jal], [Branch]): in chained execution every block
    ends in one, so they run inline and write their event only when the
-   round actually ends on them.
+   round actually ends on them.  Each has one path, in every block: a
+   taken edge installs the block's prebuilt target ([b_takens], and for
+   a [Jal] the link of the live posture), or raises the PCC bounds trap
+   where translation found the target out of bounds — no bounds decode
+   or allocation at run time.
 
-   The plan specializes three things, none architecturally observable:
+   The plan specializes two things, none architecturally observable:
    - the memory arms run only the {e residual} checks of their [Ir.chk]
      entry — the elided checks are exactly those a dominating check or a
      block-entry guard already proved would pass;
    - the block-entry guards run once per block execution; if any fails,
      this execution runs with full checks (the opt side exit:
      deoptimization in place — the faulting access, if any, traps at its
-     own instruction with its own cause);
-   - in-bounds direct branches and the final [Jal] use their folded
-     target (and link-sentry) capabilities — value-equal to what the
-     per-step path computes, with no bounds decode or allocation.
+     own instruction with its own cause).
 
    A taken interior branch of a superblock side-exits (continuing the
    round at a translated block at its target, if one validates).  A
@@ -1846,7 +1835,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
             else if !base > 0 then mark_chained
             else 0);
        let chks = if full then identity_plan.j_chk else t.j_chk in
-       let jbr = t.j_br in
+       let takens = blk.b_takens in
        i := 0;
        seg := 0;
        while (not !stop) && !cont == dummy && !i < n do
@@ -1886,43 +1875,26 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
                m.block_aborts <- m.block_aborts + 1;
                stop := true
              end
-         (* the edge instructions, inline: verbatim [exec]'s [Jal]/[Branch]
-            arms minus [finish] *)
-         | Insn.Jal (rd, off) ->
-             if t.j_jal_target != Capability.null then begin
-               (* folded: the bounds check passed at compile time
-                  against the same (cur, target) pair, and the link
-                  sentry for either posture is prebuilt *)
-               set_reg m rd (if m.mie then t.j_link_on else t.j_link_off);
+         (* the edge instructions, inline, each installing its prebuilt
+            target; where translation found the target out of the PCC's
+            bounds, the bounds trap (the handler [sync]s, so the trap is
+            taken at the edge instruction, before [rd] is written) *)
+         | Insn.Jal (rd, _) ->
+             let tgt = Array.unsafe_get takens !i in
+             if tgt == Capability.null then
+               raise (Trap (Cheri_fault (Cheri_bounds, 16)));
+             set_reg m rd (if m.mie then blk.b_link_on else blk.b_link_off);
+             m.minstret <- m.minstret + !pending + 1;
+             pending := 0;
+             m.pcc <- tgt
+         | Insn.Branch (cond, rs1, rs2, _) ->
+             if branch_taken cond (reg_int m rs1) (reg_int m rs2) then begin
+               let tgt = Array.unsafe_get takens !i in
+               if tgt == Capability.null then
+                 raise (Trap (Cheri_fault (Cheri_bounds, 16)));
                m.minstret <- m.minstret + !pending + 1;
                pending := 0;
-               m.pcc <- t.j_jal_target
-             end
-             else begin
-               pending := sync m nexts !i !pending;
-               do_jal m rd off;
-               m.minstret <- m.minstret + 1
-             end
-         | Insn.Branch (cond, rs1, rs2, off) ->
-             if branch_taken cond (reg_int m rs1) (reg_int m rs2) then begin
-               let tgt = Array.unsafe_get jbr !i in
-               if tgt != Capability.null then begin
-                 (* folded: no bounds decode, no PCC allocation *)
-                 m.minstret <- m.minstret + !pending + 1;
-                 pending := 0;
-                 m.pcc <- tgt
-               end
-               else begin
-                 pending := sync m nexts !i !pending;
-                 let pc = Capability.address m.pcc in
-                 let target = (pc + off) land mask32 in
-                 if
-                   m.mode = Cheriot
-                   && not (Capability.in_bounds m.pcc ~size:4 target)
-                 then raise (Trap (Cheri_fault (Cheri_bounds, 16)));
-                 m.pcc <- { m.pcc with Capability.addr = target };
-                 m.minstret <- m.minstret + 1
-               end;
+               m.pcc <- tgt;
                if timed then charge_taken m;
                br_taken := true;
                if !i < b_len - 1 then begin
@@ -2204,7 +2176,6 @@ type block_stats = {
   checks_hoisted_nonentry : int;
       (* the subset of [checks_hoisted] reached through derived
          (non-entry) register versions *)
-  dead_bookkeeping_removed : int;  (* pass 3 + control-flow folds *)
   opt_side_exits : int;  (* block executions deoptimized by a guard *)
   jit_plans_rejected : int;  (* plans the installed validator refused *)
 }
@@ -2228,7 +2199,6 @@ let block_stats m =
     checks_eliminated = m.checks_eliminated;
     checks_hoisted = m.checks_hoisted;
     checks_hoisted_nonentry = m.checks_hoisted_nonentry;
-    dead_bookkeeping_removed = m.dead_bookkeeping_removed;
     opt_side_exits = m.opt_side_exits;
     jit_plans_rejected = m.jit_plans_rejected;
   }

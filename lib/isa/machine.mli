@@ -20,14 +20,14 @@ type mode = Cheriot | Rv32
     executor over the basic-block translation cache, linking blocks
     across direct [Jal]/[Branch] edges (and fall-throughs and completed
     [Jalr]s) and re-translating hot fall-through paths into superblocks.
-    A cold block runs under the identity plan (every access fully
-    checked); once the block has been entered [hot_threshold] times (on
-    first entry when a [jit_validator] is installed) it runs under its
-    plan compiled by {!Ir} — redundant capability checks eliminated,
-    bounds checks hoisted into block-entry guards, static control flow
-    folded.  The two are observationally identical per retired
-    instruction (enforced by [test/test_differential.ml] and the ref/jit
-    lockstep properties). *)
+    Every block's direct edges are prebuilt at translation (see
+    {!bentry}).  A cold block runs under the identity plan (every access
+    fully checked); once the block has been entered [hot_threshold]
+    times (on first entry when a [jit_validator] is installed) it runs
+    under its plan compiled by {!Ir} — redundant capability checks
+    eliminated, bounds checks hoisted into block-entry guards.  The two
+    are observationally identical per retired instruction (enforced by
+    [test/test_differential.ml] and the ref/jit lockstep properties). *)
 type dispatch = Dispatch_ref | Dispatch_jit
 
 (** CHERI exception causes (reported via [mcause = 28] with the cause and
@@ -181,9 +181,6 @@ type t = {
   mutable checks_hoisted_nonentry : int;
       (** the subset of [checks_hoisted] reached through derived
           (non-entry) register versions *)
-  mutable dead_bookkeeping_removed : int;
-      (** pass-3 count: deferred per-op epilogues plus control-flow
-          folds *)
   mutable opt_side_exits : int;
       (** block executions deoptimized to full checks by a failed
           guard *)
@@ -214,14 +211,25 @@ type t = {
 (** A translated basic block: decoded instructions of one straight-line
     run of code, ending at (and including) the first control-flow or
     interrupt-posture-changing instruction, or at the length cap.  The
-    per-instruction event payloads and fall-through PCC chain are
-    prebuilt at fill time so a cached block executes without
-    allocating. *)
+    per-instruction event payloads, the fall-through PCC chain, the
+    taken PCC of each direct edge and the final [Jal]'s link pair are
+    prebuilt at fill time, from the PCC each instruction was fetched
+    under, so a cached block executes without allocating. *)
 and bentry = {
   b_insns : Insn.t array;
   b_opts : Insn.t option array;  (** [Some b_insns.(i)], built at fill *)
   b_nexts : Cheriot_core.Capability.t option array;
       (** fall-through PCC after instruction [i] *)
+  b_takens : Cheriot_core.Capability.t array;
+      (** the PCC a taken direct [Branch] or a [Jal] at [i] installs;
+          [Cheriot_core.Capability.null] (compared physically) at every
+          other instruction, and where the target fails the PCC bounds
+          check, so the edge traps; [[||]] in a block that holds no
+          direct edge *)
+  b_link_on : Cheriot_core.Capability.t;
+      (** the final [Jal]'s link when [mie] is set (a return sentry;
+          in [Rv32] mode the integer [pc + 4])… *)
+  b_link_off : Cheriot_core.Capability.t;  (** …and when it is clear *)
   b_mode : mode;
   b_pcc : Cheriot_core.Capability.t;
       (** fetch "ticket": the fill-time block-start PCC.  A hit under a
@@ -260,18 +268,11 @@ and bentry = {
       (** entries of the block while it has no plan *)
 }
 
-(** A compiled block plan: the {!Ir} optimization results plus folded
-    static control-flow capabilities ([Cheriot_core.Capability.null],
-    compared physically, marks a fold not taken). *)
+(** A compiled block plan: the {!Ir} optimization results, checks and
+    guards only. *)
 and jit = {
   j_chk : Ir.chk array;  (** per-instruction residual access checks *)
   j_guards : Ir.guard array;  (** block-entry hoisted checks *)
-  j_br : Cheriot_core.Capability.t array;
-      (** folded taken-target PCC per in-bounds direct [Branch] *)
-  j_jal_target : Cheriot_core.Capability.t;  (** folded final-[Jal] target *)
-  j_link_on : Cheriot_core.Capability.t;
-      (** its link sentry when [mie] is set… *)
-  j_link_off : Cheriot_core.Capability.t;  (** …and when it is clear *)
 }
 
 val create : ?mode:mode -> ?load_filter:bool -> Cheriot_mem.Bus.t -> t
@@ -335,7 +336,7 @@ val timed_round : t -> fuel:int -> result * int
 
 val compile_jit : t -> bentry -> jit
 (** Compile (and install) [bentry]'s optimized execution plan: the
-    {!Ir.optimize} passes plus the static control-flow folds.  The jit
+    {!Ir.optimize} passes' checks and guards.  The jit
     tier calls it on the entry that makes a block hot (see
     [hot_threshold]), or on first entry while a [jit_validator] is
     installed; exposed so the offline plan-verification gate can
@@ -402,8 +403,6 @@ type block_stats = {
   checks_hoisted_nonentry : int;
       (** the subset of [checks_hoisted] reached through derived
           (non-entry) register versions *)
-  dead_bookkeeping_removed : int;
-      (** pass 3: deferred per-op epilogues, plus control-flow folds *)
   opt_side_exits : int;
       (** block executions deoptimized by a failed entry guard *)
   jit_plans_rejected : int;

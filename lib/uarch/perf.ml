@@ -180,15 +180,3 @@ let run ?(fuel = 50_000_000) t =
   let r = go 0 Machine.Step_ok in
   publish t;
   r
-
-let idle_until t cond =
-  let m = t.machine in
-  let spent = ref 0 in
-  while (not (cond ())) && !spent < 100_000_000 do
-    incr spent;
-    m.Machine.mcycle <- m.Machine.mcycle + 1;
-    match t.revoker with Some r -> Revoker.tick r | None -> ()
-  done;
-  t.cycles <- t.cycles + !spent;
-  publish t;
-  !spent

@@ -37,7 +37,7 @@ type t = {
   dispatch : dispatch;
   mutable stats : stats;
       (** published from the running counters below at the end of
-          {!step}, {!run} and {!idle_until} *)
+          {!step} and {!run} *)
   mutable cycles : int;
   mutable instructions : int;
   mutable mem_busy : int;
@@ -61,7 +61,3 @@ val run : ?fuel:int -> t -> Cheriot_isa.Machine.result
     them on every tier: each retired instruction, delivered interrupt,
     trap or idle WFI step is one. *)
 
-val idle_until : t -> (unit -> bool) -> int
-(** Model an idle CPU (e.g. blocked on revocation): burn cycles — all of
-    them available to the revoker — until the condition holds; returns
-    the cycles spent.  Gives up after 100M cycles. *)

@@ -497,8 +497,6 @@ let test_jit_counters_on_both_paths () =
   let s = Machine.block_stats m in
   Alcotest.(check bool) "merged executor compiled plans" true
     (s.Machine.jit_blocks_compiled > 0);
-  Alcotest.(check bool) "bookkeeping removal accounted" true
-    (s.Machine.dead_bookkeeping_removed > 0);
   let m2 = mk () in
   let rec drive () =
     match Machine.step_jit m2 ~fuel:Machine.round_cap with
@@ -835,16 +833,15 @@ let test_eviction_unlinks () =
 (* A hot loop over the jit's deferred arms: an [Lui], an [Op_imm]
    counter, an [Op], a word [Store] and [Load] through the flat boot's
    data capability c3, and a backward [Branch] that stays taken.  Warmed
-   well past [hot_threshold], the block runs its compiled plan with the
-   branch folded, and nothing left in an iteration needs the heap:
-   integer results go to the integer half of the register file, the
-   round's counters are locals rather than cells a closure captured, the
-   bounds check takes its size unboxed and the store snoop walks its
-   list without building a closure.  A cold block would still build a
-   PCC record per taken branch, so the warm-up matters.  A round itself
-   allocates only its result pair; a closure over the round's counters
-   would add the closure and a heap cell per captured counter to every
-   round, so the loop is also run as many short rounds. *)
+   well past [hot_threshold], the block runs its compiled plan, and
+   nothing left in an iteration needs the heap: integer results go to
+   the integer half of the register file, the taken branch installs its
+   prebuilt target, the round's counters are locals rather than cells a
+   closure captured, the bounds check takes its size unboxed and the
+   store snoop walks its list without building a closure.  A round
+   itself allocates only its result pair; a closure over the round's
+   counters would add the closure and a heap cell per captured counter
+   to every round, so the loop is also run as many short rounds. *)
 let alloc_loop =
   Insn.
     [
@@ -872,7 +869,11 @@ let minor_words_of f =
   f ();
   Gc.minor_words () -. before
 
-let check_warm_loop what m run =
+(* Run [warm_insns] and then [measured_insns] of [m]'s loop through
+   [run], and bound the minor words of the measured part.  A [cold] loop
+   must have compiled no plan and formed no superblock; any other loop
+   must have compiled one. *)
+let check_warm_loop ?(cold = false) what m run =
   run warm_insns;
   let start = m.Machine.minstret in
   let words = minor_words_of (fun () -> run measured_insns) in
@@ -880,30 +881,44 @@ let check_warm_loop what m run =
     (what ^ " retired the measured instructions")
     measured_insns
     (m.Machine.minstret - start);
-  Alcotest.(check bool) (what ^ " compiled the loop") true
-    ((Machine.block_stats m).Machine.jit_blocks_compiled >= 1);
+  let s = Machine.block_stats m in
+  if cold then begin
+    Alcotest.(check int) (what ^ " compiled no plan") 0
+      s.Machine.jit_blocks_compiled;
+    Alcotest.(check int) (what ^ " formed no superblock") 0
+      s.Machine.superblocks_formed
+  end
+  else
+    Alcotest.(check bool) (what ^ " compiled the loop") true
+      (s.Machine.jit_blocks_compiled >= 1);
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.0f minor words over %d warm instructions, under %.0f"
        what words measured_insns alloc_bound)
     true (words < alloc_bound)
 
-let test_warm_jit_allocates_nothing () =
-  let words = List.map Encode.encode alloc_loop in
-  let m = (Boot.flat words).Boot.m in
-  check_warm_loop "Machine.run" m (fun fuel ->
-      match Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m with
-      | Machine.Step_ok, n when n = fuel -> ()
-      | r, _ -> Alcotest.failf "Machine.run stopped: %s" (result_name r));
-  let m = (Boot.flat words).Boot.m in
+(* The two jit drivers of a machine, as [fuel -> unit] runs. *)
+let machine_runner m fuel =
+  match Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m with
+  | Machine.Step_ok, n when n = fuel -> ()
+  | r, _ -> Alcotest.failf "Machine.run stopped: %s" (result_name r)
+
+let perf_runner m =
   let p =
     Cheriot_uarch.Perf.create ~dispatch:Cheriot_uarch.Perf.Jit
       ~params:Cheriot_uarch.Core_model.(params_of Ibex)
       m
   in
-  check_warm_loop "Perf.run" m (fun fuel ->
-      match Cheriot_uarch.Perf.run ~fuel p with
-      | Machine.Step_ok -> ()
-      | r -> Alcotest.failf "Perf.run stopped: %s" (result_name r));
+  fun fuel ->
+    match Cheriot_uarch.Perf.run ~fuel p with
+    | Machine.Step_ok -> ()
+    | r -> Alcotest.failf "Perf.run stopped: %s" (result_name r)
+
+let test_warm_jit_allocates_nothing () =
+  let words = List.map Encode.encode alloc_loop in
+  let m = (Boot.flat words).Boot.m in
+  check_warm_loop "Machine.run" m (machine_runner m);
+  let m = (Boot.flat words).Boot.m in
+  check_warm_loop "Perf.run" m (perf_runner m);
   let words =
     minor_words_of (fun () ->
         for _ = 1 to short_rounds do
@@ -916,6 +931,46 @@ let test_warm_jit_allocates_nothing () =
        words_per_round_bound)
     true
     (per_round < words_per_round_bound)
+
+(* Loops that never turn hot, closed by a taken backward [Branch] and by
+   a [Jal] that links [ra] (read back in the next iteration), in both
+   modes.  Pinned at an unreachable threshold, no plan compiles and no
+   superblock forms, so every edge runs as translated: a taken edge
+   installs its block's prebuilt target, and a [Jal] its prebuilt link,
+   so the loops need the heap no more than the warm one. *)
+let cold_loops =
+  let enc = List.map Encode.encode in
+  let branch_loop =
+    Insn.
+      [
+        Lui (5, 0x12);
+        Op_imm (Add, 1, 1, 1);
+        Op (Xor, 6, 1, 5);
+        Branch (Ne, 1, 0, -12);
+      ]
+  in
+  let jal_loop =
+    Insn.[ Op_imm (Add, 1, 1, 1); Op (Xor, 6, 1, reg_ra); Jal (reg_ra, -8) ]
+  in
+  let cheriot prog () = (Boot.flat (enc prog)).Boot.m in
+  let rv32 prog () = fst (Boot.code_only ~mode:Machine.Rv32 (enc prog)) in
+  [
+    ("CHERIoT branch loop", cheriot branch_loop);
+    ("Rv32 branch loop", rv32 branch_loop);
+    ("CHERIoT jal loop", cheriot jal_loop);
+    ("Rv32 jal loop", rv32 jal_loop);
+  ]
+
+let test_cold_edges_allocate_nothing () =
+  List.iter
+    (fun (what, boot) ->
+      let m = boot () in
+      plain_blocks m;
+      check_warm_loop ~cold:true (what ^ ", Machine.run") m (machine_runner m);
+      let m = boot () in
+      plain_blocks m;
+      check_warm_loop ~cold:true (what ^ ", Perf.run") m (perf_runner m))
+    cold_loops
 
 let suite =
   [
@@ -960,4 +1015,6 @@ let suite =
       `Quick test_trace_marks_jit;
     Alcotest.test_case "the warm jit allocates nothing per instruction" `Quick
       test_warm_jit_allocates_nothing;
+    Alcotest.test_case "cold and Rv32 direct edges allocate nothing" `Quick
+      test_cold_edges_allocate_nothing;
   ]

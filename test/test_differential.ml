@@ -170,6 +170,136 @@ let test_mmio_code mode () =
       Alcotest.(check int) (what ^ ": cycles") ref_cycles cycles)
     [ ("ref", Perf.Reference); ("jit", Perf.Jit) ]
 
+(* --- out-of-bounds direct edges -------------------------------------- *)
+
+(* The jit builds each direct edge's taken PCC at translation, and where
+   the target fails the PCC bounds check it raises the bounds trap
+   instead: for such an edge, cold or compiled, that trap is its only
+   path.  Two images on a PCC bounded to the 0x400-byte code region,
+   each with a trap handler (an [Ebreak] at [edge_handler]):
+   - [late_branch_exit]: a loop whose forward [Branch] leaves the bounds
+     on the 100th iteration.  At the jit's default hotness the loop is
+     by then a superblock with the branch in its interior, running under
+     a compiled plan.
+   - [oob_call]: a 100-iteration loop, then a final [Jal ra] out of
+     bounds, which must leave [ra] unwritten.
+   In Rv32 mode nothing is bounds-checked: the same edges are taken, and
+   the fetch from unmapped memory at the target faults instead. *)
+let oob_target = 0x800
+let edge_handler = 0xc
+let ra_sentinel = 0x1234
+
+let late_branch_exit =
+  Insn.
+    [
+      Op_imm (Add, reg_t0, reg_t0, 1);
+      Branch (Eq, reg_t0, 6, oob_target - 4);
+      Jal (reg_zero, -8);
+      Ebreak;
+    ]
+
+let oob_call =
+  Insn.
+    [
+      Op_imm (Add, reg_t0, reg_t0, 1);
+      Branch (Ne, reg_t0, 6, -4);
+      Jal (reg_ra, oob_target - 8);
+      Ebreak;
+    ]
+
+let edge_boot mode prog =
+  let m, _ = Boot.code_only ~mode (List.map Encode.encode prog) in
+  m.Machine.mtcc <-
+    Capability.with_address m.Machine.pcc (Boot.code_base + edge_handler);
+  Machine.set_reg_int m 6 100;
+  Machine.set_reg_int m Insn.reg_ra ra_sentinel;
+  m
+
+let test_oob_edges mode () =
+  List.iter
+    (fun (name, prog, edge_pc) ->
+      let what col = Printf.sprintf "%s %s (%s)" (mode_name mode) name col in
+      let run ?hot_threshold col =
+        let m = edge_boot mode prog in
+        (match hot_threshold with
+        | Some t ->
+            m.Machine.hot_threshold <- t;
+            m.Machine.hot_adaptive <- false
+        | None -> ());
+        let dispatch =
+          if col = "ref" then Machine.Dispatch_ref else Machine.Dispatch_jit
+        in
+        let r, _ = Machine.run ~dispatch m in
+        Alcotest.(check bool) (what col ^ ": halts in the handler") true
+          (r = Machine.Step_halted);
+        m
+      in
+      let ref_m = run "ref" in
+      Alcotest.(check int) (what "ref" ^ ": 100 iterations") 100
+        (Machine.reg_int ref_m Insn.reg_t0);
+      (match mode with
+      | Machine.Cheriot ->
+          Alcotest.(check int) (what "ref" ^ ": CHERI fault") 28
+            ref_m.Machine.mcause;
+          Alcotest.(check int) (what "ref" ^ ": bounds, PCC") ((0x01 lsl 5) lor 16)
+            ref_m.Machine.mtval;
+          Alcotest.(check int) (what "ref" ^ ": at the edge")
+            (Boot.code_base + edge_pc)
+            (Capability.address ref_m.Machine.mepcc);
+          Alcotest.(check int) (what "ref" ^ ": ra unwritten") ra_sentinel
+            (Machine.reg_int ref_m Insn.reg_ra)
+      | Machine.Rv32 ->
+          Alcotest.(check int) (what "ref" ^ ": at the target")
+            (Boot.code_base + oob_target)
+            (Capability.address ref_m.Machine.mepcc));
+      List.iter
+        (fun (col, hot_threshold) ->
+          let m = run ?hot_threshold col in
+          let w = what col in
+          Alcotest.(check int) (w ^ ": mcause") ref_m.Machine.mcause
+            m.Machine.mcause;
+          Alcotest.(check int) (w ^ ": mtval") ref_m.Machine.mtval
+            m.Machine.mtval;
+          Alcotest.(check bool) (w ^ ": mepcc") true
+            (Capability.equal ref_m.Machine.mepcc m.Machine.mepcc);
+          Alcotest.(check int) (w ^ ": minstret") ref_m.Machine.minstret
+            m.Machine.minstret;
+          Alcotest.(check string) (w ^ ": state hash")
+            (Machine.state_hash ref_m) (Machine.state_hash m);
+          if prog == late_branch_exit && hot_threshold = None then begin
+            let s = Machine.block_stats m in
+            Alcotest.(check bool) (w ^ ": the loop became a superblock") true
+              (s.Machine.superblocks_formed >= 1);
+            Alcotest.(check bool) (w ^ ": under a compiled plan") true
+              (s.Machine.jit_blocks_compiled >= 1)
+          end)
+        [
+          ("jit cold", Some max_int);
+          ("jit", None);
+          ("jit@2", Some 2);
+          ("jit@1", Some 1);
+        ];
+      let params = Core_model.params_of Core_model.Ibex in
+      let perf_run dispatch =
+        let m = edge_boot mode prog in
+        let p = Perf.create ~dispatch ~params m in
+        Alcotest.(check bool) (what "Perf" ^ ": halts") true
+          (Perf.run p = Machine.Step_halted);
+        (p.Perf.stats, Machine.state_hash m)
+      in
+      let ref_st, ref_hash = perf_run Perf.Reference in
+      let st, hash = perf_run Perf.Jit in
+      Alcotest.(check int) (what "Perf" ^ ": cycles") ref_st.Perf.cycles
+        st.Perf.cycles;
+      Alcotest.(check int) (what "Perf" ^ ": traps") ref_st.Perf.traps
+        st.Perf.traps;
+      Alcotest.(check int) (what "Perf" ^ ": one trap") 1 st.Perf.traps;
+      Alcotest.(check string) (what "Perf" ^ ": state hash") ref_hash hash)
+    [
+      ("late branch exit", late_branch_exit, 4);
+      ("out-of-bounds call", oob_call, 8);
+    ]
+
 (* --- a pinned program state --------------------------------------- *)
 
 (* The lockstep cases compare the tiers with each other, so a change
@@ -218,6 +348,12 @@ let suite =
         Alcotest.test_case
           (mode_name mode ^ " code in MMIO re-reads a device-patched word")
           `Quick (test_mmio_code mode))
+      [ Machine.Cheriot; Machine.Rv32 ]
+  @ List.map
+      (fun mode ->
+        Alcotest.test_case
+          (mode_name mode ^ " out-of-bounds direct edges trap exactly")
+          `Quick (test_oob_edges mode))
       [ Machine.Cheriot; Machine.Rv32 ]
   @ [
       Alcotest.test_case "coremark RV32E jit state is pinned" `Quick
