@@ -6,15 +6,17 @@
 # and jit dispatch tiers, and the CLI exit-code rules), the
 # dispatch-parity gate (the differential, property, `Perf`-tier and block-cache
 # suites in isolation — it fails printing the qcheck fuzz seed and
-# shrunk program on any state-hash mismatch), the static firmware audit
+# shrunk program on any state-hash mismatch — and, as its last command,
+# the plan-soundness gate: `cheriot_audit plans`, where every jit check
+# plan on the shipped images proves equivalent to the all-full plan and
+# every seeded optimizer mutant is refuted), the static firmware audit
 # (`cheriot_audit all`: shipped images audit clean, the bad-image corpus
-# is fully detected), the plan-soundness gate (`cheriot_audit plans`:
-# every jit check plan on the shipped images proves equivalent to the
-# all-full plan, every seeded optimizer mutant is refuted), and the
-# incremental-audit gate (`cheriot_audit incremental`: a one-compartment
-# patch re-analyzes only that compartment and the warm report is
-# byte-identical to a cold audit).  Performance is measured by
-# perfbench, paired against a parent revision by `bench/ab.exe`.
+# is fully detected), and the incremental-audit gate (`cheriot_audit
+# incremental`: a one-compartment patch re-analyzes only that
+# compartment and the warm report is byte-identical to a cold audit).
+# `make verify-plans` runs the plan-soundness gate alone.  Performance
+# is measured by perfbench, paired against a parent revision by
+# `bench/ab.exe`.
 
 .PHONY: all build no-opaque lint test parity prop-long audit verify-plans audit-incremental ci clean
 
@@ -73,7 +75,8 @@ audit-incremental: build
 # both `Perf` tiers under the cycle model (simulated totals, mcycle,
 # the preemptive schedule, revoker grants).  The block-cache suite pins
 # the translation cache the jit runs on: chaining, store kills, flushes,
-# superblocks, slot conflicts and the paged slot table.
+# one basic block per translation unit, slot conflicts and the paged
+# slot table.
 # Alcotest prints the failing qcheck seed and the shrunk program
 # listing on a mismatch.
 parity: build
@@ -97,7 +100,7 @@ prop-long: build
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test absdom
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test incremental
 
-ci: build no-opaque lint test parity audit verify-plans audit-incremental
+ci: build no-opaque lint test parity audit audit-incremental
 
 clean:
 	dune clean

@@ -180,10 +180,9 @@ let demo_cmd =
       & info [ "dispatch" ]
           ~doc:
             "execution machinery: ref (re-decode every step) or jit \
-             (chained translated blocks with trace-driven superblocks, \
-             hot blocks running optimized check plans; traced transfers \
-             are marked [chain] / [side-exit], guard deoptimizations \
-             [opt-side-exit])")
+             (chained translated basic blocks, hot blocks running \
+             optimized check plans; traced transfers are marked [chain], \
+             guard deoptimizations [opt-side-exit])")
   in
   Cmd.v
     (Cmd.info "demo"

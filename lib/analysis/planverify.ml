@@ -53,7 +53,6 @@
 module Insn = Cheriot_isa.Insn
 module Ir = Cheriot_isa.Ir
 module Machine = Cheriot_isa.Machine
-module Decode_cache = Cheriot_isa.Decode_cache
 
 type counterexample = {
   cx_rule : string;  (** a {!Rules.plan_catalogue} id *)
@@ -389,9 +388,8 @@ let dedupe plans =
    compile time — rather than a cache sweep, because the direct-mapped
    block cache evicts: a block compiled early and evicted late would be
    invisible to a post-run sweep.  The installed hook makes the jit
-   compile every block on its first entry; a superblock formed but
-   never entered before the run ended has no plan yet, so a final
-   sweep force-compiles every cached block still without one. *)
+   compile every block on its first entry, and every cached block was
+   entered when it was filled, so no block is left without a plan. *)
 let collect ?(fuel = 2_000_000) (m : Machine.t) =
   let acc = ref [] in
   let saved = m.Machine.jit_validator in
@@ -401,9 +399,6 @@ let collect ?(fuel = 2_000_000) (m : Machine.t) =
         acc := { p_block = b; p_chks = chks; p_guards = guards } :: !acc;
         true);
   ignore (Machine.run ~fuel ~dispatch:Machine.Dispatch_jit m);
-  Decode_cache.iter
-    (fun b -> if b.Machine.b_jit = None then ignore (Machine.compile_jit m b))
-    m.Machine.bcache;
   m.Machine.jit_validator <- saved;
   dedupe (List.rev !acc)
 

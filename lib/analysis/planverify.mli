@@ -74,10 +74,8 @@ val collect : ?fuel:int -> Cheriot_isa.Machine.t -> plan list
     every plan compiled along the way — captured at compile time
     through the validator hook, so cache evictions lose nothing —
     deduplicated by (start address, instruction array).  The hook makes
-    every block compile on its first entry; cached blocks the run never
-    entered, such as a superblock formed on its last traversal, are
-    force-compiled from the translation cache afterwards.  Restores any
-    previously installed validator. *)
+    every block compile on its first entry.  Restores any previously
+    installed validator. *)
 
 val verify_plan : plan -> verdict
 

@@ -6,8 +6,6 @@ type stats = {
   flushes : int;
   chain_hits : int;
   chain_unlinks : int;
-  superblocks_formed : int;
-  side_exits : int;
 }
 
 type 'a t = {
@@ -29,8 +27,8 @@ type 'a t = {
   (* Chain epoch: every direct block-to-block link records the epoch at
      link time and is only followed while it still matches.  Any event
      that could stale a translation somewhere — a store-kill, a flush,
-     a conflict eviction, a superblock replacing an entry — bumps the
-     epoch, unlinking every edge in the cache in O(1). *)
+     a fill over a live entry — bumps the epoch, unlinking every edge
+     in the cache in O(1). *)
   mutable chain_epoch : int;
   mutable hits : int;
   mutable misses : int;
@@ -39,8 +37,6 @@ type 'a t = {
   mutable flushes : int;
   mutable chain_hits : int;  (* transfers that skipped probe + ticket *)
   mutable chain_unlinks : int;  (* stale links observed at traversal *)
-  mutable superblocks_formed : int;
-  mutable side_exits : int;  (* taken interior branches of superblocks *)
 }
 
 let page_slots = 256
@@ -68,8 +64,6 @@ let create ~max_span ~dummy ~start ~len =
     flushes = 0;
     chain_hits = 0;
     chain_unlinks = 0;
-    superblocks_formed = 0;
-    side_exits = 0;
   }
 
 (* Instructions are word-aligned, so the low two PC bits carry no
@@ -80,7 +74,6 @@ let page_index pc = (pc lsr 10) land (n_pages - 1)
 let offset pc = (pc lsr 2) land (page_slots - 1)
 
 let chain_epoch t = t.chain_epoch
-let bump_chain_epoch t = t.chain_epoch <- t.chain_epoch + 1
 
 let fill t v =
   let pc = t.start v and span = 4 * t.len v in
@@ -96,11 +89,12 @@ let fill t v =
   in
   let o = offset pc in
   let old = Array.unsafe_get pg o in
-  if old != t.dummy && t.start old <> pc then begin
-    (* A conflict eviction.  Chained links may still point at the
-       evicted block, and a later store into its span cannot find it to
-       kill it, so unlink them all now, as a kill would. *)
-    t.evictions <- t.evictions + 1;
+  if old != t.dummy then begin
+    (* Chained links may still point at the replaced block, and a later
+       store into its span cannot find it to kill it — even at the same
+       PC, where the new block may be shorter — so unlink them all now,
+       as a kill would.  Only a fill for another PC is an eviction. *)
+    if t.start old <> pc then t.evictions <- t.evictions + 1;
     t.chain_epoch <- t.chain_epoch + 1
   end;
   Array.unsafe_set pg o v;
@@ -157,6 +151,4 @@ let stats t : stats =
     flushes = t.flushes;
     chain_hits = t.chain_hits;
     chain_unlinks = t.chain_unlinks;
-    superblocks_formed = t.superblocks_formed;
-    side_exits = t.side_exits;
   }

@@ -22,8 +22,9 @@
     span must kill it — not just a store to the granule of [p].  The bus
     store snoop is therefore a bounded probe: a store granule can only
     intersect blocks whose start PC lies within [max_span] bytes of it,
-    so {!kill_store} probes those few candidate slots and nothing else.
-    A monotone window over all live spans filters the common case
+    so {!kill_store} probes those [max_span / 4 + 1] candidate slots and
+    nothing else (17 for the machine's 16-instruction blocks).  A
+    monotone window over all live spans filters the common case
     (data-region stores) down to two integer compares.
 
     Correctness protocol (kept honest by [test/test_block_cache.ml] and
@@ -55,9 +56,8 @@ type 'a t = {
   mutable chain_epoch : int;
       (** global link-validity epoch: chained block-to-block edges
           record it at link time and are only followed while it still
-          matches; a kill, a conflict eviction, {!flush} and
-          superblock installation bump it, unlinking every edge in
-          O(1) *)
+          matches; a kill, a {!fill} over a live entry and {!flush}
+          bump it, unlinking every edge in O(1) *)
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
@@ -65,8 +65,6 @@ type 'a t = {
   mutable flushes : int;
   mutable chain_hits : int;
   mutable chain_unlinks : int;
-  mutable superblocks_formed : int;
-  mutable side_exits : int;
 }
 (** The representation is exposed so [Machine]'s dispatch loop can
     probe without function-call overhead: the entry for [pc] is
@@ -90,10 +88,6 @@ type stats = {
   chain_unlinks : int;
       (** previously linked edges found stale (epoch mismatch) at
           traversal time *)
-  superblocks_formed : int;  (** hot-path re-translations installed *)
-  side_exits : int;
-      (** taken interior branches that exited a superblock back into the
-          normal dispatch loop *)
 }
 
 val create :
@@ -108,9 +102,10 @@ val create :
 val fill : 'a t -> 'a -> unit
 (** Install an entry in its start PC's slot, evicting whatever the slot
     held, and allocate the slot's page if this is its first entry.
-    Evicting a live entry for another PC bumps the chain epoch: a store
-    into the evicted block's span could no longer find it to kill it,
-    so no link may lead to it. *)
+    Overwriting a live entry, at any PC, bumps the chain epoch: a store
+    into the replaced block's span could no longer find it to kill it,
+    so no link may lead to it.  Only an overwrite for another PC counts
+    as an eviction. *)
 
 val kill_store : 'a t -> int -> unit
 (** [kill_store t addr] kills every entry whose span intersects the
@@ -124,8 +119,5 @@ val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f t] applies [f] to every live entry, in slot order. *)
 
 val chain_epoch : 'a t -> int
-val bump_chain_epoch : 'a t -> unit
-(** Invalidate every chained edge in O(1) (used by the machine when a
-    translation is replaced wholesale, e.g. superblock installation). *)
 
 val stats : 'a t -> stats

@@ -25,6 +25,7 @@ type cause =
   | Breakpoint
   | Load_misaligned
   | Store_misaligned
+  | Instruction_access_fault
   | Load_access_fault
   | Store_access_fault
   | Ecall_m
@@ -63,6 +64,8 @@ let pp_cause fmt = function
   | Breakpoint -> Format.pp_print_string fmt "breakpoint"
   | Load_misaligned -> Format.pp_print_string fmt "load misaligned"
   | Store_misaligned -> Format.pp_print_string fmt "store misaligned"
+  | Instruction_access_fault ->
+      Format.pp_print_string fmt "instruction access fault"
   | Load_access_fault -> Format.pp_print_string fmt "load access fault"
   | Store_access_fault -> Format.pp_print_string fmt "store access fault"
   | Ecall_m -> Format.pp_print_string fmt "ecall"
@@ -72,6 +75,7 @@ let pp_cause fmt = function
   | Interrupt_external -> Format.pp_print_string fmt "external interrupt"
 
 let mcause_of = function
+  | Instruction_access_fault -> 1
   | Illegal_instruction -> 2
   | Breakpoint -> 3
   | Load_misaligned -> 4
@@ -168,17 +172,16 @@ type t = {
   (* Per-round retirement ring filled by [step_jit] so the tracer can
      render each retired instruction of a round individually: parallel
      arrays of the instruction ([None] for a trap or interrupt entry),
-     its PC and a control-flow mark (see [mark_chained] ..
+     its PC and a control-flow mark ([mark_chained] or
      [mark_opt_side_exit]). *)
   block_insns : Insn.t option array;
   block_pcs : int array;
   block_marks : int array;
   mutable block_ev_n : int;
   mutable hot_threshold : int;
-      (* the jit tier's hotness: the edge-traversal count at which a
-         hot fall-through edge triggers superblock formation, and the
-         entry count at which the jit compiles a block's plan (see
-         [block_plan]); tests lower it to fuzz both crossings *)
+      (* the jit tier's hotness: the entry count at which it compiles a
+         block's plan (see [block_plan]); tests lower it to fuzz the
+         crossing *)
   mutable hot_adaptive : bool;
       (* drive [hot_threshold] from the chain-hit/unlink ratio (see
          [adapt_hot]); tests that pin [hot_threshold] turn this off *)
@@ -229,11 +232,12 @@ and bentry = {
       (* fall-through PCC after instruction [i]: the fill-time
          [next_pcc] chain.  Valid whenever the block ticket validates —
          each link is a pure function of the ticket fields. *)
-  b_takens : Capability.t array;
-      (* taken PCC of each direct [Branch]/[Jal] (see [taken_pcc]),
-         valid under the ticket like [b_nexts]; [Capability.null]
-         (compared physically) elsewhere and where the target fails
-         the PCC bounds check; [[||]] in a block without one *)
+  b_taken_pcc : Capability.t;
+      (* taken PCC of the final direct [Branch]/[Jal] (see
+         [taken_pcc]), valid under the ticket like [b_nexts];
+         [Capability.null] (compared physically) in a block that does
+         not end in one, and where the target fails the PCC bounds
+         check *)
   b_link_on : Capability.t;
       (* the final [Jal]'s link when [mie] is set... *)
   b_link_off : Capability.t;  (* ...and when it is clear *)
@@ -252,14 +256,11 @@ and bentry = {
      cache or re-checking the successor's ticket: the link was
      validated under a PCC value-equal to the one every later traversal
      of the same edge produces (see [chain_edge]).  [b_*_epoch = -1]
-     marks an edge never linked.  The counters drive superblock
-     formation. *)
+     marks an edge never linked. *)
   mutable b_taken : bentry option;
   mutable b_taken_epoch : int;
-  mutable b_cnt_taken : int;
   mutable b_fall : bentry option;
   mutable b_fall_epoch : int;
-  mutable b_cnt_fall : int;
   (* Indirect-target slot ([Jalr]-ended blocks): the block most recently
      reached through this block's indirect exit.  Epoch-validated like
      the direct links, but — unlike them — the successor's ticket is
@@ -275,7 +276,7 @@ and bentry = {
   mutable b_entries : int;
 }
 
-(* A compiled plan for one (super)block: per-instruction check levels
+(* A compiled plan for one block: per-instruction check levels
    and block-entry guards from [Ir.optimize]. *)
 and jit = {
   j_chk : Ir.chk array;  (* per-instruction residual access checks *)
@@ -286,15 +287,10 @@ exception Trap of cause
 
 (* Blocks are capped at 16 instructions (64 bytes): long enough that
    dispatch overhead amortises away, short enough that the store-snoop
-   probe in [Decode_cache.kill_store] stays a handful of compares. *)
+   probe in [Decode_cache.kill_store] stays a handful of compares.  The
+   cap is also the block cache's [max_span], so a store inside the
+   code-span window probes 17 candidate start PCs. *)
 let max_block_len = 16
-
-(* Superblocks — hot paths re-translated across not-taken branches —
-   may grow to 64 instructions (256 bytes).  This also sets the block
-   cache's [max_span] and therefore the store-snoop candidate walk, but
-   that walk only runs for stores landing inside the code-span window,
-   which data stores never do. *)
-let max_superblock_len = 64
 
 (* Fuel ceiling of one recorded dispatch round ([step_jit]): every fuel
    unit is one ring entry, so it sizes the retirement ring.  A chained
@@ -304,14 +300,14 @@ let round_cap = 128
 
 let create ?(mode = Cheriot) ?(load_filter = true) bus =
   let bcache =
-    Decode_cache.create ~max_span:(max_superblock_len * 4)
+    Decode_cache.create ~max_span:(max_block_len * 4)
       ~start:(fun b -> b.b_start) ~len:(fun b -> b.b_len)
       ~dummy:
         {
           b_insns = [||];
           b_opts = [||];
           b_nexts = [||];
-          b_takens = [||];
+          b_taken_pcc = Capability.null;
           b_link_on = Capability.null;
           b_link_off = Capability.null;
           b_mode = mode;
@@ -321,10 +317,8 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
           b_cost = [||];
           b_taken = None;
           b_taken_epoch = -1;
-          b_cnt_taken = 0;
           b_fall = None;
           b_fall_epoch = -1;
-          b_cnt_fall = 0;
           b_ind = None;
           b_ind_epoch = -1;
           b_jit = None;
@@ -954,7 +948,7 @@ let fetch_check m pc = fetch_check_pcc m.mode m.pcc pc
 
 let fetch_word m pc =
   try Bus.read m.bus ~width:4 pc
-  with Bus.Bus_error _ -> raise (Trap Load_access_fault)
+  with Bus.Bus_error _ -> raise (Trap Instruction_access_fault)
 
 let fetch m =
   let pc = Capability.address m.pcc in
@@ -1235,14 +1229,6 @@ let block_terminator (i : Insn.t) =
       true
   | _ -> false
 
-(* Superblocks relax exactly one terminator: a [Branch] may sit in the
-   interior, because it never touches the interrupt-delivery predicate
-   — its only control effect is redirecting the PCC, which the executor
-   turns into a side exit when taken.  Everything else that ends a
-   block still ends a superblock. *)
-let superblock_terminator (i : Insn.t) =
-  match i with Insn.Branch _ -> false | _ -> block_terminator i
-
 (* Fill-time fetch+decode under an explicit PCC.  Only SRAM-resident
    words are translated: lookahead past the current PC must not replay
    MMIO read side effects.  [None] means "this word cannot join a
@@ -1297,20 +1283,16 @@ let jal_link mode pcc ~mie =
       let addr = next land mask32 in
       Capability.{ null with addr }
 
-(* Translate a run of code starting at [pc0] under [pcc0].  Plain
-   blocks ([sb:false]) stop at every [block_terminator]; superblocks
-   ([sb:true]) keep translating across not-taken [Branch]es up to
-   [cap] instructions (the executor side-exits when one is taken).
-   Translation is contiguous either way, so the registered span covers
-   every word and the store snoop kills superblocks exactly like
-   blocks.  Returns [None] when the first word is untranslatable. *)
-let translate m ~pcc0 ~pc0 ~sb ~cap =
+(* Translate the basic block starting at [pc0] under [pcc0]: it stops
+   at its first [block_terminator] or at [max_block_len] instructions,
+   so only its last instruction can leave it other than by falling
+   through.  Returns [None] when the first word is untranslatable. *)
+let translate m ~pcc0 ~pc0 =
   match decode_at m pcc0 pc0 with
   | None -> None
   | Some first ->
-      let buf_i = Array.make cap first in
-      let buf_n = Array.make cap None in
-      let term = if sb then superblock_terminator else block_terminator in
+      let buf_i = Array.make max_block_len first in
+      let buf_n = Array.make max_block_len None in
       let rec grow pcc i len =
         (* invariant: [i] decoded at [pc0 + 4*len] under [pcc], with the
            fetch-side checks passed *)
@@ -1318,7 +1300,7 @@ let translate m ~pcc0 ~pc0 ~sb ~cap =
         let nx = next_pcc_of m.mode pcc in
         buf_n.(len) <- Some nx;
         let len = len + 1 in
-        if term i || len >= cap then len
+        if block_terminator i || len >= max_block_len then len
         else
           (* [nx] may be untagged (unrepresentable advance) — then the
              fetch check fails and the block simply ends here; the trap,
@@ -1330,34 +1312,22 @@ let translate m ~pcc0 ~pc0 ~sb ~cap =
       let len = grow pcc0 first 0 in
       let insns = Array.sub buf_i 0 len in
       let nexts = Array.sub buf_n 0 len in
-      (* The taken PCC of each direct edge, from the PCC [!pcc] the
-         instruction was fetched under.  Most blocks hold no direct edge
-         (they end at a [Jalr], a system instruction or the length cap)
-         and keep the empty array, which the executor's edge arms never
-         read. *)
-      let takens = ref [||] and pcc = ref pcc0 in
-      for k = 0 to len - 1 do
-        if k > 0 then pcc := Option.get nexts.(k - 1);
-        match insns.(k) with
-        | (Insn.Branch _ | Insn.Jal _) as i ->
-            if Array.length !takens = 0 then
-              takens := Array.make len Capability.null;
-            !takens.(k) <- taken_pcc m.mode !pcc i
-        | _ -> ()
-      done;
-      (* a [Jal] is a terminator, so only the last instruction can be
-         one, and [!pcc] is its PCC *)
-      let jal = match insns.(len - 1) with Insn.Jal _ -> true | _ -> false in
+      (* A direct edge is a terminator, so only the last instruction
+         can be one: its taken PCC and a [Jal]'s links are built from the
+         PCC it was fetched under. *)
+      let last = insns.(len - 1) in
+      let pcc = if len = 1 then pcc0 else Option.get nexts.(len - 2) in
+      let jal = match last with Insn.Jal _ -> true | _ -> false in
       Some
         {
           b_insns = insns;
           b_opts = Array.map Option.some insns;
           b_nexts = nexts;
-          b_takens = !takens;
+          b_taken_pcc = taken_pcc m.mode pcc last;
           b_link_on =
-            (if jal then jal_link m.mode !pcc ~mie:true else Capability.null);
+            (if jal then jal_link m.mode pcc ~mie:true else Capability.null);
           b_link_off =
-            (if jal then jal_link m.mode !pcc ~mie:false else Capability.null);
+            (if jal then jal_link m.mode pcc ~mie:false else Capability.null);
           b_mode = m.mode;
           b_pcc = pcc0;
           b_start = pc0;
@@ -1365,50 +1335,24 @@ let translate m ~pcc0 ~pc0 ~sb ~cap =
           b_cost = cost_table m insns;
           b_taken = None;
           b_taken_epoch = -1;
-          b_cnt_taken = 0;
           b_fall = None;
           b_fall_epoch = -1;
-          b_cnt_fall = 0;
           b_ind = None;
           b_ind_epoch = -1;
           b_jit = None;
           b_entries = 0;
         }
 
-let install_block m (b : bentry) =
-  m.blocks_filled <- m.blocks_filled + 1;
-  m.insns_translated <- m.insns_translated + b.b_len;
-  Decode_cache.fill m.bcache b
-
 (* Translate and install the block at [pc0] (the current PC; the caller
    just missed in the block cache). *)
 let fill_block m pc0 =
-  match translate m ~pcc0:m.pcc ~pc0 ~sb:false ~cap:max_block_len with
+  match translate m ~pcc0:m.pcc ~pc0 with
   | None -> None
   | Some b ->
-      install_block m b;
+      m.blocks_filled <- m.blocks_filled + 1;
+      m.insns_translated <- m.insns_translated + b.b_len;
+      Decode_cache.fill m.bcache b;
       Some b
-
-(* A fall-through edge of [b] crossed the hotness threshold: re-derive
-   the joined path from the block's start as one superblock and install
-   it over the original entry (same start PC, same slot).  Install only
-   if the re-translation actually grew — the environment may refuse to
-   extend (e.g. the next word is untranslatable), and replacing an
-   entry with an identical one would re-fire forever.  Installation
-   bumps the chain epoch: links elsewhere still point at the replaced
-   entry, and following them would keep executing the short block and
-   never reach the superblock. *)
-let form_superblock m (b : bentry) =
-  match
-    translate m ~pcc0:b.b_pcc ~pc0:b.b_start ~sb:true ~cap:max_superblock_len
-  with
-  | Some nb when nb.b_len > b.b_len ->
-      install_block m nb;
-      let bc = m.bcache in
-      bc.Decode_cache.superblocks_formed <-
-        bc.Decode_cache.superblocks_formed + 1;
-      Decode_cache.bump_chain_epoch bc
-  | _ -> ()
 
 (* Is a cached block's fetch ticket still good?  The fetch-side checks
    are a pure function of (mode, PCC, pc), so a hit under a PCC whose
@@ -1487,8 +1431,7 @@ let retire_event m insn opt ~taken =
 
 (* Control-flow marks attached to ring entries for trace rendering. *)
 let mark_chained = 1
-let mark_side_exit = 2
-let mark_opt_side_exit = 3
+let mark_opt_side_exit = 2
 
 (* The ring writes of a recorded round.  [ring_push] appends one
    unmarked entry (a delivered interrupt, a reference-step fallback);
@@ -1513,12 +1456,12 @@ let ring_block m (b : bentry) k =
 
 (* Adaptive hotness: every 1024 edge resolutions, compare the unlink
    rate against a fixed budget.  Lots of unlinks means translations are
-   being invalidated faster than superblocks pay off (code churn,
-   patch-heavy phases): back the threshold off so formation work is not
+   being invalidated faster than compiled plans pay off (code churn,
+   patch-heavy phases): back the threshold off so compile work is not
    wasted.  A quiet epoch halves it, down to a floor that still filters
    one-shot paths.  Purely a performance heuristic — the threshold only
-   decides {e when} a superblock replaces an equivalent chain of short
-   blocks, never what executes. *)
+   decides {e when} a block compiles its check plan, never what
+   executes. *)
 let adapt_hot m =
   if m.hot_adaptive then begin
     m.ht_resolves <- m.ht_resolves + 1;
@@ -1550,8 +1493,9 @@ let adapt_hot m =
      the re-compare loses nothing).  The mode is re-checked because it
      is not derived from the PCC.
    - Validity over time is the chain epoch: anything that can stale
-     any translation (store-kill, flush, superblock install) bumps it,
-     and a link is only followed while its recorded epoch matches.
+     any translation (store-kill, flush, a fill over a live entry)
+     bumps it, and a link is only followed while its recorded epoch
+     matches.
 
    On a stale or absent link the successor is re-resolved with the
    full probe + ticket check at the live PC and the link is
@@ -1561,56 +1505,32 @@ let adapt_hot m =
    hot path never allocates — and the caller falls back to the normal
    dispatch path. *)
 let chain_edge m (b : bentry) edge =
-  begin
-    adapt_hot m;
-    let bc = m.bcache in
-    if edge = 1 then b.b_cnt_taken <- b.b_cnt_taken + 1
-    else begin
-      b.b_cnt_fall <- b.b_cnt_fall + 1;
-      if
-        b.b_cnt_fall >= m.hot_threshold
-        && b.b_cnt_fall >= b.b_cnt_taken
-        && b.b_len < max_superblock_len
-      then begin
-        (* Hot and at least as fall-biased as taken: extending across a
-           branch whose taken direction dominates would turn the hot
-           edge into a side exit on most traversals, and the side-exit
-           continue makes even the break-even case no worse than
-           chaining.  The counter gate keeps re-checking each fall
-           traversal past the threshold until it holds, then the
-           attempt latches: on success the entry is replaced and [b]
-           goes unreachable; on failure (the path would not grow)
-           retrying would re-translate on every traversal. *)
-        form_superblock m b;
-        b.b_cnt_fall <- min_int
-      end
-    end;
-    let epoch = bc.Decode_cache.chain_epoch in
-    let link = if edge = 1 then b.b_taken else b.b_fall in
-    let lep = if edge = 1 then b.b_taken_epoch else b.b_fall_epoch in
-    match link with
-    | Some succ when lep = epoch && succ.b_mode = m.mode ->
-        bc.Decode_cache.chain_hits <- bc.Decode_cache.chain_hits + 1;
-        succ
-    | _ ->
-        if lep >= 0 && lep <> epoch then
-          bc.Decode_cache.chain_unlinks <- bc.Decode_cache.chain_unlinks + 1;
-        let succ = probe m bc (Capability.address m.pcc) in
-        if succ != bc.Decode_cache.dummy then begin
-          bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
-          if edge = 1 then begin
-            b.b_taken <- Some succ;
-            b.b_taken_epoch <- epoch
-          end
-          else begin
-            b.b_fall <- Some succ;
-            b.b_fall_epoch <- epoch
-          end
-        end;
-        succ
-        (* [dummy] is a miss: the caller's fill path counts it and
-           fills *)
-  end
+  adapt_hot m;
+  let bc = m.bcache in
+  let epoch = bc.Decode_cache.chain_epoch in
+  let link = if edge = 1 then b.b_taken else b.b_fall in
+  let lep = if edge = 1 then b.b_taken_epoch else b.b_fall_epoch in
+  match link with
+  | Some succ when lep = epoch && succ.b_mode = m.mode ->
+      bc.Decode_cache.chain_hits <- bc.Decode_cache.chain_hits + 1;
+      succ
+  | _ ->
+      if lep >= 0 && lep <> epoch then
+        bc.Decode_cache.chain_unlinks <- bc.Decode_cache.chain_unlinks + 1;
+      let succ = probe m bc (Capability.address m.pcc) in
+      if succ != bc.Decode_cache.dummy then begin
+        bc.Decode_cache.hits <- bc.Decode_cache.hits + 1;
+        if edge = 1 then begin
+          b.b_taken <- Some succ;
+          b.b_taken_epoch <- epoch
+        end
+        else begin
+          b.b_fall <- Some succ;
+          b.b_fall_epoch <- epoch
+        end
+      end;
+      (* [dummy] is a miss: the caller's fill path counts it and fills *)
+      succ
 
 (* [b]'s terminator was a [Jalr] that completed (edge 2): resolve the
    successor at the live post-jump PC through the 1-entry indirect-
@@ -1682,16 +1602,16 @@ let compile_jit m (b : bentry) =
 
 (* The identity plan: every access [Chk_full], no guards — the plan a
    cold block runs under.  One shared static value sized for the
-   longest superblock; it is never installed in a block's [b_jit], which
+   longest block; it is never installed in a block's [b_jit], which
    holds only compiled plans. *)
 let identity_plan =
-  { j_chk = Array.make max_superblock_len Ir.Chk_full; j_guards = [||] }
+  { j_chk = Array.make max_block_len Ir.Chk_full; j_guards = [||] }
 
 (* The plan a block runs under on this entry: its compiled plan once
    it has one.  A block without one counts its entries and runs the
-   identity plan until the count reaches [hot_threshold], the hotness
-   that also forms superblocks, and only then pays for [compile_jit].  Cold code (a block entered once or
-   twice) never compiles.  A machine with a [jit_validator] compiles on
+   identity plan until the count reaches [hot_threshold], and only then
+   pays for [compile_jit].  Cold code (a block entered once or twice)
+   never compiles.  A machine with a [jit_validator] compiles on
    first entry, so plan collection and compile-time validation see
    every block the run enters, whatever its hotness. *)
 let block_plan m (b : bentry) =
@@ -1748,8 +1668,8 @@ let sync m nexts i pending =
    edge instructions ([Jal], [Branch]): in chained execution every block
    ends in one, so they run inline and write their event only when the
    round actually ends on them.  Each has one path, in every block: a
-   taken edge installs the block's prebuilt target ([b_takens], and for
-   a [Jal] the link of the live posture), or raises the PCC bounds trap
+   taken edge installs the block's prebuilt target ([b_taken_pcc], and
+   for a [Jal] the link of the live posture), or raises the PCC bounds trap
    where translation found the target out of bounds — no bounds decode
    or allocation at run time.
 
@@ -1762,13 +1682,12 @@ let sync m nexts i pending =
      deoptimization in place — the faulting access, if any, traps at its
      own instruction with its own cause).
 
-   A taken interior branch of a superblock side-exits (continuing the
-   round at a translated block at its target, if one validates).  A
-   store that kills the running block abandons it: the remaining decoded
-   entries are stale, so the round ends and the next one re-translates
-   from the live bytes.  Abandonment at {e block} granularity is
-   conservative — the store may have patched an already-executed word —
-   but always correct, and self-modifying code is rare.
+   A store that kills the running block abandons it: the remaining
+   decoded entries are stale, so the round ends and the next one
+   re-translates from the live bytes.  Abandonment at {e block}
+   granularity is conservative — the store may have patched an
+   already-executed word — but always correct, and self-modifying code
+   is rare.
 
    A [timed] round charges the cost model one block segment at a time —
    [seg] is the current block's first uncharged instruction — and also
@@ -1779,8 +1698,7 @@ let sync m nexts i pending =
    or traps in it, and marks them from state the loop holds anyway: the
    first entry [mark_opt_side_exit] when the guards failed, else
    [mark_chained] when the block was entered by a transfer inside the
-   round ([!base > 0]); a taken interior [Branch] ending the block
-   [mark_side_exit].  Recording adds no work to the per-instruction
+   round ([!base > 0]).  Recording adds no work to the per-instruction
    loop; outside a recorded round each block only tests [record]. *)
 let exec_round m (b0 : bentry) ~fuel ~timed ~record =
   let bc = m.bcache in
@@ -1795,8 +1713,6 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
   (* direction of the last executed [Branch] (the inline arm bypasses
      [last_event], so the chain point cannot read [ev_taken_branch]) *)
   let br_taken = ref false in
-  (* continuation block selected by a side-exit probe ([dummy] = none) *)
-  let cont = ref dummy in
   (try
      while not !stop do
        (* per-block: bind the block's arrays as immutables so the inner
@@ -1811,8 +1727,8 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
        let b_len = blk.b_len in
        (* the block's own slot, for the own-kill check after a store.
           A block runs only while its slot holds it: it came from a
-          probe, or from a link, which a kill, eviction, replacement or
-          flush would have unlinked.  So after a store the block is dead
+          probe, or from a link, which a kill, a fill over it or a flush
+          would have unlinked.  So after a store the block is dead
           exactly when its slot no longer holds it — one load, as no
           fill (which could replace the page) happens mid-block. *)
        let page = bc_page bc b_start in
@@ -1835,10 +1751,9 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
             else if !base > 0 then mark_chained
             else 0);
        let chks = if full then identity_plan.j_chk else t.j_chk in
-       let takens = blk.b_takens in
        i := 0;
        seg := 0;
-       while (not !stop) && !cont == dummy && !i < n do
+       while (not !stop) && !i < n do
          (match Array.unsafe_get insns !i with
          | Insn.Lui (rd, imm20) ->
              set_reg_int m rd (imm20 lsl 12);
@@ -1880,7 +1795,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
             bounds, the bounds trap (the handler [sync]s, so the trap is
             taken at the edge instruction, before [rd] is written) *)
          | Insn.Jal (rd, _) ->
-             let tgt = Array.unsafe_get takens !i in
+             let tgt = blk.b_taken_pcc in
              if tgt == Capability.null then
                raise (Trap (Cheri_fault (Cheri_bounds, 16)));
              set_reg m rd (if m.mie then blk.b_link_on else blk.b_link_off);
@@ -1888,37 +1803,17 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
              pending := 0;
              m.pcc <- tgt
          | Insn.Branch (cond, rs1, rs2, _) ->
+             (* a [Branch] ends its block: taken, it leaves through the
+                block-end edge logic below, as a [Jal] does *)
              if branch_taken cond (reg_int m rs1) (reg_int m rs2) then begin
-               let tgt = Array.unsafe_get takens !i in
+               let tgt = blk.b_taken_pcc in
                if tgt == Capability.null then
                  raise (Trap (Cheri_fault (Cheri_bounds, 16)));
                m.minstret <- m.minstret + !pending + 1;
                pending := 0;
                m.pcc <- tgt;
                if timed then charge_taken m;
-               br_taken := true;
-               if !i < b_len - 1 then begin
-                 (* taken interior branch of a superblock: side exit.
-                    Probe for a translated block at the live target — a
-                    hit continues the round there (the exit is then an
-                    ordinary transfer, not a round boundary); on a miss
-                    the round ends and the next one fills (and counts
-                    the miss). *)
-                 bc.Decode_cache.side_exits <- bc.Decode_cache.side_exits + 1;
-                 (if !base + !i + 1 < fuel then begin
-                    cont := probe m bc (Capability.address m.pcc);
-                    if !cont != dummy then
-                      bc.Decode_cache.hits <- bc.Decode_cache.hits + 1
-                  end);
-                 if !cont == dummy then begin
-                   (* the round ends on the branch: its event is due *)
-                   retire_event m
-                     (Array.unsafe_get insns !i)
-                     (Array.unsafe_get opts !i)
-                     ~taken:true;
-                   stop := true
-                 end
-               end
+               br_taken := true
              end
              else begin
                (* not taken: fully deferred, like any plain insn (the
@@ -1940,8 +1835,8 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
              (* Auipcc, Jalr, Ecall, Ebreak, Mret, Wfi, Csr, Cspecialrw:
                 none stores to memory or is a [Branch], and the two that
                 redirect the PCC (Jalr, Mret) are block terminators, so
-                this arm needs no side exit, own-store abort or
-                taken-branch charge *)
+                this arm needs no own-store abort or taken-branch
+                charge *)
              pending := sync m nexts !i !pending;
              if timed then begin
                charge_seg m cost !seg !i;
@@ -1963,21 +1858,8 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
          incr i
        done;
        if timed then charge_seg m cost !seg !i;
-       if record && !i > 0 then begin
-         ring_block m blk !i;
-         let k = !i - 1 in
-         match Array.unsafe_get insns k with
-         | Insn.Branch _ when !br_taken && k < b_len - 1 ->
-             m.block_marks.(m.block_ev_n - 1) <- mark_side_exit
-         | _ -> ()
-       end;
-       if !cont != dummy then begin
-         (* side-exit continue: transfer to the probed block *)
-         base := !base + !i;
-         b := !cont;
-         cont := dummy
-       end
-       else if not !stop then
+       if record && !i > 0 then ring_block m blk !i;
+       if not !stop then
          if !i = b_len then begin
            let edge =
              match Array.unsafe_get insns (b_len - 1) with
@@ -2167,8 +2049,11 @@ type block_stats = {
   block_aborts : int;  (* self-modifying mid-block abandonments *)
   chain_hits : int;  (* transfers that followed a chained link *)
   chain_unlinks : int;  (* stale links observed at traversal *)
+  (* Always 0: every translation unit is one basic block, so no
+     superblock forms and no block has an interior exit.  perfbench
+     still reports both as its [machine.*] layer keys. *)
   superblocks_formed : int;
-  side_exits : int;  (* taken interior branches of superblocks *)
+  side_exits : int;
   (* Dispatch_jit optimizer counters. *)
   jit_blocks_compiled : int;
   checks_eliminated : int;  (* pass 1: accesses with reduced checks *)
@@ -2193,8 +2078,8 @@ let block_stats m =
     block_aborts = m.block_aborts;
     chain_hits = s.Decode_cache.chain_hits;
     chain_unlinks = s.Decode_cache.chain_unlinks;
-    superblocks_formed = s.Decode_cache.superblocks_formed;
-    side_exits = s.Decode_cache.side_exits;
+    superblocks_formed = 0;
+    side_exits = 0;
     jit_blocks_compiled = m.jit_blocks_compiled;
     checks_eliminated = m.checks_eliminated;
     checks_hoisted = m.checks_hoisted;

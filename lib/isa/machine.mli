@@ -19,9 +19,8 @@ type mode = Cheriot | Rv32
     instruction).  [Dispatch_jit] is the one batched tier: a round
     executor over the basic-block translation cache, linking blocks
     across direct [Jal]/[Branch] edges (and fall-throughs and completed
-    [Jalr]s) and re-translating hot fall-through paths into superblocks.
-    Every block's direct edges are prebuilt at translation (see
-    {!bentry}).  A cold block runs under the identity plan (every access
+    [Jalr]s).  Every block's direct edges are prebuilt at translation
+    (see {!bentry}).  A cold block runs under the identity plan (every access
     fully checked); once the block has been entered [hot_threshold]
     times (on first entry when a [jit_validator] is installed) it runs
     under its plan compiled by {!Ir} — redundant capability checks
@@ -49,6 +48,7 @@ type cause =
   | Breakpoint
   | Load_misaligned
   | Store_misaligned
+  | Instruction_access_fault  (** a bus error on instruction fetch *)
   | Load_access_fault
   | Store_access_fault
   | Ecall_m
@@ -153,19 +153,15 @@ type t = {
   block_marks : int array;
       (** control-flow marks parallel to [block_insns]: 0 = plain,
           1 ({!mark_chained}) = first instruction of a block entered by
-          a transfer inside the round (a chained edge or a side-exit
-          continue), 2 ({!mark_side_exit}) = taken interior branch that
-          side-exited a superblock, 3 ({!mark_opt_side_exit}) = first
+          a transfer inside the round, 2 ({!mark_opt_side_exit}) = first
           instruction of a block execution whose entry guard failed *)
   mutable block_ev_n : int;  (** live entries in the ring *)
   mutable hot_threshold : int;
       (** the jit tier's hotness (default 32, adapted within 8–512
-          unless [hot_adaptive] is off): the fall-through-edge traversal
-          count at which it re-translates the joined path as a
-          superblock, and the entry count at which it compiles a
-          block's plan.  Tests lower it to fuzz both crossings; at 1
-          the jit compiles every block on first entry; pinned at
-          [max_int] it compiles nothing and forms no superblock. *)
+          unless [hot_adaptive] is off): the entry count at which a
+          block compiles its check plan, and nothing else.  Tests lower
+          it to fuzz the crossing; at 1 the jit compiles every block on
+          first entry; pinned at [max_int] it compiles nothing. *)
   mutable hot_adaptive : bool;
       (** adapt [hot_threshold] to the chain-hit/unlink ratio (default
           [true]; tests that pin [hot_threshold] set it to [false]) *)
@@ -208,11 +204,13 @@ type t = {
   mutable charged_traps : int;  (** traps and interrupts charged *)
 }
 
-(** A translated basic block: decoded instructions of one straight-line
-    run of code, ending at (and including) the first control-flow or
-    interrupt-posture-changing instruction, or at the length cap.  The
+(** A translated basic block — the jit's only translation unit:
+    decoded instructions of one straight-line run of code, ending at
+    (and including) the first control-flow or interrupt-posture-changing
+    instruction ({!max_block_len} at most), so only the last instruction
+    can leave the block other than by falling through.  The
     per-instruction event payloads, the fall-through PCC chain, the
-    taken PCC of each direct edge and the final [Jal]'s link pair are
+    final direct edge's taken PCC and a final [Jal]'s link pair are
     prebuilt at fill time, from the PCC each instruction was fetched
     under, so a cached block executes without allocating. *)
 and bentry = {
@@ -220,12 +218,11 @@ and bentry = {
   b_opts : Insn.t option array;  (** [Some b_insns.(i)], built at fill *)
   b_nexts : Cheriot_core.Capability.t option array;
       (** fall-through PCC after instruction [i] *)
-  b_takens : Cheriot_core.Capability.t array;
-      (** the PCC a taken direct [Branch] or a [Jal] at [i] installs;
-          [Cheriot_core.Capability.null] (compared physically) at every
-          other instruction, and where the target fails the PCC bounds
-          check, so the edge traps; [[||]] in a block that holds no
-          direct edge *)
+  b_taken_pcc : Cheriot_core.Capability.t;
+      (** the PCC the block's final direct [Branch] or [Jal] installs
+          when taken; [Cheriot_core.Capability.null] (compared
+          physically) in a block that does not end in one, and where the
+          target fails the PCC bounds check, so the edge traps *)
   b_link_on : Cheriot_core.Capability.t;
       (** the final [Jal]'s link when [mie] is set (a return sentry;
           in [Rv32] mode the integer [pc + 4])… *)
@@ -247,12 +244,8 @@ and bentry = {
           while [b_taken_epoch] equals the cache's chain epoch
           (jit tier only; [-1] = never linked) *)
   mutable b_taken_epoch : int;
-  mutable b_cnt_taken : int;  (** taken-edge traversal count *)
   mutable b_fall : bentry option;  (** not-taken-edge successor *)
   mutable b_fall_epoch : int;
-  mutable b_cnt_fall : int;
-      (** fall-through traversal count; crossing [hot_threshold]
-          triggers superblock formation *)
   mutable b_ind : bentry option;
       (** 1-entry indirect-target slot of a [Jalr]-ended block: the
           predicted successor, epoch-validated like the direct links
@@ -313,7 +306,7 @@ val step_jit : t -> fuel:int -> result
     units (each retired instruction, delivered interrupt or trap is
     one; clamped to {!round_cap}), run by the same round executor as
     {!run} — interrupt / WFI handling exactly as {!step}, then chained
-    blocks under their plans, side exits and all — that also records
+    blocks under their plans — that also records
     every unit in the [block_insns]/[block_pcs]/[block_marks] ring
     ([block_ev_n] live entries) so [Trace.run] can render each one. *)
 
@@ -336,19 +329,14 @@ val timed_round : t -> fuel:int -> result * int
 
 val compile_jit : t -> bentry -> jit
 (** Compile (and install) [bentry]'s optimized execution plan: the
-    {!Ir.optimize} passes' checks and guards.  The jit
-    tier calls it on the entry that makes a block hot (see
-    [hot_threshold]), or on first entry while a [jit_validator] is
-    installed; exposed so the offline plan-verification gate can
-    compile blocks the run translated but never entered, such as a
-    superblock formed on a loop's last traversal.  Consults
+    {!Ir.optimize} passes' checks and guards.  The jit tier calls it on
+    the entry that makes a block hot (see [hot_threshold]), or on first
+    entry while a [jit_validator] is installed.  Consults
     [jit_validator] when installed. *)
 
 val max_block_len : int
-(** Upper bound on instructions per translated block (16). *)
-
-val max_superblock_len : int
-(** Upper bound on instructions per superblock (64). *)
+(** Upper bound on instructions per translated block (16); four times
+    it is the block cache's [max_span]. *)
 
 val round_cap : int
 (** Fuel ceiling of one recorded round (128), which sizes the
@@ -358,10 +346,6 @@ val round_cap : int
 val mark_chained : int
 (** [block_marks] value on the first instruction of a block entered by
     a transfer inside the round. *)
-
-val mark_side_exit : int
-(** [block_marks] value on a taken interior branch that side-exited a
-    superblock. *)
 
 val mark_opt_side_exit : int
 (** [block_marks] value on the first instruction of a block execution
@@ -394,7 +378,12 @@ type block_stats = {
           and ticket re-check *)
   chain_unlinks : int;  (** stale links observed at traversal time *)
   superblocks_formed : int;
-  side_exits : int;  (** taken interior branches of superblocks *)
+      (** always 0: every translation unit is one basic block, so no
+          superblock forms; kept because perfbench reports it as a
+          layer key *)
+  side_exits : int;
+      (** always 0: no block has an interior exit; kept because
+          perfbench reports it as a layer key *)
   jit_blocks_compiled : int;
   checks_eliminated : int;
       (** pass 1: accesses with a dominating check, run reduced *)

@@ -12,9 +12,8 @@ type entry = {
   tr_cycles : int;  (** cumulative, if a perf harness drives the clock *)
   tr_mark : int;
       (** control-flow mark of a jit round: a [Machine.block_marks]
-          value ([mark_chained], [mark_side_exit] or
-          [mark_opt_side_exit]); 0 on a plain entry and always on
-          [Dispatch_ref] *)
+          value ([mark_chained] or [mark_opt_side_exit]); 0 on a plain
+          entry and always on [Dispatch_ref] *)
 }
 
 let pp_result fmt = function
@@ -24,12 +23,11 @@ let pp_result fmt = function
   | Machine.Step_halted -> Format.fprintf fmt "  == halted =="
   | Machine.Step_double_fault -> Format.fprintf fmt "  ** double fault **"
 
-(* Chained transfers and superblock side exits render distinctly so a
+(* Chained transfers and guard deoptimizations render distinctly so a
    chained trace can be eyeballed against a per-step one: the
    instruction stream is identical, only the annotations differ. *)
 let pp_mark fmt m =
   if m = Machine.mark_chained then Format.fprintf fmt "  [chain]"
-  else if m = Machine.mark_side_exit then Format.fprintf fmt "  [side-exit]"
   else if m = Machine.mark_opt_side_exit then
     Format.fprintf fmt "  [opt-side-exit]"
 
@@ -46,8 +44,7 @@ let pp_entry fmt e =
     emits one entry per instruction of each executed round (from the
     machine's retirement ring), each round cut to the fuel left, so the
     rendered trace is the same stream the reference path produces —
-    chained transfers, superblock side exits and guard deoptimizations
-    carry a [tr_mark]. *)
+    chained transfers and guard deoptimizations carry a [tr_mark]. *)
 let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
   match dispatch with
   | Machine.Dispatch_ref ->

@@ -7,9 +7,9 @@
     + {b state-trace equivalence} of the two dispatch tiers
       (ref / jit), per retired instruction and
       under interrupt injection, with a tiny [hot_threshold] so
-      superblock formation, side exits, the jit's crossing from the
-      identity plan to a compiled plan and the optimizer's check plans
-      are constantly crossed;
+      chained transfers, the jit's crossing from the identity plan to a
+      compiled plan and the optimizer's check plans are constantly
+      crossed;
     + {b cycle-model agreement}: the {!Perf} harness charges identical
       cycles and instructions on every dispatch variant, on both core
       models (Ibex and Flute);
@@ -56,9 +56,9 @@ let lcg seed =
 (* --- the batched columns of every lockstep ----------------------------------- *)
 
 (* Each lockstep runs the reference against these jit columns, at
-   pinned hotness thresholds (adaptation off).  At threshold 2 a short
-   stream reaches superblock formation, and the jit's crossing from the
-   identity plan to a compiled plan falls in the middle of the stream.
+   pinned hotness thresholds (adaptation off).  At threshold 2 the jit's
+   crossing from the identity plan to a compiled plan falls in the
+   middle of a short stream.
    The jit at threshold 1 ("jit@1") compiles every block on first entry,
    so every block of the stream also runs under its compiled plan. *)
 let batched_columns = [ ("jit", 2); ("jit@1", 1) ]
@@ -147,9 +147,8 @@ let flat_interrupt_lockstep ?(writable_code = false) (words, seed) =
     m.Machine.mie <- true;
     m
   in
-  (* batches cross the superblock formation point mid-stream, so
-     interrupt delivery is checked against freshly re-translated
-     superblocks too *)
+  (* batches cross the plan-compile point mid-stream, so interrupt
+     delivery is checked against freshly compiled plans too *)
   let ref_m = mk () and cols = columns (fresh mk) in
   let machines = ref_m :: column_machines cols in
   let rand = lcg seed in
@@ -295,7 +294,7 @@ let inject rand (links : Scenario.linked list) =
 (** State-trace equivalence of the two dispatch tiers on a linked
     multi-compartment image, under interrupt injection, allocator churn,
     revocation sweeps and code patches, with the batched columns
-    forming superblocks at [hot_threshold = 2]. *)
+    compiling plans at [hot_threshold = 2]. *)
 let scenario_lockstep (sc : Scenario.t) =
   let mk () = Scenario.link ~instrument:true sc in
   let m_of l = l.Scenario.t.Loader.machine in

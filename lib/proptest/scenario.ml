@@ -38,9 +38,9 @@ type op =
   | Call of int  (** cross-compartment call; target derived, DAG-safe *)
   | Loop of int  (** counted loop whose backedge is the taken direction *)
   | Fall_loop of int
-      (** fall-through-dominated counted loop: its exit branch is a rare
-          side exit, the shape that grows superblocks under a small
-          [hot_threshold] *)
+      (** fall-through-dominated counted loop: its exit branch is
+          rarely taken, so the loop chains across the branch's fall
+          edge *)
   | Heap_rw of int  (** store/load through the harness-allocated heap cap *)
   | Patch of int
       (** store a new instruction word over a compartment's patchable

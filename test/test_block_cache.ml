@@ -7,14 +7,14 @@
    deterministically: block formation and stats accounting,
    self-modifying-code abandonment mid-block, fuel-exact cutting, the
    invalidation channel (SRAM stores invalidate, device writes and
-   bus-bypass writes do not), chaining and superblocks, and the jit
-   tier's plans. *)
+   bus-bypass writes do not), chaining, and the jit tier's plans. *)
 
 open Cheriot_core
 open Cheriot_isa
 module Sram = Cheriot_mem.Sram
 module Bus = Cheriot_mem.Bus
 module Boot = Cheriot_proptest.Boot
+module Scenario = Cheriot_proptest.Scenario
 
 let code_base = Boot.code_base
 let code_size = 0x400
@@ -29,19 +29,17 @@ let result_name = function
   | Machine.Step_halted -> "halted"
   | Machine.Step_double_fault -> "double fault"
 
-(* [hot_at k] pins the hotness threshold to [k] (adaptation off): a
-   fall edge forms a superblock after [k] traversals, and the jit
-   compiles a block's plan on its [k]-th entry.  The jit plan cases that
-   run their code once pin it to 1, so every block compiles on its first
-   entry. *)
+(* [hot_at k] pins the hotness threshold to [k] (adaptation off): the
+   jit compiles a block's plan on its [k]-th entry.  The jit plan cases
+   that run their code once pin it to 1, so every block compiles on its
+   first entry. *)
 let hot_at k m =
   m.Machine.hot_threshold <- k;
   m.Machine.hot_adaptive <- false
 
 (* The cache-mechanics cases run the jit with every block left cold: a
-   pinned, unreachable hotness threshold compiles no plan and forms no
-   superblock, so every translation unit is a plain basic block as
-   filled, run under the identity plan. *)
+   pinned, unreachable hotness threshold compiles no plan, so every
+   block runs under the identity plan. *)
 let plain_blocks = hot_at max_int
 
 let run_jit m =
@@ -266,7 +264,7 @@ let test_bypass_needs_flush () =
   Alcotest.(check int) "reference path sees the bypass write unflushed" 16
     (Machine.reg_int m2 2)
 
-(* --- block chaining and superblocks ------------------------------------ *)
+(* --- block chaining ---------------------------------------------------- *)
 
 (* A two-block loop joined by a direct jal — the chain path must follow
    both the jal edge and the backedge without re-probing, and a store
@@ -336,46 +334,104 @@ let test_chain_epoch_flush () =
   Alcotest.(check int) "re-run after flush still correct" (4 + 4)
     (Machine.reg_int m 1 + Machine.reg_int m 2)
 
-(* A hot fall-dominated branch grows a superblock across its not-taken
-   direction; on the iteration where the branch finally fires it is an
-   {e interior} taken branch — a side exit that must land at the exact
-   architectural point (PC, minstret, registers) the reference path
-   reaches. *)
-let test_superblock_side_exit () =
+(* A block re-translated at the same PC replaces the old translation,
+   which chained links may still lead to.  Here the jump X links to the
+   four-instruction block P under the code PCC A; a run at P under a
+   PCC whose top is P + 8 misses A's ticket and refills P as a
+   two-instruction block, and a bus store then patches P + 8 — outside
+   the new block's span, so the snoop kills nothing.  The re-run from X
+   under A must not follow X's link into the old P and its stale third
+   word: the refill must have unlinked it, as an eviction does. *)
+let test_same_pc_refill_unlinks () =
+  let t0 = Insn.reg_t0 in
+  let x = Boot.code_base in
+  let p = x + 8 in
   let program =
     Insn.
       [
-        Op_imm (Add, 1, 1, 1);
-        (* head: counter *)
-        Branch (Eq, 1, 6, 12);
-        (* exit branch: not taken until r1 = r6 *)
-        Op_imm (Add, 2, 2, 1);
-        Jal (0, -12);
-        (* backedge *)
+        Jal (reg_zero, 8);
         Ebreak;
-        (* out: *)
+        Op_imm (Add, t0, t0, 1);
+        Op_imm (Add, t0, t0, 1);
+        Op_imm (Add, t0, t0, 1);
+        Ebreak;
       ]
   in
-  let mk () =
-    let m, _ = boot (List.map Encode.encode program) in
-    Machine.set_reg_int m 6 20;
+  let drive dispatch =
+    let m = (Boot.flat (List.map Encode.encode program)).Boot.m in
+    plain_blocks m;
+    let a = m.Machine.pcc in
+    let from_x () =
+      m.Machine.pcc <- a;
+      Machine.set_reg_int m t0 0;
+      ignore (Machine.run ~dispatch m)
+    in
+    from_x ();
+    from_x ();
+    m.Machine.pcc <-
+      Capability.set_bounds
+        (Capability.with_address Capability.root_executable p)
+        ~length:8 ~exact:true;
+    ignore (Machine.run ~fuel:2 ~dispatch m);
+    Bus.write m.Machine.bus ~width:4 (p + 8)
+      (Encode.encode (Insn.Op_imm (Add, t0, t0, 100)));
+    from_x ();
     m
   in
-  let ref_m = mk () in
-  let _, n_ref = Machine.run ~dispatch:Machine.Dispatch_ref ref_m in
-  let m = mk () in
-  hot_at 4 m;
-  let n = run_jit m in
-  Alcotest.(check int) "same retired count" n_ref n;
-  Alcotest.(check int) "same minstret" ref_m.Machine.minstret
-    m.Machine.minstret;
-  Alcotest.(check string) "side exit lands on the exact state"
+  let ref_m = drive Machine.Dispatch_ref in
+  Alcotest.(check int) "the reference runs the patched word" 102
+    (Machine.reg_int ref_m t0);
+  let m = drive Machine.Dispatch_jit in
+  Alcotest.(check int) "the jit runs the patched word" 102
+    (Machine.reg_int m t0);
+  Alcotest.(check string) "same state as the reference"
     (Machine.state_hash ref_m) (Machine.state_hash m);
-  let s = Machine.block_stats m in
-  Alcotest.(check bool) "the hot fall edge grew a superblock" true
-    (s.Machine.superblocks_formed >= 1);
-  Alcotest.(check bool) "the exit took a side exit" true
-    (s.Machine.side_exits >= 1)
+  Alcotest.(check int) "X's link to the old P is found stale" 1
+    (Machine.block_stats m).Machine.chain_unlinks
+
+(* Every translation unit is one basic block: at most [max_block_len]
+   instructions, with a control-flow or system instruction only in the
+   last place.  The executor relies on it: a taken [Branch] always ends
+   its block and leaves through the block-end edge logic.  Checked over
+   the cache that CoreMark and a batch of generated scenarios leave
+   behind, at a hotness low enough that their loops compile plans. *)
+let test_one_basic_block_per_unit () =
+  let ends_block : Insn.t -> bool = function
+    | Jal _ | Jalr _ | Branch _ | Mret | Ecall | Ebreak | Wfi | Csr _
+    | Cspecialrw _ ->
+        true
+    | _ -> false
+  in
+  let check ?fuel what m =
+    hot_at 2 m;
+    ignore (Machine.run ?fuel ~dispatch:Machine.Dispatch_jit m);
+    let bad = ref [] and n = ref 0 in
+    Decode_cache.iter
+      (fun b ->
+        incr n;
+        let len = b.Machine.b_len in
+        let interior = ref false in
+        for k = 0 to len - 2 do
+          if ends_block b.Machine.b_insns.(k) then interior := true
+        done;
+        if len < 1 || len > Machine.max_block_len || !interior then
+          bad := Printf.sprintf "0x%x (%d insns)" b.Machine.b_start len :: !bad)
+      m.Machine.bcache;
+    Alcotest.(check bool) (what ^ ": blocks cached") true (!n > 0);
+    Alcotest.(check (list string)) (what ^ ": no block spans an exit") []
+      !bad
+  in
+  check "coremark"
+    (Cheriot_workloads.Coremark.setup ~iterations:2
+       Cheriot_uarch.Core_model.(config ~cheri:true ~load_filter:true Ibex));
+  let st = Random.State.make [| 0x5eed |] in
+  for k = 1 to 40 do
+    let sc = QCheck.Gen.generate1 ~rand:st (Scenario.gen ()) in
+    let l = Scenario.link ~instrument:true sc in
+    check ~fuel:4096
+      (Printf.sprintf "scenario %d" k)
+      l.Scenario.t.Cheriot_rtos.Loader.machine
+  done
 
 (* --- the trace-jit tier ------------------------------------------------- *)
 
@@ -428,8 +484,8 @@ let test_jit_csetbounds_kills_facts () =
 
 (* Pass-2 regression: a hot loop whose two static-offset loads are
    covered by one hoisted entry guard, patched {e mid-trace} — after the
-   superblock and its plan exist, a bus store rewrites one load of the
-   loop body.  The snoop must kill the block and its plan together; the
+   loop block's plan exists, a bus store rewrites one load of the loop
+   body.  The snoop must kill the block and its plan together; the
    remaining iterations run the patched semantics, bit-identical to a
    reference machine patched at the same instruction boundary. *)
 let test_jit_hoisted_guard_patch_midtrace () =
@@ -440,7 +496,6 @@ let test_jit_hoisted_guard_patch_midtrace () =
         Load { signed = true; width = W; rd = 2; rs1 = 4; off = 8 };
         Op_imm (Add, 3, 3, 1);
         Branch (Eq, 3, 6, 8);
-        (* fall-dominated exit: the backedge below joins the superblock *)
         Jal (0, -16);
         Ebreak;
       ]
@@ -454,8 +509,8 @@ let test_jit_hoisted_guard_patch_midtrace () =
   let ref_m = mk () in
   let m = mk () in
   hot_at 2 m;
-  (* run both machines 30 instructions in: the loop is hot, the
-     superblock formed and the guarded plan compiled and executing *)
+  (* run both machines 30 instructions in: the loop is hot and the
+     guarded plan compiled and executing *)
   let r_ref0, n_ref0 = Machine.run ~fuel:30 ~dispatch:Machine.Dispatch_ref ref_m in
   let r_jit0, n_jit0 = Machine.run ~fuel:30 ~dispatch:Machine.Dispatch_jit m in
   Alcotest.(check bool)
@@ -464,8 +519,6 @@ let test_jit_hoisted_guard_patch_midtrace () =
   let s_mid = Machine.block_stats m in
   Alcotest.(check bool) "the loads were hoisted behind a guard" true
     (s_mid.Machine.checks_hoisted >= 2);
-  Alcotest.(check bool) "the loop grew a superblock" true
-    (s_mid.Machine.superblocks_formed >= 1);
   (* patch the second load into an immediate add, identically on both *)
   let patch = Encode.encode (Insn.Op_imm (Add, 2, 2, 16)) in
   Bus.write ref_m.Machine.bus ~width:4 (code_base + 4) patch;
@@ -616,12 +669,6 @@ let check_trace_marks_chained ?prep () =
   Alcotest.(check string) "traced runs agree on state"
     (Machine.state_hash ref_m) (Machine.state_hash jit_m);
   check_same_stream ref_t jit_t;
-  (* the loop's taken backedge ends its block: a transfer, not a side
-     exit *)
-  Alcotest.(check int) "only side exits are marked [side-exit]"
-    (Machine.block_stats jit_m).Machine.side_exits
-    (List.length
-       (List.filter (fun e -> e.Trace.tr_mark = Machine.mark_side_exit) jit_t));
   Alcotest.(check bool) "chained transfers are marked" true
     (List.exists (fun e -> e.Trace.tr_mark = Machine.mark_chained) jit_t)
 
@@ -871,8 +918,7 @@ let minor_words_of f =
 
 (* Run [warm_insns] and then [measured_insns] of [m]'s loop through
    [run], and bound the minor words of the measured part.  A [cold] loop
-   must have compiled no plan and formed no superblock; any other loop
-   must have compiled one. *)
+   must have compiled no plan; any other loop must have compiled one. *)
 let check_warm_loop ?(cold = false) what m run =
   run warm_insns;
   let start = m.Machine.minstret in
@@ -882,12 +928,9 @@ let check_warm_loop ?(cold = false) what m run =
     measured_insns
     (m.Machine.minstret - start);
   let s = Machine.block_stats m in
-  if cold then begin
+  if cold then
     Alcotest.(check int) (what ^ " compiled no plan") 0
-      s.Machine.jit_blocks_compiled;
-    Alcotest.(check int) (what ^ " formed no superblock") 0
-      s.Machine.superblocks_formed
-  end
+      s.Machine.jit_blocks_compiled
   else
     Alcotest.(check bool) (what ^ " compiled the loop") true
       (s.Machine.jit_blocks_compiled >= 1);
@@ -934,10 +977,10 @@ let test_warm_jit_allocates_nothing () =
 
 (* Loops that never turn hot, closed by a taken backward [Branch] and by
    a [Jal] that links [ra] (read back in the next iteration), in both
-   modes.  Pinned at an unreachable threshold, no plan compiles and no
-   superblock forms, so every edge runs as translated: a taken edge
-   installs its block's prebuilt target, and a [Jal] its prebuilt link,
-   so the loops need the heap no more than the warm one. *)
+   modes.  Pinned at an unreachable threshold, no plan compiles, so
+   every edge runs as translated: a taken edge installs its block's
+   prebuilt target, and a [Jal] its prebuilt link, so the loops need
+   the heap no more than the warm one. *)
 let cold_loops =
   let enc = List.map Encode.encode in
   let branch_loop =
@@ -989,8 +1032,10 @@ let suite =
       test_chain_links_and_unlink;
     Alcotest.test_case "flush bumps the chain epoch" `Quick
       test_chain_epoch_flush;
-    Alcotest.test_case "superblock side exit is architecturally exact" `Quick
-      test_superblock_side_exit;
+    Alcotest.test_case "a same-pc refill unlinks the replaced block" `Quick
+      test_same_pc_refill_unlinks;
+    Alcotest.test_case "every translation unit is one basic block" `Quick
+      test_one_basic_block_per_unit;
     Alcotest.test_case "in-block csetbounds kills eliminated-check facts"
       `Quick test_jit_csetbounds_kills_facts;
     Alcotest.test_case "hoisted guard survives a mid-trace code patch" `Quick

@@ -6,10 +6,10 @@
    ([Machine.run ~dispatch:Dispatch_jit]) executes chained rounds of
    translated blocks with interrupt checks only at round boundaries and
    bookkeeping deferred across simple instructions, following direct
-   block-to-block links, re-translating hot fall-dominated paths into
-   superblocks and running hot blocks under optimized check plans from
-   [Ir.optimize].  It falls back to [step] for a word it cannot
-   translate.  The two must be observationally indistinguishable.
+   block-to-block links and running hot blocks under optimized check
+   plans from [Ir.optimize].  It falls back to [step] for a word it
+   cannot translate.  The two must be observationally
+   indistinguishable.
 
    The lockstep drivers, interrupt-injection schedules and the
    state-comparison predicate live in [Cheriot_proptest]
@@ -30,14 +30,13 @@ module Props = Cheriot_proptest.Props
 
 (* The same oracle on deterministic workloads with long traces: each
    ISA program on the reference and on the jit at its default hotness,
-   again at hot threshold 2, which forms superblocks all over the hot
-   loops (and moves the compile to a block's second entry), and at hot
-   threshold 1, which runs every block under its compiled plan from the
-   first entry.  Every run must halt with the reference's retired count
-   and state hash.  On coremark ([engages]) the jit at its default
-   hotness must also have formed a superblock and eliminated a check:
-   an optimizer that never engages on a real workload is a regression,
-   not a neutral result. *)
+   again at hot threshold 2, which moves the compile to a block's
+   second entry, and at hot threshold 1, which runs every block under
+   its compiled plan from the first entry.  Every run must halt with
+   the reference's retired count and state hash.  On coremark
+   ([engages]) the jit at its default hotness must also have eliminated
+   a check: an optimizer that never engages on a real workload is a
+   regression, not a neutral result. *)
 let lockstep_programs =
   let open Cheriot_workloads in
   [
@@ -70,15 +69,12 @@ let test_lockstep ~engages build () =
         ("retired instructions (" ^ what ^ ")")
         ref_insns insns;
       Alcotest.(check string) ("state hash (" ^ what ^ ")") ref_hash hash;
-      if engages && hot_threshold = None then begin
-        Alcotest.(check bool) "a superblock formed" true
-          (s.Machine.superblocks_formed >= 1);
+      if engages && hot_threshold = None then
         Alcotest.(check bool) "the optimizer eliminated a check" true
-          (s.Machine.checks_eliminated >= 1)
-      end)
+          (s.Machine.checks_eliminated >= 1))
     [
       ("jit", None);
-      ("jit superblocks", Some 2);
+      ("jit@2", Some 2);
       ("jit compiled on entry", Some 1);
     ]
 
@@ -178,13 +174,13 @@ let test_mmio_code mode () =
    path.  Two images on a PCC bounded to the 0x400-byte code region,
    each with a trap handler (an [Ebreak] at [edge_handler]):
    - [late_branch_exit]: a loop whose forward [Branch] leaves the bounds
-     on the 100th iteration.  At the jit's default hotness the loop is
-     by then a superblock with the branch in its interior, running under
-     a compiled plan.
+     on the 100th iteration.  At the jit's default hotness the loop
+     block is by then running under a compiled plan.
    - [oob_call]: a 100-iteration loop, then a final [Jal ra] out of
      bounds, which must leave [ra] unwritten.
    In Rv32 mode nothing is bounds-checked: the same edges are taken, and
-   the fetch from unmapped memory at the target faults instead. *)
+   the fetch from unmapped memory at the target raises an instruction
+   access fault instead. *)
 let oob_target = 0x800
 let edge_handler = 0xc
 let ra_sentinel = 0x1234
@@ -249,6 +245,8 @@ let test_oob_edges mode () =
           Alcotest.(check int) (what "ref" ^ ": ra unwritten") ra_sentinel
             (Machine.reg_int ref_m Insn.reg_ra)
       | Machine.Rv32 ->
+          Alcotest.(check int) (what "ref" ^ ": instruction access fault") 1
+            ref_m.Machine.mcause;
           Alcotest.(check int) (what "ref" ^ ": at the target")
             (Boot.code_base + oob_target)
             (Capability.address ref_m.Machine.mepcc));
@@ -266,13 +264,9 @@ let test_oob_edges mode () =
             m.Machine.minstret;
           Alcotest.(check string) (w ^ ": state hash")
             (Machine.state_hash ref_m) (Machine.state_hash m);
-          if prog == late_branch_exit && hot_threshold = None then begin
-            let s = Machine.block_stats m in
-            Alcotest.(check bool) (w ^ ": the loop became a superblock") true
-              (s.Machine.superblocks_formed >= 1);
+          if prog == late_branch_exit && hot_threshold = None then
             Alcotest.(check bool) (w ^ ": under a compiled plan") true
-              (s.Machine.jit_blocks_compiled >= 1)
-          end)
+              ((Machine.block_stats m).Machine.jit_blocks_compiled >= 1))
         [
           ("jit cold", Some max_int);
           ("jit", None);

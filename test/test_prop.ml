@@ -6,11 +6,10 @@
    corners the generator is designed to reach.
 
    The coverage check matters because an equivalence property over a
-   generator that never forms a superblock or crosses a compartment
+   generator that never chains a block or crosses a compartment
    boundary would pass vacuously: it generates a fixed batch of
    scenarios and asserts the aggregate execution really did chain
-   blocks, form superblocks, take side exits, cross compartments and
-   trap. *)
+   blocks, invalidate translations, cross compartments and trap. *)
 
 open Cheriot_isa
 module Loader = Cheriot_rtos.Loader
@@ -57,28 +56,23 @@ let test_generator_coverage () =
     if !trapped then incr traps;
     let s = Machine.block_stats m in
     bump "chain_hits" s.Machine.chain_hits;
-    bump "superblocks" s.Machine.superblocks_formed;
-    bump "side_exits" s.Machine.side_exits;
     bump "invalidations" s.Machine.block_invalidations
   done;
   let get k = try Hashtbl.find stats k with Not_found -> 0 in
   Alcotest.(check bool) "scenarios chain block transfers" true
     (get "chain_hits" > 0);
-  Alcotest.(check bool) "scenarios form superblocks" true
-    (get "superblocks" > 0);
-  Alcotest.(check bool) "scenarios take superblock side exits" true
-    (get "side_exits" > 0);
   Alcotest.(check bool) "scenario stores invalidate translated blocks" true
     (get "invalidations" > 0);
   Alcotest.(check bool) "scenarios cross compartment boundaries" true
     (!comps_entered > 0);
   Alcotest.(check bool) "scenarios trap" true (!traps > 0)
 
-(* Pinned regression: a timer interrupt armed while a superblock is hot
-   must be delivered at exactly the same retired-instruction boundary on
-   the reference and jit paths — the delivery point is a superblock
-   side exit, the corner DESIGN.md §10 argues correct. *)
-let test_interrupt_at_superblock_boundary () =
+(* Pinned regression: a timer interrupt armed while a loop is hot must
+   be delivered at exactly the same retired-instruction boundary on the
+   reference and jit paths — the delivery point is a block boundary of
+   a chained round running a compiled plan, the corner DESIGN.md §10
+   argues correct. *)
+let test_interrupt_at_hot_block_boundary () =
   let sc = { Scenario.bodies = [ [ Fall_loop 7; Fall_loop 3; Arith 1 ] ];
              seed = 0 } in
   let mk () =
@@ -94,7 +88,7 @@ let test_interrupt_at_superblock_boundary () =
     incr batch;
     if !batch = 3 then
       (* arm the timer mid-run: by now the fall loop is hot and the
-         jit machine is executing a formed superblock *)
+         jit machine is executing its compiled plan *)
       List.iter
         (fun (m : Machine.t) ->
           m.Machine.mtimecmp <- 1;
@@ -119,8 +113,8 @@ let test_interrupt_at_superblock_boundary () =
   done;
   Alcotest.(check bool) "an interrupt was delivered" true !interrupted;
   let s = Machine.block_stats jit_m in
-  Alcotest.(check bool) "a superblock had formed" true
-    (s.Machine.superblocks_formed >= 1)
+  Alcotest.(check bool) "the loop ran under a compiled plan" true
+    (s.Machine.jit_blocks_compiled >= 1)
 
 (* Pinned regression: a cross-compartment code patch — compartment c1
    storing over c0's patchable instruction through its granted window —
@@ -153,14 +147,13 @@ let test_cross_compartment_patch_snoop () =
         (s.Machine.block_invalidations >= 1))
     [ ("jit", ignore); ("jit@1", Props.pin_hot 1) ]
 
-(* Pinned regression: a traced jit run over a superblock-forming
-   scenario must render the traced reference stream entry for entry —
-   same pc, instruction and result — land on the reference state, and
-   mark its side exits: [mark_side_exit] only ever on a [Branch] entry,
-   and at least one.  A traced round is a recorded round of the round
-   executor, so this pins the ring writes at block exits and traps and
-   the marks derived there, which no untraced equivalence check sees. *)
-let test_traced_superblock_matches_reference () =
+(* Pinned regression: a traced jit run over a scenario of hot loops, at
+   a hotness that compiles their plans, must render the traced
+   reference stream entry for entry — same pc, instruction and result —
+   and land on the reference state.  A traced round is a recorded round
+   of the round executor, so this pins the ring writes at block exits
+   and traps, which no untraced equivalence check sees. *)
+let test_traced_hot_loops_match_reference () =
   let sc =
     { Scenario.bodies = [ [ Fall_loop 7; Arith 5; Fall_loop 2 ] ]; seed = 0 }
   in
@@ -168,9 +161,10 @@ let test_traced_superblock_matches_reference () =
     let l = Scenario.link ~instrument:true sc in
     l.Scenario.t.Loader.machine
   in
-  let traced ?(fuel = 4096) m dispatch =
+  let traced m dispatch =
     let entries = ref [] in
-    ignore (Trace.run m ~fuel ~dispatch ~f:(fun e -> entries := e :: !entries));
+    ignore
+      (Trace.run m ~fuel:4096 ~dispatch ~f:(fun e -> entries := e :: !entries));
     List.rev !entries
   in
   let render (e : Trace.entry) =
@@ -181,47 +175,15 @@ let test_traced_superblock_matches_reference () =
   let ref_m = mk () in
   let _, n_ref = Machine.run ~fuel:4096 ~dispatch:Machine.Dispatch_ref ref_m in
   let ref_t = traced (mk ()) Machine.Dispatch_ref in
-  let jit () =
-    let m = mk () in
-    m.Machine.hot_threshold <- 2;
-    m
-  in
-  let m = jit () in
+  let m = mk () in
+  m.Machine.hot_threshold <- 2;
   let jit_t = traced m Machine.Dispatch_jit in
   Alcotest.(check int) "traced run retires the reference count" n_ref
     (List.length jit_t);
   Alcotest.(check (list string)) "traced jit stream is the reference stream"
     (List.map render ref_t) (List.map render jit_t);
   Alcotest.(check string) "traced run lands on the reference state"
-    (Machine.state_hash ref_m) (Machine.state_hash m);
-  let s = Machine.block_stats m in
-  Alcotest.(check bool) "the traced run formed a superblock" true
-    (s.Machine.superblocks_formed >= 1);
-  Alcotest.(check bool) "the traced run took a side exit" true
-    (s.Machine.side_exits >= 1);
-  let side_exit (e : Trace.entry) = e.tr_mark = Machine.mark_side_exit in
-  let on_branch (e : Trace.entry) =
-    match e.tr_insn with Some (Insn.Branch _) -> true | _ -> false
-  in
-  Alcotest.(check bool) "a side exit is marked on its branch" true
-    (List.exists (fun e -> side_exit e && on_branch e) jit_t);
-  Alcotest.(check bool) "side-exit marks sit only on branches" true
-    (List.for_all (fun e -> (not (side_exit e)) || on_branch e) jit_t);
-  let marks_side_exits m t =
-    Alcotest.(check int) "every side exit is marked, and only those"
-      (Machine.block_stats m).Machine.side_exits
-      (List.length (List.filter side_exit t))
-  in
-  marks_side_exits m jit_t;
-  (* a trace cut right after a branch it did not mark — in a superblock
-     interior, a not-taken one — must not mark it either *)
-  List.iteri
-    (fun k e ->
-      if on_branch e && not (side_exit e) then begin
-        let m = jit () in
-        marks_side_exits m (traced ~fuel:(k + 1) m Machine.Dispatch_jit)
-      end)
-    jit_t
+    (Machine.state_hash ref_m) (Machine.state_hash m)
 
 (* Pinned regression: the generator shook this scenario out of
    [scenario_lockstep].  [Allocator.revoke_now] used to sweep only
@@ -245,12 +207,12 @@ let suite =
   @ [
       Alcotest.test_case "generated scenarios reach every claimed mechanism"
         `Quick test_generator_coverage;
-      Alcotest.test_case "interrupt delivery at a superblock boundary" `Quick
-        test_interrupt_at_superblock_boundary;
+      Alcotest.test_case "interrupt delivery at a hot block boundary" `Quick
+        test_interrupt_at_hot_block_boundary;
       Alcotest.test_case "cross-compartment patch store is snooped" `Quick
         test_cross_compartment_patch_snoop;
-      Alcotest.test_case "traced superblock run matches the reference" `Quick
-        test_traced_superblock_matches_reference;
+      Alcotest.test_case "traced hot-loop scenario matches the reference"
+        `Quick test_traced_hot_loops_match_reference;
       Alcotest.test_case "stale cap in compartment globals is revoked" `Quick
         test_stale_global_cap_scenario;
     ]
