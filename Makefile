@@ -89,14 +89,18 @@ parity: build
 
 # The same property family with 20x the iteration counts (PROP_ITERS
 # multiplies every qcheck ~count in lib/proptest and the harness-scaled
-# unit suites), plus the auditor's scaled suites: the abstract domain's
-# lattice laws and join contract, and incremental re-audit against
-# from-scratch.  Not part of `make ci`; run before cutting a release or
-# after touching the dispatch paths or the auditor's fixpoint.
+# unit suites), plus the word register file property (`isa`: random
+# register writes and capability instructions on the jit against a
+# capability-array model, the oracle for the register representation)
+# and the auditor's scaled suites: the abstract domain's lattice laws
+# and join contract, and incremental re-audit against from-scratch.
+# Not part of `make ci`; run before cutting a release or after touching
+# the dispatch paths, the register file or the auditor's fixpoint.
 prop-long: build
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test proptest
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test differential
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test fuzz
+	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test isa
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test absdom
 	PROP_ITERS=20 dune exec test/test_cheriot.exe -- test incremental
 

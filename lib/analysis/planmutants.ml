@@ -85,7 +85,7 @@ let entries =
       pm_build =
         (fun () ->
           (* Auipcc reads the current PC: deferring its bookkeeping
-             replays a stale PCC at the next trap or side exit. *)
+             replays a stale PCC at the next trap or block exit. *)
           let prog = [| Insn.Auipcc (t0, 0); lw t1 a0 0 |] in
           let chks, guards = opt ~cheri:true prog in
           (true, prog, chks, guards, Some [| true; true |]));

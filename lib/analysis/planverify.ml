@@ -32,7 +32,7 @@
        path on which the reduced plan runs;
 
    (c) deferral safety — an op whose PCC/minstret/event epilogue the
-       executor defers must not be observable at a trap or side exit:
+       executor defers must not be observable at a trap or block exit:
        it must not read the PC, not touch CSRs/SCRs, not transfer
        control and not enter a trap.  The predicate is re-derived here
        as an exhaustive match over [Insn.t] (no wildcard), so a new
@@ -136,7 +136,7 @@ let verify ~cheri ?defer (insns : Insn.t array) (chks : Ir.chk array)
           (Printf.sprintf
              "op %d (%s) has its bookkeeping deferred, but its \
               PCC/minstret/event update is observable before the next sync \
-              point — a trap or side exit here replays stale state"
+              point — a trap or block exit here replays stale state"
              i (pp_insn insns.(i)))
     done;
     if not cheri then begin

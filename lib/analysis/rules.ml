@@ -147,7 +147,7 @@ let plan_catalogue =
        requires" );
     ( plan_deferral,
       "bookkeeping deferred for an op whose PCC/minstret/event update is \
-       observable at a trap or side exit" );
+       observable at a trap or block exit" );
     ( plan_rv32_weakened,
       "Rv32 plan weakened: DDC-authorized accesses must keep full checks" );
   ]

@@ -1,11 +1,19 @@
-type t = { e_field : int; b_field : int; t_field : int }
+(* The 22 bounds bits of the Fig. 1 metadata word, as an immediate:
+   E in bits 21-18, B in bits 17-9, T in bits 8-0. *)
+type t = int
 
 let decode_exp e_field = if e_field = 0xf then 24 else e_field
-let exponent b = decode_exp b.e_field
-let raw_fields { e_field; b_field; t_field } = (e_field, b_field, t_field)
+let[@inline] e_field b = b lsr 18
+let[@inline] b_field b = (b lsr 9) land 0x1ff
+let[@inline] t_field b = b land 0x1ff
+let exponent b = decode_exp (e_field b)
+let raw_fields b = (e_field b, b_field b, t_field b)
 
 let of_raw_fields ~e ~b ~t =
-  { e_field = e land 0xf; b_field = b land 0x1ff; t_field = t land 0x1ff }
+  ((e land 0xf) lsl 18) lor ((b land 0x1ff) lsl 9) lor (t land 0x1ff)
+
+let[@inline] of_bits bits = bits land 0x3f_ffff
+let[@inline] to_bits b = b
 
 let mask32 = 0xFFFF_FFFF
 let mask33 = 0x1_FFFF_FFFF
@@ -13,37 +21,29 @@ let mask33 = 0x1_FFFF_FFFF
 (* Fig. 3: insert B (resp. T) at bit e of the address, zero the low e
    bits, and correct the bits above by cb (resp. ct) when the address
    middle bits or the top field sit in a different 2^(9+e) region. *)
-let decode { e_field; b_field; t_field } ~addr =
-  let e = decode_exp e_field in
-  let a_top = addr lsr (e + 9) in
-  let a_mid = (addr lsr e) land 0x1ff in
-  let cb = if a_mid < b_field then -1 else 0 in
-  let ct = if t_field < b_field then cb + 1 else cb in
-  let base = (((a_top + cb) lsl 9) lor b_field) lsl e in
-  let top = (((a_top + ct) lsl 9) lor t_field) lsl e in
-  (base land mask32, top land mask33)
-
-(* Single-ended [decode] without the result pair, for callers that need
-   only one end of the region (capability base/top accessors). *)
-let base_of { e_field; b_field; t_field = _ } ~addr =
-  let e = decode_exp e_field in
+let[@inline] base_of bnds ~addr =
+  let e = decode_exp (e_field bnds) and b_field = b_field bnds in
   let a_top = addr lsr (e + 9) in
   let a_mid = (addr lsr e) land 0x1ff in
   let cb = if a_mid < b_field then -1 else 0 in
   (((a_top + cb) lsl 9) lor b_field) lsl e land mask32
 
-let top_of { e_field; b_field; t_field } ~addr =
-  let e = decode_exp e_field in
+let[@inline] top_of bnds ~addr =
+  let e = decode_exp (e_field bnds) and b_field = b_field bnds in
+  let t_field = t_field bnds in
   let a_top = addr lsr (e + 9) in
   let a_mid = (addr lsr e) land 0x1ff in
   let cb = if a_mid < b_field then -1 else 0 in
   let ct = if t_field < b_field then cb + 1 else cb in
   (((a_top + ct) lsl 9) lor t_field) lsl e land mask33
 
+let decode bnds ~addr = (base_of bnds ~addr, top_of bnds ~addr)
+
 (* [decode] inlined without the tuple: these two run on every fetch,
    memory access and PC increment, so they must not allocate. *)
-let in_bounds { e_field; b_field; t_field } ~addr ~access ~size =
-  let e = decode_exp e_field in
+let[@inline] in_bounds bnds ~addr ~access ~size =
+  let e = decode_exp (e_field bnds) and b_field = b_field bnds in
+  let t_field = t_field bnds in
   let a_top = addr lsr (e + 9) in
   let a_mid = (addr lsr e) land 0x1ff in
   let cb = if a_mid < b_field then -1 else 0 in
@@ -54,10 +54,11 @@ let in_bounds { e_field; b_field; t_field } ~addr ~access ~size =
   let top = (((a_top + ct) lsl 9) lor t_field) lsl e land mask33 in
   access + size <= top
 
-let representable { e_field; b_field; t_field } ~cur ~addr =
+let representable bnds ~cur ~addr =
   addr land mask32 = addr
   &&
-  let e = decode_exp e_field in
+  let e = decode_exp (e_field bnds) and b_field = b_field bnds in
+  let t_field = t_field bnds in
   let at1 = cur lsr (e + 9) and at2 = addr lsr (e + 9) in
   let cb1 = if (cur lsr e) land 0x1ff < b_field then -1 else 0 in
   let cb2 = if (addr lsr e) land 0x1ff < b_field then -1 else 0 in
@@ -71,35 +72,47 @@ let representable { e_field; b_field; t_field } ~cur ~addr =
   && (((at1 + cb1 + d) lsl 9) lor t_field) lsl e land mask33
      = (((at2 + cb2 + d) lsl 9) lor t_field) lsl e land mask33
 
-(* Exponents 15..23 are not encodable (E = 0xf means 24), so the search
+(* The smallest exponent at which [[base, base+length)] fits, or -1.
+   Exponents 15..23 are not encodable (E = 0xf means 24), so the search
    jumps straight from 14 to 24. *)
 let rec find_exponent ~base ~length e =
-  if e > 24 then None
+  if e > 24 then -1
   else if e > 14 && e < 24 then find_exponent ~base ~length 24
   else
     let align = 1 lsl e in
     let b' = base land lnot (align - 1) in
     let t' = (base + length + align - 1) land lnot (align - 1) in
-    if t' - b' <= 0x1ff lsl e then Some (e, b', t')
-    else find_exponent ~base ~length (e + 1)
+    if t' - b' <= 0x1ff lsl e then e else find_exponent ~base ~length (e + 1)
+
+(* The tightest bounds covering [[base, base+length)], or -1 when the
+   region does not fit the address space.  A length of at most 511 is
+   exact at exponent 0, [find_exponent]'s first step, so it needs no
+   search: B and T are the low nine bits of the two ends. *)
+let encode_region ~base ~length =
+  if base < 0 || length < 0 || base + length > 0x1_0000_0000 then -1
+  else if length <= 0x1ff then
+    ((base land 0x1ff) lsl 9) lor ((base + length) land 0x1ff)
+  else
+    let e = find_exponent ~base ~length 0 in
+    if e < 0 then -1
+    else
+      let align = 1 lsl e in
+      let b' = base land lnot (align - 1) in
+      let t' = (base + length + align - 1) land lnot (align - 1) in
+      let bnds =
+        of_raw_fields
+          ~e:(if e = 24 then 0xf else e)
+          ~b:(b' lsr e) ~t:(t' lsr e)
+      in
+      (* Defensive check that the fields decode back to the rounded
+         region; this is an invariant of the search above. *)
+      if base_of bnds ~addr:base = b' && top_of bnds ~addr:base = t' then bnds
+      else -1
 
 let set_bounds ~base ~length =
-  if base < 0 || length < 0 || base + length > 0x1_0000_0000 then None
-  else
-    match find_exponent ~base ~length 0 with
-    | None -> None
-    | Some (e, b', t') ->
-        let bounds =
-          {
-            e_field = (if e = 24 then 0xf else e);
-            b_field = (b' lsr e) land 0x1ff;
-            t_field = (t' lsr e) land 0x1ff;
-          }
-        in
-        (* Defensive check that the fields decode back to the rounded
-           region; this is an invariant of the search above. *)
-        let db, dt = decode bounds ~addr:base in
-        if db = b' && dt = t' then Some (bounds, b', t') else None
+  let bnds = encode_region ~base ~length in
+  if bnds < 0 then None
+  else Some (bnds, base_of bnds ~addr:base, top_of bnds ~addr:base)
 
 let set_bounds_exact ~base ~length =
   match set_bounds ~base ~length with
@@ -127,11 +140,9 @@ let rec cram_exp len e =
 let cram len =
   if len <= 511 then mask32 else lnot ((1 lsl cram_exp len 0) - 1) land mask32
 
-let whole_address_space = { e_field = 0xf; b_field = 0; t_field = 0x100 }
-let otype_space = { e_field = 0; b_field = 0; t_field = 8 }
-
-let equal a b =
-  a.e_field = b.e_field && a.b_field = b.b_field && a.t_field = b.t_field
+let whole_address_space = of_raw_fields ~e:0xf ~b:0 ~t:0x100
+let otype_space = of_raw_fields ~e:0 ~b:0 ~t:8
+let equal = Int.equal
 
 let pp fmt b =
-  Format.fprintf fmt "E=%d B=0x%x T=0x%x" b.e_field b.b_field b.t_field
+  Format.fprintf fmt "E=%d B=0x%x T=0x%x" (e_field b) (b_field b) (t_field b)

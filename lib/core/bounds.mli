@@ -29,8 +29,10 @@
     invalidates the capability, and addresses below the base are never
     representable. *)
 
-type t
-(** Encoded bounds: the raw (E, B, T) fields. *)
+type t [@@immediate]
+(** Encoded bounds: the raw (E, B, T) fields, held as the 22 bounds bits
+    of the Fig. 1 metadata word (E in bits 21–18, B in 17–9, T in 8–0),
+    so a bounds value is an immediate and costs no allocation. *)
 
 val exponent : t -> int
 (** Decoded exponent [e] (0–14 or 24). *)
@@ -40,6 +42,14 @@ val raw_fields : t -> int * int * int
 
 val of_raw_fields : e:int -> b:int -> t:int -> t
 (** Reassemble from raw field values (masked to width). *)
+
+val of_bits : int -> t
+(** The bounds held in the low 22 bits of a metadata word (the other
+    bits are ignored). *)
+
+val to_bits : t -> int
+(** The 22 metadata-word bits of the bounds: [to_bits (of_bits w) = w
+    land 0x3fffff]. *)
 
 val decode : t -> addr:int -> int * int
 (** [decode bounds ~addr] is [(base, top)] for a capability at address
@@ -66,6 +76,11 @@ val set_bounds : base:int -> length:int -> (t * int * int) option
     [base' <= base] and [top' >= base + length], or [None] if the region
     does not fit the address space.  This is the [CSetBounds] rounding
     behaviour. *)
+
+val encode_region : base:int -> length:int -> int
+(** {!set_bounds}'s bounds as {!to_bits} without the option and tuple,
+    or [-1] where {!set_bounds} is [None].  A length of at most 511 is
+    exact at exponent 0 and takes no search. *)
 
 val set_bounds_exact : base:int -> length:int -> t option
 (** Like {!set_bounds} but yields [None] when any rounding would occur

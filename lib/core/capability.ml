@@ -9,15 +9,186 @@ type t = {
 
 let mask32 = 0xFFFF_FFFF
 
-let null =
+(* The capability semantics, once, over the word: the tag in bit 32 and
+   the Fig. 1 metadata word in bits 31-0, beside a separate 32-bit
+   address.  The record functions further down unpack what these
+   compute. *)
+module Word = struct
+  type t = int
+
+  let null = 0
+  let tag_bit = 1 lsl 32
+  let perm_field = 0x3f lsl 25
+  let otype_field = 7 lsl 22
+  let bounds_field = 0x3f_ffff
+  let[@inline] tag w = w land tag_bit <> 0
+  let[@inline] clear_tag w = w land lnot tag_bit
+  let[@inline] meta w = w land mask32
+  let[@inline] perms w = Perm.decode (w lsr 25)
+  let[@inline] has_perm w p = Perm.Set.mem p (perms w)
+  let[@inline] otype_bits w = (w lsr 22) land 7
+  let[@inline] is_sealed w = w land otype_field <> 0
+  let[@inline] bounds w = Bounds.of_bits w
+
+  (* Fig. 1 chooses the otype namespace by EX. *)
+  let[@inline] otype w =
+    Otype.of_bits (if has_perm w EX then Exec else Data) (otype_bits w)
+
+  let[@inline] with_perms w ps =
+    w land lnot perm_field lor (Perm.encode_exn ps lsl 25)
+
+  let[@inline] with_otype_bits w o = w land lnot otype_field lor (o lsl 22)
+  let[@inline] base w ~addr = Bounds.base_of (bounds w) ~addr
+  let[@inline] top w ~addr = Bounds.top_of (bounds w) ~addr
+
+  let[@inline] in_bounds w ~addr ~size a =
+    Bounds.in_bounds (bounds w) ~addr ~access:a ~size
+
+  let[@inline] with_address w ~cur addr =
+    if
+      tag w
+      && (not (is_sealed w))
+      && Bounds.representable (bounds w) ~cur ~addr:(addr land mask32)
+    then w
+    else clear_tag w
+
+  (* The short path is the general one at exponent 0, where the rounded
+     region is the requested one: then the result is tagged exactly when
+     the request lies within the old bounds. *)
+  let set_bounds w ~addr ~length ~exact =
+    let nb = Bounds.encode_region ~base:addr ~length in
+    if nb < 0 then clear_tag w
+    else
+      let w' = w land lnot bounds_field lor nb in
+      let ok =
+        tag w
+        && (not (is_sealed w))
+        (* the requested region must itself be within the old bounds *)
+        && in_bounds w ~addr ~size:length addr
+        && (length <= 0x1ff
+           ||
+           let nb = Bounds.of_bits nb in
+           let b' = Bounds.base_of nb ~addr and t' = Bounds.top_of nb ~addr in
+           b' >= base w ~addr
+           && t' <= top w ~addr
+           && ((not exact) || (b' = addr && t' = addr + length)))
+      in
+      if ok then w' else clear_tag w'
+
+  let and_perms w mask =
+    let old = perms w in
+    let ps = Perm.legalize (Perm.Set.inter old mask) in
+    let w' = with_perms w ps in
+    if is_sealed w && not (Perm.Set.equal ps old) then clear_tag w' else w'
+
+  let gl = Perm.Set.of_list [ GL ]
+  let gl_lg = Perm.Set.of_list [ GL; LG ]
+  let lm_sd = Perm.Set.of_list [ LM; SD ]
+
+  (* [and_perms] without the sealed rule: load attenuation keeps the
+     tag. *)
+  let[@inline] strip w ps =
+    with_perms w (Perm.legalize (Perm.Set.diff (perms w) ps))
+
+  let load_attenuate ~authority w =
+    if not (tag w) then w
+    else
+      let w = if has_perm authority LG then w else strip w gl_lg in
+      if has_perm authority LM || is_sealed w then w else strip w lm_sd
+
+  let seal w ~key ~key_addr =
+    if not (tag key) then Error "seal: key untagged"
+    else if is_sealed key then Error "seal: key sealed"
+    else if not (has_perm key SE) then Error "seal: key lacks SE"
+    else if not (in_bounds key ~addr:key_addr ~size:1 key_addr) then
+      Error "seal: otype out of bounds"
+    else if not (tag w) then Error "seal: target untagged"
+    else if is_sealed w then Error "seal: target already sealed"
+    else if key_addr < 1 || key_addr > 7 then Error "seal: invalid otype value"
+    else Ok (with_otype_bits w key_addr)
+
+  let unseal w ~key ~key_addr =
+    if not (tag key) then Error "unseal: key untagged"
+    else if is_sealed key then Error "unseal: key sealed"
+    else if not (has_perm key US) then Error "unseal: key lacks US"
+    else if not (in_bounds key ~addr:key_addr ~size:1 key_addr) then
+      Error "unseal: otype out of bounds"
+    else if not (tag w) then Error "unseal: target untagged"
+    else if not (is_sealed w) then Error "unseal: target not sealed"
+    else if otype_bits w <> key_addr then Error "unseal: otype mismatch"
+    else
+      let w = with_otype_bits w 0 in
+      if has_perm key GL then Ok w
+      else Ok (strip w gl)
+
+  (* 0 when [w] may be sealed as a sentry, else which check failed. *)
+  let[@inline] sentry_fault w =
+    if not (tag w) then 1
+    else if is_sealed w then 2
+    else if not (has_perm w EX) then 3
+    else 0
+
+  let seal_sentry w kind =
+    match sentry_fault w with
+    | 0 -> Ok (with_otype_bits w (Otype.value (Otype.sentry_otype kind)))
+    | 1 -> Error "seal_sentry: untagged"
+    | 2 -> Error "seal_sentry: already sealed"
+    | _ -> Error "seal_sentry: not executable"
+
+  let link w ~cur ~next ~mie =
+    let w = with_address w ~cur next in
+    if sentry_fault w = 0 then
+      with_otype_bits w
+        (Otype.value
+           (Otype.sentry_otype (Otype.return_sentry ~interrupts_enabled:mie)))
+    else clear_tag w
+
+  type access =
+    | Access_ok
+    | Fault_tag
+    | Fault_seal
+    | Fault_load
+    | Fault_load_cap
+    | Fault_store
+    | Fault_store_cap
+    | Fault_bounds
+    | Fault_align
+    | Fault_range
+
+  let[@inline] check_access w ~addr ~size ~store ~is_cap a =
+    if not (tag w) then Fault_tag
+    else if is_sealed w then Fault_seal
+    else
+      let ps = perms w in
+      if store && not (Perm.Set.mem SD ps) then Fault_store
+      else if store && is_cap && not (Perm.Set.mem MC ps) then Fault_store_cap
+      else if (not store) && not (Perm.Set.mem LD ps) then Fault_load
+      else if (not store) && is_cap && not (Perm.Set.mem MC ps) then
+        Fault_load_cap
+      else if not (in_bounds w ~addr ~size a) then Fault_bounds
+      else if a land (size - 1) <> 0 then Fault_align
+      else if a < 0 || a > mask32 then Fault_range
+      else Access_ok
+end
+
+let[@inline] pack c =
+  (if c.tag then Word.tag_bit else 0)
+  lor (if c.reserved then 1 lsl 31 else 0)
+  lor (Perm.encode_exn c.perms lsl 25)
+  lor (Otype.value c.otype lsl 22)
+  lor Bounds.to_bits c.bounds
+
+let[@inline] unpack w addr =
   {
-    tag = false;
-    perms = Perm.Set.empty;
-    otype = Otype.unsealed;
-    bounds = Bounds.of_raw_fields ~e:0 ~b:0 ~t:0;
-    addr = 0;
-    reserved = false;
+    tag = Word.tag w;
+    perms = Word.perms w;
+    otype = Word.otype w;
+    bounds = Word.bounds w;
+    addr;
+    reserved = w land (1 lsl 31) <> 0;
   }
+
+let null = unpack Word.null 0
 
 let root_mem_rw =
   {
@@ -53,7 +224,7 @@ let roots = [ root_mem_rw; root_executable; root_sealing ]
 let address c = c.addr
 let base c = Bounds.base_of c.bounds ~addr:c.addr
 let top c = Bounds.top_of c.bounds ~addr:c.addr
-let length c = max 0 (top c - base c)
+let length c = Int.max 0 (top c - base c)
 let perms c = c.perms
 let has_perm c p = Perm.Set.mem p c.perms
 let otype c = c.otype
@@ -65,94 +236,34 @@ let is_global c = has_perm c GL
 let in_bounds c ~size a =
   Bounds.in_bounds c.bounds ~addr:c.addr ~access:a ~size
 
-let clear_tag c = { c with tag = false }
+let clear_tag c = unpack (Word.clear_tag (pack c)) c.addr
 
 let with_address c addr =
-  let addr = addr land mask32 in
-  let ok =
-    c.tag && (not (is_sealed c))
-    && Bounds.representable c.bounds ~cur:c.addr ~addr
-  in
-  { c with addr; tag = ok }
+  unpack (Word.with_address (pack c) ~cur:c.addr addr) (addr land mask32)
 
 let incr_address c off = with_address c (c.addr + off)
 
 let set_bounds c ~length ~exact =
-  let b = c.addr in
-  let fail = { c with tag = false } in
-  if (not c.tag) || is_sealed c then
-    (* Still narrow the fields so the untagged result carries the request. *)
-    match Bounds.set_bounds ~base:b ~length with
-    | Some (bounds, _, _) -> { fail with bounds }
-    | None -> fail
-  else
-    match Bounds.set_bounds ~base:b ~length with
-    | None -> fail
-    | Some (bounds, b', t') ->
-        let cur_base = base c and cur_top = top c in
-        let monotonic = b' >= cur_base && t' <= cur_top in
-        let exact_ok = (not exact) || (b' = b && t' = b + length) in
-        (* The requested region must itself be within the old bounds. *)
-        let requested_ok = b >= cur_base && b + length <= cur_top in
-        { c with bounds; tag = monotonic && exact_ok && requested_ok }
+  unpack (Word.set_bounds (pack c) ~addr:c.addr ~length ~exact) c.addr
 
-let and_perms c mask =
-  let target = Perm.Set.inter c.perms mask in
-  let new_perms = Perm.legalize target in
-  let changed = not (Perm.Set.equal new_perms c.perms) in
-  let tag = c.tag && not (is_sealed c && changed) in
-  { c with perms = new_perms; tag }
+let and_perms c mask = unpack (Word.and_perms (pack c) mask) c.addr
 
 let clear_perms c ps =
   let mask = Perm.Set.diff c.perms (Perm.Set.of_list ps) in
   and_perms c mask
 
+let derive c r = Result.map (fun w -> unpack w c.addr) r
+
 let seal c ~key =
-  if not key.tag then Error "seal: key untagged"
-  else if is_sealed key then Error "seal: key sealed"
-  else if not (has_perm key SE) then Error "seal: key lacks SE"
-  else if not (in_bounds key ~size:1 key.addr) then
-    Error "seal: otype out of bounds"
-  else if not c.tag then Error "seal: target untagged"
-  else if is_sealed c then Error "seal: target already sealed"
-  else if key.addr < 1 || key.addr > 7 then Error "seal: invalid otype value"
-  else
-    let space = if has_perm c EX then Otype.Exec else Otype.Data in
-    Ok { c with otype = Otype.v space key.addr }
+  derive c (Word.seal (pack c) ~key:(pack key) ~key_addr:key.addr)
 
 let unseal c ~key =
-  if not key.tag then Error "unseal: key untagged"
-  else if is_sealed key then Error "unseal: key sealed"
-  else if not (has_perm key US) then Error "unseal: key lacks US"
-  else if not (in_bounds key ~size:1 key.addr) then
-    Error "unseal: otype out of bounds"
-  else if not c.tag then Error "unseal: target untagged"
-  else
-    match c.otype with
-    | ot when Otype.is_unsealed ot -> Error "unseal: target not sealed"
-    | ot ->
-        let space = if has_perm c EX then Otype.Exec else Otype.Data in
-        if Otype.space ot <> Some space || Otype.value ot <> key.addr then
-          Error "unseal: otype mismatch"
-        else
-          let c = { c with otype = Otype.unsealed } in
-          if has_perm key GL then Ok c else Ok (clear_perms c [ GL ])
+  derive c (Word.unseal (pack c) ~key:(pack key) ~key_addr:key.addr)
 
-let seal_sentry c kind =
-  if not c.tag then Error "seal_sentry: untagged"
-  else if is_sealed c then Error "seal_sentry: already sealed"
-  else if not (has_perm c EX) then Error "seal_sentry: not executable"
-  else Ok { c with otype = Otype.sentry_otype kind }
+let seal_sentry c kind = derive c (Word.seal_sentry (pack c) kind)
 
 let load_attenuate ~authority c =
-  if not c.tag then c
-  else
-    let c =
-      if has_perm authority LG then c
-      else { (clear_perms c [ GL; LG ]) with tag = c.tag }
-    in
-    if has_perm authority LM || is_sealed c then c
-    else { (clear_perms c [ LM; SD ]) with tag = c.tag }
+  unpack (Word.load_attenuate ~authority:(pack authority) (pack c)) c.addr
 
 let is_subset c ~of_:parent =
   c.tag = parent.tag
@@ -160,38 +271,19 @@ let is_subset c ~of_:parent =
   && top c <= top parent
   && Perm.Set.subset c.perms parent.perms
 
-(* Fig. 1 metadata layout. *)
-let to_word c =
-  let e, b, t = Bounds.raw_fields c.bounds in
-  let p = Perm.encode_exn c.perms in
-  let o = Otype.value c.otype in
-  let meta =
-    ((if c.reserved then 1 else 0) lsl 31)
-    lor (p lsl 25) lor (o lsl 22) lor (e lsl 18) lor (b lsl 9) lor t
-  in
+(* Fig. 1 metadata word in bits 63-32, the address in bits 31-0. *)
+let word_to_int64 w addr =
   Int64.logor
-    (Int64.shift_left (Int64.of_int meta) 32)
-    (Int64.of_int (c.addr land mask32))
+    (Int64.shift_left (Int64.of_int (Word.meta w)) 32)
+    (Int64.of_int (addr land mask32))
+
+let to_word c = word_to_int64 (pack c) c.addr
 
 let of_word ~tag w =
   let meta = Int64.to_int (Int64.shift_right_logical w 32) land mask32 in
-  let addr = Int64.to_int (Int64.logand w 0xFFFF_FFFFL) in
-  let reserved = (meta lsr 31) land 1 = 1 in
-  let p = (meta lsr 25) land 0x3f in
-  let o = (meta lsr 22) land 0x7 in
-  let e = (meta lsr 18) land 0xf in
-  let b = (meta lsr 9) land 0x1ff in
-  let t = meta land 0x1ff in
-  let perms = Perm.decode p in
-  let space = if Perm.Set.mem EX perms then Otype.Exec else Otype.Data in
-  {
-    tag;
-    perms;
-    otype = Otype.of_bits space o;
-    bounds = Bounds.of_raw_fields ~e ~b ~t;
-    addr;
-    reserved;
-  }
+  unpack
+    ((if tag then Word.tag_bit else 0) lor meta)
+    (Int64.to_int (Int64.logand w 0xFFFF_FFFFL))
 
 let equal a b =
   a.tag = b.tag

@@ -17,10 +17,119 @@ type t = {
   tag : bool;
   perms : Perm.Set.t;  (** always a representable (legalized) set *)
   otype : Otype.t;
+      (** in the namespace the perms choose: executable with EX, data
+          without *)
   bounds : Bounds.t;
   addr : int;  (** 32-bit address *)
   reserved : bool;  (** the R bit of Fig. 1; unused, preserved *)
 }
+(** The API view of a capability, for the machine's callers, the RTOS
+    model, the auditor and the tests.  Every derivation below packs the
+    record into its {!Word}, applies the word function and unpacks the
+    result, so each rule has the one definition in {!Word}. *)
+
+(** {1 The word}
+
+    A capability's metadata as one immediate [int] (the {e word}):
+
+    {v 32   31  30..25  24..22  21..18  17..9  8..0
+       tag  R    p'6     o'3     E'4    B'9    T'9   v}
+
+    Bits 31–0 are exactly Fig. 1's metadata word, what {!to_word} puts
+    in bits 63–32 of memory; bit 32 is the out-of-band tag.  The
+    address is held beside the word, not in it.  The word [0] is the
+    untagged null metadata an integer register holds.  Every 6-bit
+    permission field decodes to a set that encodes back to the same
+    field, so any word — one loaded from memory included — is a
+    capability as it stands.  The otype namespace is not stored: Fig. 1
+    chooses it by EX.
+
+    The functions here are the capability semantics.  They take the
+    word and the address it is held with ([~addr] or [~cur]), allocate
+    nothing unless they return a [result], and return the new word
+    (the new address is the caller's: [addr land 0xFFFF_FFFF] for
+    {!Word.with_address}, unchanged for the others). *)
+module Word : sig
+  type t = int
+
+  val null : t
+  (** [0]: untagged, null metadata. *)
+
+  val tag_bit : t
+  val tag : t -> bool
+  val clear_tag : t -> t
+
+  val meta : t -> int
+  (** The 32-bit metadata word (bits 31–0). *)
+
+  val perms : t -> Perm.Set.t
+  val has_perm : t -> Perm.t -> bool
+  val otype : t -> Otype.t
+  val otype_bits : t -> int
+  val is_sealed : t -> bool
+  val bounds : t -> Bounds.t
+  val base : t -> addr:int -> int
+  val top : t -> addr:int -> int
+  val in_bounds : t -> addr:int -> size:int -> int -> bool
+
+  val with_otype_bits : t -> int -> t
+  (** Replace the 3-bit otype field; [with_otype_bits w 0] unseals. *)
+
+  val with_address : t -> cur:int -> int -> t
+  (** {!Capability.with_address} from address [cur]. *)
+
+  val set_bounds : t -> addr:int -> length:int -> exact:bool -> t
+  (** {!Capability.set_bounds}.  A length of at most 511 is exact at
+      exponent 0: it takes neither the exponent search nor a decode of
+      the new bounds. *)
+
+  val and_perms : t -> Perm.Set.t -> t
+  val load_attenuate : authority:t -> t -> t
+  val seal : t -> key:t -> key_addr:int -> (t, string) result
+  val unseal : t -> key:t -> key_addr:int -> (t, string) result
+  val seal_sentry : t -> Otype.sentry -> (t, string) result
+
+  val link : t -> cur:int -> next:int -> mie:bool -> t
+  (** What a jump-and-link writes to its link register from the PCC's
+      word [w] at [cur]: the PCC moved to [next], sealed as the return
+      sentry of posture [mie] (3.1.2), or untagged where it cannot be
+      sealed. *)
+
+  (** {2 The access check} *)
+
+  (** The first check an access fails, or [Access_ok]. *)
+  type access =
+    | Access_ok
+    | Fault_tag
+    | Fault_seal
+    | Fault_load  (** no LD *)
+    | Fault_load_cap  (** a capability load without MC *)
+    | Fault_store  (** no SD *)
+    | Fault_store_cap  (** a capability store without MC *)
+    | Fault_bounds
+    | Fault_align
+    | Fault_range  (** outside the 32-bit address space *)
+
+  val check_access :
+    t -> addr:int -> size:int -> store:bool -> is_cap:bool -> int -> access
+  (** [check_access w ~addr ~size ~store ~is_cap a] checks an access of
+      [size] bytes at [a] through the capability [(w, addr)], in this
+      order: tag, seal, permissions (SD or LD, then MC for a
+      capability access), bounds, alignment, the 32-bit range. *)
+end
+
+val pack : t -> Word.t
+(** The record's word.  [perms] is legalized on the way. *)
+
+val unpack : Word.t -> int -> t
+(** [unpack w addr] is the record of word [w] at address [addr]; the
+    otype's namespace follows EX.  [pack (unpack w a) = w] for every
+    word, and [unpack (pack c) c.addr] is [c] for every record whose
+    perms are legalized and whose otype namespace matches EX. *)
+
+val word_to_int64 : Word.t -> int -> int64
+(** The 64-bit memory representation of word [w] at an address:
+    [to_word (unpack w addr)]. *)
 
 (** {1 Construction} *)
 

@@ -1,28 +1,34 @@
 type space = Exec | Data
-type t = Unsealed | Sealed of space * int
 
-let unsealed = Unsealed
+(* An immediate int: 0 is unsealed, [n] the executable otype [n] and
+   [8 + n] the data otype [n].  The namespace is kept beside the 3-bit
+   value so that [space] and [sentry_of_otype] need no permission set,
+   and polymorphic compare orders otypes unsealed, then executable, then
+   data, as it ordered the variant this replaced, so nothing that sorts
+   by it changes order. *)
+type t = int
+
+let unsealed = 0
+let[@inline] tagged space n = match space with Exec -> n | Data -> 8 + n
 
 let v space n =
   if n < 1 || n > 7 then invalid_arg "Otype.v: value must be in 1..7";
-  Sealed (space, n)
+  tagged space n
 
-let is_unsealed = function Unsealed -> true | Sealed _ -> false
-let space = function Unsealed -> None | Sealed (sp, _) -> Some sp
-let value = function Unsealed -> 0 | Sealed (_, n) -> n
-let of_bits space bits =
-  match bits land 7 with 0 -> Unsealed | n -> Sealed (space, n)
+let[@inline] is_unsealed o = o = 0
+let space o = if o = 0 then None else if o < 8 then Some Exec else Some Data
+let[@inline] value o = o land 7
 
-let equal a b =
-  match (a, b) with
-  | Unsealed, Unsealed -> true
-  | Sealed (sa, na), Sealed (sb, nb) -> sa = sb && na = nb
-  | Unsealed, Sealed _ | Sealed _, Unsealed -> false
+let[@inline] of_bits space bits =
+  match bits land 7 with 0 -> 0 | n -> tagged space n
 
-let pp fmt = function
-  | Unsealed -> Format.pp_print_string fmt "unsealed"
-  | Sealed (Exec, n) -> Format.fprintf fmt "exec:%d" n
-  | Sealed (Data, n) -> Format.fprintf fmt "data:%d" n
+let equal = Int.equal
+
+let pp fmt o =
+  match space o with
+  | None -> Format.pp_print_string fmt "unsealed"
+  | Some Exec -> Format.fprintf fmt "exec:%d" (value o)
+  | Some Data -> Format.fprintf fmt "data:%d" (value o)
 
 type sentry =
   | Sentry_inherit
@@ -32,19 +38,19 @@ type sentry =
   | Sentry_ret_disable
 
 let sentry_otype = function
-  | Sentry_inherit -> Sealed (Exec, 1)
-  | Sentry_enable -> Sealed (Exec, 2)
-  | Sentry_disable -> Sealed (Exec, 3)
-  | Sentry_ret_enable -> Sealed (Exec, 4)
-  | Sentry_ret_disable -> Sealed (Exec, 5)
+  | Sentry_inherit -> 1
+  | Sentry_enable -> 2
+  | Sentry_disable -> 3
+  | Sentry_ret_enable -> 4
+  | Sentry_ret_disable -> 5
 
 let sentry_of_otype = function
-  | Sealed (Exec, 1) -> Some Sentry_inherit
-  | Sealed (Exec, 2) -> Some Sentry_enable
-  | Sealed (Exec, 3) -> Some Sentry_disable
-  | Sealed (Exec, 4) -> Some Sentry_ret_enable
-  | Sealed (Exec, 5) -> Some Sentry_ret_disable
-  | Unsealed | Sealed _ -> None
+  | 1 -> Some Sentry_inherit
+  | 2 -> Some Sentry_enable
+  | 3 -> Some Sentry_disable
+  | 4 -> Some Sentry_ret_enable
+  | 5 -> Some Sentry_ret_disable
+  | _ -> None
 
 let return_sentry ~interrupts_enabled =
   if interrupts_enabled then Sentry_ret_enable else Sentry_ret_disable

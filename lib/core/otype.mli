@@ -11,8 +11,9 @@
 
 type space = Exec | Data  (** The namespace an otype value lives in. *)
 
-type t
-(** An otype: either [unsealed] or a (space, value ∈ 1..7) pair. *)
+type t [@@immediate]
+(** An otype: either [unsealed] or a (space, value ∈ 1..7) pair, held
+    as an immediate int. *)
 
 val unsealed : t
 val v : space -> int -> t

@@ -186,14 +186,19 @@ let encode_exn s =
   | Some bits -> bits
   | None -> assert false
 
-(* [encode]/[encode_exn] run on every capability store ([to_word] in the
-   emulator's CSC path), and [legalize] on every permission derivation
-   ([CAndPerm], the loader's capability derivations, load attenuation);
-   the format searches above are list walks with set algebra per
-   candidate.  A set is 12 bits, so memoize all three as 4096-entry
-   tables; results are identical by construction. *)
+(* [decode] runs on every read of a capability's permissions from its
+   metadata word (each capability-mode access check), [encode]/
+   [encode_exn] on every record-to-word pack, and [legalize] on every
+   permission derivation ([CAndPerm], the loader's capability
+   derivations, load attenuation); the definitions above are bit tests
+   and list walks with set algebra per candidate.  A field is 6 bits and
+   a set 12, so memoize all four as 64- and 4096-entry tables; results
+   are identical by construction. *)
+let decode_slow = decode
 let encode_slow = encode
 let encode_exn_slow = encode_exn
+let decode_table = Array.init 64 decode_slow
+let[@inline] decode bits = Array.unsafe_get decode_table (bits land 0x3f)
 
 let encode_table =
   Array.init 4096 (fun s -> match encode_slow s with Some b -> b | None -> -1)
@@ -202,12 +207,12 @@ let encode_exn_table =
   Array.init 4096 (fun s -> try encode_exn_slow s with Assert_failure _ -> -1)
 
 let legalize_table = Array.init 4096 legalize
-let legalize s = Array.unsafe_get legalize_table (s land 0xfff)
+let[@inline] legalize s = Array.unsafe_get legalize_table (s land 0xfff)
 
 let encode s =
   let b = encode_table.(s land 0xfff) in
   if b < 0 then None else Some b
 
-let encode_exn s =
-  let b = encode_exn_table.(s land 0xfff) in
+let[@inline] encode_exn s =
+  let b = Array.unsafe_get encode_exn_table (s land 0xfff) in
   if b >= 0 then b else encode_exn_slow s

@@ -128,16 +128,15 @@ type cost_model = {
 }
 
 type t = {
-  (* The split register file (see [reg]): every register's address in
-     [reg_addrs]; its full value in [reg_caps] only while its bit in
-     [reg_is_cap] is set. *)
-  reg_caps : Capability.t array;
+  (* The word register file (see [reg]): every register's tag and
+     metadata word in [reg_metas], its address in [reg_addrs]. *)
+  reg_metas : int array;
   reg_addrs : int array;
-  mutable reg_is_cap : int;
   mutable pcc : Capability.t;
   bus : Bus.t;
-  mutable mode : mode;
-  mutable ddc : Capability.t;
+  mode : mode;
+  ddc : Capability.t;
+  ddc_word : int;  (* [Capability.pack ddc], what Rv32 accesses check *)
   mutable load_filter : bool;
   mutable mie : bool;
   mutable mpie : bool;
@@ -238,9 +237,9 @@ and bentry = {
          [Capability.null] (compared physically) in a block that does
          not end in one, and where the target fails the PCC bounds
          check *)
-  b_link_on : Capability.t;
-      (* the final [Jal]'s link when [mie] is set... *)
-  b_link_off : Capability.t;  (* ...and when it is clear *)
+  b_link_on : int;
+      (* the word of the final [Jal]'s link when [mie] is set... *)
+  b_link_off : int;  (* ...and when it is clear; its address is pc + 4 *)
   b_mode : mode;
   b_pcc : Capability.t;  (* fetch ticket: the fill-time block-start PCC *)
   b_start : int;  (* address of b_insns.(0) *)
@@ -308,8 +307,8 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
           b_opts = [||];
           b_nexts = [||];
           b_taken_pcc = Capability.null;
-          b_link_on = Capability.null;
-          b_link_off = Capability.null;
+          b_link_on = Capability.Word.null;
+          b_link_off = Capability.Word.null;
           b_mode = mode;
           b_pcc = Capability.null;
           b_start = -1;
@@ -330,14 +329,15 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
      store anywhere in a block's span stales it, not just one to its
      start granule. *)
   Bus.on_store bus (Decode_cache.kill_store bcache);
+  let ddc = if mode = Rv32 then Capability.root_mem_rw else Capability.null in
   {
-    reg_caps = Array.make 16 Capability.null;
+    reg_metas = Array.make 16 Capability.Word.null;
     reg_addrs = Array.make 16 0;
-    reg_is_cap = 0xFFFF;
     pcc = Capability.root_executable;
     bus;
     mode;
-    ddc = (if mode = Rv32 then Capability.root_mem_rw else Capability.null);
+    ddc;
+    ddc_word = Capability.pack ddc;
     load_filter;
     mie = false;
     mpie = false;
@@ -385,42 +385,40 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
     charged_traps = 0;
   }
 
-(* The register file is split so that an integer write allocates
-   nothing.  Invariant: [reg_addrs.(r)] is the address field of
-   register [r]'s value; if bit [r] of [reg_is_cap] is set,
-   [reg_caps.(r)] is the value, and if it is clear, the value is the
-   untagged capability with null metadata at that address.
-   [set_reg_int] stores the address and clears the bit — an immediate
-   store into an [int array] and a mutable int field, so no allocation
-   and no write barrier — and [reg] rebuilds that capability on demand,
-   so what it returns (and [state_hash]) does not depend on which
-   setter wrote the register.  Register 0 is null in both arrays with
-   its bit set, and neither setter writes it, so the zero register
-   needs no special-casing on the read side.  The masked index is
-   always in [0, 15], so the bounds checks are elided. *)
-let[@inline] reg m r =
-  let r = r land 15 in
-  if m.reg_is_cap land (1 lsl r) <> 0 then Array.unsafe_get m.reg_caps r
-  else { Capability.null with addr = Array.unsafe_get m.reg_addrs r }
-
-let[@inline] set_reg m r c =
-  let r = r land 15 in
-  if r <> 0 then begin
-    Array.unsafe_set m.reg_caps r c;
-    Array.unsafe_set m.reg_addrs r c.Capability.addr;
-    m.reg_is_cap <- m.reg_is_cap lor (1 lsl r)
-  end
-
+(* The register file holds every register as two immediates: its word
+   ([Capability.Word]: the tag and the Fig. 1 metadata) in [reg_metas]
+   and its address in [reg_addrs].  Both are [int array]s, so every
+   register write — an integer result, a derived capability, a loaded
+   one — is two immediate stores: no allocation and no write barrier.
+   An integer write stores word 0 (untagged, null metadata), so the
+   register reads as the untagged null-metadata capability at that
+   address whichever setter wrote it.  The capability paths read and
+   write the pair directly; [reg] builds the record view on demand,
+   returning [Capability.null] itself for word 0 at address 0.
+   Register 0 holds that pair and no setter writes it, so the zero
+   register needs no special-casing on the read side.  The masked index
+   is always in [0, 15], so the bounds checks are elided. *)
+let[@inline] reg_word m r = Array.unsafe_get m.reg_metas (r land 15)
 let[@inline] reg_int m r = Array.unsafe_get m.reg_addrs (r land 15)
+
+let reg m r =
+  let w = reg_word m r and a = reg_int m r in
+  if w = Capability.Word.null && a = 0 then Capability.null
+  else Capability.unpack w a
 
 let mask32 = 0xFFFF_FFFF
 
-let[@inline] set_reg_int m r v =
+(* Write word [w] at address [a] (already 32-bit) to register [r]. *)
+let[@inline] set_reg_word m r w a =
   let r = r land 15 in
   if r <> 0 then begin
-    Array.unsafe_set m.reg_addrs r (v land mask32);
-    m.reg_is_cap <- m.reg_is_cap land lnot (1 lsl r)
+    Array.unsafe_set m.reg_metas r w;
+    Array.unsafe_set m.reg_addrs r a
   end
+
+let set_reg m r c = set_reg_word m r (Capability.pack c) c.Capability.addr
+
+let[@inline] set_reg_int m r v = set_reg_word m r Capability.Word.null (v land mask32)
 
 let timer_pending m = m.mtimecmp <> 0 && m.mcycle >= m.mtimecmp
 let interrupt_pending m = timer_pending m || m.ext_interrupt
@@ -433,25 +431,29 @@ let to_signed v = (v lxor 0x8000_0000) - 0x8000_0000
    allocates nothing on the no-trap path. *)
 let access_fail c ridx = raise (Trap (Cheri_fault (c, ridx)))
 
-let check_access m ~cap ~ridx ~addr ~size ~store ~is_cap =
-  ignore m;
-  if not cap.Capability.tag then access_fail Cheri_tag ridx;
-  if Capability.is_sealed cap then access_fail Cheri_seal ridx;
-  if store then begin
-    if not (Capability.has_perm cap SD) then access_fail Cheri_permit_store ridx;
-    if is_cap && not (Capability.has_perm cap MC) then
-      access_fail Cheri_permit_store_cap ridx
-  end
-  else begin
-    if not (Capability.has_perm cap LD) then access_fail Cheri_permit_load ridx;
-    if is_cap && not (Capability.has_perm cap MC) then
-      access_fail Cheri_permit_load_cap ridx
-  end;
-  if not (Capability.in_bounds cap ~size addr) then access_fail Cheri_bounds ridx;
-  if addr land (size - 1) <> 0 then
-    raise (Trap (if store then Store_misaligned else Load_misaligned));
-  if addr < 0 || addr > mask32 then
-    raise (Trap (if store then Store_access_fault else Load_access_fault))
+(* The trap of an access through register [ridx] that
+   [Capability.Word.check_access] refused. *)
+let access_trap (fault : Capability.Word.access) ridx ~store =
+  match fault with
+  | Access_ok -> ()
+  | Fault_tag -> access_fail Cheri_tag ridx
+  | Fault_seal -> access_fail Cheri_seal ridx
+  | Fault_load -> access_fail Cheri_permit_load ridx
+  | Fault_load_cap -> access_fail Cheri_permit_load_cap ridx
+  | Fault_store -> access_fail Cheri_permit_store ridx
+  | Fault_store_cap -> access_fail Cheri_permit_store_cap ridx
+  | Fault_bounds -> access_fail Cheri_bounds ridx
+  | Fault_align ->
+      raise (Trap (if store then Store_misaligned else Load_misaligned))
+  | Fault_range ->
+      raise (Trap (if store then Store_access_fault else Load_access_fault))
+
+(* An access of [size] bytes at [addr] authorized by the capability
+   with word [w] at address [ca], cited as register [ridx]. *)
+let[@inline] check_access ~w ~ca ~ridx ~addr ~size ~store ~is_cap =
+  match Capability.Word.check_access w ~addr:ca ~size ~store ~is_cap addr with
+  | Access_ok -> ()
+  | fault -> access_trap fault ridx ~store
 
 (* Stack high-water-mark tracking (5.2.1): every store whose address lies
    within [mshwmb, mshwm) lowers the mark. *)
@@ -527,15 +529,15 @@ let[@inline] data_write m ~size addr v =
    exactly [check_access] — what the reference interpreter and every
    unoptimized plan run.  The reduced levels exist only for CHERIoT-mode
    blocks (the optimizer emits [Chk_full] throughout for Rv32), so
-   [cap] is the cited register there.  Check order mirrors
+   [(w, ca)] is the cited register there.  Check order mirrors
    [check_access] (bounds before alignment), so the first failing check
    — and therefore the trap cause — is the reference path's on every
    input the plan admits. *)
-let[@inline] check_plan m chk ~cap ~ridx ~addr ~size ~store ~is_cap =
+let[@inline] check_plan chk ~w ~ca ~ridx ~addr ~size ~store ~is_cap =
   match chk with
-  | Ir.Chk_full -> check_access m ~cap ~ridx ~addr ~size ~store ~is_cap
+  | Ir.Chk_full -> check_access ~w ~ca ~ridx ~addr ~size ~store ~is_cap
   | Ir.Chk_bounds ->
-      if not (Capability.in_bounds cap ~size addr) then
+      if not (Capability.Word.in_bounds w ~addr:ca ~size addr) then
         access_fail Cheri_bounds ridx;
       if addr land (size - 1) <> 0 then
         raise (Trap (if store then Store_misaligned else Load_misaligned))
@@ -546,17 +548,19 @@ let[@inline] check_plan m chk ~cap ~ridx ~addr ~size ~store ~is_cap =
 
 (* The effective address always comes from [rs1]'s address field; only
    the authorizing capability differs by mode (the register itself, or
-   the implicit DDC).  Computed field-by-field at each call site so no
-   intermediate pair is built on the per-access hot path, and the
-   register's capability is read only in CHERIoT mode, so an Rv32
-   access through an integer register allocates nothing.  [chk] is the
-   access's plan entry ([Chk_full] outside a jit plan). *)
+   the implicit DDC, whose word was computed at [create]).  Its word
+   and address are read field by field, so no intermediate pair is
+   built on the per-access hot path.  [chk] is the access's plan entry
+   ([Chk_full] outside a jit plan). *)
 
 let do_load m chk ~rs1 ~off ~width ~signed ~rd =
   let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
   let addr = (reg_int m rs1 + off) land mask32 in
-  let cap = match m.mode with Cheriot -> reg m rs1 | Rv32 -> m.ddc in
-  check_plan m chk ~cap ~ridx:rs1 ~addr ~size ~store:false ~is_cap:false;
+  let w = match m.mode with Cheriot -> reg_word m rs1 | Rv32 -> m.ddc_word in
+  let ca =
+    match m.mode with Cheriot -> reg_int m rs1 | Rv32 -> m.ddc.Capability.addr
+  in
+  check_plan chk ~w ~ca ~ridx:rs1 ~addr ~size ~store:false ~is_cap:false;
   let v = data_read m ~size addr in
   let v =
     if signed then
@@ -572,8 +576,11 @@ let do_load m chk ~rs1 ~off ~width ~signed ~rd =
 let do_store m chk ~rs1 ~off ~width ~rs2 =
   let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
   let addr = (reg_int m rs1 + off) land mask32 in
-  let cap = match m.mode with Cheriot -> reg m rs1 | Rv32 -> m.ddc in
-  check_plan m chk ~cap ~ridx:rs1 ~addr ~size ~store:true ~is_cap:false;
+  let w = match m.mode with Cheriot -> reg_word m rs1 | Rv32 -> m.ddc_word in
+  let ca =
+    match m.mode with Cheriot -> reg_int m rs1 | Rv32 -> m.ddc.Capability.addr
+  in
+  check_plan chk ~w ~ca ~ridx:rs1 ~addr ~size ~store:true ~is_cap:false;
   data_write m ~size addr (reg_int m rs2);
   note_store m addr;
   size
@@ -581,44 +588,64 @@ let do_store m chk ~rs1 ~off ~width ~rs2 =
 (* The architectural load filter (3.3.2): on every capability load the
    base of the loaded capability indexes the revocation bitmap; a set bit
    means the capability points to freed memory and its tag is stripped
-   before register writeback. *)
-let load_filter_apply m c =
-  if (not m.load_filter) || not c.Capability.tag then c
+   before register writeback.  [w] is the loaded word at [a]. *)
+let load_filter_apply m w a =
+  if (not m.load_filter) || not (Capability.Word.tag w) then w
   else
     match Bus.revbits m.bus with
-    | Some rb when Revbits.is_revoked rb (Capability.base c) ->
-        Capability.clear_tag c
-    | Some _ | None -> c
+    | Some rb when Revbits.is_revoked rb (Capability.Word.base w ~addr:a) ->
+        Capability.Word.clear_tag w
+    | Some _ | None -> w
+
+(* A capability access goes through the SRAM window like a scalar one
+   (see [data_read]), and then moves the granule's two 32-bit halves —
+   the address low, the metadata word high — and its micro-tag pair.
+   [cap_access] counts the one bus access and leaves the window over
+   [addr]; outside SRAM (MMIO included: devices take no capability
+   accesses) it raises [fault], the access still counted.  The check
+   plan proved the access 8-byte aligned. *)
+let[@inline] cap_access m ~fault addr =
+  Bus.note_access m.bus;
+  if
+    not
+      ((addr >= m.fm_base && addr + 8 <= m.fm_limit)
+      || refresh_window m ~size:8 addr)
+  then raise (Trap fault)
 
 let do_clc m chk ~rd ~rs1 ~off =
   if m.mode = Rv32 then raise (Trap Illegal_instruction);
-  let cap = reg m rs1 in
-  let addr = (Capability.address cap + off) land mask32 in
-  check_plan m chk ~cap ~ridx:rs1 ~addr ~size:8 ~store:false ~is_cap:true;
-  let tag, word =
-    try Bus.read_cap m.bus addr
-    with Bus.Bus_error _ -> raise (Trap Load_access_fault)
+  let aw = reg_word m rs1 and ca = reg_int m rs1 in
+  let addr = (ca + off) land mask32 in
+  check_plan chk ~w:aw ~ca ~ridx:rs1 ~addr ~size:8 ~store:false ~is_cap:true;
+  cap_access m ~fault:Load_access_fault addr;
+  let s = m.fm_sram in
+  let a = Sram.read32_u s addr in
+  let w =
+    (if Sram.cap_tag_u s addr then Capability.Word.tag_bit else 0)
+    lor Sram.read32_u s (addr + 4)
   in
-  let loaded = Capability.of_word ~tag word in
-  let loaded = Capability.load_attenuate ~authority:cap loaded in
-  let loaded = load_filter_apply m loaded in
-  set_reg m rd loaded
+  let w = Capability.Word.load_attenuate ~authority:aw w in
+  set_reg_word m rd (load_filter_apply m w a) a
 
 let do_csc m chk ~rs2 ~rs1 ~off =
   if m.mode = Rv32 then raise (Trap Illegal_instruction);
-  let cap = reg m rs1 in
-  let addr = (Capability.address cap + off) land mask32 in
-  check_plan m chk ~cap ~ridx:rs1 ~addr ~size:8 ~store:true ~is_cap:true;
-  let value = reg m rs2 in
+  let aw = reg_word m rs1 and ca = reg_int m rs1 in
+  let addr = (ca + off) land mask32 in
+  check_plan chk ~w:aw ~ca ~ridx:rs1 ~addr ~size:8 ~store:true ~is_cap:true;
+  let vw = reg_word m rs2 in
   (* The store-local check depends on the {e stored value}, not on a
      fact any dominating access could establish: never eliminated. *)
   if
-    value.Capability.tag
-    && (not (Capability.is_global value))
-    && not (Capability.has_perm cap SL)
+    Capability.Word.tag vw
+    && (not (Capability.Word.has_perm vw GL))
+    && not (Capability.Word.has_perm aw SL)
   then raise (Trap (Cheri_fault (Cheri_permit_store_local, rs2)));
-  (try Bus.write_cap m.bus addr (value.Capability.tag, Capability.to_word value)
-   with Bus.Bus_error _ -> raise (Trap Store_access_fault));
+  cap_access m ~fault:Store_access_fault addr;
+  Sram.write_cap_u m.fm_sram addr
+    ~tag:(Capability.Word.tag vw)
+    ~addr_half:(reg_int m rs2)
+    ~meta_half:(Capability.Word.meta vw);
+  Bus.snoop_store m.bus addr;
   note_store m addr
 
 (* A block-entry guard (pass 2): tag/seal, the union of the permissions
@@ -629,20 +656,21 @@ let do_csc m chk ~rs2 ~rs1 ~off =
    execution, so a faulting access (if any) traps at its own
    instruction with its own cause. *)
 let jit_guard_ok m (g : Ir.guard) =
-  let c = reg m g.Ir.g_rs1 in
-  c.Capability.tag
-  && (not (Capability.is_sealed c))
-  && ((not g.Ir.g_need_ld) || Capability.has_perm c LD)
-  && ((not g.Ir.g_need_sd) || Capability.has_perm c SD)
-  && ((not g.Ir.g_need_mc) || Capability.has_perm c MC)
+  let w = reg_word m g.Ir.g_rs1 and ca = reg_int m g.Ir.g_rs1 in
+  let open Capability.Word in
+  tag w
+  && (not (is_sealed w))
+  && ((not g.Ir.g_need_ld) || has_perm w LD)
+  && ((not g.Ir.g_need_sd) || has_perm w SD)
+  && ((not g.Ir.g_need_mc) || has_perm w MC)
   &&
   (* One decode covers every member: if [lo, lo + span) is in bounds
      then each member's masked address lands inside it (all member
      sums collapse consistently under the 32-bit mask exactly when the
      whole span does — a span that straddles the wrap point cannot
      satisfy [access + size <= top <= 2^32] and fails the guard). *)
-  let lo = (c.Capability.addr + g.Ir.g_lo) land mask32 in
-  Capability.in_bounds c ~size:(g.Ir.g_hi - g.Ir.g_lo) lo
+  let lo = (ca + g.Ir.g_lo) land mask32 in
+  in_bounds w ~addr:ca ~size:(g.Ir.g_hi - g.Ir.g_lo) lo
 
 let jit_guards_ok m (gs : Ir.guard array) =
   let ok = ref true in
@@ -721,15 +749,12 @@ let apply_sentry_posture m = function
   | Sentry_disable | Sentry_ret_disable -> m.mie <- false
 
 (* The link register receives a return sentry recording the interrupt
-   posture [mie] at the call site (3.1.2): the caller's [pcc] at
-   [next_addr], sealed, or untagged where it cannot be sealed. *)
-let link_cap pcc ~mie next_addr =
-  let c = Capability.with_address pcc next_addr in
-  match
-    Capability.seal_sentry c (Otype.return_sentry ~interrupts_enabled:mie)
-  with
-  | Ok sealed -> sealed
-  | Error _ -> Capability.clear_tag c
+   posture [mie] at the call site (3.1.2): the word of the caller's
+   [pcc] at [pc + 4], sealed, or untagged where it cannot be sealed
+   ([Capability.Word.link]).  The link's address is [pc + 4]. *)
+let[@inline] link_word pcc ~mie =
+  let pc = pcc.Capability.addr in
+  Capability.Word.link (Capability.pack pcc) ~cur:pc ~next:(pc + 4) ~mie
 
 let do_jal m rd off =
   let pc = Capability.address m.pcc in
@@ -741,7 +766,7 @@ let do_jal m rd off =
   | Cheriot ->
       if not (Capability.in_bounds m.pcc ~size:4 target) then
         raise (Trap (Cheri_fault (Cheri_bounds, 16)));
-      set_reg m rd (link_cap m.pcc ~mie:m.mie (pc + 4));
+      set_reg_word m rd (link_word m.pcc ~mie:m.mie) ((pc + 4) land mask32);
       (* In-bounds addresses are always representable (the concentrate
          encoding's defining invariant, checked exhaustively by
          test_bounds), and the PCC is tagged and unsealed here — so
@@ -757,33 +782,34 @@ let do_jalr m rd rs1 off =
       set_reg_int m rd (pc + 4);
       m.pcc <- Capability.{ root_executable with addr = target }
   | Cheriot ->
-      let cap = reg m rs1 in
-      if not cap.Capability.tag then
-        raise (Trap (Cheri_fault (Cheri_tag, rs1)));
-      let cap =
-        if Capability.is_sealed cap then begin
-          match Capability.sentry_kind cap with
+      let open Capability.Word in
+      let w = reg_word m rs1 and ca = reg_int m rs1 in
+      if not (tag w) then raise (Trap (Cheri_fault (Cheri_tag, rs1)));
+      (* the link records the posture before a sentry changes it *)
+      let link = link_word m.pcc ~mie:m.mie in
+      let w =
+        if is_sealed w then begin
+          match Otype.sentry_of_otype (otype w) with
           | Some kind when off = 0 ->
-              let link = link_cap m.pcc ~mie:m.mie (pc + 4) in
               apply_sentry_posture m kind;
-              set_reg m rd link;
-              Capability.{ cap with otype = Otype.unsealed }
+              set_reg_word m rd link ((pc + 4) land mask32);
+              with_otype_bits w 0
           | Some _ | None -> raise (Trap (Cheri_fault (Cheri_seal, rs1)))
         end
         else begin
-          set_reg m rd (link_cap m.pcc ~mie:m.mie (pc + 4));
-          cap
+          set_reg_word m rd link ((pc + 4) land mask32);
+          w
         end
       in
-      if not (Capability.has_perm cap EX) then
+      if not (has_perm w EX) then
         raise (Trap (Cheri_fault (Cheri_permit_execute, rs1)));
-      let target = (Capability.address cap + off) land mask32 land lnot 1 in
-      if not (Capability.in_bounds cap ~size:4 target) then
+      let target = (ca + off) land mask32 land lnot 1 in
+      if not (in_bounds w ~addr:ca ~size:4 target) then
         raise (Trap (Cheri_fault (Cheri_bounds, rs1)));
-      (* [cap] is tagged, unsealed and in bounds at [target] here, so
-         [with_address] would always succeed (in-bounds implies
-         representable); skip its redundant bounds decode. *)
-      m.pcc <- { cap with Capability.addr = target }
+      (* [w] is tagged, unsealed and in bounds at [target] here, so
+         [with_address] would always keep it (in-bounds implies
+         representable); only the new PCC record is built. *)
+      m.pcc <- Capability.unpack w target
 
 let[@inline always] alu_exec op a b =
   let open Insn in
@@ -830,70 +856,73 @@ let[@inline always] branch_taken cond a b =
 
 (* --- capability instructions ----------------------------------------- *)
 
-let require_tagged m ridx c =
-  ignore m;
-  if not c.Capability.tag then raise (Trap (Cheri_fault (Cheri_tag, ridx)))
+(* [CIncAddr]/[CSetAddr]: register [cs1] moved to [addr]. *)
+let[@inline] move_addr m cd cs1 addr =
+  let addr = addr land mask32 in
+  set_reg_word m cd
+    (Capability.Word.with_address (reg_word m cs1) ~cur:(reg_int m cs1) addr)
+    addr
 
-let require_unsealed m ridx c =
-  ignore m;
-  if Capability.is_sealed c then raise (Trap (Cheri_fault (Cheri_seal, ridx)))
+(* [CSetBounds*]: a tagged, unsealed [cs1] whose narrowing keeps its
+   tag, or the trap. *)
+let[@inline] set_bounds m cd cs1 ~length ~exact =
+  let open Capability.Word in
+  let w = reg_word m cs1 and a = reg_int m cs1 in
+  if not (tag w) then raise (Trap (Cheri_fault (Cheri_tag, cs1)));
+  if is_sealed w then raise (Trap (Cheri_fault (Cheri_seal, cs1)));
+  let r = set_bounds w ~addr:a ~length ~exact in
+  if not (tag r) then raise (Trap (Cheri_fault (Cheri_bounds, cs1)));
+  set_reg_word m cd r a
 
 let exec_cap m (i : Insn.t) =
   if m.mode = Rv32 then raise (Trap Illegal_instruction);
   match i with
-  | Cincaddr (cd, cs1, rs2) ->
-      set_reg m cd (Capability.incr_address (reg m cs1) (reg_int m rs2))
-  | Cincaddrimm (cd, cs1, imm) ->
-      set_reg m cd (Capability.incr_address (reg m cs1) imm)
-  | Csetaddr (cd, cs1, rs2) ->
-      set_reg m cd (Capability.with_address (reg m cs1) (reg_int m rs2))
-  | Csetbounds (cd, cs1, rs2) | Csetboundsimm (cd, cs1, rs2) ->
-      let c = reg m cs1 in
-      require_tagged m cs1 c;
-      require_unsealed m cs1 c;
-      let length =
-        match i with
-        | Csetboundsimm _ -> rs2
-        | _ -> reg_int m rs2
-      in
-      let r = Capability.set_bounds c ~length ~exact:false in
-      if not r.Capability.tag then
-        raise (Trap (Cheri_fault (Cheri_bounds, cs1)));
-      set_reg m cd r
+  | Cincaddr (cd, cs1, rs2) -> move_addr m cd cs1 (reg_int m cs1 + reg_int m rs2)
+  | Cincaddrimm (cd, cs1, imm) -> move_addr m cd cs1 (reg_int m cs1 + imm)
+  | Csetaddr (cd, cs1, rs2) -> move_addr m cd cs1 (reg_int m rs2)
+  | Csetbounds (cd, cs1, rs2) ->
+      set_bounds m cd cs1 ~length:(reg_int m rs2) ~exact:false
+  | Csetboundsimm (cd, cs1, imm) -> set_bounds m cd cs1 ~length:imm ~exact:false
   | Csetboundsexact (cd, cs1, rs2) ->
-      let c = reg m cs1 in
-      require_tagged m cs1 c;
-      require_unsealed m cs1 c;
-      let r = Capability.set_bounds c ~length:(reg_int m rs2) ~exact:true in
-      if not r.Capability.tag then
-        raise (Trap (Cheri_fault (Cheri_bounds, cs1)));
-      set_reg m cd r
+      set_bounds m cd cs1 ~length:(reg_int m rs2) ~exact:true
   | Crrl (rd, rs1) -> set_reg_int m rd (Bounds.crrl (reg_int m rs1))
   | Cram (rd, rs1) -> set_reg_int m rd (Bounds.cram (reg_int m rs1))
   | Candperm (cd, cs1, rs2) ->
       let mask = Perm.Set.of_arch_bits (reg_int m rs2) in
-      set_reg m cd (Capability.and_perms (reg m cs1) mask)
-  | Ccleartag (cd, cs1) -> set_reg m cd (Capability.clear_tag (reg m cs1))
-  | Cmove (cd, cs1) -> set_reg m cd (reg m cs1)
+      set_reg_word m cd
+        (Capability.Word.and_perms (reg_word m cs1) mask)
+        (reg_int m cs1)
+  | Ccleartag (cd, cs1) ->
+      set_reg_word m cd
+        (Capability.Word.clear_tag (reg_word m cs1))
+        (reg_int m cs1)
+  | Cmove (cd, cs1) -> set_reg_word m cd (reg_word m cs1) (reg_int m cs1)
   | Cseal (cd, cs1, cs2) -> (
-      match Capability.seal (reg m cs1) ~key:(reg m cs2) with
-      | Ok c -> set_reg m cd c
+      match
+        Capability.Word.seal (reg_word m cs1) ~key:(reg_word m cs2)
+          ~key_addr:(reg_int m cs2)
+      with
+      | Ok w -> set_reg_word m cd w (reg_int m cs1)
       | Error _ -> raise (Trap (Cheri_fault (Cheri_seal, cs2))))
   | Cunseal (cd, cs1, cs2) -> (
-      match Capability.unseal (reg m cs1) ~key:(reg m cs2) with
-      | Ok c -> set_reg m cd c
+      match
+        Capability.Word.unseal (reg_word m cs1) ~key:(reg_word m cs2)
+          ~key_addr:(reg_int m cs2)
+      with
+      | Ok w -> set_reg_word m cd w (reg_int m cs1)
       | Error _ -> raise (Trap (Cheri_fault (Cheri_seal, cs2))))
   | Cget (g, rd, cs1) ->
-      let c = reg m cs1 in
+      let open Capability.Word in
+      let w = reg_word m cs1 and a = reg_int m cs1 in
       let v =
         match g with
-        | Addr -> Capability.address c
-        | Base -> Capability.base c
-        | Top -> min (Capability.top c) mask32
-        | Len -> min (Capability.length c) mask32
-        | Perm -> Perm.Set.to_arch_bits (Capability.perms c)
-        | Type -> Otype.value (Capability.otype c)
-        | Tag -> if c.Capability.tag then 1 else 0
+        | Addr -> a
+        | Base -> base w ~addr:a
+        | Top -> Int.min (top w ~addr:a) mask32
+        | Len -> Int.min (Int.max 0 (top w ~addr:a - base w ~addr:a)) mask32
+        | Perm -> Perm.Set.to_arch_bits (perms w)
+        | Type -> otype_bits w
+        | Tag -> if tag w then 1 else 0
       in
       set_reg_int m rd v
   | Csub (rd, cs1, cs2) ->
@@ -1256,10 +1285,9 @@ let decode_at m pcc pc =
    to what the per-step path ([exec]'s [Branch] arm, [do_jal]) builds
    from the live PCC.  [taken_pcc] is the PCC a taken [Branch] or a
    [Jal] installs, or [Capability.null] where the target fails the
-   CHERIoT bounds check and the edge traps.  [jal_link] is a [Jal]'s
-   link under posture [mie]; in Rv32 mode it is the untagged,
-   null-metadata integer that [set_reg_int] writes, which [reg],
-   [reg_int] and [state_hash] read identically. *)
+   CHERIoT bounds check and the edge traps.  [jal_link] is the word of
+   a [Jal]'s link under posture [mie] (its address is [pc + 4]); in
+   Rv32 mode it is word 0, what [set_reg_int] writes. *)
 let taken_pcc mode pcc (i : Insn.t) =
   match i with
   | Branch (_, _, _, off) | Jal (_, off) -> (
@@ -1276,12 +1304,9 @@ let taken_pcc mode pcc (i : Insn.t) =
   | _ -> Capability.null
 
 let jal_link mode pcc ~mie =
-  let next = pcc.Capability.addr + 4 in
   match mode with
-  | Cheriot -> link_cap pcc ~mie next
-  | Rv32 ->
-      let addr = next land mask32 in
-      Capability.{ null with addr }
+  | Cheriot -> link_word pcc ~mie
+  | Rv32 -> Capability.Word.null
 
 (* Translate the basic block starting at [pc0] under [pcc0]: it stops
    at its first [block_terminator] or at [max_block_len] instructions,
@@ -1325,9 +1350,9 @@ let translate m ~pcc0 ~pc0 =
           b_nexts = nexts;
           b_taken_pcc = taken_pcc m.mode pcc last;
           b_link_on =
-            (if jal then jal_link m.mode pcc ~mie:true else Capability.null);
+            (if jal then jal_link m.mode pcc ~mie:true else Capability.Word.null);
           b_link_off =
-            (if jal then jal_link m.mode pcc ~mie:false else Capability.null);
+            (if jal then jal_link m.mode pcc ~mie:false else Capability.Word.null);
           b_mode = m.mode;
           b_pcc = pcc0;
           b_start = pc0;
@@ -1359,25 +1384,22 @@ let fill_block m pc0 =
    compared fields equal the ticket's can skip them wholesale — same
    result, no bounds decode.  The compare is used in {e both} modes: the
    prebuilt [b_nexts] chain copies the fill-time PCC's metadata fields
-   verbatim, so an Rv32 hit must pin them too.  The bounds compare falls
-   back to {e value} equality (three small-int compares): a re-derived
-   but identical PCC — e.g. after returning through a link sentry,
-   which rebuilds the bounds record — still hits, where a physical-only
-   compare would force a full re-translation of every block after every
-   return.  Observational behaviour depends only on field values, so
-   installing the fill-time chain under a value-equal PCC is exact; and
-   since the chain {e is} the fill-time records, the very next compare
-   is physical again.  ([perms] is an immediate int and an executing
-   PCC's [otype] is the immediate [Otype.unsealed], so [==] already is
-   value equality for those.)  The probe's full-PC start match pinned
-   the address. *)
+   verbatim, so an Rv32 hit must pin them too.  Every compared field is
+   an immediate, so [==] is value equality: a re-derived but identical
+   PCC — e.g. after returning through a link sentry, which rebuilds the
+   record — still hits, where a compare of the record itself would
+   force a full re-translation of every block after every return.
+   Observational behaviour depends only on field values, so installing
+   the fill-time chain under a value-equal PCC is exact; and since the
+   chain {e is} the fill-time records, the very next compare is
+   physical again.  The probe's full-PC start match pinned the
+   address. *)
 let[@inline always] ticket_ok m (b : bentry) =
   b.b_mode = m.mode
   &&
   let tp = b.b_pcc and cp = m.pcc in
   tp == cp
-  || ((tp.Capability.bounds == cp.Capability.bounds
-      || Bounds.equal tp.Capability.bounds cp.Capability.bounds)
+  || (tp.Capability.bounds == cp.Capability.bounds
      && tp.Capability.tag = cp.Capability.tag
      && tp.Capability.perms == cp.Capability.perms
      && tp.Capability.otype == cp.Capability.otype
@@ -1469,8 +1491,8 @@ let adapt_hot m =
       m.ht_resolves <- 0;
       let unl = m.bcache.Decode_cache.chain_unlinks - m.ht_unlinks_mark in
       m.ht_unlinks_mark <- m.bcache.Decode_cache.chain_unlinks;
-      if unl >= 128 then m.hot_threshold <- min 512 (m.hot_threshold * 2)
-      else m.hot_threshold <- max 8 (m.hot_threshold / 2)
+      if unl >= 128 then m.hot_threshold <- Int.min 512 (m.hot_threshold * 2)
+      else m.hot_threshold <- Int.max 8 (m.hot_threshold / 2)
     end
   end
 
@@ -1798,7 +1820,10 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
              let tgt = blk.b_taken_pcc in
              if tgt == Capability.null then
                raise (Trap (Cheri_fault (Cheri_bounds, 16)));
-             set_reg m rd (if m.mie then blk.b_link_on else blk.b_link_off);
+             (* the [Jal] is the block's last instruction *)
+             set_reg_word m rd
+               (if m.mie then blk.b_link_on else blk.b_link_off)
+               ((b_start + (4 * b_len)) land mask32);
              m.minstret <- m.minstret + !pending + 1;
              pending := 0;
              m.pcc <- tgt
@@ -1985,7 +2010,7 @@ let block_round m ~fuel ~record ~timed =
 let step_jit m ~fuel =
   m.block_ev_n <- 0;
   fst
-    (block_round m ~fuel:(min fuel round_cap) ~record:true ~timed:false)
+    (block_round m ~fuel:(Int.min fuel round_cap) ~record:true ~timed:false)
 
 (* Installing a cost model drops every translated block: blocks
    translated without it (or under another) carry no (or stale) cost
@@ -2101,14 +2126,15 @@ let avg_block_len (s : block_stats) =
    dispatch path to the reference interpreter. *)
 let state_hash m =
   let buf = Buffer.create 512 in
-  let add_cap c =
+  let add_word w a =
     Buffer.add_string buf
       (Printf.sprintf "%c%Lx;"
-         (if c.Capability.tag then 't' else 'u')
-         (Capability.to_word c))
+         (if Capability.Word.tag w then 't' else 'u')
+         (Capability.word_to_int64 w a))
   in
+  let add_cap c = add_word (Capability.pack c) c.Capability.addr in
   for r = 0 to 15 do
-    add_cap (reg m r)
+    add_word (reg_word m r) (reg_int m r)
   done;
   add_cap m.pcc;
   add_cap m.ddc;

@@ -100,19 +100,17 @@ val cost_busy : int -> int
 (** The bus-busy cycles of a packed cost. *)
 
 type t = {
-  reg_caps : Cheriot_core.Capability.t array;
-      (** c1..c15 at indices 1..15, each valid only while its bit in
-          [reg_is_cap] is set; read registers through {!reg} *)
+  reg_metas : int array;
+      (** every register's word ({!Cheriot_core.Capability.Word}: the
+          tag in bit 32, the Fig. 1 metadata word in bits 31–0); 0 for
+          an integer.  Read registers through {!reg} *)
   reg_addrs : int array;
       (** every register's address field (what {!reg_int} reads) *)
-  mutable reg_is_cap : int;
-      (** bit [r] set: [reg_caps.(r)] holds register [r]'s value; clear:
-          the register holds the untagged integer [reg_addrs.(r)] (the
-          last write was {!set_reg_int}) *)
   mutable pcc : Cheriot_core.Capability.t;
   bus : Cheriot_mem.Bus.t;
-  mutable mode : mode;
-  mutable ddc : Cheriot_core.Capability.t;  (** Rv32-mode authority *)
+  mode : mode;
+  ddc : Cheriot_core.Capability.t;  (** Rv32-mode authority *)
+  ddc_word : int;  (** [ddc]'s word, what Rv32-mode accesses check *)
   mutable load_filter : bool;
   (* CSR state *)
   mutable mie : bool;
@@ -223,10 +221,12 @@ and bentry = {
           when taken; [Cheriot_core.Capability.null] (compared
           physically) in a block that does not end in one, and where the
           target fails the PCC bounds check, so the edge traps *)
-  b_link_on : Cheriot_core.Capability.t;
-      (** the final [Jal]'s link when [mie] is set (a return sentry;
-          in [Rv32] mode the integer [pc + 4])… *)
-  b_link_off : Cheriot_core.Capability.t;  (** …and when it is clear *)
+  b_link_on : int;
+      (** the word of the final [Jal]'s link when [mie] is set (a return
+          sentry; in [Rv32] mode word 0, the integer [pc + 4])… *)
+  b_link_off : int;
+      (** …and when it is clear; the link's address is the [Jal]'s
+          [pc + 4] *)
   b_mode : mode;
   b_pcc : Cheriot_core.Capability.t;
       (** fetch "ticket": the fill-time block-start PCC.  A hit under a
@@ -274,11 +274,14 @@ val create : ?mode:mode -> ?load_filter:bool -> Cheriot_mem.Bus.t -> t
     needs them, as early-boot software does (paper 3.1.1). *)
 
 val reg : t -> int -> Cheriot_core.Capability.t
-(** Read a register; c0 always reads as NULL.  A register last written
-    by {!set_reg_int} reads as a fresh [{ null with addr }] record. *)
+(** Read a register: the record of its word at its address
+    ({!Cheriot_core.Capability.unpack}), and [Capability.null] itself
+    for word 0 at address 0 (c0 always).  A register last written by
+    {!set_reg_int} reads as [{ null with addr }]. *)
 
 val set_reg : t -> int -> Cheriot_core.Capability.t -> unit
-(** Write a register; writes to c0 are discarded. *)
+(** Write a register: its word ({!Cheriot_core.Capability.pack}) and
+    its address.  Writes to c0 are discarded.  Allocates nothing. *)
 
 val reg_int : t -> int -> int
 (** The 32-bit address field of a register.  Allocates nothing. *)

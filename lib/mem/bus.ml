@@ -92,18 +92,5 @@ let write t ~width addr v =
       | Some d when width = 4 -> d.Mmio.write32 (addr - d.Mmio.dev_base) v
       | Some _ | None -> raise (Bus_error addr))
 
-let read_cap t addr =
-  t.accesses <- t.accesses + 1;
-  match sram_at t ~size:8 addr with
-  | Some s -> Sram.read_cap s addr
-  | None -> raise (Bus_error addr)
-
-let write_cap t addr v =
-  t.accesses <- t.accesses + 1;
-  (match sram_at t ~size:8 addr with
-  | Some s -> Sram.write_cap s addr v
-  | None -> raise (Bus_error addr));
-  snoop_store t addr
-
 let on_store t f = t.store_snoops <- f :: t.store_snoops
 let data_accesses t = t.accesses

@@ -31,8 +31,6 @@ val read : t -> width:int -> int -> int
     only. *)
 
 val write : t -> width:int -> int -> int -> unit
-val read_cap : t -> int -> bool * int64
-val write_cap : t -> int -> bool * int64 -> unit
 
 (** {1 Store snooping} *)
 
@@ -58,7 +56,7 @@ val note_access : t -> unit
 
 val snoop_store : t -> int -> unit
 (** Fire the store snoops for an SRAM store performed outside
-    {!write}/{!write_cap} (granule-aligns the address itself). *)
+    {!write} (granule-aligns the address itself). *)
 
 (** {1 Accounting} *)
 

@@ -130,6 +130,13 @@ let write_cap t addr (tag, word) =
   Bytes.set_int64_le t.data (addr - t.base) word;
   set_pair t (granule t addr) (if tag then 3 else 0)
 
+let cap_tag_u t addr = get_pair t (granule t addr) = 3
+
+let write_cap_u t addr ~tag ~addr_half ~meta_half =
+  Bytes.set_int32_le t.data (addr - t.base) (Int32.of_int addr_half);
+  Bytes.set_int32_le t.data (addr - t.base + 4) (Int32.of_int meta_half);
+  set_pair t (granule t addr) (if tag then 3 else 0)
+
 let read_microtags t addr =
   let pair = get_pair t (granule t (addr land lnot 7)) in
   (pair land 1 <> 0, pair land 2 <> 0)

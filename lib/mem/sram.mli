@@ -60,6 +60,18 @@ val read_cap : t -> int -> bool * int64
 val write_cap : t -> int -> bool * int64 -> unit
 (** Write a capability word, setting both micro-tags to the tag value. *)
 
+val cap_tag_u : t -> int -> bool
+(** The architectural tag of the granule at an 8-byte-aligned,
+    window-tested address: a capability load reads it beside the two
+    halves ([read32_u] at [addr] and [addr + 4]) without building a
+    pair or boxing an [int64]. *)
+
+val write_cap_u :
+  t -> int -> tag:bool -> addr_half:int -> meta_half:int -> unit
+(** {!write_cap} of the word [meta_half lsl 32 lor addr_half] at an
+    8-byte-aligned, window-tested address, without the checks, the
+    pair or the boxed [int64]. *)
+
 val read_microtags : t -> int -> bool * bool
 (** The two per-half micro-tags of the granule containing the address —
     the hardware revoker uses the low half's bit to skip the second bus

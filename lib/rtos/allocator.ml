@@ -210,11 +210,11 @@ let align_up v a = (v + a - 1) land lnot (a - 1)
 
 (* Bounds and alignment the capability encoding demands (3.2.3). *)
 let layout_of_request size =
-  let size = max 1 size in
+  let size = Int.max 1 size in
   let bound_len = if size <= 511 then size else Bounds.crrl size in
-  let mem_len = align_up (max 8 bound_len) 8 in
+  let mem_len = align_up (Int.max 8 bound_len) 8 in
   let mask = Bounds.cram size in
-  let align = max 8 ((lnot mask land 0xFFFF_FFFF) + 1) in
+  let align = Int.max 8 ((lnot mask land 0xFFFF_FFFF) + 1) in
   (bound_len, mem_len, align)
 
 (* Does [chunk] fit a [mem_len]-byte object aligned to [align]?  Returns
@@ -247,7 +247,7 @@ let find_fit t mem_len align =
       | Some hit -> Some hit
       | None -> scan_bins (i + 1)
   in
-  let start = max 0 (bin_index (min 512 (mem_len + 8))) in
+  let start = Int.max 0 (bin_index (Int.min 512 (mem_len + 8))) in
   scan_bins start
 
 let carve t chunk adata mem_len bound_len =
@@ -440,7 +440,7 @@ let quarantine_push t chunk size =
   t.st <-
     {
       t.st with
-      quarantine_peak = max t.st.quarantine_peak t.quarantine_bytes;
+      quarantine_peak = Int.max t.st.quarantine_peak t.quarantine_bytes;
     }
 
 let free t cap =

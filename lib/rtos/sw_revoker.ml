@@ -67,7 +67,7 @@ let sweep ?(on_batch_end = fun () -> ()) t ~start ~stop =
   let cost = pair_cost t.clock.Clock.params in
   let pos = ref start in
   while !pos < stop do
-    let batch_end = min stop (!pos + (t.batch_granules * 8)) in
+    let batch_end = Int.min stop (!pos + (t.batch_granules * 8)) in
     let granules = (batch_end - !pos) / 8 in
     while !pos < batch_end do
       sweep_granule t !pos;

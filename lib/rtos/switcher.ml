@@ -55,7 +55,7 @@ let cross_calls t = t.cross_calls
 let bytes_zeroed t = t.bytes_zeroed
 
 let zero t stack ~from ~until =
-  let bytes = max 0 (until - from) in
+  let bytes = Int.max 0 (until - from) in
   if bytes > 0 then begin
     (match t.sram with
     | Some sram when Sram.in_range sram ~addr:from ~size:bytes ->
@@ -86,7 +86,7 @@ let cross_call t stack ~callee_frame ~callee_stack_use f =
   stack.hwm <- sp_at_call;
   stack.sp <- sp_at_call - callee_frame;
   (* The callee runs on the chopped stack and dirties some of it. *)
-  let use = min callee_stack_use (stack.sp - stack.stk_base) in
+  let use = Int.min callee_stack_use (stack.sp - stack.stk_base) in
   let callee_low = stack.sp - use in
   if callee_low < stack.hwm then stack.hwm <- callee_low;
   let result = f () in

@@ -80,7 +80,7 @@ let spend t cycles ~busy =
   t.cycles <- t.cycles + cycles;
   t.mem_busy <- t.mem_busy + busy;
   match t.revoker with
-  | Some r -> Revoker.tick_n r (max 0 (cycles - busy))
+  | Some r -> Revoker.tick_n r (Int.max 0 (cycles - busy))
   | None -> ()
 
 let charge t (ev : Machine.event) =

@@ -881,8 +881,8 @@ let test_eviction_unlinks () =
    counter, an [Op], a word [Store] and [Load] through the flat boot's
    data capability c3, and a backward [Branch] that stays taken.  Warmed
    well past [hot_threshold], the block runs its compiled plan, and
-   nothing left in an iteration needs the heap: integer results go to
-   the integer half of the register file, the taken branch installs its
+   nothing left in an iteration needs the heap: integer results are
+   immediate stores into the register file, the taken branch installs its
    prebuilt target, the round's counters are locals rather than cells a
    closure captured, the bounds check takes its size unboxed and the
    store snoop walks its list without building a closure.  A round
@@ -975,6 +975,42 @@ let test_warm_jit_allocates_nothing () =
     true
     (per_round < words_per_round_bound)
 
+(* The same bound over a hot loop of the capability instructions the
+   word register file runs on immediates: the data capability c3 is
+   moved ([Cincaddrimm]) and narrowed ([Csetboundsimm]) into c10, stored
+   ([Csc]) and loaded back ([Clc]) as c11, masked ([Candperm]),
+   untagged ([Ccleartag]) and copied ([Cmove]); its length ([Cget])
+   goes through c11 to memory and back by a capability-mode [sw] and
+   [lw].  Every capability register write is two immediate stores,
+   and the load and store move the granule's halves and micro-tags
+   through the SRAM window, so none of it needs the heap. *)
+let cap_alloc_loop =
+  Insn.
+    [
+      Op_imm (Add, 5, 0, 0x7f);
+      Op_imm (Add, 1, 1, 1);
+      Cincaddrimm (10, 3, 16);
+      Csetboundsimm (10, 10, 64);
+      Csc (10, 3, 32);
+      Clc (11, 3, 32);
+      Candperm (12, 11, 5);
+      Ccleartag (13, 12);
+      Cmove (14, 11);
+      Cget (Len, 6, 14);
+      Store { width = W; rs2 = 6; rs1 = 11; off = 0 };
+      Load { signed = false; width = W; rd = 7; rs1 = 11; off = 0 };
+      Branch (Ne, 1, 0, -44);
+    ]
+
+let test_warm_cap_jit_allocates_nothing () =
+  let words = List.map Encode.encode cap_alloc_loop in
+  let m = (Boot.flat words).Boot.m in
+  check_warm_loop "capability loop, Machine.run" m (machine_runner m);
+  Alcotest.(check int) "the loop stored and loaded its length" 64
+    (Machine.reg_int m 7);
+  let m = (Boot.flat words).Boot.m in
+  check_warm_loop "capability loop, Perf.run" m (perf_runner m)
+
 (* Loops that never turn hot, closed by a taken backward [Branch] and by
    a [Jal] that links [ra] (read back in the next iteration), in both
    modes.  Pinned at an unreachable threshold, no plan compiles, so
@@ -1060,6 +1096,8 @@ let suite =
       `Quick test_trace_marks_jit;
     Alcotest.test_case "the warm jit allocates nothing per instruction" `Quick
       test_warm_jit_allocates_nothing;
+    Alcotest.test_case "the warm jit's capability paths allocate nothing"
+      `Quick test_warm_cap_jit_allocates_nothing;
     Alcotest.test_case "cold and Rv32 direct edges allocate nothing" `Quick
       test_cold_edges_allocate_nothing;
   ]

@@ -109,7 +109,18 @@ let test_narrow_then_oob () =
   Alcotest.(check bool) "before" false (Capability.in_bounds c ~size:1 0x1fff);
   (* Widening attempt: set bounds bigger than current -> tag cleared. *)
   let widened = Capability.set_bounds c ~length:512 ~exact:false in
-  Alcotest.(check bool) "widening clears tag" false widened.Capability.tag
+  Alcotest.(check bool) "widening clears tag" false widened.Capability.tag;
+  (* Requests of at most 511 bytes take the exponent-0 path, exact by
+     construction: they too keep the tag only inside the old bounds. *)
+  let at off len =
+    (Capability.set_bounds (Capability.incr_address c off) ~length:len
+       ~exact:false)
+      .Capability.tag
+  in
+  Alcotest.(check bool) "short, inside" true (at 16 64);
+  Alcotest.(check bool) "short, up to the top" true (at 192 64);
+  Alcotest.(check bool) "short, past the top" false (at 0 300);
+  Alcotest.(check bool) "short, from inside past the top" false (at 200 64)
 
 let test_perm_shed_not_regained () =
   let c = Capability.with_address Capability.root_mem_rw 0x1000 in
@@ -215,6 +226,55 @@ let test_subset () =
     "not superset" false
     (Capability.is_subset parent ~of_:child)
 
+(* The word and the record, exhaustively over the metadata fields: every
+   tag × R × p'6 × o'3 combination, each with 2048 of the 2^22 E/B/T
+   values, chosen by an odd multiplier so that the 2048 combinations
+   together visit every E/B/T value once.  Both directions:
+   - [unpack] then [pack] returns the word, for every word;
+   - [pack] then [unpack] returns the record, for every record the
+     record API can produce: perms a legalized set (the decode of some
+     6-bit field), the otype in the namespace EX chooses. *)
+let test_word_record_roundtrip () =
+  let bad = ref 0 and checked = ref 0 in
+  for hi = 0 to 2047 do
+    let tag = hi land 1 = 1 and reserved = hi land 2 <> 0 in
+    let p = (hi lsr 2) land 0x3f and o = hi lsr 8 in
+    let perms = Perm.decode p in
+    let otype =
+      if o = 0 then Otype.unsealed
+      else Otype.v (if Perm.Set.mem EX perms then Exec else Data) o
+    in
+    for j = 0 to 2047 do
+      let bounds = ((j lsl 11) lor hi) * 0x9E3779B1 land 0x3f_ffff in
+      let addr = (j * 0x2F6B_3C9D) lxor (hi lsl 20) land 0xFFFF_FFFF in
+      let w =
+        (if tag then Capability.Word.tag_bit else 0)
+        lor (if reserved then 1 lsl 31 else 0)
+        lor (p lsl 25) lor (o lsl 22) lor bounds
+      in
+      let c = Capability.unpack w addr in
+      let r =
+        {
+          Capability.tag;
+          perms;
+          otype;
+          bounds = Bounds.of_bits bounds;
+          addr;
+          reserved;
+        }
+      in
+      incr checked;
+      if
+        Capability.pack c <> w
+        || c.Capability.addr <> addr
+        || Capability.unpack (Capability.pack r) addr <> r
+        || not (Capability.equal c r)
+      then incr bad
+    done
+  done;
+  Alcotest.(check int) "words checked" (2048 * 2048) !checked;
+  Alcotest.(check int) "round trips that lost a bit" 0 !bad
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -230,6 +290,8 @@ let suite =
     Alcotest.test_case "unrepresentable move clears tag" `Quick
       test_unrepresentable_clears_tag;
     Alcotest.test_case "CTestSubset" `Quick test_subset;
+    Alcotest.test_case "word and record round-trip exhaustively" `Quick
+      test_word_record_roundtrip;
     q prop_word_roundtrip;
     q prop_any_word_decodes;
     q prop_monotonic_bounds;

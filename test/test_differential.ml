@@ -294,27 +294,35 @@ let test_oob_edges mode () =
       ("out-of-bounds call", oob_call, 8);
     ]
 
-(* --- a pinned program state --------------------------------------- *)
+(* --- pinned program states ------------------------------------------ *)
 
-(* The lockstep cases compare the tiers with each other, so a change
-   that moved both alike would pass them.  CoreMark's RV32E build (20
-   iterations on Ibex, perfbench's "coremark-rv32e-ibex") is pinned to
-   its retired count, cycles and state hashes, under [Machine.run] and
-   under [Perf.run] on the jit: a representation change that moves any
-   hashed bit fails here, not only in perfbench. *)
-let test_coremark_rv32e_pinned () =
-  let build () =
-    Cheriot_workloads.Coremark.setup ~iterations:20
-      (Core_model.config ~cheri:false Core_model.Ibex)
-  in
+(* The lockstep cases compare the tiers with each other, and the two
+   tiers share one capability semantics ([Capability.Word]), so a
+   change that moved both alike would pass them.  The four ISA kernels
+   perfbench pins (CoreMark's capability build with the load filter and
+   its RV32E build, 20 iterations on Ibex; the allocator and IoT
+   programs) are pinned here to the same values: the retired count,
+   cycles, [a0] and the state hashes under [Machine.run] and under
+   [Perf.run] on the jit.  RV32E runs no capability instruction; the
+   other three run every path the word register file rewrote, so a
+   representation or semantics change that moves any hashed bit fails
+   here, not only in perfbench. *)
+type pin = {
+  cycles : int;
+  insns : int;
+  a0 : int;
+  machine_hash : string;
+  perf_hash : string;
+}
+
+let test_kernel_pinned build pin () =
   let m = build () in
   let r, n = Machine.run ~fuel:50_000_000 ~dispatch:Machine.Dispatch_jit m in
   Alcotest.(check bool) "Machine.run halts" true (r = Machine.Step_halted);
-  Alcotest.(check int) "Machine.run retired count" 209_585 n;
-  Alcotest.(check int) "checksum in a0" 784_460
-    (Machine.reg_int m Insn.reg_a0);
-  Alcotest.(check string) "Machine.run state hash"
-    "31d9ffdbf184641ac97685cbf8d3e35e" (Machine.state_hash m);
+  Alcotest.(check int) "Machine.run retired count" pin.insns n;
+  Alcotest.(check int) "value in a0" pin.a0 (Machine.reg_int m Insn.reg_a0);
+  Alcotest.(check string) "Machine.run state hash" pin.machine_hash
+    (Machine.state_hash m);
   let m = build () in
   let p =
     Perf.create ~dispatch:Perf.Jit
@@ -323,11 +331,55 @@ let test_coremark_rv32e_pinned () =
   in
   Alcotest.(check bool) "Perf.run halts" true
     (Perf.run p = Machine.Step_halted);
-  Alcotest.(check int) "Perf.run cycles" 287_244 p.Perf.stats.Perf.cycles;
-  Alcotest.(check int) "Perf.run instructions" 209_585
+  Alcotest.(check int) "Perf.run cycles" pin.cycles p.Perf.stats.Perf.cycles;
+  Alcotest.(check int) "Perf.run instructions" pin.insns
     p.Perf.stats.Perf.instructions;
-  Alcotest.(check string) "Perf.run state hash"
-    "cf27806bef0421b4eebb94ab0b40e672" (Machine.state_hash m)
+  Alcotest.(check string) "Perf.run state hash" pin.perf_hash
+    (Machine.state_hash m)
+
+let pinned_kernels =
+  let coremark cheri () =
+    Cheriot_workloads.Coremark.setup ~iterations:20
+      (Core_model.config ~cheri ~load_filter:cheri Core_model.Ibex)
+  in
+  [
+    ( "coremark RV32E",
+      coremark false,
+      {
+        cycles = 287_244;
+        insns = 209_585;
+        a0 = 784_460;
+        machine_hash = "31d9ffdbf184641ac97685cbf8d3e35e";
+        perf_hash = "cf27806bef0421b4eebb94ab0b40e672";
+      } );
+    ( "coremark cap+LF",
+      coremark true,
+      {
+        cycles = 334_284;
+        insns = 224_465;
+        a0 = 784_460;
+        machine_hash = "568657a9eeb52e98d86bde4682737137";
+        perf_hash = "6ed648dc91e1a7b8edd7c9cad35cf4ce";
+      } );
+    ( "alloc-isa",
+      (fun () -> Cheriot_workloads.Alloc_bench.isa_setup ~rounds:200 ()),
+      {
+        cycles = 436_804;
+        insns = 283_405;
+        a0 = 409_600;
+        machine_hash = "671728a786ea31b856496c58d5c3bc54";
+        perf_hash = "7441e221e5c5d27f238121aa3aafde90";
+      } );
+    ( "iot-isa",
+      (fun () -> Cheriot_workloads.Iot_app.isa_setup ~packets:400 ()),
+      {
+        cycles = 455_804;
+        insns = 338_605;
+        a0 = 3_222_954_876;
+        machine_hash = "98c872aff359991678716c2d257980e0";
+        perf_hash = "e3400327bfa9ef9f5dbba2ea6948e845";
+      } );
+  ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest Props.tests
@@ -349,7 +401,8 @@ let suite =
           (mode_name mode ^ " out-of-bounds direct edges trap exactly")
           `Quick (test_oob_edges mode))
       [ Machine.Cheriot; Machine.Rv32 ]
-  @ [
-      Alcotest.test_case "coremark RV32E jit state is pinned" `Quick
-        test_coremark_rv32e_pinned;
-    ]
+  @ List.map
+      (fun (name, build, pin) ->
+        Alcotest.test_case (name ^ " jit state is pinned") `Quick
+          (test_kernel_pinned build pin))
+      pinned_kernels

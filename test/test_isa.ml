@@ -424,6 +424,30 @@ let test_oob_load_traps () =
   Alcotest.(check int) "mcause = CHERI" 28 sys.m.Machine.mcause;
   Alcotest.(check int) "cheri cause = bounds" 0x01 (sys.m.Machine.mtval lsr 5)
 
+(* A [CSetBounds] of at most 511 bytes is exact at exponent 0, so its
+   rounded region is the requested one: it must still lie within the
+   old bounds.  Narrowed to 16 bytes, a 32-byte request traps with the
+   bounds cause, and so does a 16-byte one from 8 bytes in. *)
+let test_short_setbounds_traps () =
+  List.iter
+    (fun (what, off, len) ->
+      let items =
+        [
+          Asm.I (Insn.Csetboundsimm (t0, gp, 16));
+          Asm.I (Insn.Cincaddrimm (t0, t0, off));
+          Asm.I (Insn.Csetboundsimm (a1, t0, len));
+          Asm.I Insn.Ebreak;
+        ]
+      in
+      let sys, result, _ = run_items items in
+      (match result with
+      | Machine.Step_double_fault -> ()
+      | _ -> Alcotest.failf "%s: expected a double fault (no handler)" what);
+      Alcotest.(check int) (what ^ ": mcause = CHERI") 28 sys.m.Machine.mcause;
+      Alcotest.(check int) (what ^ ": cheri cause = bounds") 0x01
+        (sys.m.Machine.mtval lsr 5))
+    [ ("past the top", 0, 32); ("from inside, past the top", 8, 16) ]
+
 let test_untagged_deref_traps () =
   let items =
     [
@@ -525,7 +549,30 @@ let test_load_filter () =
   Revbits.paint sys3.rev ~addr:heap_base ~len:64;
   let result3, _ = Machine.run sys3.m in
   check_halted result3;
-  Alcotest.(check int) "no filter: tag survives" 1 (Machine.reg_int sys3.m a0)
+  Alcotest.(check int) "no filter: tag survives" 1 (Machine.reg_int sys3.m a0);
+  (* The filter indexes the bitmap with the loaded capability's base,
+     not its address: an interior pointer into a freed object loses its
+     tag though its address's granule is not painted, and a pointer
+     into a live object keeps it though its address's granule is. *)
+  let interior =
+    Asm.assemble ~origin:code_base
+      (Asm.I (Insn.Csetboundsimm (t0, 4, 64))
+      :: Asm.I (Insn.Cincaddrimm (t0, t0, 32))
+      :: List.tl items)
+  in
+  let run_painted addr =
+    let sys = make_sys () in
+    Asm.load interior sys.sram;
+    setup_regs sys;
+    Revbits.paint sys.rev ~addr ~len:8;
+    let result, _ = Machine.run sys.m in
+    check_halted result;
+    Machine.reg_int sys.m a0
+  in
+  Alcotest.(check int) "interior pointer, base granule painted: stripped" 0
+    (run_painted heap_base);
+  Alcotest.(check int) "interior pointer, address granule painted: kept" 1
+    (run_painted (heap_base + 32))
 
 let test_sentry_interrupt_control () =
   (* Jump through a disable-interrupts sentry; check MIE drops and the
@@ -723,20 +770,24 @@ let test_mret_roundtrip () =
   check_halted result;
   Alcotest.(check int) "resumed after mret" 7 (Machine.reg_int sys.m a0)
 
-(* --- the split register file ---------------------------------------- *)
+(* --- the word register file ----------------------------------------- *)
 
-(* The machine keeps every register's address in an [int array] and its
-   capability only while a mask bit says the register holds one, so an
-   integer write allocates nothing.  The property drives random
+(* The machine holds every register as two immediates — its word (the
+   tag and the Fig. 1 metadata) and its address — and runs the
+   capability instructions on them.  The property drives random
    interleavings over all 16 registers — [set_reg] with tagged,
    untagged-with-metadata and null capabilities, [set_reg_int] with
-   values far outside 32 bits, and runs of the register-writing
-   instructions the jit executes inline (ALU, [Lui], a word load,
-   [Cmove], [Cincaddrimm]) — against a plain [Capability.t array] model.
-   After every step [reg] and [reg_int] must read the model, c0 must
-   read [Capability.null] itself, and [state_hash] must equal the hash
-   of a second machine whose registers were all written from the model
-   with [set_reg]. *)
+   values far outside 32 bits, runs of the register-writing
+   instructions the jit executes inline (ALU, [Lui], [Cmove],
+   [Cincaddr], [Cincaddrimm], [Csetaddr], [Candperm], [Ccleartag],
+   [Cget]), and a word load, a capability load and store, and a bounds
+   narrowing through a freshly installed authority — against a plain
+   [Capability.t array] model that runs the record API, beside a model
+   of the capability slots in memory.  After every step [reg] and
+   [reg_int] must read the model, c0 must read [Capability.null]
+   itself, and [state_hash] must equal the hash of a second machine
+   whose registers were all written from the model with [set_reg] and
+   whose capability slots were written from the memory model. *)
 
 module Boot = Cheriot_proptest.Boot
 
@@ -747,6 +798,16 @@ type rf_step =
   | Load_via of int * int * int
       (** [(rb, rd, k)]: install the data capability in [rb], then the
           jit runs [lw rd, 4k(rb)] *)
+  | Clc_via of int * int * int * int
+      (** [(rb, rd, k, a)]: install slot authority [a] in [rb], then
+          the jit runs [clc rd, 8k(rb)] *)
+  | Csc_via of int * int * int
+      (** [(rb, rs2, k)]: install the slot authority in [rb], then the
+          jit runs [csc rs2, 8k(rb)] *)
+  | Bounds_via of int * int * int * int
+      (** [(rb, cd, off, len)]: install the data capability in [rb],
+          then the jit runs [cincaddrimm rb, rb, off] and
+          [csetboundsimm cd, rb, len], which stays within its bounds *)
 
 let rf_words = 64
 let rf_pattern k = (0x9E37_79B9 * (k + 1)) land 0xFFFF_FFFF
@@ -756,8 +817,56 @@ let rf_data_cap =
     (Capability.with_address Capability.root_mem_rw Boot.data_base)
     ~length:(4 * rf_words) ~exact:false
 
+(* Sixteen capability slots after the word pattern, and the
+   authorities a load may go through: without LG and without LM, a
+   load attenuates what it loads. *)
+let rf_slots = 16
+let rf_slot_base = Boot.data_base + 0x400
+let rf_slot_addr k = rf_slot_base + (8 * k)
+
+let rf_slot_cap =
+  Capability.set_bounds
+    (Capability.with_address Capability.root_mem_rw rf_slot_base)
+    ~length:(8 * rf_slots) ~exact:false
+
+let rf_authorities =
+  [|
+    rf_slot_cap;
+    Capability.clear_perms rf_slot_cap [ LG ];
+    Capability.clear_perms rf_slot_cap [ LM ];
+    Capability.clear_perms rf_slot_cap [ LG; LM ];
+  |]
+
+let rf_slot_init k =
+  let ok = function Ok c -> c | Error e -> failwith e in
+  match k mod 8 with
+  | 0 -> rf_data_cap
+  | 1 -> Capability.with_address Capability.root_executable (0x100 * k)
+  | 2 ->
+      ok
+        (Capability.seal rf_data_cap
+           ~key:(Capability.with_address Capability.root_sealing 3))
+  | 3 ->
+      ok
+        (Capability.seal_sentry
+           (Capability.with_address Capability.root_executable 0x40)
+           Otype.Sentry_enable)
+  | 4 -> Capability.clear_tag rf_data_cap
+  | 5 -> { Capability.null with addr = 0x1234 * k }
+  | 6 -> Capability.clear_perms rf_data_cap [ GL ]
+  | _ -> Capability.null
+
 let rf_load rb rd k =
   Insn.Load { signed = false; width = W; rd; rs1 = rb; off = 4 * k }
+
+let rf_step_insns = function
+  | Run is -> is
+  | Load_via (rb, rd, k) -> [ rf_load rb rd k ]
+  | Clc_via (rb, rd, k, _) -> [ Insn.Clc (rd, rb, 8 * k) ]
+  | Csc_via (rb, rs2, k) -> [ Insn.Csc (rs2, rb, 8 * k) ]
+  | Bounds_via (rb, cd, off, len) ->
+      [ Insn.Cincaddrimm (rb, rb, off); Insn.Csetboundsimm (cd, rb, len) ]
+  | Set_cap _ | Set_int _ -> []
 
 let gen_rf_cap =
   let open QCheck.Gen in
@@ -809,32 +918,53 @@ let gen_rf_insn =
        return (Insn.Op (op, rd, rs1, rs2)));
       map2 (fun cd cs1 -> Insn.Cmove (cd, cs1)) reg reg;
       map3 (fun cd cs1 i -> Insn.Cincaddrimm (cd, cs1, i)) reg reg imm12;
+      map3 (fun cd cs1 rs2 -> Insn.Cincaddr (cd, cs1, rs2)) reg reg reg;
+      map3 (fun cd cs1 rs2 -> Insn.Csetaddr (cd, cs1, rs2)) reg reg reg;
+      map3 (fun cd cs1 rs2 -> Insn.Candperm (cd, cs1, rs2)) reg reg reg;
+      map2 (fun cd cs1 -> Insn.Ccleartag (cd, cs1)) reg reg;
+      (let* g = oneofl Insn.[ Addr; Base; Top; Len; Perm; Type; Tag ]
+       and* rd = reg and* cs1 = reg in
+       return (Insn.Cget (g, rd, cs1)));
     ]
 
 let gen_rf_step =
   let open QCheck.Gen in
-  let reg = int_bound 15 in
+  let reg = int_bound 15 and rb = int_range 1 15 in
   frequency
     [
       (3, map2 (fun r c -> Set_cap (r, c)) reg gen_rf_cap);
       (3, map2 (fun r v -> Set_int (r, v)) reg gen_rf_int);
       (4, map (fun is -> Run is) (list_size (int_range 1 4) gen_rf_insn));
+      (1, map3 (fun rb rd k -> Load_via (rb, rd, k)) rb reg
+            (int_bound (rf_words - 1)));
       ( 1,
-        map3 (fun rb rd k -> Load_via (rb, rd, k)) (int_range 1 15) reg
-          (int_bound (rf_words - 1)) );
+        let* rb = rb and* rd = reg and* k = int_bound (rf_slots - 1)
+        and* a = int_bound (Array.length rf_authorities - 1) in
+        return (Clc_via (rb, rd, k, a)) );
+      (1, map3 (fun rb rs2 k -> Csc_via (rb, rs2, k)) rb reg
+            (int_bound (rf_slots - 1)));
+      ( 1,
+        let* rb = rb and* cd = reg and* off = int_bound (4 * rf_words - 1) in
+        let* len = int_bound (4 * rf_words - off) in
+        return (Bounds_via (rb, cd, off, len)) );
     ]
 
 let print_rf_step = function
   | Set_cap (r, c) -> Fmt.str "set_reg c%d %a" r Capability.pp c
   | Set_int (r, v) -> Printf.sprintf "set_reg_int c%d %d" r v
-  | Run is -> "run [" ^ String.concat "; " (List.map Insn.to_string is) ^ "]"
-  | Load_via (rb, rd, k) -> "load " ^ Insn.to_string (rf_load rb rd k)
+  | Clc_via (_, _, _, a) as st ->
+      Printf.sprintf "authority %d: %s" a
+        (String.concat "; " (List.map Insn.to_string (rf_step_insns st)))
+  | st -> "run [" ^ String.concat "; " (List.map Insn.to_string (rf_step_insns st)) ^ "]"
 
 (* What an integer write leaves in a register, in the model. *)
 let rf_int v = { Capability.null with addr = v land 0xFFFF_FFFF }
 
-(* The model's semantics of each instruction [gen_rf_insn] makes. *)
-let rf_model_exec (model : Capability.t array) (i : Insn.t) =
+(* The model's semantics of each instruction the steps run, over the
+   register model and the slot model [mem] (slot authority [auth] for
+   a capability load). *)
+let rf_model_exec ?(auth = rf_slot_cap) (model : Capability.t array) mem
+    (i : Insn.t) =
   let a r = model.(r).Capability.addr in
   let alu op x y =
     match op with
@@ -854,43 +984,74 @@ let rf_model_exec (model : Capability.t array) (i : Insn.t) =
   | Cmove (cd, cs1) -> write cd model.(cs1)
   | Cincaddrimm (cd, cs1, imm) ->
       write cd (Capability.incr_address model.(cs1) imm)
+  | Cincaddr (cd, cs1, rs2) ->
+      write cd (Capability.incr_address model.(cs1) (a rs2))
+  | Csetaddr (cd, cs1, rs2) ->
+      write cd (Capability.with_address model.(cs1) (a rs2))
+  | Candperm (cd, cs1, rs2) ->
+      write cd
+        (Capability.and_perms model.(cs1) (Perm.Set.of_arch_bits (a rs2)))
+  | Ccleartag (cd, cs1) -> write cd (Capability.clear_tag model.(cs1))
+  | Csetboundsimm (cd, cs1, len) ->
+      write cd (Capability.set_bounds model.(cs1) ~length:len ~exact:false)
+  | Cget (g, rd, cs1) ->
+      let c = model.(cs1) in
+      write rd
+        (rf_int
+           (match g with
+           | Addr -> Capability.address c
+           | Base -> Capability.base c
+           | Top -> Int.min (Capability.top c) 0xFFFF_FFFF
+           | Len -> Int.min (Capability.length c) 0xFFFF_FFFF
+           | Perm -> Perm.Set.to_arch_bits (Capability.perms c)
+           | Type -> Otype.value (Capability.otype c)
+           | Tag -> if c.Capability.tag then 1 else 0))
   | Load { rd; off; _ } -> write rd (rf_int (rf_pattern (off / 4)))
+  | Clc (rd, _, off) ->
+      write rd (Capability.load_attenuate ~authority:auth mem.(off / 8))
+  | Csc (rs2, _, off) -> mem.(off / 8) <- model.(rs2)
   | _ -> invalid_arg "rf_model_exec"
 
-let prop_split_register_file =
-  QCheck.Test.make ~name:"split register file reads as a capability array"
+let prop_word_register_file =
+  QCheck.Test.make ~name:"word register file reads as a capability array"
     ~count:(Cheriot_proptest.Iters.count ~default:200)
     (QCheck.make
        ~print:(fun steps -> String.concat "\n" (List.map print_rf_step steps))
        QCheck.Gen.(list_size (int_range 1 40) gen_rf_step))
     (fun steps ->
-      let code =
-        List.concat_map
-          (function
-            | Run is -> is
-            | Load_via (rb, rd, k) -> [ rf_load rb rd k ]
-            | Set_cap _ | Set_int _ -> [])
-          steps
+      let code = List.concat_map rf_step_insns steps in
+      let write_slot (f : Boot.flat) k (c : Capability.t) =
+        Sram.write_cap f.Boot.data (rf_slot_addr k)
+          (c.Capability.tag, Capability.to_word c)
       in
       let boot () =
         let f = Boot.flat (List.map Encode.encode (code @ [ Insn.Ebreak ])) in
         for k = 0 to rf_words - 1 do
           Sram.write32 f.Boot.data (Boot.data_base + (4 * k)) (rf_pattern k)
         done;
-        f.Boot.m
+        for k = 0 to rf_slots - 1 do
+          write_slot f k (rf_slot_init k)
+        done;
+        f
       in
-      let m = boot () and shadow = boot () in
+      let f = boot () and shadow = boot () in
+      let m = f.Boot.m in
       m.Machine.hot_threshold <- 1;
       m.Machine.hot_adaptive <- false;
       let model = Array.init 16 (fun r -> Machine.reg m r) in
-      let run is =
+      let mem = Array.init rf_slots rf_slot_init in
+      let run ?auth is =
         let n = List.length is in
         match Machine.run ~fuel:n ~dispatch:Machine.Dispatch_jit m with
         | Machine.Step_ok, used when used = n ->
-            List.iter (rf_model_exec model) is
+            List.iter (rf_model_exec ?auth model mem) is
         | _ ->
             QCheck.Test.fail_report
               "the jit run did not retire its instructions"
+      in
+      let install rb c =
+        Machine.set_reg m rb c;
+        model.(rb) <- c
       in
       List.for_all
         (fun step ->
@@ -902,15 +1063,21 @@ let prop_split_register_file =
               Machine.set_reg_int m r v;
               if r <> 0 then model.(r) <- rf_int v
           | Run is -> run is
-          | Load_via (rb, rd, k) ->
-              Machine.set_reg m rb rf_data_cap;
-              model.(rb) <- rf_data_cap;
-              run [ rf_load rb rd k ]);
+          | Load_via (rb, _, _) | Bounds_via (rb, _, _, _) ->
+              install rb rf_data_cap;
+              run (rf_step_insns step)
+          | Clc_via (rb, _, _, a) ->
+              install rb rf_authorities.(a);
+              run ~auth:rf_authorities.(a) (rf_step_insns step)
+          | Csc_via (rb, _, _) ->
+              install rb rf_slot_cap;
+              run (rf_step_insns step));
           for r = 1 to 15 do
-            Machine.set_reg shadow r model.(r)
+            Machine.set_reg shadow.Boot.m r model.(r)
           done;
-          shadow.Machine.pcc <- m.Machine.pcc;
-          shadow.Machine.minstret <- m.Machine.minstret;
+          Array.iteri (write_slot shadow) mem;
+          shadow.Boot.m.Machine.pcc <- m.Machine.pcc;
+          shadow.Boot.m.Machine.minstret <- m.Machine.minstret;
           Machine.reg m 0 == Capability.null
           && Machine.reg_int m 0 = 0
           && List.for_all
@@ -918,7 +1085,7 @@ let prop_split_register_file =
                  Cheriot_proptest.Obs.cap_eq (Machine.reg m r) model.(r)
                  && Machine.reg_int m r = model.(r).Capability.addr)
                (List.init 16 Fun.id)
-          && Machine.state_hash m = Machine.state_hash shadow)
+          && Machine.state_hash m = Machine.state_hash shadow.Boot.m)
         steps)
 
 let suite =
@@ -935,6 +1102,8 @@ let suite =
     Alcotest.test_case "cap store/load + tag clobber" `Quick
       test_cap_roundtrip_and_tag_clobber;
     Alcotest.test_case "out-of-bounds load traps" `Quick test_oob_load_traps;
+    Alcotest.test_case "short csetbounds beyond the old bounds traps" `Quick
+      test_short_setbounds_traps;
     Alcotest.test_case "untagged dereference traps" `Quick
       test_untagged_deref_traps;
     Alcotest.test_case "W^X: store via PCC traps" `Quick test_wx_enforcement;
@@ -955,5 +1124,5 @@ let suite =
     Alcotest.test_case "rv32 rejects cap instructions" `Quick
       test_rv32_rejects_cap_insns;
     Alcotest.test_case "ecall trap + mret" `Quick test_mret_roundtrip;
-    q prop_split_register_file;
+    q prop_word_register_file;
   ]

@@ -114,7 +114,8 @@ let test_bus_snoop () =
   let seen = ref [] in
   Bus.on_store bus (fun a -> seen := a :: !seen);
   Bus.write bus ~width:1 (base + 13) 1;
-  Bus.write_cap bus (base + 16) (false, 0L);
+  (* what the machine's capability store fires after its window write *)
+  Bus.snoop_store bus (base + 20);
   Alcotest.(check (list int)) "granule-aligned snoops"
     [ base + 16; base + 8 ]
     !seen
