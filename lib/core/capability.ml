@@ -142,33 +142,6 @@ module Word = struct
         (Otype.value
            (Otype.sentry_otype (Otype.return_sentry ~interrupts_enabled:mie)))
     else clear_tag w
-
-  type access =
-    | Access_ok
-    | Fault_tag
-    | Fault_seal
-    | Fault_load
-    | Fault_load_cap
-    | Fault_store
-    | Fault_store_cap
-    | Fault_bounds
-    | Fault_align
-    | Fault_range
-
-  let[@inline] check_access w ~addr ~size ~store ~is_cap a =
-    if not (tag w) then Fault_tag
-    else if is_sealed w then Fault_seal
-    else
-      let ps = perms w in
-      if store && not (Perm.Set.mem SD ps) then Fault_store
-      else if store && is_cap && not (Perm.Set.mem MC ps) then Fault_store_cap
-      else if (not store) && not (Perm.Set.mem LD ps) then Fault_load
-      else if (not store) && is_cap && not (Perm.Set.mem MC ps) then
-        Fault_load_cap
-      else if not (in_bounds w ~addr ~size a) then Fault_bounds
-      else if a land (size - 1) <> 0 then Fault_align
-      else if a < 0 || a > mask32 then Fault_range
-      else Access_ok
 end
 
 let[@inline] pack c =

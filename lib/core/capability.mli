@@ -94,28 +94,6 @@ module Word : sig
       word [w] at [cur]: the PCC moved to [next], sealed as the return
       sentry of posture [mie] (3.1.2), or untagged where it cannot be
       sealed. *)
-
-  (** {2 The access check} *)
-
-  (** The first check an access fails, or [Access_ok]. *)
-  type access =
-    | Access_ok
-    | Fault_tag
-    | Fault_seal
-    | Fault_load  (** no LD *)
-    | Fault_load_cap  (** a capability load without MC *)
-    | Fault_store  (** no SD *)
-    | Fault_store_cap  (** a capability store without MC *)
-    | Fault_bounds
-    | Fault_align
-    | Fault_range  (** outside the 32-bit address space *)
-
-  val check_access :
-    t -> addr:int -> size:int -> store:bool -> is_cap:bool -> int -> access
-  (** [check_access w ~addr ~size ~store ~is_cap a] checks an access of
-      [size] bytes at [a] through the capability [(w, addr)], in this
-      order: tag, seal, permissions (SD or LD, then MC for a
-      capability access), bounds, alignment, the 32-bit range. *)
 end
 
 val pack : t -> Word.t

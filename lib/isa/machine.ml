@@ -431,29 +431,30 @@ let to_signed v = (v lxor 0x8000_0000) - 0x8000_0000
    allocates nothing on the no-trap path. *)
 let access_fail c ridx = raise (Trap (Cheri_fault (c, ridx)))
 
-(* The trap of an access through register [ridx] that
-   [Capability.Word.check_access] refused. *)
-let access_trap (fault : Capability.Word.access) ridx ~store =
-  match fault with
-  | Access_ok -> ()
-  | Fault_tag -> access_fail Cheri_tag ridx
-  | Fault_seal -> access_fail Cheri_seal ridx
-  | Fault_load -> access_fail Cheri_permit_load ridx
-  | Fault_load_cap -> access_fail Cheri_permit_load_cap ridx
-  | Fault_store -> access_fail Cheri_permit_store ridx
-  | Fault_store_cap -> access_fail Cheri_permit_store_cap ridx
-  | Fault_bounds -> access_fail Cheri_bounds ridx
-  | Fault_align ->
-      raise (Trap (if store then Store_misaligned else Load_misaligned))
-  | Fault_range ->
-      raise (Trap (if store then Store_access_fault else Load_access_fault))
-
 (* An access of [size] bytes at [addr] authorized by the capability
-   with word [w] at address [ca], cited as register [ridx]. *)
+   with word [w] at address [ca], cited as register [ridx]: tag, seal,
+   permissions (SD or LD, then MC for a capability access), bounds,
+   alignment, the 32-bit range, the first failing check trapping. *)
 let[@inline] check_access ~w ~ca ~ridx ~addr ~size ~store ~is_cap =
-  match Capability.Word.check_access w ~addr:ca ~size ~store ~is_cap addr with
-  | Access_ok -> ()
-  | fault -> access_trap fault ridx ~store
+  let open Capability.Word in
+  if not (tag w) then access_fail Cheri_tag ridx;
+  if is_sealed w then access_fail Cheri_seal ridx;
+  let ps = perms w in
+  if store then begin
+    if not (Perm.Set.mem SD ps) then access_fail Cheri_permit_store ridx;
+    if is_cap && not (Perm.Set.mem MC ps) then
+      access_fail Cheri_permit_store_cap ridx
+  end
+  else begin
+    if not (Perm.Set.mem LD ps) then access_fail Cheri_permit_load ridx;
+    if is_cap && not (Perm.Set.mem MC ps) then
+      access_fail Cheri_permit_load_cap ridx
+  end;
+  if not (in_bounds w ~addr:ca ~size addr) then access_fail Cheri_bounds ridx;
+  if addr land (size - 1) <> 0 then
+    raise (Trap (if store then Store_misaligned else Load_misaligned));
+  if addr < 0 || addr > mask32 then
+    raise (Trap (if store then Store_access_fault else Load_access_fault))
 
 (* Stack high-water-mark tracking (5.2.1): every store whose address lies
    within [mshwmb, mshwm) lowers the mark. *)

@@ -121,21 +121,21 @@ let write32 t addr v =
   Bytes.set_int32_le t.data (addr - t.base) (Int32.of_int v);
   clear_half t ((addr - t.base) lsr 2)
 
-let read_cap t addr =
-  check t addr 8 8;
-  (get_pair t (granule t addr) = 3, Bytes.get_int64_le t.data (addr - t.base))
-
-let write_cap t addr (tag, word) =
-  check t addr 8 8;
-  Bytes.set_int64_le t.data (addr - t.base) word;
-  set_pair t (granule t addr) (if tag then 3 else 0)
-
 let cap_tag_u t addr = get_pair t (granule t addr) = 3
 
 let write_cap_u t addr ~tag ~addr_half ~meta_half =
   Bytes.set_int32_le t.data (addr - t.base) (Int32.of_int addr_half);
   Bytes.set_int32_le t.data (addr - t.base + 4) (Int32.of_int meta_half);
   set_pair t (granule t addr) (if tag then 3 else 0)
+
+let read_cap t addr =
+  check t addr 8 8;
+  (cap_tag_u t addr, Bytes.get_int64_le t.data (addr - t.base))
+
+let write_cap t addr (tag, word) =
+  check t addr 8 8;
+  write_cap_u t addr ~tag ~addr_half:(Int64.to_int word)
+    ~meta_half:(Int64.to_int (Int64.shift_right_logical word 32))
 
 let read_microtags t addr =
   let pair = get_pair t (granule t (addr land lnot 7)) in

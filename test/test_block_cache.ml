@@ -150,6 +150,46 @@ let test_self_modifying_abandon () =
   Alcotest.(check bool) "the store invalidated the block" true
     (s.Machine.block_invalidations >= 1)
 
+(* A capability store fires the store snoop with its granule, on both
+   tiers — the snoop the hardware revoker's store race (3.3.3) and the
+   block cache depend on.  The [csc] overwrites granule 1 of its own
+   block: the low half (word 2, an add) becomes the integer in c5, an
+   ebreak, and the high half (word 3, the old ebreak) the null metadata
+   word.  A tier that missed the snoop would run the stale add and
+   halt on the stale ebreak with c2 = 1. *)
+let test_cap_store_snooped () =
+  let program =
+    Insn.[ Csc (5, 4, 8); Op_imm (Add, 1, 1, 1); Op_imm (Add, 2, 2, 1); Ebreak ]
+  in
+  let run dispatch =
+    let m, _ = boot (List.map Encode.encode program) in
+    Machine.set_reg m 4
+      (Capability.set_bounds
+         (Capability.with_address Capability.root_mem_rw code_base)
+         ~length:code_size ~exact:false);
+    Machine.set_reg_int m 5 (Encode.encode Insn.Ebreak);
+    plain_blocks m;
+    let seen = ref [] in
+    Bus.on_store m.Machine.bus (fun a -> seen := a :: !seen);
+    (match Machine.run ~dispatch m with
+    | Machine.Step_halted, _ -> ()
+    | r, _ -> Alcotest.failf "did not halt: %s" (result_name r));
+    (m, !seen)
+  in
+  let ref_m, ref_seen = run Machine.Dispatch_ref in
+  let m, seen = run Machine.Dispatch_jit in
+  Alcotest.(check (list int)) "reference: the csc's granule is snooped"
+    [ code_base + 8 ] ref_seen;
+  Alcotest.(check (list int)) "jit: the csc's granule is snooped"
+    [ code_base + 8 ] seen;
+  Alcotest.(check int) "reference runs the stored ebreak" 0
+    (Machine.reg_int ref_m 2);
+  Alcotest.(check int) "jit runs the stored ebreak" 0 (Machine.reg_int m 2);
+  Alcotest.(check string) "same state hash" (Machine.state_hash ref_m)
+    (Machine.state_hash m);
+  Alcotest.(check bool) "the csc invalidated its block" true
+    ((Machine.block_stats m).Machine.block_invalidations >= 1)
+
 (* Fuel-exact cutting: driving the jit in fuel chunks of every small
    size must retire exactly the reference count and land in the
    identical final state — blocks are cut mid-execution when fuel runs
@@ -1059,6 +1099,8 @@ let suite =
       test_block_boundaries;
     Alcotest.test_case "self-modifying store abandons its own block" `Quick
       test_self_modifying_abandon;
+    Alcotest.test_case "a capability store is snooped on both tiers" `Quick
+      test_cap_store_snooped;
     Alcotest.test_case "fuel-exact block cutting" `Quick test_fuel_cutting;
     Alcotest.test_case "device writes keep cached blocks valid" `Quick
       test_device_write_keeps_blocks;
