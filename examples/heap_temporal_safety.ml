@@ -35,6 +35,14 @@ let make temporal =
   | _ -> ());
   (alloc, sram, rev)
 
+(* A branch the model must never take: report it and exit 1. *)
+let bug fmt =
+  Format.kasprintf
+    (fun s ->
+      say "%s" s;
+      exit 1)
+    fmt
+
 let ok = function
   | Ok v -> v
   | Error e -> Fmt.failwith "%a" Allocator.pp_error e
@@ -47,8 +55,7 @@ let () =
   Sram.write32 sram (Capability.base session) 0xC0FFEE;
   (* The attacker keeps a copy of the pointer in long-lived heap memory. *)
   let stash = ok (Allocator.malloc alloc 16) in
-  Sram.write_cap sram (Capability.base stash)
-    (session.Capability.tag, Capability.to_word session);
+  Sram.write_cap sram (Capability.base stash) session;
   say "  attacker stashes a copy of the pointer in the heap";
   ok (Allocator.free alloc session);
   say "  victim frees the object:";
@@ -57,8 +64,7 @@ let () =
   say "    - memory zeroed, chunk quarantined (not on the free lists)";
   (* Even before any sweep, the load filter kills the stale copy at load
      time: the revocation bit of its base is set (3.3.2). *)
-  let tag, word = Sram.read_cap sram (Capability.base stash) in
-  let reloaded = Capability.of_word ~tag word in
+  let reloaded = Sram.read_cap sram (Capability.base stash) in
   let filtered =
     if Revbits.is_revoked rev (Capability.base reloaded) then
       Capability.clear_tag reloaded
@@ -83,8 +89,8 @@ let () =
   | Ok () -> (
       match Allocator.free alloc fresh with
       | Error e -> say "  second free of the same pointer: %a" Allocator.pp_error e
-      | Ok () -> say "  BUG: double free accepted")
-  | Error e -> say "  unexpected: %a" Allocator.pp_error e);
+      | Ok () -> bug "  BUG: double free accepted")
+  | Error e -> bug "  unexpected: %a" Allocator.pp_error e);
   let obj = ok (Allocator.malloc alloc 64) in
   let interior =
     Capability.set_bounds (Capability.incr_address obj 16) ~length:8
@@ -92,7 +98,7 @@ let () =
   in
   (match Allocator.free alloc interior with
   | Error e -> say "  free of an interior pointer:     %a" Allocator.pp_error e
-  | Ok () -> say "  BUG: partial free accepted");
+  | Ok () -> bug "  BUG: partial free accepted");
 
   say "";
   say "== The same attack vs the Baseline (no temporal safety) ==";
@@ -108,7 +114,7 @@ let () =
   Sram.write32 sram (Capability.base recycled) 0x5EC2E7;
   say "  stale pointer still tagged: %b -- the attacker reads the new \
        owner's 0x%x"
-    session.Capability.tag
+    (Capability.tag session)
     (Sram.read32 sram (Capability.base session));
   say "  => the classic heap UAF the paper's mechanisms deterministically \
        eliminate"

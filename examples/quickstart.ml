@@ -91,7 +91,9 @@ let () =
         (m.Machine.mtval lsr 5);
       say "  t0 reached %d -- exactly the buffer's 4 words, never a byte more"
         (Machine.reg_int m Insn.reg_t0)
-  | _ -> say "  unexpected result");
+  | _ ->
+      say "  unexpected result";
+      exit 1);
   say "";
   say "Next: examples/heap_temporal_safety.exe and \
        examples/compartment_isolation.exe"

@@ -121,7 +121,7 @@ let int_full = int_v Iv.full
 let of_cap (c : Capability.t) =
   let perms = Capability.perms c in
   {
-    tag = Tri.of_bool c.Capability.tag;
+    tag = Tri.of_bool (Capability.tag c);
     ot = Ot_exact (Capability.otype c);
     pmust = perms;
     pmay = perms;

@@ -118,9 +118,7 @@ let globals_region ctx (a : v) =
   else if lo >= ctx.sbase && hi <= ctx.sbase + ctx.ssize then `Stack
   else `Other
 
-let read_cap_v sram a =
-  let tag, w = Sram.read_cap sram a in
-  of_cap (Capability.of_word ~tag w)
+let read_cap_v sram a = of_cap (Sram.read_cap sram a)
 
 (* Join of every granule in the compartment's initial globals image —
    the starting point of the store soup. *)
@@ -838,9 +836,7 @@ let summary_key ~call_summaries ~field_sensitive (t : Loader.t)
   addf "%d %d %d %d %d %d %d %d %d|" (Sram.base sram) code_lo code_hi gbase
     gsize t.Loader.stack_base t.Loader.stack_size t.Loader.heap_base
     t.Loader.heap_size;
-  let add_cap (c : Capability.t) =
-    addf "%b:%Lx;" c.Capability.tag (Capability.to_word c)
-  in
+  let add_cap c = addf "%b:%Lx;" (Capability.tag c) (Capability.to_word c) in
   add_cap b.Loader.code_cap;
   add_cap b.Loader.globals_cap;
   let a = ref code_lo in
@@ -855,9 +851,9 @@ let summary_key ~call_summaries ~field_sensitive (t : Loader.t)
   done;
   let off = ref 0 in
   while !off + 8 <= gsize do
-    let tag, w = Sram.read_cap sram (gbase + !off) in
-    Buffer.add_char buf (if tag then '1' else '0');
-    Buffer.add_int64_le buf w;
+    let c = Sram.read_cap sram (gbase + !off) in
+    Buffer.add_char buf (if Capability.tag c then '1' else '0');
+    Buffer.add_int64_le buf (Capability.to_word c);
     off := !off + 8
   done;
   List.iter
@@ -1011,10 +1007,7 @@ let switcher_export_ot = Otype.v Otype.Data Switcher_asm.export_otype
 
 let audit_linkage acc (t : Loader.t) =
   let sram = t.Loader.sram in
-  let read_cap_at a =
-    let tag, w = Sram.read_cap sram a in
-    Capability.of_word ~tag w
-  in
+  let read_cap_at = Sram.read_cap sram in
   let switcher_lo = Sram.base sram in
   let switcher_hi = switcher_lo + 0x800 in
   List.iter
@@ -1039,7 +1032,7 @@ let audit_linkage acc (t : Loader.t) =
               let sentry = read_cap_at daddr in
               let cgp = read_cap_at (daddr + 8) in
               let expected = Loader.sentry_of_posture e.Compartment.exp_posture in
-              (if not sentry.Capability.tag then
+              (if not (Capability.tag sentry) then
                  em Rules.link_export_posture
                    (Printf.sprintf "export %s: entry is untagged"
                       e.Compartment.exp_label)
@@ -1058,7 +1051,7 @@ let audit_linkage acc (t : Loader.t) =
                  | Some _ -> ());
               let entry = Capability.address sentry in
               if
-                sentry.Capability.tag
+                Capability.tag sentry
                 && (entry < code_lo || entry >= code_hi
                    || not (Capability.has_perm sentry Perm.EX))
               then
@@ -1066,13 +1059,13 @@ let audit_linkage acc (t : Loader.t) =
                   (Printf.sprintf
                      "export %s: entry 0x%x outside code region [0x%x, 0x%x)"
                      e.Compartment.exp_label entry code_lo code_hi);
-              if sentry.Capability.tag && Capability.has_perm sentry Perm.SR
+              if Capability.tag sentry && Capability.has_perm sentry Perm.SR
               then
                 em Rules.link_sr_leak
                   (Printf.sprintf "export %s: entry sentry carries SR"
                      e.Compartment.exp_label);
               if
-                (not cgp.Capability.tag)
+                (not (Capability.tag cgp))
                 || Capability.is_sealed cgp
                 || Capability.has_perm cgp Perm.SL
                 || Capability.base cgp < gbase
@@ -1100,7 +1093,7 @@ let audit_linkage acc (t : Loader.t) =
                  gsize)
           else
             let c = read_cap_at (gbase + slot) in
-            if (not c.Capability.tag) || not (Capability.is_sealed c) then
+            if (not (Capability.tag c)) || not (Capability.is_sealed c) then
               em Rules.link_import_unsealed
                 (Printf.sprintf "import slot %d holds an unsealed or untagged \
                                  capability"
@@ -1149,7 +1142,7 @@ let audit_linkage acc (t : Loader.t) =
       let c0 = read_cap_at (gbase + Compartment.switcher_slot) in
       let addr0 = Capability.address c0 in
       if
-        (not c0.Capability.tag)
+        (not (Capability.tag c0))
         || Capability.sentry_kind c0 <> Some Otype.Sentry_disable
         || addr0 < switcher_lo || addr0 >= switcher_hi
       then
@@ -1166,7 +1159,7 @@ let audit_linkage acc (t : Loader.t) =
       while !off + 8 <= gsize do
         (if not (List.mem !off import_slots) then
            let c = read_cap_at (gbase + !off) in
-           if c.Capability.tag then
+           if Capability.tag c then
              if not (Capability.is_global c) then
                em Rules.link_local_leak
                  (Printf.sprintf "tagged local capability at globals+%d" !off)
@@ -1191,7 +1184,7 @@ let audit_linkage acc (t : Loader.t) =
     em Rules.link_sr_leak "boot PCC carries SR";
   let sp = Machine.reg m Insn.reg_sp in
   if
-    (not sp.Capability.tag)
+    (not (Capability.tag sp))
     || Capability.is_sealed sp
     || Capability.is_global sp
     || (not (Capability.has_perm sp Perm.SL))

@@ -81,8 +81,7 @@ let seal c ~otype =
   | Ok s -> s
   | Error e -> failwith ("corpus: " ^ e)
 
-let write_cap (t : Loader.t) addr c =
-  Sram.write_cap t.Loader.sram addr (true, Capability.to_word c)
+let write_cap (t : Loader.t) addr c = Sram.write_cap t.Loader.sram addr c
 
 let mem_window ?(sl = false) base len =
   let c =

@@ -7,7 +7,6 @@ let[@inline] e_field b = b lsr 18
 let[@inline] b_field b = (b lsr 9) land 0x1ff
 let[@inline] t_field b = b land 0x1ff
 let exponent b = decode_exp (e_field b)
-let raw_fields b = (e_field b, b_field b, t_field b)
 
 let of_raw_fields ~e ~b ~t =
   ((e land 0xf) lsl 18) lor ((b land 0x1ff) lsl 9) lor (t land 0x1ff)

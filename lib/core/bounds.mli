@@ -37,9 +37,6 @@ type t [@@immediate]
 val exponent : t -> int
 (** Decoded exponent [e] (0–14 or 24). *)
 
-val raw_fields : t -> int * int * int
-(** [(e_field, b_field, t_field)]: the 4-, 9- and 9-bit raw fields. *)
-
 val of_raw_fields : e:int -> b:int -> t:int -> t
 (** Reassemble from raw field values (masked to width). *)
 

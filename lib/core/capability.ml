@@ -1,18 +1,8 @@
-type t = {
-  tag : bool;
-  perms : Perm.Set.t;
-  otype : Otype.t;
-  bounds : Bounds.t;
-  addr : int;
-  reserved : bool;
-}
-
 let mask32 = 0xFFFF_FFFF
 
 (* The capability semantics, once, over the word: the tag in bit 32 and
    the Fig. 1 metadata word in bits 31-0, beside a separate 32-bit
-   address.  The record functions further down unpack what these
-   compute. *)
+   address.  A capability value below is that pair. *)
 module Word = struct
   type t = int
 
@@ -144,128 +134,86 @@ module Word = struct
     else clear_tag w
 end
 
-let[@inline] pack c =
-  (if c.tag then Word.tag_bit else 0)
-  lor (if c.reserved then 1 lsl 31 else 0)
-  lor (Perm.encode_exn c.perms lsl 25)
-  lor (Otype.value c.otype lsl 22)
-  lor Bounds.to_bits c.bounds
+type t = { word : Word.t; addr : int }
 
-let[@inline] unpack w addr =
+let null = { word = Word.null; addr = 0 }
+
+let root perms bounds =
   {
-    tag = Word.tag w;
-    perms = Word.perms w;
-    otype = Word.otype w;
-    bounds = Word.bounds w;
-    addr;
-    reserved = w land (1 lsl 31) <> 0;
+    word =
+      Word.with_perms (Word.tag_bit lor Bounds.to_bits bounds)
+        (Perm.Set.of_list perms);
+    addr = 0;
   }
-
-let null = unpack Word.null 0
 
 let root_mem_rw =
-  {
-    tag = true;
-    perms = Perm.Set.of_list [ GL; LD; SD; MC; SL; LM; LG ];
-    otype = Otype.unsealed;
-    bounds = Bounds.whole_address_space;
-    addr = 0;
-    reserved = false;
-  }
+  root [ GL; LD; SD; MC; SL; LM; LG ] Bounds.whole_address_space
 
 let root_executable =
-  {
-    tag = true;
-    perms = Perm.Set.of_list [ GL; EX; LD; MC; SR; LM; LG ];
-    otype = Otype.unsealed;
-    bounds = Bounds.whole_address_space;
-    addr = 0;
-    reserved = false;
-  }
+  root [ GL; EX; LD; MC; SR; LM; LG ] Bounds.whole_address_space
 
-let root_sealing =
-  {
-    tag = true;
-    perms = Perm.Set.of_list [ GL; U0; SE; US ];
-    otype = Otype.unsealed;
-    bounds = Bounds.otype_space;
-    addr = 0;
-    reserved = false;
-  }
-
+let root_sealing = root [ GL; U0; SE; US ] Bounds.otype_space
 let roots = [ root_mem_rw; root_executable; root_sealing ]
+let[@inline] tag c = Word.tag c.word
 let address c = c.addr
-let base c = Bounds.base_of c.bounds ~addr:c.addr
-let top c = Bounds.top_of c.bounds ~addr:c.addr
+let base c = Word.base c.word ~addr:c.addr
+let top c = Word.top c.word ~addr:c.addr
 let length c = Int.max 0 (top c - base c)
-let perms c = c.perms
-let has_perm c p = Perm.Set.mem p c.perms
-let otype c = c.otype
-let is_sealed c = not (Otype.is_unsealed c.otype)
-let sentry_kind c = Otype.sentry_of_otype c.otype
+let perms c = Word.perms c.word
+let has_perm c p = Word.has_perm c.word p
+let otype c = Word.otype c.word
+let is_sealed c = Word.is_sealed c.word
+let sentry_kind c = Otype.sentry_of_otype (otype c)
 let is_sentry c = Option.is_some (sentry_kind c)
 let is_global c = has_perm c GL
-
-let in_bounds c ~size a =
-  Bounds.in_bounds c.bounds ~addr:c.addr ~access:a ~size
-
-let clear_tag c = unpack (Word.clear_tag (pack c)) c.addr
+let in_bounds c ~size a = Word.in_bounds c.word ~addr:c.addr ~size a
+let clear_tag c = { c with word = Word.clear_tag c.word }
 
 let with_address c addr =
-  unpack (Word.with_address (pack c) ~cur:c.addr addr) (addr land mask32)
+  { word = Word.with_address c.word ~cur:c.addr addr; addr = addr land mask32 }
 
 let incr_address c off = with_address c (c.addr + off)
 
 let set_bounds c ~length ~exact =
-  unpack (Word.set_bounds (pack c) ~addr:c.addr ~length ~exact) c.addr
+  { c with word = Word.set_bounds c.word ~addr:c.addr ~length ~exact }
 
-let and_perms c mask = unpack (Word.and_perms (pack c) mask) c.addr
-
+let and_perms c mask = { c with word = Word.and_perms c.word mask }
 let clear_perms c ps =
-  let mask = Perm.Set.diff c.perms (Perm.Set.of_list ps) in
-  and_perms c mask
-
-let derive c r = Result.map (fun w -> unpack w c.addr) r
-
-let seal c ~key =
-  derive c (Word.seal (pack c) ~key:(pack key) ~key_addr:key.addr)
+  and_perms c (Perm.Set.diff (perms c) (Perm.Set.of_list ps))
+let derive c r = Result.map (fun word -> { c with word }) r
+let seal c ~key = derive c (Word.seal c.word ~key:key.word ~key_addr:key.addr)
 
 let unseal c ~key =
-  derive c (Word.unseal (pack c) ~key:(pack key) ~key_addr:key.addr)
+  derive c (Word.unseal c.word ~key:key.word ~key_addr:key.addr)
 
-let seal_sentry c kind = derive c (Word.seal_sentry (pack c) kind)
+let seal_sentry c kind = derive c (Word.seal_sentry c.word kind)
 
 let load_attenuate ~authority c =
-  unpack (Word.load_attenuate ~authority:(pack authority) (pack c)) c.addr
+  { c with word = Word.load_attenuate ~authority:authority.word c.word }
 
 let is_subset c ~of_:parent =
-  c.tag = parent.tag
+  tag c = tag parent
   && base c >= base parent
   && top c <= top parent
-  && Perm.Set.subset c.perms parent.perms
+  && Perm.Set.subset (perms c) (perms parent)
 
 (* Fig. 1 metadata word in bits 63-32, the address in bits 31-0. *)
-let word_to_int64 w addr =
+let to_word c =
   Int64.logor
-    (Int64.shift_left (Int64.of_int (Word.meta w)) 32)
-    (Int64.of_int (addr land mask32))
-
-let to_word c = word_to_int64 (pack c) c.addr
+    (Int64.shift_left (Int64.of_int (Word.meta c.word)) 32)
+    (Int64.of_int (c.addr land mask32))
 
 let of_word ~tag w =
-  let meta = Int64.to_int (Int64.shift_right_logical w 32) land mask32 in
-  unpack
-    ((if tag then Word.tag_bit else 0) lor meta)
-    (Int64.to_int (Int64.logand w 0xFFFF_FFFFL))
+  {
+    word =
+      (if tag then Word.tag_bit else 0)
+      lor (Int64.to_int (Int64.shift_right_logical w 32) land mask32);
+    addr = Int64.to_int (Int64.logand w 0xFFFF_FFFFL);
+  }
 
-let equal a b =
-  a.tag = b.tag
-  && Perm.Set.equal a.perms b.perms
-  && Otype.equal a.otype b.otype
-  && Bounds.equal a.bounds b.bounds
-  && a.addr = b.addr && a.reserved = b.reserved
+let equal a b = a.word = b.word && a.addr = b.addr
 
 let pp fmt c =
   Format.fprintf fmt "%s 0x%08x [0x%08x..0x%09x) %a %a"
-    (if c.tag then "cap" else "CAP!")
-    c.addr (base c) (top c) Perm.Set.pp c.perms Otype.pp c.otype
+    (if tag c then "cap" else "CAP!")
+    c.addr (base c) (top c) Perm.Set.pp (perms c) Otype.pp (otype c)

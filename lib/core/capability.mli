@@ -13,21 +13,6 @@
     roots (memory-rw, executable, sealing) are the only initially tagged
     values. *)
 
-type t = {
-  tag : bool;
-  perms : Perm.Set.t;  (** always a representable (legalized) set *)
-  otype : Otype.t;
-      (** in the namespace the perms choose: executable with EX, data
-          without *)
-  bounds : Bounds.t;
-  addr : int;  (** 32-bit address *)
-  reserved : bool;  (** the R bit of Fig. 1; unused, preserved *)
-}
-(** The API view of a capability, for the machine's callers, the RTOS
-    model, the auditor and the tests.  Every derivation below packs the
-    record into its {!Word}, applies the word function and unpacks the
-    result, so each rule has the one definition in {!Word}. *)
-
 (** {1 The word}
 
     A capability's metadata as one immediate [int] (the {e word}):
@@ -48,7 +33,8 @@ type t = {
     word and the address it is held with ([~addr] or [~cur]), allocate
     nothing unless they return a [result], and return the new word
     (the new address is the caller's: [addr land 0xFFFF_FFFF] for
-    {!Word.with_address}, unchanged for the others). *)
+    {!Word.with_address}, unchanged for the others).  The functions on
+    {!t} below apply them to a value's two fields. *)
 module Word : sig
   type t = int
 
@@ -96,18 +82,10 @@ module Word : sig
       sealed. *)
 end
 
-val pack : t -> Word.t
-(** The record's word.  [perms] is legalized on the way. *)
-
-val unpack : Word.t -> int -> t
-(** [unpack w addr] is the record of word [w] at address [addr]; the
-    otype's namespace follows EX.  [pack (unpack w a) = w] for every
-    word, and [unpack (pack c) c.addr] is [c] for every record whose
-    perms are legalized and whose otype namespace matches EX. *)
-
-val word_to_int64 : Word.t -> int -> int64
-(** The 64-bit memory representation of word [w] at an address:
-    [to_word (unpack w addr)]. *)
+type t = { word : Word.t; addr : int }
+(** A capability value: its word (the tag and the Fig. 1 metadata) and
+    its 32-bit address — what a register, a PCC or an SRAM granule
+    holds.  The accessors below read the word. *)
 
 (** {1 Construction} *)
 
@@ -128,6 +106,7 @@ val roots : t list
 
 (** {1 Accessors} *)
 
+val tag : t -> bool
 val address : t -> int
 val base : t -> int
 val top : t -> int
@@ -208,11 +187,14 @@ val is_subset : t -> of_:t -> bool
 (** {1 Encoding} *)
 
 val to_word : t -> int64
-(** Pack to the 64-bit memory representation: metadata word (Fig. 1) in
-    bits 63–32, address in bits 31–0.  The tag travels out of band. *)
+(** The 64-bit memory representation: metadata word (Fig. 1) in bits
+    63–32, address in bits 31–0.  The tag travels out of band. *)
 
 val of_word : tag:bool -> int64 -> t
-(** Decode a 64-bit memory word.  Total: every bit pattern decodes. *)
+(** The value of a 64-bit memory word and its tag.  Total: every bit
+    pattern is a capability, and [to_word (of_word ~tag w) = w]. *)
 
 val equal : t -> t -> bool
+(** Equal words and addresses: [CSetEqualExact]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -92,9 +92,6 @@ type event = {
      instead of allocating a fresh one every instruction *)
   mutable ev_insn : Insn.t option;
   mutable ev_taken_branch : bool;
-  mutable ev_mem_bytes : int;
-  mutable ev_is_cap_mem : bool;
-  mutable ev_is_store : bool;
   mutable ev_trap : cause option;
 }
 
@@ -102,9 +99,6 @@ let no_event =
   {
     ev_insn = None;
     ev_taken_branch = false;
-    ev_mem_bytes = 0;
-    ev_is_cap_mem = false;
-    ev_is_store = false;
     ev_trap = None;
   }
 
@@ -135,8 +129,7 @@ type t = {
   mutable pcc : Capability.t;
   bus : Bus.t;
   mode : mode;
-  ddc : Capability.t;
-  ddc_word : int;  (* [Capability.pack ddc], what Rv32 accesses check *)
+  ddc : Capability.t;  (* what Rv32 accesses check *)
   mutable load_filter : bool;
   mutable mie : bool;
   mutable mpie : bool;
@@ -222,15 +215,15 @@ type t = {
    — the [Some insn] event payload, the fall-through PCC, the taken PCC
    of a direct edge and the link of a final [Jal] — is prebuilt at fill
    time, so executing a cached block allocates nothing.  A block
-   carries a fetch "ticket": the machine mode and the PCC under which
-   the fetch-side checks passed at fill time (see [ticket_ok]). *)
+   carries a fetch "ticket": the PCC under which the fetch-side checks
+   passed at fill time (see [ticket_ok]). *)
 and bentry = {
   b_insns : Insn.t array;
   b_opts : Insn.t option array;  (* [Some b_insns.(i)], built at fill *)
   b_nexts : Capability.t option array;
       (* fall-through PCC after instruction [i]: the fill-time
          [next_pcc] chain.  Valid whenever the block ticket validates —
-         each link is a pure function of the ticket fields. *)
+         each link is a pure function of the ticket's word. *)
   b_taken_pcc : Capability.t;
       (* taken PCC of the final direct [Branch]/[Jal] (see
          [taken_pcc]), valid under the ticket like [b_nexts];
@@ -337,7 +330,6 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
     bus;
     mode;
     ddc;
-    ddc_word = Capability.pack ddc;
     load_filter;
     mie = false;
     mpie = false;
@@ -393,8 +385,9 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
    An integer write stores word 0 (untagged, null metadata), so the
    register reads as the untagged null-metadata capability at that
    address whichever setter wrote it.  The capability paths read and
-   write the pair directly; [reg] builds the record view on demand,
-   returning [Capability.null] itself for word 0 at address 0.
+   write the pair directly; [reg] builds the [Capability.t] of the two
+   on demand, returning [Capability.null] itself for word 0 at address
+   0.
    Register 0 holds that pair and no setter writes it, so the zero
    register needs no special-casing on the read side.  The masked index
    is always in [0, 15], so the bounds checks are elided. *)
@@ -404,7 +397,7 @@ let[@inline] reg_int m r = Array.unsafe_get m.reg_addrs (r land 15)
 let reg m r =
   let w = reg_word m r and a = reg_int m r in
   if w = Capability.Word.null && a = 0 then Capability.null
-  else Capability.unpack w a
+  else { Capability.word = w; addr = a }
 
 let mask32 = 0xFFFF_FFFF
 
@@ -416,7 +409,7 @@ let[@inline] set_reg_word m r w a =
     Array.unsafe_set m.reg_addrs r a
   end
 
-let set_reg m r c = set_reg_word m r (Capability.pack c) c.Capability.addr
+let set_reg m r (c : Capability.t) = set_reg_word m r c.word c.addr
 
 let[@inline] set_reg_int m r v = set_reg_word m r Capability.Word.null (v land mask32)
 
@@ -549,18 +542,15 @@ let[@inline] check_plan chk ~w ~ca ~ridx ~addr ~size ~store ~is_cap =
 
 (* The effective address always comes from [rs1]'s address field; only
    the authorizing capability differs by mode (the register itself, or
-   the implicit DDC, whose word was computed at [create]).  Its word
-   and address are read field by field, so no intermediate pair is
-   built on the per-access hot path.  [chk] is the access's plan entry
-   ([Chk_full] outside a jit plan). *)
+   the implicit DDC).  Its word and address are read field by field, so
+   no intermediate pair is built on the per-access hot path.  [chk] is
+   the access's plan entry ([Chk_full] outside a jit plan). *)
 
 let do_load m chk ~rs1 ~off ~width ~signed ~rd =
   let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
   let addr = (reg_int m rs1 + off) land mask32 in
-  let w = match m.mode with Cheriot -> reg_word m rs1 | Rv32 -> m.ddc_word in
-  let ca =
-    match m.mode with Cheriot -> reg_int m rs1 | Rv32 -> m.ddc.Capability.addr
-  in
+  let w = match m.mode with Cheriot -> reg_word m rs1 | Rv32 -> m.ddc.word in
+  let ca = match m.mode with Cheriot -> reg_int m rs1 | Rv32 -> m.ddc.addr in
   check_plan chk ~w ~ca ~ridx:rs1 ~addr ~size ~store:false ~is_cap:false;
   let v = data_read m ~size addr in
   let v =
@@ -571,20 +561,16 @@ let do_load m chk ~rs1 ~off ~width ~signed ~rd =
       | W -> v
     else v
   in
-  set_reg_int m rd v;
-  size
+  set_reg_int m rd v
 
 let do_store m chk ~rs1 ~off ~width ~rs2 =
   let size = match width with Insn.B -> 1 | H -> 2 | W -> 4 in
   let addr = (reg_int m rs1 + off) land mask32 in
-  let w = match m.mode with Cheriot -> reg_word m rs1 | Rv32 -> m.ddc_word in
-  let ca =
-    match m.mode with Cheriot -> reg_int m rs1 | Rv32 -> m.ddc.Capability.addr
-  in
+  let w = match m.mode with Cheriot -> reg_word m rs1 | Rv32 -> m.ddc.word in
+  let ca = match m.mode with Cheriot -> reg_int m rs1 | Rv32 -> m.ddc.addr in
   check_plan chk ~w ~ca ~ridx:rs1 ~addr ~size ~store:true ~is_cap:false;
   data_write m ~size addr (reg_int m rs2);
-  note_store m addr;
-  size
+  note_store m addr
 
 (* The architectural load filter (3.3.2): on every capability load the
    base of the loaded capability indexes the revocation bitmap; a set bit
@@ -753,9 +739,8 @@ let apply_sentry_posture m = function
    posture [mie] at the call site (3.1.2): the word of the caller's
    [pcc] at [pc + 4], sealed, or untagged where it cannot be sealed
    ([Capability.Word.link]).  The link's address is [pc + 4]. *)
-let[@inline] link_word pcc ~mie =
-  let pc = pcc.Capability.addr in
-  Capability.Word.link (Capability.pack pcc) ~cur:pc ~next:(pc + 4) ~mie
+let[@inline] link_word (pcc : Capability.t) ~mie =
+  Capability.Word.link pcc.word ~cur:pcc.addr ~next:(pcc.addr + 4) ~mie
 
 let do_jal m rd off =
   let pc = Capability.address m.pcc in
@@ -809,8 +794,8 @@ let do_jalr m rd rs1 off =
         raise (Trap (Cheri_fault (Cheri_bounds, rs1)));
       (* [w] is tagged, unsealed and in bounds at [target] here, so
          [with_address] would always keep it (in-bounds implies
-         representable); only the new PCC record is built. *)
-      m.pcc <- Capability.unpack w target
+         representable). *)
+      m.pcc <- { Capability.word = w; addr = target }
 
 let[@inline always] alu_exec op a b =
   let open Insn in
@@ -952,7 +937,7 @@ let enter_trap m cause =
   m.mepcc <- m.pcc;
   m.mpie <- m.mie;
   m.mie <- false;
-  if m.mtcc.Capability.tag then begin
+  if Capability.tag m.mtcc then begin
     m.pcc <- m.mtcc;
     Step_trap cause
   end
@@ -964,7 +949,7 @@ let enter_trap m cause =
    fill-time PCC chain, not the live machine PCC. *)
 let fetch_check_pcc mode pcc pc =
   if mode = Cheriot then begin
-    if not pcc.Capability.tag then raise (Trap (Cheri_fault (Cheri_tag, 16)));
+    if not (Capability.tag pcc) then raise (Trap (Cheri_fault (Cheri_tag, 16)));
     if Capability.is_sealed pcc then
       raise (Trap (Cheri_fault (Cheri_seal, 16)));
     if not (Capability.has_perm pcc EX) then
@@ -994,22 +979,17 @@ let fetch_decode m =
   | Some insn -> insn
 
 (* The step-advanced PCC.  A pure function of the current PCC and mode:
-   [Capability.with_address p (pc + 4)] inlined for the CHERIoT case
-   (the tag/seal tests almost always succeed right after a fetch and the
-   fast-pathed representability check dominates); a plain program
-   counter in Rv32 mode. *)
-let next_pcc_of mode p =
-  let addr = (p.Capability.addr + 4) land mask32 in
+   [Capability.with_address p (pc + 4)] in CHERIoT mode, a plain
+   program counter in Rv32 mode. *)
+let next_pcc_of mode (p : Capability.t) =
+  let addr = (p.addr + 4) land mask32 in
   match mode with
   | Cheriot ->
-      let ok =
-        p.Capability.tag
-        && p.Capability.otype == Otype.unsealed
-        && Bounds.representable p.Capability.bounds ~cur:p.Capability.addr
-             ~addr
-      in
-      { p with Capability.addr; tag = ok }
-  | Rv32 -> { p with Capability.addr }
+      {
+        Capability.word = Capability.Word.with_address p.word ~cur:p.addr addr;
+        addr;
+      }
+  | Rv32 -> { p with addr }
 
 let next_pcc m = next_pcc_of m.mode m.pcc
 
@@ -1017,8 +997,8 @@ let next m = m.pcc <- next_pcc m
 
 (* Fall-through PC advance.  The round executor passes the block's
    [b_nexts] entry, valid because the block ticket validated —
-   [next_pcc] depends only on the ticket-compared fields, so installing
-   the prebuilt record is observationally identical to recomputing it
+   [next_pcc] depends only on the ticket-compared word, so installing
+   the prebuilt value is observationally identical to recomputing it
    (and costs one store).  [step] passes [None]. *)
 let advance m nextc =
   match nextc with Some c -> m.pcc <- c | None -> next m
@@ -1031,21 +1011,14 @@ let advance_finish m nextc opt =
   let ev = m.last_event in
   ev.ev_insn <- opt;
   ev.ev_taken_branch <- false;
-  ev.ev_mem_bytes <- 0;
-  ev.ev_is_cap_mem <- false;
-  ev.ev_is_store <- false;
   ev.ev_trap <- None;
   Step_ok
 
-let finish m ?(taken = false) ?(mem = 0) ?(cap_mem = false) ?(store = false)
-    opt =
+let finish m ~taken opt =
   m.minstret <- m.minstret + 1;
   let ev = m.last_event in
   ev.ev_insn <- opt;
   ev.ev_taken_branch <- taken;
-  ev.ev_mem_bytes <- mem;
-  ev.ev_is_cap_mem <- cap_mem;
-  ev.ev_is_store <- store;
   ev.ev_trap <- None;
   Step_ok
 
@@ -1077,28 +1050,24 @@ let exec m insn opt nextc =
         if m.mode = Cheriot && not (Capability.in_bounds m.pcc ~size:4 target)
         then raise (Trap (Cheri_fault (Cheri_bounds, 16)));
         (* Bounds just checked (Cheriot) or irrelevant (Rv32): in-bounds
-           implies representable, so the plain record update matches
+           implies representable, so the plain address update matches
            [with_address] exactly. *)
         m.pcc <- { m.pcc with Capability.addr = target }
       end
       else advance m nextc;
       finish m ~taken opt
   | Load { signed; width; rd; rs1; off } ->
-      let bytes = do_load m Ir.Chk_full ~rs1 ~off ~width ~signed ~rd in
-      advance m nextc;
-      finish m ~mem:bytes opt
+      do_load m Ir.Chk_full ~rs1 ~off ~width ~signed ~rd;
+      advance_finish m nextc opt
   | Store { width; rs2; rs1; off } ->
-      let bytes = do_store m Ir.Chk_full ~rs1 ~off ~width ~rs2 in
-      advance m nextc;
-      finish m ~mem:bytes ~store:true opt
+      do_store m Ir.Chk_full ~rs1 ~off ~width ~rs2;
+      advance_finish m nextc opt
   | Clc (rd, rs1, off) ->
       do_clc m Ir.Chk_full ~rd ~rs1 ~off;
-      advance m nextc;
-      finish m ~mem:8 ~cap_mem:true opt
+      advance_finish m nextc opt
   | Csc (rs2, rs1, off) ->
       do_csc m Ir.Chk_full ~rs2 ~rs1 ~off;
-      advance m nextc;
-      finish m ~mem:8 ~cap_mem:true ~store:true opt
+      advance_finish m nextc opt
   | Op_imm (op, rd, rs1, imm) ->
       set_reg_int m rd (alu_exec op (reg_int m rs1) (imm land mask32));
       advance_finish m nextc opt
@@ -1119,7 +1088,10 @@ let exec m insn opt nextc =
         match Capability.sentry_kind target with
         | Some kind ->
             apply_sentry_posture m kind;
-            Capability.{ target with otype = Otype.unsealed }
+            {
+              target with
+              Capability.word = Capability.Word.with_otype_bits target.word 0;
+            }
         | None ->
             m.mie <- m.mpie;
             target
@@ -1135,7 +1107,7 @@ let exec m insn opt nextc =
         m.last_event <- { no_event with ev_insn = opt };
         Step_waiting
       end
-      else finish m opt
+      else finish m ~taken:false opt
   | Csr (op, rd, rs1, n) ->
       do_csr m op rd rs1 n;
       advance_finish m nextc opt
@@ -1297,7 +1269,7 @@ let taken_pcc mode pcc (i : Insn.t) =
       | Rv32, Jal _ -> Capability.{ root_executable with addr = target }
       | Rv32, _ -> { pcc with Capability.addr = target }
       | Cheriot, _ ->
-          (* in bounds implies representable, so the record update is
+          (* in bounds implies representable, so the address update is
              [with_address] *)
           if Capability.in_bounds pcc ~size:4 target then
             { pcc with Capability.addr = target }
@@ -1381,30 +1353,22 @@ let fill_block m pc0 =
       Some b
 
 (* Is a cached block's fetch ticket still good?  The fetch-side checks
-   are a pure function of (mode, PCC, pc), so a hit under a PCC whose
-   compared fields equal the ticket's can skip them wholesale — same
-   result, no bounds decode.  The compare is used in {e both} modes: the
-   prebuilt [b_nexts] chain copies the fill-time PCC's metadata fields
-   verbatim, so an Rv32 hit must pin them too.  Every compared field is
-   an immediate, so [==] is value equality: a re-derived but identical
-   PCC — e.g. after returning through a link sentry, which rebuilds the
-   record — still hits, where a compare of the record itself would
-   force a full re-translation of every block after every return.
-   Observational behaviour depends only on field values, so installing
-   the fill-time chain under a value-equal PCC is exact; and since the
-   chain {e is} the fill-time records, the very next compare is
-   physical again.  The probe's full-PC start match pinned the
-   address. *)
+   are a pure function of (mode, PCC, pc), and the mode never changes
+   after [create], so a hit under a PCC whose word equals the ticket's
+   can skip them wholesale — same result, no bounds decode.  The
+   compare is used in {e both} modes: the prebuilt [b_nexts] chain
+   copies the fill-time PCC's word verbatim, so an Rv32 hit must pin it
+   too.  A re-derived but identical PCC — e.g. after returning through a
+   link sentry, which builds a new value — still hits, where a physical
+   compare alone would force a full re-translation of every block after
+   every return.  Observational behaviour depends only on the word and
+   the address, so installing the fill-time chain under an equal word
+   is exact; and since the chain {e is} the fill-time values, the very
+   next compare is physical again.  The probe's full-PC start match
+   pinned the address. *)
 let[@inline always] ticket_ok m (b : bentry) =
-  b.b_mode = m.mode
-  &&
   let tp = b.b_pcc and cp = m.pcc in
-  tp == cp
-  || (tp.Capability.bounds == cp.Capability.bounds
-     && tp.Capability.tag = cp.Capability.tag
-     && tp.Capability.perms == cp.Capability.perms
-     && tp.Capability.otype == cp.Capability.otype
-     && tp.Capability.reserved = cp.Capability.reserved)
+  tp == cp || tp.word = cp.word
 
 (* The block-cache probe, written out here rather than called, because
    every dispatch point runs it (the slot layout is [Decode_cache.t]'s:
@@ -1422,32 +1386,11 @@ let[@inline always] probe m bc pc =
   if e.b_start = pc && ticket_ok m e then e else bc.Decode_cache.dummy
 
 (* Rebuild [last_event] for an instruction that retired without
-   trapping, field for field what [finish] writes: for everything the
-   round executor defers or runs inline, the event is a function of
-   the decoded instruction and the branch direction alone. *)
-let retire_event m insn opt ~taken =
+   trapping, what [finish] writes: for everything the round executor
+   defers or runs inline, the event is the decoded instruction and the
+   branch direction. *)
+let retire_event m opt ~taken =
   let ev = m.last_event in
-  (match insn with
-  | Insn.Load { width; _ } ->
-      ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-      ev.ev_is_cap_mem <- false;
-      ev.ev_is_store <- false
-  | Insn.Store { width; _ } ->
-      ev.ev_mem_bytes <- (match width with Insn.B -> 1 | H -> 2 | W -> 4);
-      ev.ev_is_cap_mem <- false;
-      ev.ev_is_store <- true
-  | Insn.Clc _ ->
-      ev.ev_mem_bytes <- 8;
-      ev.ev_is_cap_mem <- true;
-      ev.ev_is_store <- false
-  | Insn.Csc _ ->
-      ev.ev_mem_bytes <- 8;
-      ev.ev_is_cap_mem <- true;
-      ev.ev_is_store <- true
-  | _ ->
-      ev.ev_mem_bytes <- 0;
-      ev.ev_is_cap_mem <- false;
-      ev.ev_is_store <- false);
   ev.ev_insn <- opt;
   ev.ev_taken_branch <- taken;
   ev.ev_trap <- None
@@ -1511,10 +1454,9 @@ let adapt_hot m =
      fall-through), and [exec] derives the post-edge PCC from the
      pre-edge PCC by changing only the address, so every later
      traversal of the same edge from a ticket-valid [b] produces a PCC
-     whose compared fields are {e value-equal} to link time
-     ([ticket_ok] accepts exactly value equality, so skipping
-     the re-compare loses nothing).  The mode is re-checked because it
-     is not derived from the PCC.
+     whose word is {e equal} to link time ([ticket_ok] accepts exactly
+     an equal word, so skipping the re-compare loses nothing).  The
+     mode never changes after [create].
    - Validity over time is the chain epoch: anything that can stale
      any translation (store-kill, flush, a fill over a live entry)
      bumps it, and a link is only followed while its recorded epoch
@@ -1534,7 +1476,7 @@ let chain_edge m (b : bentry) edge =
   let link = if edge = 1 then b.b_taken else b.b_fall in
   let lep = if edge = 1 then b.b_taken_epoch else b.b_fall_epoch in
   match link with
-  | Some succ when lep = epoch && succ.b_mode = m.mode ->
+  | Some succ when lep = epoch ->
       bc.Decode_cache.chain_hits <- bc.Decode_cache.chain_hits + 1;
       succ
   | _ ->
@@ -1791,13 +1733,10 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
              set_reg_int m rd (muldiv_exec op (reg_int m rs1) (reg_int m rs2));
              incr pending
          | Insn.Load { signed; width; rd; rs1; off } ->
-             ignore
-               (do_load m (Array.unsafe_get chks !i) ~rs1 ~off ~width ~signed
-                  ~rd);
+             do_load m (Array.unsafe_get chks !i) ~rs1 ~off ~width ~signed ~rd;
              incr pending
          | Insn.Store { width; rs2; rs1; off } ->
-             ignore
-               (do_store m (Array.unsafe_get chks !i) ~rs1 ~off ~width ~rs2);
+             do_store m (Array.unsafe_get chks !i) ~rs1 ~off ~width ~rs2;
              incr pending;
              if Array.unsafe_get page slot_off != blk then begin
                m.block_aborts <- m.block_aborts + 1;
@@ -1917,7 +1856,6 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
                if succ == dummy then begin
                  if edge <> 2 then
                    retire_event m
-                     (Array.unsafe_get insns (b_len - 1))
                      (Array.unsafe_get opts (b_len - 1))
                      ~taken:(edge = 1);
                  stop := true
@@ -1933,10 +1871,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
      done;
      if !pending > 0 then begin
        pending := sync m (!b).b_nexts !i !pending;
-       retire_event m
-         (Array.unsafe_get (!b).b_insns (!i - 1))
-         (Array.unsafe_get (!b).b_opts (!i - 1))
-         ~taken:false
+       retire_event m (Array.unsafe_get (!b).b_opts (!i - 1)) ~taken:false
      end
    with Trap cause ->
      pending := sync m (!b).b_nexts !i !pending;
@@ -2127,15 +2062,14 @@ let avg_block_len (s : block_stats) =
    dispatch path to the reference interpreter. *)
 let state_hash m =
   let buf = Buffer.create 512 in
-  let add_word w a =
+  let add_cap c =
     Buffer.add_string buf
       (Printf.sprintf "%c%Lx;"
-         (if Capability.Word.tag w then 't' else 'u')
-         (Capability.word_to_int64 w a))
+         (if Capability.tag c then 't' else 'u')
+         (Capability.to_word c))
   in
-  let add_cap c = add_word (Capability.pack c) c.Capability.addr in
   for r = 0 to 15 do
-    add_word (reg_word m r) (reg_int m r)
+    add_cap (reg m r)
   done;
   add_cap m.pcc;
   add_cap m.ddc;

@@ -60,16 +60,14 @@ val pp_cause : Format.formatter -> cause -> unit
 val mcause_of : cause -> int
 (** The value written to [mcause] (interrupt bit in bit 31). *)
 
-(** What [step] observed — consumed by the micro-architectural cycle
-    models, which charge cycles per event.  The fields are mutable
-    because the machine reuses one record across steps on the hot path:
-    read [last_event] before stepping again, don't retain it. *)
+(** What [step] observed — consumed by [Perf]'s per-step pricing, which
+    charges the retired instruction's static cost, a taken branch's
+    penalty or a trap's.  The fields are mutable because the machine
+    reuses one record across steps on the hot path: read [last_event]
+    before stepping again, don't retain it. *)
 type event = {
   mutable ev_insn : Insn.t option;  (** None when no instruction retired *)
   mutable ev_taken_branch : bool;
-  mutable ev_mem_bytes : int;  (** data bytes moved, 0 if none *)
-  mutable ev_is_cap_mem : bool;
-  mutable ev_is_store : bool;
   mutable ev_trap : cause option;
 }
 
@@ -109,8 +107,9 @@ type t = {
   mutable pcc : Cheriot_core.Capability.t;
   bus : Cheriot_mem.Bus.t;
   mode : mode;
-  ddc : Cheriot_core.Capability.t;  (** Rv32-mode authority *)
-  ddc_word : int;  (** [ddc]'s word, what Rv32-mode accesses check *)
+  ddc : Cheriot_core.Capability.t;
+      (** the Rv32-mode authority: its word is what every Rv32 access
+          checks; immutable, like [mode] *)
   mutable load_filter : bool;
   (* CSR state *)
   mutable mie : bool;
@@ -230,9 +229,9 @@ and bentry = {
   b_mode : mode;
   b_pcc : Cheriot_core.Capability.t;
       (** fetch "ticket": the fill-time block-start PCC.  A hit under a
-          PCC whose mode, bounds, tag, perms, otype and reserved bits
-          equal the ticket's skips the fetch-side checks — they are a
-          pure function of (mode, PCC, pc). *)
+          PCC whose word equals the ticket's skips the fetch-side
+          checks — they are a pure function of (mode, PCC, pc), and the
+          mode never changes. *)
   b_start : int;  (** address of [b_insns.(0)] *)
   b_len : int;
   b_cost : int array;
@@ -274,14 +273,14 @@ val create : ?mode:mode -> ?load_filter:bool -> Cheriot_mem.Bus.t -> t
     needs them, as early-boot software does (paper 3.1.1). *)
 
 val reg : t -> int -> Cheriot_core.Capability.t
-(** Read a register: the record of its word at its address
-    ({!Cheriot_core.Capability.unpack}), and [Capability.null] itself
-    for word 0 at address 0 (c0 always).  A register last written by
-    {!set_reg_int} reads as [{ null with addr }]. *)
+(** Read a register: its word and its address as one value, and
+    [Capability.null] itself for word 0 at address 0 (c0 always).  A
+    register last written by {!set_reg_int} reads as
+    [{ null with addr }]. *)
 
 val set_reg : t -> int -> Cheriot_core.Capability.t -> unit
-(** Write a register: its word ({!Cheriot_core.Capability.pack}) and
-    its address.  Writes to c0 are discarded.  Allocates nothing. *)
+(** Write a register: the value's word and address.  Writes to c0 are
+    discarded.  Allocates nothing. *)
 
 val reg_int : t -> int -> int
 (** The 32-bit address field of a register.  Allocates nothing. *)
@@ -343,8 +342,7 @@ val max_block_len : int
 
 val round_cap : int
 (** Fuel ceiling of one recorded round (128), which sizes the
-    retirement ring; also the fuel of one [Perf.step] round on the jit
-    tier. *)
+    retirement ring. *)
 
 val mark_chained : int
 (** [block_marks] value on the first instruction of a block entered by

@@ -1,3 +1,5 @@
+module Capability = Cheriot_core.Capability
+
 type t = {
   base : int;
   size : int;
@@ -130,12 +132,17 @@ let write_cap_u t addr ~tag ~addr_half ~meta_half =
 
 let read_cap t addr =
   check t addr 8 8;
-  (cap_tag_u t addr, Bytes.get_int64_le t.data (addr - t.base))
+  {
+    Capability.word =
+      (if cap_tag_u t addr then Capability.Word.tag_bit else 0)
+      lor read32_u t (addr + 4);
+    addr = read32_u t addr;
+  }
 
-let write_cap t addr (tag, word) =
+let write_cap t addr (c : Capability.t) =
   check t addr 8 8;
-  write_cap_u t addr ~tag ~addr_half:(Int64.to_int word)
-    ~meta_half:(Int64.to_int (Int64.shift_right_logical word 32))
+  write_cap_u t addr ~tag:(Capability.Word.tag c.word) ~addr_half:c.addr
+    ~meta_half:(Capability.Word.meta c.word)
 
 let read_microtags t addr =
   let pair = get_pair t (granule t (addr land lnot 7)) in

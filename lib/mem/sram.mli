@@ -53,24 +53,25 @@ val write32 : t -> int -> int -> unit
 
 (** {1 Capability access} *)
 
-val read_cap : t -> int -> bool * int64
-(** [read_cap t addr] (8-byte aligned) is [(tag, word)] where [tag] is the
-    AND of the two micro-tags. *)
+val read_cap : t -> int -> Cheriot_core.Capability.t
+(** [read_cap t addr] (8-byte aligned) is the capability held there:
+    the metadata half's word, tagged when both micro-tags are set, at
+    the address half. *)
 
-val write_cap : t -> int -> bool * int64 -> unit
-(** Write a capability word, setting both micro-tags to the tag value. *)
+val write_cap : t -> int -> Cheriot_core.Capability.t -> unit
+(** Write a capability (8-byte aligned): its address and metadata
+    halves, and both micro-tags set to its tag. *)
 
 val cap_tag_u : t -> int -> bool
 (** The architectural tag of the granule at an 8-byte-aligned,
     window-tested address: a capability load reads it beside the two
     halves ([read32_u] at [addr] and [addr + 4]) without building a
-    pair or boxing an [int64]. *)
+    capability value. *)
 
 val write_cap_u :
   t -> int -> tag:bool -> addr_half:int -> meta_half:int -> unit
-(** {!write_cap} of the word [meta_half lsl 32 lor addr_half] at an
-    8-byte-aligned, window-tested address, without the checks, the
-    pair or the boxed [int64]. *)
+(** {!write_cap} of the two halves at an 8-byte-aligned, window-tested
+    address, without the checks or a capability value. *)
 
 val read_microtags : t -> int -> bool * bool
 (** The two per-half micro-tags of the granule containing the address —
@@ -78,9 +79,10 @@ val read_microtags : t -> int -> bool * bool
     beat (paper 7.2.2). *)
 
 val clear_tag_at : t -> int -> unit
-(** Clear both micro-tags of the granule containing the address (the
-    revoker's single-write invalidation touches memory too; this is the
-    tag-only part used by tests). *)
+(** Clear both micro-tags of the granule containing the address, leaving
+    its bytes: what the software revoker's store-back of a tag-stripped
+    capability leaves (the hardware revoker's single-write invalidation
+    writes the low half instead). *)
 
 val tag_at : t -> int -> bool
 (** Architectural tag of the granule containing the address. *)

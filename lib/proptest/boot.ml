@@ -95,7 +95,7 @@ let seal_perms = Capability.perms Capability.root_sealing
     region is additionally reachable with memory permissions (the c4
     grant). *)
 let flat_within_authority ?(writable_code = false) c =
-  if not c.Capability.tag then true
+  if not (Capability.tag c) then true
   else
     let b = Capability.base c and t = Capability.top c in
     let inside lo sz = b >= lo && t <= lo + sz in
@@ -126,8 +126,7 @@ let authority_violations ~within m srams =
       let a = ref base in
       while !a < base + size do
         if Sram.tag_at sram !a then begin
-          let tag, w = Sram.read_cap sram !a in
-          chk (Printf.sprintf "mem@0x%x" !a) (Capability.of_word ~tag w)
+          chk (Printf.sprintf "mem@0x%x" !a) (Sram.read_cap sram !a)
         end;
         a := !a + 8
       done)

@@ -13,20 +13,9 @@
 open Cheriot_core
 open Cheriot_isa
 
-let cap_eq a b =
-  a.Capability.tag = b.Capability.tag
-  && a.Capability.addr = b.Capability.addr
-  && Perm.Set.equal (Capability.perms a) (Capability.perms b)
-  && Otype.equal (Capability.otype a) (Capability.otype b)
-  && Bounds.raw_fields a.Capability.bounds = Bounds.raw_fields b.Capability.bounds
-  && a.Capability.reserved = b.Capability.reserved
-
 let event_eq (a : Machine.event) (b : Machine.event) =
   a.ev_insn = b.ev_insn
   && a.ev_taken_branch = b.ev_taken_branch
-  && a.ev_mem_bytes = b.ev_mem_bytes
-  && a.ev_is_cap_mem = b.ev_is_cap_mem
-  && a.ev_is_store = b.ev_is_store
   && a.ev_trap = b.ev_trap
 
 (** [compare_states ~what step (ref_m, other)] fails (via
@@ -39,13 +28,13 @@ let compare_states ?(what = "paths") step_no (ref_m : Machine.t)
     QCheck.Test.fail_reportf "%s diverged at step %d: %s" what step_no
       component
   in
-  if not (cap_eq ref_m.pcc fast_m.pcc) then fail "pcc";
+  if not (Capability.equal ref_m.pcc fast_m.pcc) then fail "pcc";
   for r = 1 to 15 do
-    if not (cap_eq (Machine.reg ref_m r) (Machine.reg fast_m r)) then
+    if not (Capability.equal (Machine.reg ref_m r) (Machine.reg fast_m r)) then
       fail (Printf.sprintf "c%d" r)
   done;
   List.iter
-    (fun (name, a, b) -> if not (cap_eq a b) then fail name)
+    (fun (name, a, b) -> if not (Capability.equal a b) then fail name)
     [
       ("mtcc", ref_m.mtcc, fast_m.mtcc);
       ("mepcc", ref_m.mepcc, fast_m.mepcc);

@@ -389,7 +389,7 @@ let boot_envelope (l : Scenario.linked) =
   let sram = l.Scenario.t.Loader.sram in
   let caps = ref [] in
   let add c =
-    if c.Capability.tag then
+    if Capability.tag c then
       caps :=
         (Capability.base c, Capability.top c, Capability.perms c) :: !caps
   in
@@ -405,15 +405,14 @@ let boot_envelope (l : Scenario.linked) =
   let a = ref base in
   while !a < base + size do
     if Sram.tag_at sram !a then begin
-      let tag, w = Sram.read_cap sram !a in
-      add (Capability.of_word ~tag w)
+      add (Sram.read_cap sram !a)
     end;
     a := !a + 8
   done;
   !caps
 
 let within_envelope env c =
-  (not c.Capability.tag)
+  (not (Capability.tag c))
   || begin
        let b = Capability.base c
        and t = Capability.top c
@@ -560,7 +559,7 @@ let place_caps sram rev caps =
           (Capability.with_address Capability.root_mem_rw target)
           ~length:8 ~exact:true
       in
-      Sram.write_cap sram at (true, Capability.to_word c);
+      Sram.write_cap sram at c;
       if freed then Revbits.paint rev ~addr:target ~len:8)
     caps
 
@@ -795,7 +794,11 @@ let sram_bytewise_agrees (granules, ops) =
       let at off = sram_case_base + off in
       (match op with
       | Op_cap (g, tag) ->
-          Sram.write_cap sram (at (8 * g)) (tag, Int64.of_int (g + 1));
+          Sram.write_cap sram (at (8 * g))
+            {
+              Capability.word = (if tag then Capability.Word.tag_bit else 0);
+              addr = g + 1;
+            };
           halves.(2 * g) <- tag;
           halves.((2 * g) + 1) <- tag
       | Op_store (n, off, u) ->
@@ -824,7 +827,7 @@ let sram_bytewise_agrees (granules, ops) =
           Sram.read_microtags sram (a + 5) <> (lo, hi)
           || Sram.tag_at sram a <> (lo && hi)
           || Sram.tag_at sram (a + 7) <> (lo && hi)
-          || fst (Sram.read_cap sram a) <> (lo && hi)
+          || Capability.tag (Sram.read_cap sram a) <> (lo && hi)
         then
           QCheck.Test.fail_reportf
             "after op %d (%s): granule %d micro-tags (%b, %b), model (%b, %b)"
@@ -894,13 +897,11 @@ let sweep_oracle sram rev clock ~batch ~start ~stop =
     let batch_end = min stop (!pos + (batch * 8)) in
     let granules = (batch_end - !pos) / 8 in
     while !pos < batch_end do
-      let tag, word = Sram.read_cap sram !pos in
-      if tag then begin
-        let c = Capability.of_word ~tag word in
-        if Revbits.is_revoked rev (Capability.base c) then begin
-          Sram.write_cap sram !pos (false, word);
-          incr invalidated
-        end
+      let c = Sram.read_cap sram !pos in
+      if Capability.tag c && Revbits.is_revoked rev (Capability.base c)
+      then begin
+        Sram.write_cap sram !pos (Capability.clear_tag c);
+        incr invalidated
       end;
       pos := !pos + 8
     done;

@@ -284,9 +284,7 @@ let link ?(instrument = true) sc =
         (match Allocator.malloc alloc 32 with
         | Ok c ->
             handles := !handles @ [ c ];
-            Sram.write_cap sram
-              (b.Loader.globals_base + slot_heap n)
-              (true, Capability.to_word c)
+            Sram.write_cap sram (b.Loader.globals_base + slot_heap n) c
         | Error _ -> ());
         (* write capabilities over every compartment's patchable word *)
         List.iteri
@@ -297,9 +295,7 @@ let link ?(instrument = true) sc =
                 (Capability.with_address Capability.root_mem_rw addr)
                 ~length:4 ~exact:false
             in
-            Sram.write_cap sram
-              (b.Loader.globals_base + slot_patch n j)
-              (true, Capability.to_word c))
+            Sram.write_cap sram (b.Loader.globals_base + slot_patch n j) c)
           comps)
       comps;
     { t; n; alloc = Some alloc; handles = !handles }

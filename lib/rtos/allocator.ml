@@ -125,7 +125,7 @@ let create ?(temporal = Software) ?quarantine_threshold
            ~exact:true)
         [ SL ])
   in
-  assert heap_root.Capability.tag;
+  assert (Capability.tag heap_root);
   let t =
     {
       sram;
@@ -376,7 +376,7 @@ let make_cap t adata bound_len =
   Clock.compute t.clock 6;
   let c = Capability.with_address t.heap_root adata in
   let c = Capability.set_bounds c ~length:bound_len ~exact:true in
-  assert c.Capability.tag;
+  assert (Capability.tag c);
   c
 
 let rec malloc_inner t size retried =
@@ -410,7 +410,7 @@ let malloc t size =
   malloc_inner t size false
 
 let validate_free t cap =
-  if not cap.Capability.tag then Error (Invalid_free "untagged")
+  if not (Capability.tag cap) then Error (Invalid_free "untagged")
   else if Capability.is_sealed cap then Error (Invalid_free "sealed")
   else
     let base = Capability.base cap in

@@ -162,14 +162,14 @@ let link ?(base = 0x1_0000) ?(stack_size = 1024) ?(heap_size = 64 * 1024)
   let unseal_key =
     Capability.with_address Capability.root_sealing Switcher_asm.export_otype
   in
-  Sram.write_cap sram swdata_base (true, Capability.to_word unseal_key);
+  Sram.write_cap sram swdata_base unseal_key;
   let cross_return =
     seal_or_fail
       (Capability.with_address switcher_code
          (Asm.label switcher_img "switcher_cross_return"))
       Otype.Sentry_disable
   in
-  Sram.write_cap sram (swdata_base + 8) (true, Capability.to_word cross_return);
+  Sram.write_cap sram (swdata_base + 8) cross_return;
   Sram.write32 sram (swdata_base + 16) 0;
   (* --- export descriptors -------------------------------------------------- *)
   let desc_pos = ref desc_base in
@@ -183,9 +183,8 @@ let link ?(base = 0x1_0000) ?(stack_size = 1024) ?(heap_size = 64 * 1024)
               (Capability.with_address b.code_cap entry)
               (sentry_of_posture e.Compartment.exp_posture)
           in
-          Sram.write_cap sram !desc_pos (true, Capability.to_word sentry);
-          Sram.write_cap sram (!desc_pos + 8)
-            (true, Capability.to_word b.globals_cap);
+          Sram.write_cap sram !desc_pos sentry;
+          Sram.write_cap sram (!desc_pos + 8) b.globals_cap;
           (* the descriptor handle: read-only, sealed with the switcher
              otype *)
           let handle =
@@ -230,14 +229,12 @@ let link ?(base = 0x1_0000) ?(stack_size = 1024) ?(heap_size = 64 * 1024)
     (fun (_, b) ->
       Sram.write_cap sram
         (b.globals_base + Compartment.switcher_slot)
-        (true, Capability.to_word cross_call_sentry);
+        cross_call_sentry;
       List.iter
         (fun (i : Compartment.import) ->
           let target = find t i.Compartment.imp_compartment in
           let d = export_descriptor target i.Compartment.imp_export in
-          Sram.write_cap sram
-            (b.globals_base + i.Compartment.imp_slot)
-            (true, Capability.to_word d))
+          Sram.write_cap sram (b.globals_base + i.Compartment.imp_slot) d)
         b.bc.Compartment.imports)
     built;
   (* --- boot thread ----------------------------------------------------------- *)

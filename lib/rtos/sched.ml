@@ -8,7 +8,7 @@
     high-water-mark CSRs when that assist is enabled, a cost visible in
     the paper's Table 4 at 128 KiB (7.2.2). *)
 
-type state = Ready | Running | Blocked | Sleeping of int  (** wake cycle *)
+type state = Ready | Running | Sleeping of int  (** wake cycle *)
 
 type thread = {
   tid : int;
@@ -16,7 +16,6 @@ type thread = {
   priority : int;  (** higher runs first *)
   stack : Switcher.stack;
   mutable tstate : state;
-  mutable run_cycles : int;  (** cycles attributed to this thread *)
 }
 
 type t = {
@@ -53,7 +52,6 @@ let spawn t ~name ~priority ~stack =
       priority;
       stack;
       tstate = Ready;
-      run_cycles = 0;
     }
   in
   t.threads <- t.threads @ [ th ];
@@ -79,7 +77,7 @@ let wake_ready t now =
     (fun th ->
       match th.tstate with
       | Sleeping at when at <= now -> th.tstate <- Ready
-      | Sleeping _ | Ready | Running | Blocked -> ())
+      | Sleeping _ | Ready | Running -> ())
     t.threads
 
 let pick t =
@@ -94,10 +92,6 @@ let pick t =
            (fun best th -> if th.priority > best.priority then th else best)
            (List.hd ready) (List.tl ready))
 
-(** Run [th]'s work for [cycles] (already charged by the caller through
-    the clock); just attributes time. *)
-let account t th cycles = th.run_cycles <- th.run_cycles + cycles; ignore t
-
 (** Advance to the next interesting time: if a thread is ready, the
     caller should run it; otherwise burn idle cycles (granted to the
     background revoker) until the next sleeper wakes. *)
@@ -108,7 +102,7 @@ let idle_to_next_wake t =
       (fun acc th ->
         match th.tstate with
         | Sleeping at -> ( match acc with None -> Some at | Some a -> Some (min a at))
-        | Ready | Running | Blocked -> acc)
+        | Ready | Running -> acc)
       None t.threads
   in
   match next with
@@ -124,5 +118,3 @@ let idle_to_next_wake t =
   | None -> false
 
 let sleep_until th at = th.tstate <- Sleeping at
-let block th = th.tstate <- Blocked
-let unblock th = if th.tstate = Blocked then th.tstate <- Ready

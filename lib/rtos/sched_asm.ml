@@ -125,16 +125,11 @@ let isr ~quantum : Asm.item list =
 let write_block sram ~block ~pcc ~regs ~mshwm ~mshwmb ~next =
   let module Sram = Cheriot_mem.Sram in
   let module Capability = Cheriot_core.Capability in
-  Sram.write_cap sram (block + off_pcc)
-    (pcc.Capability.tag, Capability.to_word pcc);
+  Sram.write_cap sram (block + off_pcc) pcc;
   for r = 1 to 15 do
-    Sram.write_cap sram (block + off_reg r) (false, 0L)
+    Sram.write_cap sram (block + off_reg r) Capability.null
   done;
-  List.iter
-    (fun (r, c) ->
-      Sram.write_cap sram (block + off_reg r)
-        (c.Capability.tag, Capability.to_word c))
-    regs;
+  List.iter (fun (r, c) -> Sram.write_cap sram (block + off_reg r) c) regs;
   Sram.write32 sram (block + off_mshwm) mshwm;
   Sram.write32 sram (block + off_mshwmb) mshwmb;
   let next_cap =
@@ -142,5 +137,4 @@ let write_block sram ~block ~pcc ~regs ~mshwm ~mshwmb ~next =
       (Capability.with_address Capability.root_mem_rw next)
       ~length:block_size ~exact:true
   in
-  Sram.write_cap sram (block + off_next)
-    (next_cap.Capability.tag, Capability.to_word next_cap)
+  Sram.write_cap sram (block + off_next) next_cap

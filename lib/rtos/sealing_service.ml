@@ -80,7 +80,7 @@ let new_key t =
 let key_id t key = (Capability.base key - Capability.base t.key_space) / 8
 
 let valid_key t key =
-  key.Capability.tag
+  Capability.tag key
   && (not (Capability.is_sealed key))
   && Capability.base key >= Capability.base t.key_space
   && Capability.top key <= Capability.top t.key_space
@@ -109,7 +109,7 @@ let seal_alloc t ~key size =
         Ok (handle, payload)
 
 let check_handle _t handle =
-  handle.Capability.tag
+  Capability.tag handle
   && Otype.equal (Capability.otype handle) (Otype.v Data allocator_otype)
 
 (** Unseal a handle with its key: the only way back to the payload. *)

@@ -39,15 +39,19 @@ let pair_cost params =
   let access = params.base + params.mem_extra + beats - 1 in
   (4 * access) + 1
 
-(* Only tagged granules pay the word read and the capability decode: an
+(* Only tagged granules pay the two half reads and the base decode: an
    untagged one, the bulk of a sweep, costs one micro-tag byte read. *)
 let sweep_granule t addr =
   if Sram.tag_at t.sram addr then begin
-    let _, word = Sram.read_cap t.sram addr in
-    let c = Cheriot_core.Capability.of_word ~tag:true word in
-    if Revbits.is_revoked t.rev (Cheriot_core.Capability.base c) then begin
-      (* The store-back writes the tag-stripped value. *)
-      Sram.write_cap t.sram addr (false, word);
+    let base =
+      Cheriot_core.Capability.Word.base
+        (Sram.read32 t.sram (addr + 4))
+        ~addr:(Sram.read32 t.sram addr)
+    in
+    if Revbits.is_revoked t.rev base then begin
+      (* The store-back writes the tag-stripped value: the same bytes,
+         both micro-tags clear. *)
+      Sram.clear_tag_at t.sram addr;
       t.invalidated <- t.invalidated + 1
     end
   end

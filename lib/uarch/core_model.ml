@@ -96,20 +96,3 @@ let cost_model p =
     taken_branch_penalty = p.taken_branch_penalty;
     trap_cost = p.trap_penalty;
   }
-
-let cycles_of_event p ~load_filter (ev : Machine.event) =
-  match ev.ev_trap with
-  | Some _ -> p.trap_penalty
-  | None -> (
-      match ev.ev_insn with
-      | None -> p.base
-      | Some insn -> (
-          Machine.cost_cycles (insn_cost p ~load_filter insn)
-          +
-          match insn with
-          | Branch _ when ev.ev_taken_branch -> p.taken_branch_penalty
-          | _ -> 0))
-
-let mem_cycles_of_event p (ev : Machine.event) =
-  if ev.ev_mem_bytes = 0 then 0
-  else beats ~bus_bytes:p.bus_bytes ev.ev_mem_bytes

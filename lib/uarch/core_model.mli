@@ -10,10 +10,13 @@
       data bus: a capability transfer takes two bus beats, and the load
       filter's extra load-to-use delay is visible (paper 7.2.1).
 
-    The model prices each instruction statically ({!insn_cost}) and adds
-    the dynamic penalties (taken branch, trap entry) from the
-    {!Cheriot_isa.Machine.event} the ISA emulator reports.  All costs are
-    deterministic — the real-time requirement of 2.1. *)
+    The model prices each instruction statically ({!insn_cost}): its
+    cycles and the bus beats of its data access.  The dynamic penalties
+    (taken branch, trap entry) are added where a taken branch or a trap
+    happens: by the timed rounds through {!cost_model}, and by [Perf]'s
+    per-step pricing from the {!Cheriot_isa.Machine.event} the ISA
+    emulator reports.  All costs are deterministic — the real-time
+    requirement of 2.1. *)
 
 type core = Flute | Ibex
 
@@ -57,12 +60,3 @@ val insn_cost : params -> load_filter:bool -> Cheriot_isa.Insn.t -> int
 val cost_model : params -> Cheriot_isa.Machine.cost_model
 (** {!insn_cost} plus the dynamic penalties, for
     {!Cheriot_isa.Machine.set_cost_model}. *)
-
-val cycles_of_event : params -> load_filter:bool ->
-  Cheriot_isa.Machine.event -> int
-(** Cycles charged for one retired instruction (or trap entry): its
-    {!insn_cost} cycles, plus the penalty of a taken branch. *)
-
-val mem_cycles_of_event : params -> Cheriot_isa.Machine.event -> int
-(** How many of those cycles keep the data bus busy — the remainder are
-    the idle slots the background revoker can steal (3.3.3). *)

@@ -13,10 +13,6 @@ type stats = {
   avg_block_len : float;
 }
 
-let cpi s =
-  if s.instructions = 0 then 0.0
-  else float_of_int s.cycles /. float_of_int s.instructions
-
 type t = {
   machine : Machine.t;
   params : Core_model.params;
@@ -149,14 +145,6 @@ let timed_round t ~fuel =
   t.traps <- t.traps + m.Machine.charged_traps;
   (match r with Machine.Step_waiting -> idle_cycle t | _ -> ());
   round
-
-let step t =
-  let r =
-    if per_step t then step_exact t
-    else fst (timed_round t ~fuel:Machine.round_cap)
-  in
-  publish t;
-  r
 
 let run ?(fuel = 50_000_000) t =
   let m = t.machine in

@@ -28,8 +28,6 @@ type stats = {
   avg_block_len : float;  (** mean fill-time block length *)
 }
 
-val cpi : stats -> float
-
 type t = {
   machine : Cheriot_isa.Machine.t;
   params : Core_model.params;
@@ -37,7 +35,7 @@ type t = {
   dispatch : dispatch;
   mutable stats : stats;
       (** published from the running counters below at the end of
-          {!step} and {!run} *)
+          {!run} *)
   mutable cycles : int;
   mutable instructions : int;
   mutable mem_busy : int;
@@ -48,12 +46,6 @@ val create : ?revoker:Revoker.t -> ?dispatch:dispatch ->
   params:Core_model.params -> Cheriot_isa.Machine.t -> t
 (** [dispatch] defaults to [Reference].  Installs the core model's
     static costs on the machine ([Machine.set_cost_model]). *)
-
-val step : t -> Cheriot_isa.Machine.result
-(** One instruction (one round on [Jit] outside the per-step
-    regimes): steps the machine via the configured dispatch path,
-    charges cycles, grants the revoker the idle memory slots of those
-    cycles. *)
 
 val run : ?fuel:int -> t -> Cheriot_isa.Machine.result
 (** Run until halt / double fault / WFI-with-no-interrupt-source, or

@@ -133,19 +133,11 @@ let shift t =
   t.s2_dirty <- t.s1_dirty;
   t.s1_live <- false
 
-(* Only tagged words pay the capability decode (and its boxing) — the
-   bulk of a sweep is untagged data, which this rejects on the inline
-   tag bit alone. *)
+(* Only tagged words pay the base decode — the bulk of a sweep is
+   untagged data, which this rejects on the inline tag bit alone. *)
 let s2_needs_invalidation t =
   t.s2_tag
-  &&
-  let word =
-    Int64.logor
-      (Int64.shift_left (Int64.of_int t.s2_hi) 32)
-      (Int64.of_int t.s2_lo)
-  in
-  Revbits.is_revoked t.rev
-    (Capability.base (Capability.of_word ~tag:t.s2_tag word))
+  && Revbits.is_revoked t.rev (Capability.Word.base t.s2_hi ~addr:t.s2_lo)
 
 let finish_if_done t =
   if t.pos >= t.end_a && (not t.s1_live) && not t.s2_live then begin

@@ -40,22 +40,23 @@ let arb_derived =
 let prop_word_roundtrip =
   QCheck.Test.make ~name:"to_word/of_word roundtrip" ~count:3000 arb_derived
     (fun c ->
-      let c' = Capability.of_word ~tag:c.Capability.tag (Capability.to_word c) in
+      let c' =
+        Capability.of_word ~tag:(Capability.tag c) (Capability.to_word c)
+      in
       Capability.equal c c')
 
 let prop_any_word_decodes =
   QCheck.Test.make ~name:"of_word total and re-encodable" ~count:3000
     QCheck.(map Int64.of_int int)
     (fun w ->
-      let c = Capability.of_word ~tag:false w in
-      (* Whatever the bit pattern, the decoded perms must re-encode. *)
-      ignore (Capability.to_word c);
-      true)
+      (* Whatever the bit pattern, it is a capability that encodes back
+         to the same word. *)
+      Capability.to_word (Capability.of_word ~tag:false w) = w)
 
 let prop_monotonic_bounds =
   QCheck.Test.make ~name:"derived caps stay within root bounds" ~count:3000
     arb_derived (fun c ->
-      (not c.Capability.tag)
+      (not (Capability.tag c))
       || Capability.base c >= 0
          && Capability.top c <= 0x1_0000_0000
          && Capability.base c <= Capability.top c)
@@ -73,13 +74,13 @@ let prop_set_bounds_monotonic =
     QCheck.(pair arb_derived (int_bound 0xFFFFF))
     (fun (c, len) ->
       let c' = Capability.set_bounds c ~length:len ~exact:false in
-      (not c'.Capability.tag)
+      (not (Capability.tag c'))
       || Capability.base c' >= Capability.base c
          && Capability.top c' <= Capability.top c)
 
 let test_null () =
   let n = Capability.null in
-  Alcotest.(check bool) "untagged" false n.Capability.tag;
+  Alcotest.(check bool) "untagged" false (Capability.tag n);
   Alcotest.(check int) "addr" 0 (Capability.address n);
   Alcotest.check cap "word roundtrip" n
     (Capability.of_word ~tag:false (Capability.to_word n));
@@ -88,7 +89,7 @@ let test_null () =
 let test_roots () =
   List.iter
     (fun c ->
-      Alcotest.(check bool) "tagged" true c.Capability.tag;
+      Alcotest.(check bool) "tagged" true (Capability.tag c);
       Alcotest.(check bool) "unsealed" false (Capability.is_sealed c))
     Capability.roots;
   Alcotest.(check int) "rw covers all" 0x1_0000_0000
@@ -103,19 +104,19 @@ let test_narrow_then_oob () =
      impossible. *)
   let c = Capability.with_address Capability.root_mem_rw 0x2000 in
   let c = Capability.set_bounds c ~length:256 ~exact:true in
-  Alcotest.(check bool) "tagged" true c.Capability.tag;
+  Alcotest.(check bool) "tagged" true (Capability.tag c);
   Alcotest.(check bool) "in" true (Capability.in_bounds c ~size:1 0x20ff);
   Alcotest.(check bool) "out" false (Capability.in_bounds c ~size:1 0x2100);
   Alcotest.(check bool) "before" false (Capability.in_bounds c ~size:1 0x1fff);
   (* Widening attempt: set bounds bigger than current -> tag cleared. *)
   let widened = Capability.set_bounds c ~length:512 ~exact:false in
-  Alcotest.(check bool) "widening clears tag" false widened.Capability.tag;
+  Alcotest.(check bool) "widening clears tag" false (Capability.tag widened);
   (* Requests of at most 511 bytes take the exponent-0 path, exact by
      construction: they too keep the tag only inside the old bounds. *)
   let at off len =
-    (Capability.set_bounds (Capability.incr_address c off) ~length:len
-       ~exact:false)
-      .Capability.tag
+    Capability.tag
+      (Capability.set_bounds (Capability.incr_address c off) ~length:len
+         ~exact:false)
   in
   Alcotest.(check bool) "short, inside" true (at 16 64);
   Alcotest.(check bool) "short, up to the top" true (at 192 64);
@@ -125,7 +126,7 @@ let test_narrow_then_oob () =
 let test_perm_shed_not_regained () =
   let c = Capability.with_address Capability.root_mem_rw 0x1000 in
   let ro = Capability.clear_perms c [ SD; SL ] in
-  Alcotest.(check bool) "tag kept" true ro.Capability.tag;
+  Alcotest.(check bool) "tag kept" true (Capability.tag ro);
   Alcotest.(check bool) "SD gone" false (Capability.has_perm ro SD);
   let rw_again =
     Capability.and_perms ro (Capability.perms Capability.root_mem_rw)
@@ -145,7 +146,7 @@ let test_seal_unseal () =
         (Otype.equal (Capability.otype sealed) (Otype.v Data 3));
       (* Sealed caps are immutable: address change clears tag. *)
       let moved = Capability.with_address sealed 0x4004 in
-      Alcotest.(check bool) "sealed immutable" false moved.Capability.tag;
+      Alcotest.(check bool) "sealed immutable" false (Capability.tag moved);
       (* Unseal with wrong otype fails. *)
       let wrong_key = Capability.with_address Capability.root_sealing 4 in
       (match Capability.unseal sealed ~key:wrong_key with
@@ -195,7 +196,7 @@ let test_load_attenuation () =
   Alcotest.(check bool) "SD cleared" false (Capability.has_perm b SD);
   Alcotest.(check bool) "LM cleared" false (Capability.has_perm b LM);
   Alcotest.(check bool) "GL kept" true (Capability.has_perm b GL);
-  Alcotest.(check bool) "tag kept" true b.Capability.tag;
+  Alcotest.(check bool) "tag kept" true (Capability.tag b);
   (* Full authority: no attenuation. *)
   let c = Capability.load_attenuate ~authority:Capability.root_mem_rw victim in
   Alcotest.check cap "unattenuated" victim c
@@ -206,14 +207,14 @@ let test_unrepresentable_clears_tag () =
      bounds, so the tag must clear rather than bounds change. *)
   let c = Capability.with_address Capability.root_mem_rw 0x10000 in
   let c = Capability.set_bounds c ~length:(0x1ff lsl 4) ~exact:false in
-  Alcotest.(check bool) "tagged" true c.Capability.tag;
+  Alcotest.(check bool) "tagged" true (Capability.tag c);
   let bounds_before = Capability.(base c, top c) in
   let moved = Capability.incr_address c (1 lsl 20) in
-  if moved.Capability.tag then
+  if (Capability.tag moved) then
     Alcotest.(check (pair int int))
       "bounds unchanged" bounds_before
       Capability.(base moved, top moved)
-  else Alcotest.(check bool) "tag cleared" false moved.Capability.tag
+  else Alcotest.(check bool) "tag cleared" false (Capability.tag moved)
 
 let test_subset () =
   let parent = Capability.with_address Capability.root_mem_rw 0x1000 in
@@ -226,14 +227,17 @@ let test_subset () =
     "not superset" false
     (Capability.is_subset parent ~of_:child)
 
-(* The word and the record, exhaustively over the metadata fields: every
-   tag × R × p'6 × o'3 combination, each with 2048 of the 2^22 E/B/T
-   values, chosen by an odd multiplier so that the 2048 combinations
-   together visit every E/B/T value once.  Both directions:
-   - [unpack] then [pack] returns the word, for every word;
-   - [pack] then [unpack] returns the record, for every record the
-     record API can produce: perms a legalized set (the decode of some
-     6-bit field), the otype in the namespace EX chooses. *)
+(* The value and its encoding, exhaustively over the metadata fields:
+   every tag × R × p'6 × o'3 combination, each with 2048 of the 2^22
+   E/B/T values, chosen by an odd multiplier so that the 2048
+   combinations together visit every E/B/T value once.  For every
+   value:
+   - the accessors read the fields its word was built from: the tag,
+     the permission set the field decodes to, the otype in the
+     namespace EX chooses, the bounds (base and top at the address) and
+     the address;
+   - [to_word] puts the metadata word, R included, above the address,
+     and [of_word] of that and the tag is the value again. *)
 let test_word_record_roundtrip () =
   let bad = ref 0 and checked = ref 0 in
   for hi = 0 to 2047 do
@@ -247,33 +251,39 @@ let test_word_record_roundtrip () =
     for j = 0 to 2047 do
       let bounds = ((j lsl 11) lor hi) * 0x9E3779B1 land 0x3f_ffff in
       let addr = (j * 0x2F6B_3C9D) lxor (hi lsl 20) land 0xFFFF_FFFF in
-      let w =
-        (if tag then Capability.Word.tag_bit else 0)
-        lor (if reserved then 1 lsl 31 else 0)
+      let meta =
+        (if reserved then 1 lsl 31 else 0)
         lor (p lsl 25) lor (o lsl 22) lor bounds
       in
-      let c = Capability.unpack w addr in
-      let r =
+      let c =
         {
-          Capability.tag;
-          perms;
-          otype;
-          bounds = Bounds.of_bits bounds;
+          Capability.word =
+            (if tag then Capability.Word.tag_bit else 0) lor meta;
           addr;
-          reserved;
         }
       in
+      let enc =
+        Int64.logor
+          (Int64.shift_left (Int64.of_int meta) 32)
+          (Int64.of_int addr)
+      in
+      let base, top = Bounds.decode (Bounds.of_bits bounds) ~addr in
       incr checked;
       if
-        Capability.pack c <> w
-        || c.Capability.addr <> addr
-        || Capability.unpack (Capability.pack r) addr <> r
-        || not (Capability.equal c r)
+        Capability.tag c <> tag
+        || (not (Perm.Set.equal (Capability.perms c) perms))
+        || (not (Otype.equal (Capability.otype c) otype))
+        || Capability.is_sealed c <> (o <> 0)
+        || Capability.base c <> base
+        || Capability.top c <> top
+        || Capability.address c <> addr
+        || Capability.to_word c <> enc
+        || not (Capability.equal (Capability.of_word ~tag enc) c)
       then incr bad
     done
   done;
   Alcotest.(check int) "words checked" (2048 * 2048) !checked;
-  Alcotest.(check int) "round trips that lost a bit" 0 !bad
+  Alcotest.(check int) "values whose accessors or encoding lost a bit" 0 !bad
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in

@@ -51,9 +51,7 @@ let setup () =
 
 let plant t cap =
   let b = Loader.find t "consumer" in
-  Sram.write_cap t.Loader.sram
-    (b.Loader.globals_base + 16)
-    (cap.Capability.tag, Capability.to_word cap)
+  Sram.write_cap t.Loader.sram (b.Loader.globals_base + 16) cap
 
 let run_consumer t =
   (* restart the boot thread at its entry *)
@@ -106,7 +104,7 @@ let test_filter_off_ablation () =
 let test_heap_cap_covers_heap () =
   let t, _ = setup () in
   let h = Loader.heap_cap t in
-  Alcotest.(check bool) "tagged" true h.Capability.tag;
+  Alcotest.(check bool) "tagged" true (Capability.tag h);
   Alcotest.(check int) "base" t.Loader.heap_base (Capability.base h);
   Alcotest.(check int) "len" t.Loader.heap_size (Capability.length h);
   Alcotest.(check bool) "no SL" false (Capability.has_perm h SL)

@@ -782,7 +782,7 @@ let test_mret_roundtrip () =
    [Cincaddr], [Cincaddrimm], [Csetaddr], [Candperm], [Ccleartag],
    [Cget]), and a word load, a capability load and store, and a bounds
    narrowing through a freshly installed authority — against a plain
-   [Capability.t array] model that runs the record API, beside a model
+   [Capability.t array] model that runs the [Capability] API, beside a model
    of the capability slots in memory.  After every step [reg] and
    [reg_int] must read the model, c0 must read [Capability.null]
    itself, and [state_hash] must equal the hash of a second machine
@@ -1005,7 +1005,7 @@ let rf_model_exec ?(auth = rf_slot_cap) (model : Capability.t array) mem
            | Len -> Int.min (Capability.length c) 0xFFFF_FFFF
            | Perm -> Perm.Set.to_arch_bits (Capability.perms c)
            | Type -> Otype.value (Capability.otype c)
-           | Tag -> if c.Capability.tag then 1 else 0))
+           | Tag -> if (Capability.tag c) then 1 else 0))
   | Load { rd; off; _ } -> write rd (rf_int (rf_pattern (off / 4)))
   | Clc (rd, _, off) ->
       write rd (Capability.load_attenuate ~authority:auth mem.(off / 8))
@@ -1020,9 +1020,8 @@ let prop_word_register_file =
        QCheck.Gen.(list_size (int_range 1 40) gen_rf_step))
     (fun steps ->
       let code = List.concat_map rf_step_insns steps in
-      let write_slot (f : Boot.flat) k (c : Capability.t) =
-        Sram.write_cap f.Boot.data (rf_slot_addr k)
-          (c.Capability.tag, Capability.to_word c)
+      let write_slot (f : Boot.flat) k c =
+        Sram.write_cap f.Boot.data (rf_slot_addr k) c
       in
       let boot () =
         let f = Boot.flat (List.map Encode.encode (code @ [ Insn.Ebreak ])) in
@@ -1082,7 +1081,7 @@ let prop_word_register_file =
           && Machine.reg_int m 0 = 0
           && List.for_all
                (fun r ->
-                 Cheriot_proptest.Obs.cap_eq (Machine.reg m r) model.(r)
+                 Capability.equal (Machine.reg m r) model.(r)
                  && Machine.reg_int m r = model.(r).Capability.addr)
                (List.init 16 Fun.id)
           && Machine.state_hash m = Machine.state_hash shadow.Boot.m)

@@ -28,24 +28,26 @@ let test_rw_widths () =
        false
      with Invalid_argument _ -> true)
 
+let tagged w = Cheriot_core.Capability.of_word ~tag:true w
+let cap_tag s a = Cheriot_core.Capability.tag (Sram.read_cap s a)
+
 let test_cap_tags () =
   let s = Sram.create ~base ~size:256 in
-  Sram.write_cap s (base + 8) (true, 0x0123456789abcdefL);
-  let tag, w = Sram.read_cap s (base + 8) in
-  Alcotest.(check bool) "tag" true tag;
-  Alcotest.(check int64) "word" 0x0123456789abcdefL w;
+  Sram.write_cap s (base + 8) (tagged 0x0123456789abcdefL);
+  let c = Sram.read_cap s (base + 8) in
+  Alcotest.(check bool) "tag" true (Cheriot_core.Capability.tag c);
+  Alcotest.(check int64) "word" 0x0123456789abcdefL
+    (Cheriot_core.Capability.to_word c);
   (* A 32-bit data write to either half clears the architectural tag
      (the Ibex split-tag AND, paper section 4). *)
-  Sram.write_cap s (base + 16) (true, 1L);
+  Sram.write_cap s (base + 16) (tagged 1L);
   Sram.write32 s (base + 20) 0;
-  Alcotest.(check bool) "high half write clears" false
-    (fst (Sram.read_cap s (base + 16)));
-  Sram.write_cap s (base + 16) (true, 1L);
+  Alcotest.(check bool) "high half write clears" false (cap_tag s (base + 16));
+  Sram.write_cap s (base + 16) (tagged 1L);
   Sram.write8 s (base + 16) 0;
-  Alcotest.(check bool) "byte write clears" false
-    (fst (Sram.read_cap s (base + 16)));
+  Alcotest.(check bool) "byte write clears" false (cap_tag s (base + 16));
   (* micro-tags are per half *)
-  Sram.write_cap s (base + 24) (true, 1L);
+  Sram.write_cap s (base + 24) (tagged 1L);
   Sram.write32 s (base + 24) 0;
   let lo, hi = Sram.read_microtags s (base + 24) in
   Alcotest.(check (pair bool bool)) "low microtag cleared" (false, true)
@@ -53,7 +55,7 @@ let test_cap_tags () =
 
 let test_fill_blit () =
   let s = Sram.create ~base ~size:256 in
-  Sram.write_cap s (base + 8) (true, 42L);
+  Sram.write_cap s (base + 8) (tagged 42L);
   Sram.fill s ~addr:(base + 8) ~len:16 '\000';
   Alcotest.(check bool) "fill clears tags" false (Sram.tag_at s (base + 8));
   Sram.blit_string s ~addr:base "hello";
@@ -195,7 +197,7 @@ let prop_data_write_kills_tag =
       let s = Sram.create ~base ~size:256 in
       let addr = base + (g land lnot 7) in
       QCheck.assume (addr + 8 <= base + 256);
-      Sram.write_cap s addr (true, 123L);
+      Sram.write_cap s addr (tagged 123L);
       let width = [| 1; 2; 4 |].(w) in
       let off = g land (8 - width) land lnot (width - 1) in
       (match width with

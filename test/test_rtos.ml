@@ -60,7 +60,7 @@ let check_inv s =
 let test_malloc_bounds () =
   let s = make () in
   let c = ok (Allocator.malloc s.alloc 100) in
-  Alcotest.(check bool) "tagged" true c.Capability.tag;
+  Alcotest.(check bool) "tagged" true (Capability.tag c);
   Alcotest.(check int) "exact length" 100 (Capability.length c);
   Alcotest.(check bool) "global" true (Capability.is_global c);
   Alcotest.(check bool) "no SL" false (Capability.has_perm c SL);
@@ -154,7 +154,7 @@ let test_stale_cap_invalidated_by_sweep () =
   (* Keep a stale copy in an (unrelated, still-allocated) heap slot. *)
   let holder = ok (Allocator.malloc s.alloc 32) in
   let hbase = Capability.base holder in
-  Sram.write_cap s.sram hbase (victim.Capability.tag, Capability.to_word victim);
+  Sram.write_cap s.sram hbase victim;
   ok (Allocator.free s.alloc victim);
   Allocator.revoke_now s.alloc;
   Alcotest.(check bool) "stale copy untagged" false (Sram.tag_at s.sram hbase);
@@ -176,7 +176,7 @@ let test_stale_cap_outside_heap_invalidated () =
   Allocator.set_sw_revoker alloc (Sw_revoker.create ~sram ~rev ~clock ());
   let victim = ok (Allocator.malloc alloc 32) in
   let global = sram_base + 0x100 in
-  Sram.write_cap sram global (victim.Capability.tag, Capability.to_word victim);
+  Sram.write_cap sram global victim;
   ok (Allocator.free alloc victim);
   Allocator.revoke_now alloc;
   Alcotest.(check bool) "stale out-of-heap copy untagged" false
@@ -192,7 +192,7 @@ let test_oom_triggers_revocation () =
   let a = ok (Allocator.malloc s.alloc big) in
   ok (Allocator.free s.alloc a);
   let b = ok (Allocator.malloc s.alloc big) in
-  Alcotest.(check bool) "second big alloc succeeded" true b.Capability.tag;
+  Alcotest.(check bool) "second big alloc succeeded" true (Capability.tag b);
   Alcotest.(check int) "one sweep" 1 (Allocator.stats s.alloc).Allocator.sweeps;
   check_inv s
 
@@ -204,7 +204,7 @@ let test_hardware_path () =
   Alcotest.(check bool) "hw epoch advanced (even)" true
     (Allocator.epoch s.alloc mod 2 = 0 && Allocator.epoch s.alloc > 0);
   let c2 = ok (Allocator.malloc s.alloc 128) in
-  Alcotest.(check bool) "alloc after hw sweep" true c2.Capability.tag;
+  Alcotest.(check bool) "alloc after hw sweep" true (Capability.tag c2);
   check_inv s
 
 let test_baseline_vulnerable_by_design () =
@@ -216,7 +216,7 @@ let test_baseline_vulnerable_by_design () =
   ok (Allocator.free s.alloc c);
   let c2 = ok (Allocator.malloc s.alloc 64) in
   Alcotest.(check int) "memory reused immediately" base1 (Capability.base c2);
-  Alcotest.(check bool) "stale cap still tagged" true c.Capability.tag
+  Alcotest.(check bool) "stale cap still tagged" true (Capability.tag c)
 
 (* qcheck: random alloc/free interleavings keep all invariants. *)
 let prop_random_traffic =
@@ -326,9 +326,7 @@ let test_sw_revoker_clamps_overhang () =
             (Capability.with_address Capability.root_mem_rw target)
             ~length:8 ~exact:true
         in
-        Sram.write_cap sram
-          (heap_base + (8 * slot))
-          (true, Capability.to_word c))
+        Sram.write_cap sram (heap_base + (8 * slot)) c)
       slots;
     Revbits.paint rev ~addr:revoked ~len:8;
     (clock, sram, Sw_revoker.create ~sram ~rev ~clock ())
@@ -350,6 +348,60 @@ let test_sw_revoker_clamps_overhang () =
   Sw_revoker.sweep sw_in ~start:heap_base ~stop:(heap_base + size);
   Alcotest.(check int) "charged as the in-range sweep" (Clock.cycles clock_in)
     (Clock.cycles clock)
+
+(* Both revokers over a 256 KiB heap full of tagged capabilities, each
+   granule holding one to itself, with every odd granule painted: each
+   sweep invalidates exactly the capabilities into painted memory, and
+   allocates under one minor word per granule, because it decodes the
+   base from the granule's two 32-bit halves. *)
+let test_sweeps_allocate_nothing () =
+  let base = 0x10_0000 and size = 256 * 1024 in
+  let granules = size / 8 in
+  let heap () =
+    let sram = Sram.create ~base ~size in
+    let rev = Revbits.create ~heap_base:base ~heap_size:size () in
+    for g = 0 to granules - 1 do
+      let a = base + (8 * g) in
+      Sram.write_cap sram a
+        Capability.(
+          set_bounds (with_address root_mem_rw a) ~length:8 ~exact:true);
+      if g land 1 = 1 then Revbits.paint rev ~addr:a ~len:8
+    done;
+    (sram, rev)
+  in
+  let words_per_granule sweep =
+    let before = Gc.minor_words () in
+    sweep ();
+    (Gc.minor_words () -. before) /. float_of_int granules
+  in
+  let check name sram words invalidated =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s sweep: %.2f minor words per granule, under 1" name
+         words)
+      true (words < 1.0);
+    Alcotest.(check int) (name ^ " sweep: invalidated") (granules / 2)
+      invalidated;
+    for g = 0 to granules - 1 do
+      if Sram.tag_at sram (base + (8 * g)) <> (g land 1 = 0) then
+        Alcotest.failf "%s sweep: granule %d tag wrong" name g
+    done
+  in
+  let sram, rev = heap () in
+  let clock = Clock.create (Core_model.params_of Core_model.Flute) in
+  let sw = Sw_revoker.create ~sram ~rev ~clock () in
+  let words =
+    words_per_granule (fun () ->
+        Sw_revoker.sweep sw ~start:base ~stop:(base + size))
+  in
+  check "software" sram words (Sw_revoker.invalidated sw);
+  let sram, rev = heap () in
+  let hw = Revoker.create ~core:Core_model.Flute ~sram ~rev () in
+  let words =
+    words_per_granule (fun () ->
+        Revoker.kick hw ~start:base ~stop:(base + size);
+        ignore (Revoker.run_to_completion hw))
+  in
+  check "hardware" sram words (Revoker.caps_invalidated hw)
 
 (* --- scheduler ------------------------------------------------------------ *)
 
@@ -410,6 +462,8 @@ let suite =
       test_sw_revoker_preemptable;
     Alcotest.test_case "software sweep clamps an overhanging range" `Quick
       test_sw_revoker_clamps_overhang;
+    Alcotest.test_case "both sweeps allocate nothing per granule" `Quick
+      test_sweeps_allocate_nothing;
     Alcotest.test_case "scheduler priorities + sleep" `Quick
       test_sched_priorities;
     Alcotest.test_case "context switch cost of HWM CSRs" `Quick

@@ -19,8 +19,7 @@ let cap_at addr len =
   Capability.(
     set_bounds (with_address root_mem_rw addr) ~length:len ~exact:true)
 
-let store_cap sram addr c =
-  Sram.write_cap sram addr (c.Capability.tag, Capability.to_word c)
+let store_cap = Sram.write_cap
 
 let test_sweep_invalidates_stale () =
   let sram, rev = make () in
@@ -202,15 +201,10 @@ let test_bus_snoop_wired () =
 
 (* --- core model ------------------------------------------------------- *)
 
-let ev insn =
-  {
-    Cheriot_isa.Machine.ev_insn = Some insn;
-    ev_taken_branch = false;
-    ev_mem_bytes = 0;
-    ev_is_cap_mem = false;
-    ev_is_store = false;
-    ev_trap = None;
-  }
+(* The cycles of an instruction that is neither a taken branch nor
+   trapping. *)
+let cycles p ~load_filter insn =
+  Cheriot_isa.Machine.cost_cycles (Core_model.insn_cost p ~load_filter insn)
 
 let test_core_model_costs () =
   let flute = Core_model.params_of Flute in
@@ -220,16 +214,16 @@ let test_core_model_costs () =
     Cheriot_isa.Insn.Load { signed = true; width = W; rd = 10; rs1 = 2; off = 0 }
   in
   (* Flute: 64-bit bus, filter free.  Ibex: two beats + visible filter. *)
-  let c_flute_off = Core_model.cycles_of_event flute ~load_filter:false (ev clc) in
-  let c_flute_on = Core_model.cycles_of_event flute ~load_filter:true (ev clc) in
+  let c_flute_off = cycles flute ~load_filter:false clc in
+  let c_flute_on = cycles flute ~load_filter:true clc in
   Alcotest.(check int) "Flute filter is free" c_flute_off c_flute_on;
-  let c_ibex_off = Core_model.cycles_of_event ibex ~load_filter:false (ev clc) in
-  let c_ibex_on = Core_model.cycles_of_event ibex ~load_filter:true (ev clc) in
+  let c_ibex_off = cycles ibex ~load_filter:false clc in
+  let c_ibex_on = cycles ibex ~load_filter:true clc in
   Alcotest.(check int) "Ibex filter costs one cycle" (c_ibex_off + 1) c_ibex_on;
-  let w_ibex = Core_model.cycles_of_event ibex ~load_filter:true (ev lw) in
+  let w_ibex = cycles ibex ~load_filter:true lw in
   Alcotest.(check bool) "Ibex cap load dearer than word load" true
     (c_ibex_on > w_ibex);
-  let w_flute = Core_model.cycles_of_event flute ~load_filter:true (ev lw) in
+  let w_flute = cycles flute ~load_filter:true lw in
   Alcotest.(check int) "Flute cap load same as word load" w_flute c_flute_on
 
 (* --- Perf dispatch parity --------------------------------------------- *)
@@ -532,18 +526,23 @@ let every_kind_setup ~load_filter (m : Machine.t) =
   m.Machine.load_filter <- load_filter;
   Machine.set_reg m 4 (mem_cap data_base 64)
 
-let mem_bytes (insn : Insn.t) =
-  match insn with
-  | Load { width; _ } | Store { width; _ } -> (
-      match width with B -> 1 | H -> 2 | W -> 4)
-  | Clc _ | Csc _ -> 8
-  | _ -> 0
+(* The bus beats of an instruction's data access, from its width: one
+   per [bus_bytes] moved, none without an access. *)
+let bus_beats (p : Core_model.params) (insn : Insn.t) =
+  let bytes =
+    match insn with
+    | Load { width; _ } | Store { width; _ } -> (
+        match width with B -> 1 | H -> 2 | W -> 4)
+    | Clc _ | Csc _ -> 8
+    | _ -> 0
+  in
+  (bytes + p.bus_bytes - 1) / p.bus_bytes
 
-(* Prefix-sum charging equals per-event charging: every translated
-   block's table prices each instruction exactly as [cycles_of_event]
-   and [mem_cycles_of_event] price its (untaken, non-trapping) event,
-   and whole runs agree on every tier, for both cores with and without
-   the load filter. *)
+(* Prefix-sum charging equals per-instruction charging: every
+   translated block's table prices each instruction at its
+   [insn_cost], whose bus-busy cycles are its access's bus beats, and
+   whole runs agree on every tier, for both cores with and without the
+   load filter. *)
 let test_cost_tables_match_events () =
   let words =
     Array.length (Asm.assemble ~origin:code_base every_kind_program).Asm.words
@@ -565,14 +564,12 @@ let test_cost_tables_match_events () =
               Array.iteri
                 (fun k insn ->
                   let d = b.Machine.b_cost.(k + 1) - b.Machine.b_cost.(k) in
-                  let e = { (ev insn) with ev_mem_bytes = mem_bytes insn } in
                   let what w = Format.asprintf "%s %a" w Insn.pp insn in
                   Alcotest.(check int) (what "cycles")
-                    (Core_model.cycles_of_event p ~load_filter e)
+                    (cycles p ~load_filter insn)
                     (Machine.cost_cycles d);
                   Alcotest.(check int) (what "bus-busy cycles")
-                    (Core_model.mem_cycles_of_event p e)
-                    (Machine.cost_busy d);
+                    (bus_beats p insn) (Machine.cost_busy d);
                   Hashtbl.replace priced (b.Machine.b_start + (4 * k)) ())
                 b.Machine.b_insns)
             m.Machine.bcache;
