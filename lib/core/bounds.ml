@@ -141,7 +141,6 @@ let cram len =
 
 let whole_address_space = of_raw_fields ~e:0xf ~b:0 ~t:0x100
 let otype_space = of_raw_fields ~e:0 ~b:0 ~t:8
-let equal = Int.equal
 
 let pp fmt b =
   Format.fprintf fmt "E=%d B=0x%x T=0x%x" (e_field b) (b_field b) (t_field b)

@@ -100,5 +100,4 @@ val otype_space : t
 (** Bounds covering the 3-bit otype namespace [[0, 8)] — used by the
     sealing root. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

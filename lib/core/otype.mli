@@ -21,8 +21,6 @@ val v : space -> int -> t
     unless [1 <= n <= 7]. *)
 
 val is_unsealed : t -> bool
-val space : t -> space option
-(** [space o] is [None] for [unsealed]. *)
 
 val value : t -> int
 (** The raw 3-bit field value (0 for unsealed). *)
@@ -52,10 +50,3 @@ val sentry_of_otype : t -> sentry option
 val return_sentry : interrupts_enabled:bool -> sentry
 (** The return sentry that restores the given posture — what a
     jump-and-link writes to the link register (3.1.2). *)
-
-(** First executable otype value available to software (two are free). *)
-val first_sw_exec : int
-
-(** First data otype value; all seven are free for software, of which the
-    RTOS allocates four for core components. *)
-val first_sw_data : int

@@ -47,7 +47,6 @@ module Set : sig
   val diff : t -> t -> t
   val subset : t -> t -> bool
   val equal : t -> t -> bool
-  val cardinal : t -> int
   val pp : Format.formatter -> t -> unit
 
   val to_arch_bits : t -> int

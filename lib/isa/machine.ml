@@ -161,15 +161,17 @@ type t = {
   mutable fm_sram : Sram.t;
   mutable fm_base : int;
   mutable fm_limit : int;
-  (* Per-round retirement ring filled by [step_jit] so the tracer can
-     render each retired instruction of a round individually: parallel
-     arrays of the instruction ([None] for a trap or interrupt entry),
-     its PC and a control-flow mark ([mark_chained] or
-     [mark_opt_side_exit]). *)
+  (* Per-round retirement ring filled by a recorded round
+     ([recorded_round]) so the tracer can render each unit of a round
+     individually: parallel arrays of the instruction ([None] for a
+     trap, an interrupt entry or an idle step), its PC and a
+     control-flow mark ([mark_chained] or [mark_opt_side_exit]). *)
   block_insns : Insn.t option array;
   block_pcs : int array;
   block_marks : int array;
-  mutable block_ev_n : int;
+  mutable round_units : int;
+      (* fuel units the last round used; after a recorded round, also
+         the live ring entries *)
   mutable hot_threshold : int;
       (* the jit tier's hotness: the entry count at which it compiles a
          block's plan (see [block_plan]); tests lower it to fuzz the
@@ -197,9 +199,9 @@ type t = {
   mutable jit_plans_rejected : int;
   (* Timed rounds ([timed_round]): the installed cost model, the
      [load_filter] setting the blocks' cost tables were built under, and
-     what the rounds charged since the harness last reset the counters.
-     [mcycle] advances with [charged_cycles] but is also CSR-writable,
-     so the harness keeps its own total. *)
+     the ledger: what every timed round charged, cumulatively, since the
+     harness zeroed it.  [mcycle] advances with [charged_cycles] but is
+     also CSR-writable, so the ledger is the total. *)
   mutable cost : cost_model option;
   mutable cost_lf : bool;
   mutable charged_cycles : int;
@@ -284,7 +286,7 @@ exception Trap of cause
    code-span window probes 17 candidate start PCs. *)
 let max_block_len = 16
 
-(* Fuel ceiling of one recorded dispatch round ([step_jit]): every fuel
+(* Fuel ceiling of one recorded round ([recorded_round]): every fuel
    unit is one ring entry, so it sizes the retirement ring.  A chained
    round ends early when fuel runs out, so any cap is exact; this one is
    big enough that chaining still amortises under the tracer. *)
@@ -357,7 +359,7 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
     block_insns = Array.make round_cap None;
     block_pcs = Array.make round_cap 0;
     block_marks = Array.make round_cap 0;
-    block_ev_n = 0;
+    round_units = 0;
     hot_threshold = 32;
     hot_adaptive = true;
     ht_resolves = 0;
@@ -1141,13 +1143,16 @@ let step m =
 
 (* --- timed rounds: per-block cycle accounting -------------------------- *)
 
-(* A timed round charges the installed cost model as it executes, one
-   block segment at a time: a run of retired instructions is priced by
-   two lookups in its block's prefix-sum table.  Segments are charged
-   before any instruction that can observe [mcycle] (the generic arm:
-   [Csr], [Wfi]'s pending test) and at every block exit, so every
-   observation sees the per-step count.  Only a taken [Branch] (its
-   penalty) and a trap are priced beyond the table. *)
+(* A timed round charges the installed cost model to the ledger as it
+   executes.  A reference round prices its step's event
+   ([charge_event]); a jit round prices one block segment at a time: a
+   run of retired instructions is priced by two lookups in its block's
+   prefix-sum table.  Segments are charged before any instruction that
+   can observe [mcycle] (the generic arm: [Csr], [Wfi]'s pending test)
+   and at every block exit, so every observation sees the per-step
+   count.  Only a taken [Branch] (its penalty) and a trap are priced
+   beyond the table, and a WFI wait is one idle cycle, busy 0, on
+   either kind of round. *)
 
 let cost_shift = 32
 let[@inline] cost_cycles c = c land ((1 lsl cost_shift) - 1)
@@ -1169,7 +1174,7 @@ let[@inline] charge_cycles m c =
   m.charged_cycles <- m.charged_cycles + c
 
 (* [n] retired instructions whose packed costs sum to [c]. *)
-let charge_packed m c n =
+let[@inline] charge_packed m c n =
   charge_cycles m (cost_cycles c);
   m.charged_busy <- m.charged_busy + cost_busy c;
   m.charged_insns <- m.charged_insns + n
@@ -1195,13 +1200,15 @@ let charge_trap m =
   | None -> ()
 
 (* Instruction [k] left the generic arm with [r]: a WFI that went to
-   sleep is the harness's idle cycle, not a retirement. *)
+   sleep is an idle cycle, not a retirement. *)
 let charge_generic m cost k r =
-  match r with Step_waiting -> () | _ -> charge_seg m cost k (k + 1)
+  match r with
+  | Step_waiting -> charge_cycles m 1
+  | _ -> charge_seg m cost k (k + 1)
 
-(* One per-step step's event, for a timed round's untranslatable-word
-   fallback.  Every step that does not wait retires an instruction or
-   traps, so an event with neither is never charged. *)
+(* The one per-event price: a reference step's event.  Every step that
+   does not wait retires an instruction or traps, so an event with
+   neither is never charged. *)
 let charge_event m ev =
   match (m.cost, ev.ev_trap, ev.ev_insn) with
   | None, _, _ | Some _, None, None -> ()
@@ -1399,26 +1406,15 @@ let retire_event m opt ~taken =
 let mark_chained = 1
 let mark_opt_side_exit = 2
 
-(* The ring writes of a recorded round.  [ring_push] appends one
-   unmarked entry (a delivered interrupt, a reference-step fallback);
-   [ring_block] appends instructions [0, k) of a block execution at
-   their PCs — the first keeps the mark written when the block was
-   entered, the rest are plain. *)
-let ring_push m pc insn =
-  let n = m.block_ev_n in
-  m.block_pcs.(n) <- pc;
-  m.block_insns.(n) <- insn;
-  m.block_marks.(n) <- 0;
-  m.block_ev_n <- n + 1
-
-let ring_block m (b : bentry) k =
-  let n = m.block_ev_n in
+(* A recorded round's ring write for instructions [0, k) of a block
+   execution, at their PCs from ring entry [n] on: the first keeps the
+   mark written when the block was entered, the rest are plain. *)
+let ring_block m (b : bentry) n k =
   for j = 0 to k - 1 do
     m.block_pcs.(n + j) <- b.b_start + (4 * j);
     m.block_insns.(n + j) <- Array.unsafe_get b.b_opts j;
     if j > 0 then m.block_marks.(n + j) <- 0
-  done;
-  m.block_ev_n <- n + k
+  done
 
 (* Adaptive hotness: every 1024 edge resolutions, compare the unlink
    rate against a fixed budget.  Lots of unlinks means translations are
@@ -1603,15 +1599,16 @@ let sync m nexts i pending =
   end;
   0
 
-(* The round executor behind the jit tier ([run], [timed_round] and
-   [step_jit]): one loop that runs block after block of a round, each under the
-   check plan [block_plan] picks — the block's compiled plan once it is
-   hot, the identity plan while it is cold.  Block-to-block
-   transfers are resolved {e inside} the loop ([chain_edge] /
-   [chain_edge_ind]), so one set of loop state — its counters and its
-   result tuple — serves the whole round, which in a hot loop is
-   thousands of instructions.  The function holds no local closure: a
-   ref that a closure captures is a heap cell, so every [incr] of the
+(* The round executor behind the jit round ([block_round]): one loop
+   that runs block after block of a round, each under the check plan
+   [block_plan] picks — the block's compiled plan once it is hot, the
+   identity plan while it is cold.  Block-to-block transfers are
+   resolved {e inside} the loop ([chain_edge] / [chain_edge_ind]), so
+   one set of loop state — its counters and its result — serves the
+   whole round, which in a hot loop is thousands of instructions.  The
+   round returns its result and leaves its fuel units in
+   [round_units].  The function holds no local closure: a ref that a
+   closure captures is a heap cell, so every [incr] of the
    per-instruction counters would go through memory, while an
    uncaptured ref compiles to a plain local variable.
 
@@ -1657,14 +1654,15 @@ let sync m nexts i pending =
    A [timed] round charges the cost model one block segment at a time —
    [seg] is the current block's first uncharged instruction — and also
    stops at a [Jalr] edge that leaves interrupts enabled with the timer
-   armed: from there on the harness must step exactly.  A [record]
-   round (the tracer's, [step_jit]) appends each block execution's
-   retired instructions to the retirement ring when it leaves the block
-   or traps in it, and marks them from state the loop holds anyway: the
-   first entry [mark_opt_side_exit] when the guards failed, else
-   [mark_chained] when the block was entered by a transfer inside the
-   round ([!base > 0]).  Recording adds no work to the per-instruction
-   loop; outside a recorded round each block only tests [record]. *)
+   armed: from there on the harness must run reference rounds.  A
+   [record] round (the tracer's, [recorded_round]) writes each block
+   execution's retired instructions to the retirement ring, from entry
+   [!base] on, when it leaves the block or traps in it, and marks them
+   from state the loop holds anyway: the first entry
+   [mark_opt_side_exit] when the guards failed, else [mark_chained]
+   when the block was entered by a transfer inside the round
+   ([!base > 0]).  Recording adds no work to the per-instruction loop;
+   outside a recorded round each block only tests [record]. *)
 let exec_round m (b0 : bentry) ~fuel ~timed ~record =
   let bc = m.bcache in
   let dummy = bc.Decode_cache.dummy in
@@ -1711,7 +1709,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
        (* the first ring entry's mark is written now: a trap leaves the
           loop, and [full] with it, before the block's exit *)
        if record then
-         m.block_marks.(m.block_ev_n) <-
+         m.block_marks.(!base) <-
            (if full then mark_opt_side_exit
             else if !base > 0 then mark_chained
             else 0);
@@ -1823,7 +1821,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
          incr i
        done;
        if timed then charge_seg m cost !seg !i;
-       if record && !i > 0 then ring_block m blk !i;
+       if record && !i > 0 then ring_block m blk !base !i;
        if not !stop then
          if !i = b_len then begin
            let edge =
@@ -1843,7 +1841,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
              pending := sync m nexts !i !pending;
              if edge = 2 && jalr_edge_stops m ~timed then
                (* a sentry [Jalr] re-enabled interrupts: stop exactly
-                  where the per-step loop would deliver (or, timed,
+                  where a reference round would deliver (or, timed,
                   where the harness must take over); the [exec] arm's
                   event stands *)
                stop := true
@@ -1882,39 +1880,54 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
      m.last_event <- { no_event with ev_trap = Some cause };
      incr i;
      if record then begin
-       ring_block m !b !i;
+       ring_block m !b !base !i;
        (* the trapping instruction retired nothing *)
-       m.block_insns.(m.block_ev_n - 1) <- None
+       m.block_insns.(!base + !i - 1) <- None
      end;
      result := enter_trap m cause);
-  (!result, !base + !i)
+  m.round_units <- !base + !i;
+  !result
 
-(* One round of the jit tier: interrupt/WFI handling exactly as
-   [step], then one [exec_round] of up to [fuel] instructions starting
-   from the block at the PC and chaining across block edges while fuel
+(* The reference round: one [step], which takes a pending interrupt
+   and waits in WFI itself.  A [timed] round prices it from its event
+   ([charge_event]), a WFI wait as one idle cycle.  A [record] round
+   puts it in the ring, with no instruction when none retired: a trap,
+   a delivered interrupt, or a machine already waiting, whose
+   [last_event] is still the previous step's. *)
+let[@inline] step_round m ~timed ~record =
+  let pc = Capability.address m.pcc in
+  let idle = m.waiting in
+  let r = step m in
+  if record then begin
+    m.block_pcs.(0) <- pc;
+    m.block_insns.(0) <-
+      (match r with
+      | Step_waiting when idle -> None
+      | _ -> m.last_event.ev_insn);
+    m.block_marks.(0) <- 0
+  end;
+  (if timed then
+     match r with
+     | Step_waiting -> charge_cycles m 1
+     | _ -> charge_event m m.last_event);
+  m.round_units <- 1;
+  r
+
+(* The jit round: one [exec_round] of up to [fuel] units starting from
+   the block at the PC and chaining across block edges while fuel
    remains — sound without re-running the boundary interrupt check,
    because no edge instruction can change the delivery predicate (the
    instructions that can still terminate every translation unit and end
    the chain; the one chained exception, a completed [Jalr], re-checks
    the predicate at its edge).  The block-cache probe is hand-inlined.
-
-   A [record] round (the tracer's) also puts a delivered interrupt and a
-   reference-step fallback in the ring.  A [timed] round (never a
-   recording one) charges everything it retires, traps and delivers to
-   the installed cost model; a WFI wait is left to the caller. *)
-let block_round m ~fuel ~record ~timed =
+   Everything else is one reference round: a WFI wait, a deliverable
+   interrupt, and an untranslatable first word (MMIO-backed code, an
+   illegal word, failing fetch checks), which [step] re-reads through
+   the bus every time. *)
+let block_round m ~fuel ~timed ~record =
   if m.waiting && interrupt_pending m then m.waiting <- false;
-  if m.waiting then (Step_waiting, 1)
-  else if m.mie && interrupt_pending m then begin
-    let cause =
-      if timer_pending m then Interrupt_timer else Interrupt_external
-    in
-    m.last_event <- { no_event with ev_trap = Some cause };
-    let r = enter_trap m cause in
-    if record then ring_push m (Capability.address m.mepcc) None;
-    if timed then charge_trap m;
-    (r, 1)
-  end
+  if m.waiting || (m.mie && interrupt_pending m) then
+    step_round m ~timed ~record
   else begin
     let bc = m.bcache in
     let pc = Capability.address m.pcc in
@@ -1927,26 +1940,19 @@ let block_round m ~fuel ~record ~timed =
       bc.Decode_cache.misses <- bc.Decode_cache.misses + 1;
       match fill_block m pc with
       | Some b -> exec_round m b ~fuel ~timed ~record
-      | None ->
-          (* untranslatable first word (MMIO-backed code, illegal word,
-             failing fetch checks): one reference step, which re-reads
-             the word through the bus every time *)
-          let r = step m in
-          if record then ring_push m pc m.last_event.ev_insn;
-          (if timed then
-             match r with Step_waiting -> () | _ -> charge_event m m.last_event);
-          (r, 1)
+      | None -> step_round m ~timed ~record
     end
   end
 
-(* The tracer's entry point: one recorded round of up to [fuel]
-   instructions, at most [round_cap], every retired one in the ring
-   ([block_insns]/[block_pcs]/[block_marks], [block_ev_n] live
-   entries). *)
-let step_jit m ~fuel =
-  m.block_ev_n <- 0;
-  fst
-    (block_round m ~fuel:(Int.min fuel round_cap) ~record:true ~timed:false)
+(* The one unit every driver loops over. *)
+let[@inline] round m ~dispatch ~fuel ~timed ~record =
+  match dispatch with
+  | Dispatch_ref -> step_round m ~timed ~record
+  | Dispatch_jit -> block_round m ~fuel ~timed ~record
+
+(* The tracer's round: at most [round_cap] units, each in the ring. *)
+let recorded_round m ~dispatch ~fuel =
+  round m ~dispatch ~fuel:(Int.min fuel round_cap) ~timed:false ~record:true
 
 (* Installing a cost model drops every translated block: blocks
    translated without it (or under another) carry no (or stale) cost
@@ -1956,43 +1962,30 @@ let set_cost_model m cm =
   m.cost_lf <- m.load_filter;
   if m.blocks_filled > 0 then Decode_cache.flush m.bcache
 
-let timed_round m ~fuel =
+let timed_round m ~dispatch ~fuel =
   if Option.is_none m.cost then invalid_arg "Machine.timed_round: no cost model";
   (* the tables price capability loads under one load-filter setting *)
   if m.load_filter <> m.cost_lf then begin
     m.cost_lf <- m.load_filter;
     Decode_cache.flush m.bcache
   end;
-  block_round m ~fuel ~record:false ~timed:true
+  round m ~dispatch ~fuel ~timed:true ~record:false
 
+(* Each retired instruction, delivered interrupt, trap or idle step is
+   one fuel unit on either tier, and a jit round is cut when the
+   remaining fuel runs out inside it, so chunked runs resume exactly
+   where a reference run would. *)
 let run ?(fuel = 10_000_000) ?(dispatch = Dispatch_ref) m =
-  match dispatch with
-  | Dispatch_jit ->
-      (* Batched loop: fuel accounting is identical to the per-step
-         loop below — each retired instruction, delivered interrupt, or
-         trap consumes one unit, and a round is cut when the remaining
-         fuel runs out inside it. *)
-      let rec go n =
-        if n >= fuel then (Step_ok, n)
-        else
-          let r, used =
-            block_round m ~fuel:(fuel - n) ~record:false ~timed:false
-          in
-          let n = n + used in
-          match r with
-          | Step_ok | Step_trap _ -> go n
-          | (Step_waiting | Step_halted | Step_double_fault) as r -> (r, n)
-      in
-      go 0
-  | Dispatch_ref ->
-      let rec go n =
-        if n >= fuel then (Step_ok, n)
-        else
-          match step m with
-          | Step_ok | Step_trap _ -> go (n + 1)
-          | (Step_waiting | Step_halted | Step_double_fault) as r -> (r, n + 1)
-      in
-      go 0
+  let rec go n =
+    if n >= fuel then (Step_ok, n)
+    else
+      let r = round m ~dispatch ~fuel:(fuel - n) ~timed:false ~record:false in
+      let n = n + m.round_units in
+      match r with
+      | Step_ok | Step_trap _ -> go n
+      | Step_waiting | Step_halted | Step_double_fault -> (r, n)
+  in
+  go 0
 
 (* --- block cache management -------------------------------------------- *)
 

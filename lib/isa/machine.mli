@@ -60,11 +60,12 @@ val pp_cause : Format.formatter -> cause -> unit
 val mcause_of : cause -> int
 (** The value written to [mcause] (interrupt bit in bit 31). *)
 
-(** What [step] observed — consumed by [Perf]'s per-step pricing, which
-    charges the retired instruction's static cost, a taken branch's
-    penalty or a trap's.  The fields are mutable because the machine
-    reuses one record across steps on the hot path: read [last_event]
-    before stepping again, don't retain it. *)
+(** What [step] observed — consumed by a timed reference round's
+    pricing, the machine's one per-event price: the retired
+    instruction's static cost, a taken branch's penalty or a trap's.
+    The fields are mutable because the machine reuses one record across
+    steps on the hot path: read [last_event] before stepping again,
+    don't retain it. *)
 type event = {
   mutable ev_insn : Insn.t option;  (** None when no instruction retired *)
   mutable ev_taken_branch : bool;
@@ -117,7 +118,7 @@ type t = {
   mutable mcause : int;
   mutable mtval : int;
   mutable mcycle : int;
-      (** advanced by the perf harness, or by {!timed_round} under it *)
+      (** advanced by {!timed_round} as it charges the ledger *)
   mutable minstret : int;
   mutable mshwm : int;
   mutable mshwmb : int;
@@ -143,16 +144,19 @@ type t = {
   mutable fm_base : int;
   mutable fm_limit : int;  (** 0 = window invalid *)
   block_insns : Insn.t option array;
-      (** retirement ring filled by {!step_jit}: one entry per fuel unit
-          of the last round, the instruction it retired ([None] for a
-          trap or a delivered interrupt) *)
+      (** retirement ring filled by {!recorded_round}: one entry per
+          fuel unit of the last round, the instruction it retired
+          ([None] for a trap, a delivered interrupt or an idle step) *)
   block_pcs : int array;  (** PCs parallel to [block_insns] *)
   block_marks : int array;
       (** control-flow marks parallel to [block_insns]: 0 = plain,
           1 ({!mark_chained}) = first instruction of a block entered by
           a transfer inside the round, 2 ({!mark_opt_side_exit}) = first
           instruction of a block execution whose entry guard failed *)
-  mutable block_ev_n : int;  (** live entries in the ring *)
+  mutable round_units : int;
+      (** fuel units the last round used ({!run}, {!timed_round},
+          {!recorded_round}); after a recorded round, also the live
+          entries in the ring *)
   mutable hot_threshold : int;
       (** the jit tier's hotness (default 32, adapted within 8–512
           unless [hot_adaptive] is off): the entry count at which a
@@ -193,9 +197,9 @@ type t = {
   mutable cost_lf : bool;
       (** the [load_filter] setting the blocks' cost tables price *)
   mutable charged_cycles : int;
-      (** cycles charged by timed rounds since the harness last reset
-          the counters ([mcycle] advances alongside, but is also
-          CSR-writable) *)
+      (** the ledger: cycles every timed round charged, cumulatively,
+          since the harness zeroed it ([Perf.create] does; [mcycle]
+          advances alongside, but is also CSR-writable) *)
   mutable charged_busy : int;  (** bus-busy cycles among them *)
   mutable charged_insns : int;  (** instructions charged *)
   mutable charged_traps : int;  (** traps and interrupts charged *)
@@ -298,36 +302,42 @@ val step : t -> result
     [last_event] for the cycle models and [minstret].  This is the
     {e reference interpreter} and the machine's only per-instruction
     path: it re-reads and re-decodes the instruction word through the
-    bus on every step, so it never sees a stale decode.  The jit tier
-    falls back to it for a word it cannot translate (code in MMIO, an
-    illegal word, a failing fetch check), and [Perf] for its exact-step
-    regimes. *)
+    bus on every step, so it never sees a stale decode.  One step is
+    the reference round; the jit round runs one for a WFI wait, a
+    deliverable interrupt and a word it cannot translate (code in MMIO,
+    an illegal word, a failing fetch check). *)
 
-val step_jit : t -> fuel:int -> result
-(** The tracer's round of the jit tier: one round of at most [fuel]
-    units (each retired instruction, delivered interrupt or trap is
-    one; clamped to {!round_cap}), run by the same round executor as
-    {!run} — interrupt / WFI handling exactly as {!step}, then chained
-    blocks under their plans — that also records
-    every unit in the [block_insns]/[block_pcs]/[block_marks] ring
-    ([block_ev_n] live entries) so [Trace.run] can render each one. *)
+(** {1 Rounds}
+
+    A round is the one unit every driver loops over, of either tier:
+    the {e reference round} is one {!step}; the {e jit round} runs
+    chained blocks under their plans (interrupt and WFI handling exactly
+    as {!step}, by running one reference round for them).  Each retired
+    instruction, delivered interrupt, trap or idle WFI step is one fuel
+    unit; a round leaves the units it used in [round_units]. *)
+
+val recorded_round : t -> dispatch:dispatch -> fuel:int -> result
+(** The tracer's round: one round of at most [fuel] units (clamped to
+    {!round_cap}) that records every unit in the
+    [block_insns]/[block_pcs]/[block_marks] ring, at least one
+    ([round_units] live entries), so [Trace.run] can render each. *)
 
 val set_cost_model : t -> cost_model -> unit
 (** Install the cost model {!timed_round} charges.  Drops every
     translated block, so each is re-translated with its cost table. *)
 
-val timed_round : t -> fuel:int -> result * int
-(** One round of the jit tier of at most [fuel] units, as {!run}
-    executes it, that also charges the installed cost model: [mcycle]
-    and the [charged_*] counters advance one block segment at a time, and
-    always before an instruction that can read [mcycle], so every
-    observation sees the per-step count.  The round also stops at a
-    [Jalr] edge that leaves interrupts enabled with the timer armed.
-    A WFI wait (result [Step_waiting]) is not charged.  Returns the
-    result and the fuel units used.  The caller must step exactly
-    while interrupts are enabled with the timer armed, where a charge
-    could cross the comparator between two instructions of a block.
-    Raises [Invalid_argument] without a cost model. *)
+val timed_round : t -> dispatch:dispatch -> fuel:int -> result
+(** One round of at most [fuel] units that also charges the installed
+    cost model to the ledger: [mcycle] and the cumulative [charged_*]
+    counters advance.  A reference round is priced from its step's
+    event; a jit round one block segment at a time, and always before
+    an instruction that can read [mcycle], so every observation sees
+    the per-step count.  A WFI wait is one idle cycle, bus-busy 0, on
+    either tier.  The jit round also stops at a [Jalr] edge that leaves
+    interrupts enabled with the timer armed: while they are, the caller
+    must run reference rounds, because a jit round's charge could cross
+    the comparator between two instructions of a block.  Raises
+    [Invalid_argument] without a cost model. *)
 
 val compile_jit : t -> bentry -> jit
 (** Compile (and install) [bentry]'s optimized execution plan: the
@@ -353,15 +363,12 @@ val mark_opt_side_exit : int
     whose entry guard failed (deoptimized to full checks). *)
 
 val run : ?fuel:int -> ?dispatch:dispatch -> t -> result * int
-(** Step until halt/double-fault/waiting or [fuel] (default 10M)
-    instructions; returns the final result and instructions retired.
-    Traps are not stopping events (the handler runs).  [dispatch]
-    selects the execution machinery (default [Dispatch_ref]).  The jit
-    tier runs chained rounds, each block under its plan: fuel
-    accounting is identical — each retired instruction, delivered
-    interrupt or trap costs one unit, and a round is cut when the
-    remaining fuel runs out inside it, so chunked runs resume exactly
-    where a per-step run would. *)
+(** Run rounds of the [dispatch] tier (default [Dispatch_ref]) until
+    halt/double-fault/waiting or [fuel] (default 10M) units; returns
+    the final result and the units used.  Traps are not stopping events
+    (the handler runs).  A jit round is cut when the remaining fuel
+    runs out inside it, so chunked runs resume exactly where a
+    reference run would. *)
 
 type block_stats = {
   block_hits : int;

@@ -1,8 +1,7 @@
-(** Execution tracing: single-step a machine and render each retired
-    instruction with its disassembly and effects — the simulator's
-    equivalent of a waveform viewer, used by [bin/cheriot_sim]. *)
-
-open Cheriot_core
+(** Execution tracing: run a machine in recorded rounds and render each
+    retired instruction with its disassembly and effects — the
+    simulator's equivalent of a waveform viewer, used by
+    [bin/cheriot_sim]. *)
 
 type entry = {
   tr_index : int;
@@ -38,88 +37,37 @@ let pp_entry fmt e =
   pp_mark fmt e.tr_mark;
   pp_result fmt e.tr_result
 
-(** Step [m] up to [fuel] instructions, calling [f] per retired
-    instruction with a trace entry.  Returns the final result and step
-    count.  [dispatch] picks the execution machinery; the jit tier
-    emits one entry per instruction of each executed round (from the
-    machine's retirement ring), each round cut to the fuel left, so the
-    rendered trace is the same stream the reference path produces —
-    chained transfers and guard deoptimizations carry a [tr_mark]. *)
+(** Run [m] up to [fuel] units, calling [f] per unit with a trace
+    entry.  Returns the final result and unit count.  Each round of the
+    [dispatch] tier is a recorded round: a reference round is one step,
+    a jit round every instruction of the chained blocks it ran, each
+    round cut to the fuel left, so the rendered trace is the same
+    stream on both tiers — chained transfers and guard deoptimizations
+    carry a [tr_mark]. *)
 let run ?(fuel = 1_000_000) ?(dispatch = Machine.Dispatch_ref) m ~f =
-  match dispatch with
-  | Machine.Dispatch_ref ->
-      let rec go i =
-        if i >= fuel then (Machine.Step_ok, i)
-        else begin
-          let pc = Capability.address m.Machine.pcc in
-          let retired = m.Machine.minstret in
-          let r = Machine.step m in
-          f
-            {
-              tr_index = i;
-              tr_pc = pc;
-              tr_insn =
-                (* a machine already in WFI steps without retiring, and
-                   leaves the previous step's event in place *)
-                (if r = Machine.Step_waiting && m.Machine.minstret = retired
-                 then None
-                 else m.Machine.last_event.Machine.ev_insn);
-              tr_result = r;
-              tr_cycles = m.Machine.mcycle;
-              tr_mark = 0;
-            };
-          match r with
-          | Machine.Step_ok | Machine.Step_trap _ -> go (i + 1)
-          | Machine.Step_waiting | Machine.Step_halted
-          | Machine.Step_double_fault ->
-              (r, i + 1)
-        end
-      in
-      go 0
-  | Machine.Dispatch_jit ->
-      let rec go i =
-        if i >= fuel then (Machine.Step_ok, i)
-        else begin
-          let pc = Capability.address m.Machine.pcc in
-          let r = Machine.step_jit m ~fuel:(fuel - i) in
-          let n = m.Machine.block_ev_n in
-          let i =
-            if n = 0 then begin
-              (* a round that retired nothing (WFI idle) *)
-              f
-                {
-                  tr_index = i;
-                  tr_pc = pc;
-                  tr_insn = None;
-                  tr_result = r;
-                  tr_cycles = m.Machine.mcycle;
-                  tr_mark = 0;
-                };
-              i + 1
-            end
-            else begin
-              for k = 0 to n - 1 do
-                f
-                  {
-                    tr_index = i + k;
-                    tr_pc = m.Machine.block_pcs.(k);
-                    tr_insn = m.Machine.block_insns.(k);
-                    (* intermediate instructions of a round all retired
-                       normally; only the round's last entry carries the
-                       round result *)
-                    tr_result = (if k = n - 1 then r else Machine.Step_ok);
-                    tr_cycles = m.Machine.mcycle;
-                    tr_mark = m.Machine.block_marks.(k);
-                  }
-              done;
-              i + n
-            end
-          in
-          match r with
-          | Machine.Step_ok | Machine.Step_trap _ -> go i
-          | Machine.Step_waiting | Machine.Step_halted
-          | Machine.Step_double_fault ->
-              (r, i)
-        end
-      in
-      go 0
+  let rec go i =
+    if i >= fuel then (Machine.Step_ok, i)
+    else begin
+      let r = Machine.recorded_round m ~dispatch ~fuel:(fuel - i) in
+      let n = m.Machine.round_units in
+      for k = 0 to n - 1 do
+        f
+          {
+            tr_index = i + k;
+            tr_pc = m.Machine.block_pcs.(k);
+            tr_insn = m.Machine.block_insns.(k);
+            (* the units before a round's last all retired normally;
+               only the last carries the round result *)
+            tr_result = (if k = n - 1 then r else Machine.Step_ok);
+            tr_cycles = m.Machine.mcycle;
+            tr_mark = m.Machine.block_marks.(k);
+          }
+      done;
+      match r with
+      | Machine.Step_ok | Machine.Step_trap _ -> go (i + n)
+      | Machine.Step_waiting | Machine.Step_halted | Machine.Step_double_fault
+        ->
+          (r, i + n)
+    end
+  in
+  go 0

@@ -97,8 +97,8 @@ let flat_lockstep ?(writable_code = false) words =
       let r_ref = Machine.step ref_m in
       (* [run ~fuel:1] executes exactly one instruction (or interrupt /
          idle round) of a batched tier; when fuel expires after a trap
-         step it reports [Step_ok], exactly as the per-step [run] loop
-         would, so map the reference result accordingly. *)
+         step it reports [Step_ok], exactly as a reference [run] would,
+         so map the reference result accordingly. *)
       let expect_run =
         match r_ref with
         | Machine.Step_ok | Machine.Step_trap _ -> Machine.Step_ok

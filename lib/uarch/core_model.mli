@@ -11,12 +11,14 @@
       filter's extra load-to-use delay is visible (paper 7.2.1).
 
     The model prices each instruction statically ({!insn_cost}): its
-    cycles and the bus beats of its data access.  The dynamic penalties
-    (taken branch, trap entry) are added where a taken branch or a trap
-    happens: by the timed rounds through {!cost_model}, and by [Perf]'s
-    per-step pricing from the {!Cheriot_isa.Machine.event} the ISA
-    emulator reports.  All costs are deterministic — the real-time
-    requirement of 2.1. *)
+    cycles and the bus beats of its data access.  {!cost_model} hands
+    these prices and the dynamic penalties (taken branch, trap entry)
+    down to the machine, whose timed rounds charge them where a taken
+    branch or a trap happens.  There is one per-event pricing function,
+    in the machine: a reference round prices its step's
+    {!Cheriot_isa.Machine.event} with it, and a jit round charges the
+    same prices one block segment at a time.  All costs are
+    deterministic — the real-time requirement of 2.1. *)
 
 type core = Flute | Ibex
 
@@ -54,8 +56,9 @@ val insn_cost : params -> load_filter:bool -> Cheriot_isa.Insn.t -> int
 (** The static cost of an instruction that is neither a taken branch
     nor trapping, packed as {!Cheriot_isa.Machine.cost_model} describes:
     its cycles and, of those, the cycles it keeps the data bus busy.
-    The one pricing function behind both the per-step harness and the
-    per-block cost tables of timed rounds. *)
+    The one static price behind both of the machine's charges: its
+    per-event price on a reference round and the per-block cost tables
+    of a jit round. *)
 
 val cost_model : params -> Cheriot_isa.Machine.cost_model
 (** {!insn_cost} plus the dynamic penalties, for

@@ -574,10 +574,10 @@ let test_jit_hoisted_guard_patch_midtrace () =
   Alcotest.(check bool) "the patch invalidated the planned block" true
     (s.Machine.block_invalidations > 0)
 
-(* Counter accounting parity: a traced round ([step_jit]) is a recorded
-   round of the executor [Machine.run] drives, so at the same hotness the
-   two compile the same blocks — here the two loop blocks on their
-   second entry, never the halt block entered once. *)
+(* Counter accounting parity: a traced round ([recorded_round]) is a
+   recorded round of the executor [Machine.run] drives, so at the same
+   hotness the two compile the same blocks — here the two loop blocks on
+   their second entry, never the halt block entered once. *)
 let test_jit_counters_on_both_paths () =
   let mk () =
     let m, _ = boot (List.map Encode.encode chained_loop) in
@@ -592,7 +592,10 @@ let test_jit_counters_on_both_paths () =
     (s.Machine.jit_blocks_compiled > 0);
   let m2 = mk () in
   let rec drive () =
-    match Machine.step_jit m2 ~fuel:Machine.round_cap with
+    match
+      Machine.recorded_round m2 ~dispatch:Machine.Dispatch_jit
+        ~fuel:Machine.round_cap
+    with
     | Machine.Step_ok | Machine.Step_trap _ -> drive ()
     | _ -> ()
   in
@@ -926,9 +929,9 @@ let test_eviction_unlinks () =
    prebuilt target, the round's counters are locals rather than cells a
    closure captured, the bounds check takes its size unboxed and the
    store snoop walks its list without building a closure.  A round
-   itself allocates only its result pair; a closure over the round's
-   counters would add the closure and a heap cell per captured counter
-   to every round, so the loop is also run as many short rounds. *)
+   itself allocates nothing; a closure over the round's counters would
+   add the closure and a heap cell per captured counter to every round,
+   so the loop is also run as many short rounds. *)
 let alloc_loop =
   Insn.
     [
@@ -947,7 +950,8 @@ let measured_insns = 5_000_000
    run would be 5 000 000 words. *)
 let alloc_bound = 1_000.
 
-(* Short rounds: the result pair is 3 words. *)
+(* Short rounds: a round returns its result alone, and a closure or a
+   result pair per round is 3 words or more. *)
 let short_rounds = 10_000
 let words_per_round_bound = 8.
 
@@ -1005,7 +1009,9 @@ let test_warm_jit_allocates_nothing () =
   let words =
     minor_words_of (fun () ->
         for _ = 1 to short_rounds do
-          ignore (Machine.timed_round m ~fuel:Machine.round_cap)
+          ignore
+            (Machine.timed_round m ~dispatch:Machine.Dispatch_jit
+               ~fuel:Machine.round_cap)
         done)
   in
   let per_round = words /. float_of_int short_rounds in

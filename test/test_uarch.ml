@@ -237,6 +237,7 @@ let test_core_model_costs () =
 module Machine = Cheriot_isa.Machine
 module Asm = Cheriot_isa.Asm
 module Insn = Cheriot_isa.Insn
+module Coremark = Cheriot_workloads.Coremark
 
 let code_base = 0x1_0000
 let data_base = 0x1_8000
@@ -289,39 +290,49 @@ let perf_run ?(fuel = 1_000_000) ?(core = Core_model.Ibex) ?(pin = ignore)
   let r = Perf.run ~fuel p in
   (r, p.Perf.stats, m.Machine.mcycle, Machine.state_hash m)
 
-(* Every tier against Reference: the stop, the four simulated totals,
-   the final [mcycle] and the state hash. *)
+(* A tier's run against Reference's: the stop, the four simulated
+   totals, the final [mcycle] and the state hash. *)
+let check_same_run name (r0, s0, cy0, h0) (r, s, cy, h) =
+  let what w = Printf.sprintf "%s (%s)" w name in
+  Alcotest.(check bool) (what "same stop") true (r = r0);
+  Alcotest.(check int) (what "cycles") s0.Perf.cycles s.Perf.cycles;
+  Alcotest.(check int) (what "instructions") s0.Perf.instructions
+    s.Perf.instructions;
+  Alcotest.(check int) (what "mem_busy") s0.Perf.mem_busy s.Perf.mem_busy;
+  Alcotest.(check int) (what "traps") s0.Perf.traps s.Perf.traps;
+  Alcotest.(check int) (what "mcycle") cy0 cy;
+  Alcotest.(check string) (what "state hash") h0 h
+
+(* Every tier against Reference. *)
 let check_tiers_agree ?fuel ?core program setup =
   let run ?pin d = perf_run ?fuel ?core ?pin d program setup in
-  let r0, s0, cy0, h0 = run Perf.Reference in
+  let ((r0, s0, _, _) as run0) = run Perf.Reference in
   List.iter
-    (fun (name, pin) ->
-      let r, s, cy, h = run ~pin Perf.Jit in
-      let what w = Printf.sprintf "%s (%s)" w name in
-      Alcotest.(check bool) (what "same stop") true (r = r0);
-      Alcotest.(check int) (what "cycles") s0.Perf.cycles s.Perf.cycles;
-      Alcotest.(check int) (what "instructions") s0.Perf.instructions
-        s.Perf.instructions;
-      Alcotest.(check int) (what "mem_busy") s0.Perf.mem_busy s.Perf.mem_busy;
-      Alcotest.(check int) (what "traps") s0.Perf.traps s.Perf.traps;
-      Alcotest.(check int) (what "mcycle") cy0 cy;
-      Alcotest.(check string) (what "state hash") h0 h)
+    (fun (name, pin) -> check_same_run name run0 (run ~pin Perf.Jit))
     tiers;
   (r0, s0)
 
 let test_perf_dispatch_parity () =
-  let r_ref, s_ref = check_tiers_agree parity_program (fun _ -> ()) in
+  let r_ref, _ = check_tiers_agree parity_program (fun _ -> ()) in
   Alcotest.(check bool) "all paths reach the WFI" true
     (r_ref = Machine.Step_waiting);
-  (* the block stats really flowed through the harness *)
+  (* the jit columns really ran translated blocks, the reference none *)
+  let block_stats ?pin dispatch =
+    let m = boot_perf parity_program in
+    Option.iter (fun pin -> pin m) pin;
+    ignore
+      (Perf.run (Perf.create ~dispatch ~params:(Core_model.params_of Ibex) m));
+    Machine.block_stats m
+  in
   List.iter
     (fun (name, pin) ->
-      let _, s, _, _ = perf_run ~pin Perf.Jit parity_program (fun _ -> ()) in
-      Alcotest.(check bool) ("block stats threaded: " ^ name) true
-        (s.Perf.block_hits > 0 && s.Perf.avg_block_len > 1.0))
+      let s = block_stats ~pin Perf.Jit in
+      Alcotest.(check bool) ("blocks ran: " ^ name) true
+        (s.Machine.block_hits > 0 && Machine.avg_block_len s > 1.0))
     tiers;
+  let s = block_stats Perf.Reference in
   Alcotest.(check int) "no block activity on reference" 0
-    (s_ref.Perf.block_hits + s_ref.Perf.block_misses)
+    (s.Machine.block_hits + s.Machine.block_misses)
 
 (* A [Csr] read of [mcycle] in the middle of a batched round must see
    every instruction before it charged: 1 + 1 + 3 + 1 cycles on Ibex. *)
@@ -364,71 +375,134 @@ let test_perf_fuel_counts_instructions () =
         fuel s.Perf.instructions)
     [ 1; 2; 100; 1000 ]
 
-(* A revoker kicked by an MMIO store in the middle of a block is only
-   granted the idle cycles of the instructions after the kick: ten ALU
-   ops, the kick, three more, then EBREAK on Ibex. *)
-let test_perf_revoker_kick_mid_block () =
-  let mmio = 0x1000_0000 in
-  let t0 = Insn.reg_t0 and t1 = Insn.reg_t1 and s0 = Insn.reg_s0 in
-  let program =
-    List.init 10 (fun _ -> Asm.I (Insn.Op_imm (Add, t0, t0, 1)))
-    @ [ Asm.I (Insn.Store { width = W; rs2 = t1; rs1 = s0; off = 12 }) ]
-    @ List.init 3 (fun _ -> Asm.I (Insn.Op_imm (Add, t0, t0, 1)))
-    @ [ Asm.I Insn.Ebreak ]
-  in
-  let run ?(pin = ignore) dispatch =
-    let m = boot_perf program in
-    pin m;
-    let sram = Sram.create ~base:heap_base ~size:heap_size in
-    let rev = Revbits.create ~heap_base ~heap_size () in
-    Bus.add_sram m.Machine.bus sram;
-    let r = Revoker.create ~core:Core_model.Ibex ~sram ~rev () in
-    Revoker.attach r m.Machine.bus ~base:mmio;
-    Bus.write m.Machine.bus ~width:4 mmio heap_base;
-    Bus.write m.Machine.bus ~width:4 (mmio + 4) (heap_base + 0x1000);
-    Machine.set_reg m s0 (mem_cap mmio 16);
-    Machine.set_reg_int m t1 1;
-    let p =
-      Perf.create ~revoker:r ~dispatch ~params:(Core_model.params_of Ibex) m
-    in
-    ignore (Perf.run p);
-    ( Revoker.busy_cycles r,
-      Revoker.words_swept r,
-      Revoker.epoch r,
-      Machine.state_hash m )
-  in
-  let busy0, swept0, epoch0, h0 = run Perf.Reference in
-  Alcotest.(check (pair int int)) "reference: busy cycles, words swept" (5, 1)
-    (busy0, swept0);
-  List.iter
-    (fun (name, pin) ->
-      let busy, swept, epoch, h = run ~pin Perf.Jit in
-      Alcotest.(check int) ("busy cycles: " ^ name) busy0 busy;
-      Alcotest.(check int) ("words swept: " ^ name) swept0 swept;
-      Alcotest.(check int) ("epoch: " ^ name) epoch0 epoch;
-      Alcotest.(check string) ("state hash: " ^ name) h0 h)
-    tiers
-
-(* Point MTCC at an [Ebreak]: the first trap or interrupt halts. *)
+(* Point MTCC at [handler] (an [Ebreak] by default): the first trap or
+   interrupt runs it. *)
 let handler_base = code_base + 0x300
 
-let install_halting_handler (m : Machine.t) =
+let install_halting_handler ?(handler = [ Asm.I Insn.Ebreak ])
+    (m : Machine.t) =
   let sram =
     match Bus.sram_at m.Machine.bus ~size:4 handler_base with
     | Some s -> s
     | None -> Alcotest.fail "no sram at the handler"
   in
-  Asm.load (Asm.assemble ~origin:handler_base [ Asm.I Insn.Ebreak ]) sram;
+  Asm.load (Asm.assemble ~origin:handler_base handler) sram;
   Machine.flush_decode_cache m;
   m.Machine.mtcc <- exec_cap handler_base 0x40
+
+(* The revoker tests' guest: an Ibex hardware revoker on the bus at
+   [mmio], set to sweep 4 KiB of a heap SRAM of its own, its registers
+   reached through s0, and t1 = 1 to write to [kick]. *)
+let mmio = 0x1000_0000
+let swept_bytes = 0x1000
+
+let attach_revoker (m : Machine.t) =
+  let sram = Sram.create ~base:heap_base ~size:heap_size in
+  let rev = Revbits.create ~heap_base ~heap_size () in
+  Bus.add_sram m.Machine.bus sram;
+  let r = Revoker.create ~core:Core_model.Ibex ~sram ~rev () in
+  Revoker.attach r m.Machine.bus ~base:mmio;
+  Bus.write m.Machine.bus ~width:4 mmio heap_base;
+  Bus.write m.Machine.bus ~width:4 (mmio + 4) (heap_base + swept_bytes);
+  Machine.set_reg m Insn.reg_s0 (mem_cap mmio 16);
+  Machine.set_reg_int m Insn.reg_t1 1;
+  r
+
+let kick =
+  Asm.I (Insn.Store { width = W; rs2 = Insn.reg_t1; rs1 = Insn.reg_s0; off = 12 })
+
+(* Every tier of [program] with a revoker attached against Reference,
+   as [check_tiers_agree] checks them, and the revoker's busy cycles,
+   words swept and epoch.  Returns Reference's run, its revoker's
+   counts and its machine. *)
+let check_revoker_tiers_agree program setup =
+  let run ?(pin = ignore) dispatch =
+    let m = boot_perf program in
+    setup m;
+    pin m;
+    let r = attach_revoker m in
+    let p =
+      Perf.create ~revoker:r ~dispatch ~params:(Core_model.params_of Ibex) m
+    in
+    let stop = Perf.run p in
+    ( (stop, p.Perf.stats, m.Machine.mcycle, Machine.state_hash m),
+      (Revoker.busy_cycles r, Revoker.words_swept r, Revoker.epoch r),
+      m )
+  in
+  let ((run0, (busy0, swept0, epoch0), _) as ref_run) = run Perf.Reference in
+  List.iter
+    (fun (name, pin) ->
+      let run, (busy, swept, epoch), _ = run ~pin Perf.Jit in
+      check_same_run name run0 run;
+      let what w = Printf.sprintf "%s (%s)" w name in
+      Alcotest.(check int) (what "busy cycles") busy0 busy;
+      Alcotest.(check int) (what "words swept") swept0 swept;
+      Alcotest.(check int) (what "epoch") epoch0 epoch)
+    tiers;
+  ref_run
+
+(* A revoker kicked by an MMIO store in the middle of a block is only
+   granted the idle cycles of the instructions after the kick: ten ALU
+   ops, the kick, three more, then EBREAK on Ibex. *)
+let test_perf_revoker_kick_mid_block () =
+  let t0 = Insn.reg_t0 in
+  let program =
+    List.init 10 (fun _ -> Asm.I (Insn.Op_imm (Add, t0, t0, 1)))
+    @ [ kick ]
+    @ List.init 3 (fun _ -> Asm.I (Insn.Op_imm (Add, t0, t0, 1)))
+    @ [ Asm.I Insn.Ebreak ]
+  in
+  let _, (busy, swept, _), _ = check_revoker_tiers_agree program ignore in
+  Alcotest.(check (pair int int)) "reference: busy cycles, words swept" (5, 1)
+    (busy, swept)
+
+(* A WFI wait's idle cycles go to the revoker too: the guest kicks a
+   sweep, arms the timer with interrupts on and waits.  The sweep runs
+   in the wait's idle cycles and ends before the timer fires: the
+   interrupt handler reads the revoker's epoch (even once a sweep has
+   ended) into a0 and halts. *)
+let test_perf_revoker_idle_grant () =
+  let t0 = Insn.reg_t0 and t2 = Insn.reg_t2 and a0 = Insn.reg_a0 in
+  let deadline = 4000 in
+  let program =
+    [
+      kick;
+      Asm.I (Insn.Csr (Csrrw, 0, t2, Cheriot_isa.Csr.mtimecmp));
+      Asm.I (Insn.Csr (Csrrs, 0, t0, Cheriot_isa.Csr.mstatus));
+      Asm.I Insn.Wfi;
+    ]
+  in
+  let setup (m : Machine.t) =
+    install_halting_handler m
+      ~handler:
+        [
+          Asm.I
+            (Insn.Load
+               { signed = false; width = W; rd = a0; rs1 = Insn.reg_s0; off = 8 });
+          Asm.I Insn.Ebreak;
+        ];
+    Machine.set_reg_int m t2 deadline;
+    Machine.set_reg_int m t0 (1 lsl Cheriot_isa.Csr.mstatus_mie_bit)
+  in
+  let (r, s, cycles, _), (busy, swept, epoch), m =
+    check_revoker_tiers_agree program setup
+  in
+  Alcotest.(check bool) "halts in the handler" true (r = Machine.Step_halted);
+  Alcotest.(check int) "one interrupt delivered" 1 s.Perf.traps;
+  Alcotest.(check bool) "the timer fired" true (cycles >= deadline);
+  Alcotest.(check int) "the whole window swept" (swept_bytes / 8) swept;
+  Alcotest.(check int) "one sweep begun and ended" 2 epoch;
+  Alcotest.(check int) "the sweep ended before the interrupt" epoch
+    (Machine.reg_int m a0);
+  Alcotest.(check bool) "the sweep took idle cycles" true (busy > 0)
 
 let spin_program =
   [ Asm.Label "spin"; Asm.I (Insn.Op_imm (Add, 5, 5, 1)); Asm.J (0, "spin") ]
 
 (* With interrupts enabled and the timer armed, the jit tier must
    deliver the timer interrupt at exactly the same cycle as the
-   reference tier (it falls back to per-step dispatch in that regime —
-   a mid-block comparator crossing would otherwise be observable). *)
+   reference tier (it runs reference rounds in that regime — a
+   mid-block comparator crossing would otherwise be observable). *)
 let test_perf_timer_parity () =
   let setup (m : Machine.t) =
     install_halting_handler m;
@@ -464,6 +538,58 @@ let test_perf_sentry_arms_timer () =
   let r, s = check_tiers_agree program setup in
   Alcotest.(check bool) "halts in the ISR" true (r = Machine.Step_halted);
   Alcotest.(check int) "one interrupt delivered" 1 s.Perf.traps
+
+(* --- the cycle ledger ---------------------------------------------- *)
+
+(* A harness reports only its own runs: a second [Perf.create] on a
+   machine a first harness ran zeroes the machine's ledger, and the
+   first harness's published totals do not move. *)
+let test_perf_ledger_per_harness () =
+  List.iter
+    (fun dispatch ->
+      let m = boot_perf spin_program in
+      let params = Core_model.params_of Ibex in
+      let p1 = Perf.create ~dispatch ~params m in
+      ignore (Perf.run ~fuel:1000 p1);
+      let cycles1 = m.Machine.mcycle in
+      let p2 = Perf.create ~dispatch ~params m in
+      ignore (Perf.run ~fuel:500 p2);
+      let s1 = p1.Perf.stats and s2 = p2.Perf.stats in
+      Alcotest.(check (pair int int)) "first: its instructions and cycles"
+        (1000, cycles1) (s1.Perf.instructions, s1.Perf.cycles);
+      Alcotest.(check (pair int int)) "second: only its own"
+        (500, m.Machine.mcycle - cycles1)
+        (s2.Perf.instructions, s2.Perf.cycles))
+    [ Perf.Reference; Perf.Jit ]
+
+(* A reference round allocates no more under [Perf.run] than under
+   [Machine.run]: CoreMark RV32E on Ibex, in minor words per
+   instruction.  Any allocation per step is at least two words. *)
+let test_perf_reference_allocation () =
+  let config = Core_model.config ~cheri:false Ibex in
+  let words_per_insn run =
+    let m = Coremark.setup ~iterations:10 config in
+    let before = Gc.minor_words () in
+    let r = run m in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "halts" true (r = Machine.Step_halted);
+    words /. float_of_int m.Machine.minstret
+  in
+  let machine =
+    words_per_insn (fun m ->
+        fst (Machine.run ~fuel:20_000_000 ~dispatch:Machine.Dispatch_ref m))
+  in
+  let perf =
+    words_per_insn (fun m ->
+        Perf.run ~fuel:20_000_000
+          (Perf.create ~params:(Core_model.params_of Ibex) m))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "Perf.run %.4f, Machine.run %.4f minor words per instruction" perf
+       machine)
+    true
+    (perf -. machine < 0.05)
 
 (* --- per-block cost tables ------------------------------------------ *)
 
@@ -605,6 +731,12 @@ let suite =
       test_perf_fuel_counts_instructions;
     Alcotest.test_case "revoker kicked mid-block: tiers agree" `Quick
       test_perf_revoker_kick_mid_block;
+    Alcotest.test_case "revoker sweeps in WFI idle cycles: tiers agree"
+      `Quick test_perf_revoker_idle_grant;
     Alcotest.test_case "block cost tables = per-event costs" `Quick
       test_cost_tables_match_events;
+    Alcotest.test_case "a harness reports only its own runs" `Quick
+      test_perf_ledger_per_harness;
+    Alcotest.test_case "reference rounds allocate alike under Perf" `Quick
+      test_perf_reference_allocation;
   ]

@@ -3,9 +3,11 @@
    IoT application (7.2.3).  These check the qualitative claims of the
    paper's evaluation — who wins, and in which direction each mechanism
    moves the numbers — not absolute values, apart from the pins of exact
-   simulated numbers (a Table 4 cycle grid per size, the IoT load). *)
+   simulated numbers (Table 3's cycles and instructions, a Table 4 cycle
+   grid per size, the IoT load). *)
 
 module Core_model = Cheriot_uarch.Core_model
+module Perf = Cheriot_uarch.Perf
 module Coremark = Cheriot_workloads.Coremark
 module Alloc_bench = Cheriot_workloads.Alloc_bench
 module Iot_app = Cheriot_workloads.Iot_app
@@ -160,6 +162,27 @@ let test_table4_pinned () =
   Alcotest.(check string) "256 B, 128 KiB" "9262dd0caebc0f059da728d04a8e9223"
     (table4_grid ~total:(128 * 1024) 256)
 
+(* Table 3's simulated totals, run as [bench/main.exe table3] runs them
+   (10 iterations on [Perf.Reference]), in its order: the scores it
+   prints are these cycles against the calibrated Flute RV32E run. *)
+let test_table3_pinned () =
+  List.iter
+    (fun (config, cycles, instructions) ->
+      let r = Coremark.run ~iterations:10 ~dispatch:Perf.Reference config in
+      let what w = Core_model.config_name config ^ " " ^ w in
+      Alcotest.(check int) (what "cycles") cycles r.Coremark.cycles;
+      Alcotest.(check int) (what "instructions") instructions
+        r.Coremark.instructions)
+    Core_model.
+      [
+        (config ~cheri:false Flute, 148922, 104795);
+        (config ~cheri:true ~load_filter:false Flute, 156362, 112235);
+        (config ~cheri:true ~load_filter:true Flute, 156362, 112235);
+        (config ~cheri:false Ibex, 143624, 104795);
+        (config ~cheri:true ~load_filter:false Ibex, 161384, 112235);
+        (config ~cheri:true ~load_filter:true Ibex, 167144, 112235);
+      ]
+
 let test_iot_app () =
   let r = Iot_app.run ~seconds:3.0 () in
   Alcotest.(check string) "CPU load pinned" "21.065416360887831"
@@ -208,4 +231,5 @@ let suite =
     Alcotest.test_case "IoT app ~17.5% CPU" `Quick test_iot_app;
     Alcotest.test_case "IoT app software-revoker variant" `Quick
       test_iot_app_software_revoker_variant;
+    Alcotest.test_case "Table 3 cycles pinned" `Quick test_table3_pinned;
   ]
