@@ -71,12 +71,15 @@ audit-incremental: build
 # default hotness and pinned to 2 and 1) must be observationally
 # identical on random streams, on generated multi-compartment scenarios
 # (switcher cross-calls, allocator churn, revocation sweeps, code
-# patches), under interrupt injection, and on coremark — and so must
+# patches), under interrupt injection, on coremark, and where
+# straight-line code falls off the PCC's top mid-block or at a block's
+# end (the one per-word fetch check translation keeps) — and so must
 # both `Perf` tiers under the cycle model (simulated totals, mcycle,
 # the preemptive schedule, revoker grants).  The block-cache suite pins
 # the translation cache the jit runs on: chaining, store kills, flushes,
-# one basic block per translation unit, slot conflicts and the paged
-# slot table.
+# one basic block per translation unit, slot conflicts, the paged slot
+# table, a warm jit that allocates nothing and a cold batch of
+# generated programs under 20 minor words per retired instruction.
 # Alcotest prints the failing qcheck seed and the shrunk program
 # listing on a mismatch.
 parity: build

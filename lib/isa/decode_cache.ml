@@ -9,10 +9,10 @@ type stats = {
 }
 
 type 'a t = {
-  (* 2 048 direct-mapped slots in 8 pages of 256: slot s lives at
-     offset [s land 255] of page [s lsr 8].  A page that holds no entry
+  (* 2 048 direct-mapped slots in 32 pages of 64: slot s lives at
+     offset [s land 63] of page [s lsr 6].  A page that holds no entry
      yet is [empty], which is shared by every index and never written;
-     [fill] allocates the real one. *)
+     [fill] allocates the real one (65 words). *)
   pages : 'a array array;
   empty : 'a array;
   dummy : 'a;  (* in every empty slot; its start is negative *)
@@ -39,8 +39,8 @@ type 'a t = {
   mutable chain_unlinks : int;  (* stale links observed at traversal *)
 }
 
-let page_slots = 256
-let n_pages = 8
+let page_slots = 64
+let n_pages = 32
 
 let create ~max_span ~dummy ~start ~len =
   if max_span <= 0 || max_span land 3 <> 0 then
@@ -68,10 +68,10 @@ let create ~max_span ~dummy ~start ~len =
 
 (* Instructions are word-aligned, so the low two PC bits carry no
    information: the slot is (pc lsr 2) land 2047, which covers
-   contiguous code without conflicts, split into page (pc lsr 10) land 7
-   and offset (pc lsr 2) land 255. *)
-let page_index pc = (pc lsr 10) land (n_pages - 1)
-let offset pc = (pc lsr 2) land (page_slots - 1)
+   contiguous code without conflicts, split into page (pc lsr 8) land 31
+   and offset (pc lsr 2) land 63. *)
+let[@inline] page_index pc = (pc lsr 8) land (n_pages - 1)
+let[@inline] offset pc = (pc lsr 2) land (page_slots - 1)
 
 let chain_epoch t = t.chain_epoch
 

@@ -7,13 +7,14 @@
     is its full start PC, so a hit can only ever return the entry
     translated at exactly that address.
 
-    The slots live in eight 256-slot pages, and every page starts out as
+    The slots live in 32 pages of 64 slots, and every page starts out as
     one shared, never-written page of empty slots; the first {!fill} that
     lands in a page allocates it.  A cache therefore costs a few words
-    until it translates, and each page it does allocate (257 words) is
-    small enough for OCaml 5's minor heap — an array over 256 words is
-    allocated directly in the major heap, which is what the flat
-    2 048-slot arrays cost every [Machine.create].  Paging changes no
+    until it translates, and each page it does allocate is 65 words: a
+    short program's first fills pay for the 256 bytes of code around
+    each block, not for 1 KiB of it (an array over 256 words would even
+    be allocated directly in the major heap, which is what the flat
+    2 048-slot arrays cost every [Machine.create]).  Paging changes no
     slot: the slot function stays [(pc lsr 2) land 2047], so hits,
     misses, evictions and kills are what a flat table would give.
 
@@ -45,7 +46,7 @@
 
 type 'a t = {
   pages : 'a array array;
-      (** 8 pages of 256 slots: slot [s] is [pages.(s lsr 8).(s land 255)] *)
+      (** 32 pages of 64 slots: slot [s] is [pages.(s lsr 6).(s land 63)] *)
   empty : 'a array;  (** the shared page of a page index never filled *)
   dummy : 'a;  (** the content of every empty slot *)
   start : 'a -> int;
@@ -68,8 +69,8 @@ type 'a t = {
 }
 (** The representation is exposed so [Machine]'s dispatch loop can
     probe without function-call overhead: the entry for [pc] is
-    [pages.((pc lsr 10) land 7).((pc lsr 2) land 255)], [dummy] when
-    the slot is empty.  Only {!fill} replaces a page and only {!flush}
+    [pages.(page_index pc).(offset pc)], [dummy] when the slot is
+    empty.  Only {!fill} replaces a page and only {!flush}
     drops one, so a page read at a block's entry stays the page of that
     block's slot until the next fill or flush.  Use the functions below
     everywhere else. *)
@@ -89,6 +90,13 @@ type stats = {
       (** previously linked edges found stale (epoch mismatch) at
           traversal time *)
 }
+
+val page_index : int -> int
+(** [page_index pc] is [(pc lsr 8) land 31]: the page of [pc]'s slot. *)
+
+val offset : int -> int
+(** [offset pc] is [(pc lsr 2) land 63]: the slot's offset in its
+    page. *)
 
 val create :
   max_span:int -> dummy:'a -> start:('a -> int) -> len:('a -> int) -> 'a t

@@ -301,18 +301,17 @@ let dec_j_imm w =
     lor (((w lsr 20) land 1) lsl 11)
     lor (((w lsr 21) land 0x3ff) lsl 1))
 
-let alu_of_funct3_i funct3 imm =
+(* The op of an [OP-IMM] word that is not a shift.  [decode] takes the
+   shifts (funct3 1 and 5) first, with their funct7, so every funct3
+   left names an op. *)
+let alu_of_funct3_i funct3 : Insn.alu =
   match funct3 with
-  | 0 -> Some (Insn.Add, imm)
-  | 1 when imm land lnot 0x1f = 0 -> Some (Sll, imm land 0x1f)
-  | 2 -> Some (Slt, imm)
-  | 3 -> Some (Sltu, imm)
-  | 4 -> Some (Xor, imm)
-  | 5 when imm land lnot 0x1f = 0 -> Some (Srl, imm land 0x1f)
-  | 5 when (imm land lnot 0x1f) land 0xfff = 0x400 -> Some (Sra, imm land 0x1f)
-  | 6 -> Some (Or, imm)
-  | 7 -> Some (And, imm)
-  | _ -> None
+  | 0 -> Add
+  | 2 -> Slt
+  | 3 -> Sltu
+  | 4 -> Xor
+  | 6 -> Or
+  | _ -> And
 
 let decode w : Insn.t option =
   let opcode = w land 0x7f in
@@ -352,16 +351,12 @@ let decode w : Insn.t option =
       | 3 -> Some (Csc (rs2, rs1, off))
       | _ -> None)
   | o when o = op_imm -> (
-      let raw = (w lsr 20) land 0xfff in
       match funct3 with
       | 1 when funct7 = 0 -> Some (Op_imm (Sll, rd, rs1, rs2))
       | 5 when funct7 = 0 -> Some (Op_imm (Srl, rd, rs1, rs2))
       | 5 when funct7 = 0x20 -> Some (Op_imm (Sra, rd, rs1, rs2))
       | 1 | 5 -> None
-      | _ -> (
-          match alu_of_funct3_i funct3 raw with
-          | Some (op, _) -> Some (Op_imm (op, rd, rs1, dec_i_imm w))
-          | None -> None))
+      | _ -> Some (Op_imm (alu_of_funct3_i funct3, rd, rs1, dec_i_imm w)))
   | o when o = op_op -> (
       if funct7 = 1 then
         let md : Insn.muldiv =

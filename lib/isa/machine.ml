@@ -213,22 +213,26 @@ type t = {
 (* A translated basic block: the decoded instructions of one
    straight-line run of code, from a fetch target up to and including
    the first control-flow or interrupt-posture-changing instruction
-   (or the length cap).  Every per-instruction value the hot loop needs
-   — the [Some insn] event payload, the fall-through PCC, the taken PCC
-   of a direct edge and the link of a final [Jal] — is prebuilt at fill
-   time, so executing a cached block allocates nothing.  A block
-   carries a fetch "ticket": the PCC under which the fetch-side checks
-   passed at fill time (see [ticket_ok]). *)
+   (or the length cap).  Every value the hot loop needs at the block's
+   end — the [Some insn] event payloads, the last instruction's PCC and
+   the fall-through PCC, the taken PCC of a direct edge and the link of
+   a final [Jal] — is prebuilt at fill time, so executing a cached block
+   allocates nothing.  A block carries a fetch "ticket": the PCC under
+   which the fetch-side checks passed at fill time (see [ticket_ok]).
+   Every instruction of a block is fetched under the ticket's word (see
+   [translate]), so its PCCs are pure functions of that word. *)
 and bentry = {
   b_insns : Insn.t array;
-  b_opts : Insn.t option array;  (* [Some b_insns.(i)], built at fill *)
-  b_nexts : Capability.t option array;
-      (* fall-through PCC after instruction [i]: the fill-time
-         [next_pcc] chain.  Valid whenever the block ticket validates —
-         each link is a pure function of the ticket's word. *)
+  b_opts : Insn.t option array;  (* the decoder's [Some b_insns.(i)] *)
+  b_last_pcc : Capability.t;
+      (* the PCC the last instruction runs under: the ticket's word at
+         its address ([b_pcc] itself in a one-instruction block) *)
+  b_fall_pcc : Capability.t;
+      (* the PCC after the last instruction falls through: [next_pcc_of]
+         of [b_last_pcc] *)
   b_taken_pcc : Capability.t;
       (* taken PCC of the final direct [Branch]/[Jal] (see
-         [taken_pcc]), valid under the ticket like [b_nexts];
+         [taken_pcc]), valid under the ticket like [b_fall_pcc];
          [Capability.null] (compared physically) in a block that does
          not end in one, and where the target fails the PCC bounds
          check *)
@@ -300,7 +304,8 @@ let create ?(mode = Cheriot) ?(load_filter = true) bus =
         {
           b_insns = [||];
           b_opts = [||];
-          b_nexts = [||];
+          b_last_pcc = Capability.null;
+          b_fall_pcc = Capability.null;
           b_taken_pcc = Capability.null;
           b_link_on = Capability.Word.null;
           b_link_off = Capability.Word.null;
@@ -463,8 +468,8 @@ let note_store m addr =
    (already permission/alignment/range-checked) address fits, goes
    straight to the byte array: no bus list walk, no option, no
    exception-handler setup.  Observationally identical to [Bus.read]/
-   [Bus.write] — the access counter still advances and SRAM stores
-   still fire the snoops — and shared by every dispatch path. *)
+   [Bus.write] — SRAM stores still fire the snoops — and shared by
+   every dispatch path. *)
 
 let refresh_window m ~size addr =
   match Bus.sram_at m.bus ~size addr with
@@ -477,7 +482,6 @@ let refresh_window m ~size addr =
 
 let data_read_slow m ~size addr =
   if refresh_window m ~size addr then begin
-    Bus.note_access m.bus;
     match size with
     | 1 -> Sram.read8_u m.fm_sram addr
     | 2 -> Sram.read16_u m.fm_sram addr
@@ -489,7 +493,6 @@ let data_read_slow m ~size addr =
 
 let[@inline] data_read m ~size addr =
   if addr >= m.fm_base && addr + size <= m.fm_limit then begin
-    Bus.note_access m.bus;
     match size with
     | 1 -> Sram.read8_u m.fm_sram addr
     | 2 -> Sram.read16_u m.fm_sram addr
@@ -499,7 +502,6 @@ let[@inline] data_read m ~size addr =
 
 let data_write_slow m ~size addr v =
   if refresh_window m ~size addr then begin
-    Bus.note_access m.bus;
     (match size with
     | 1 -> Sram.write8_u m.fm_sram addr v
     | 2 -> Sram.write16_u m.fm_sram addr v
@@ -512,7 +514,6 @@ let data_write_slow m ~size addr v =
 
 let[@inline] data_write m ~size addr v =
   if addr >= m.fm_base && addr + size <= m.fm_limit then begin
-    Bus.note_access m.bus;
     (match size with
     | 1 -> Sram.write8_u m.fm_sram addr v
     | 2 -> Sram.write16_u m.fm_sram addr v
@@ -589,12 +590,10 @@ let load_filter_apply m w a =
 (* A capability access goes through the SRAM window like a scalar one
    (see [data_read]), and then moves the granule's two 32-bit halves —
    the address low, the metadata word high — and its micro-tag pair.
-   [cap_access] counts the one bus access and leaves the window over
-   [addr]; outside SRAM (MMIO included: devices take no capability
-   accesses) it raises [fault], the access still counted.  The check
-   plan proved the access 8-byte aligned. *)
+   [cap_access] leaves the window over [addr]; outside SRAM (MMIO
+   included: devices take no capability accesses) it raises [fault].
+   The check plan proved the access 8-byte aligned. *)
 let[@inline] cap_access m ~fault addr =
-  Bus.note_access m.bus;
   if
     not
       ((addr >= m.fm_base && addr + 8 <= m.fm_limit)
@@ -947,10 +946,11 @@ let enter_trap m cause =
 
 (* --- fetch/execute ---------------------------------------------------- *)
 
-(* Pure in (mode, pcc, pc) — the block translator runs it against the
-   fill-time PCC chain, not the live machine PCC. *)
-let fetch_check_pcc mode pcc pc =
-  if mode = Cheriot then begin
+(* The fetch rules of the live PCC at [pc].  [translate] checks the same
+   rules once per block. *)
+let fetch_check m pc =
+  let pcc = m.pcc in
+  if m.mode = Cheriot then begin
     if not (Capability.tag pcc) then raise (Trap (Cheri_fault (Cheri_tag, 16)));
     if Capability.is_sealed pcc then
       raise (Trap (Cheri_fault (Cheri_seal, 16)));
@@ -961,8 +961,6 @@ let fetch_check_pcc mode pcc pc =
   end;
   if pc land 3 <> 0 then raise (Trap Illegal_instruction)
 
-let fetch_check m pc = fetch_check_pcc m.mode m.pcc pc
-
 let fetch_word m pc =
   try Bus.read m.bus ~width:4 pc
   with Bus.Bus_error _ -> raise (Trap Instruction_access_fault)
@@ -971,14 +969,6 @@ let fetch m =
   let pc = Capability.address m.pcc in
   fetch_check m pc;
   fetch_word m pc
-
-(* The reference fetch: re-read and re-decode the word at the PC on
-   every step.  [step] uses this path unchanged; it is the observational
-   oracle the jit tier is differentially tested against. *)
-let fetch_decode m =
-  match Encode.decode (fetch m) with
-  | None -> raise (Trap Illegal_instruction)
-  | Some insn -> insn
 
 (* The step-advanced PCC.  A pure function of the current PCC and mode:
    [Capability.with_address p (pc + 4)] in CHERIoT mode, a plain
@@ -997,18 +987,23 @@ let next_pcc m = next_pcc_of m.mode m.pcc
 
 let next m = m.pcc <- next_pcc m
 
-(* Fall-through PC advance.  The round executor passes the block's
-   [b_nexts] entry, valid because the block ticket validated —
+(* [step]'s fall-through argument to [exec]: no PCC is prebuilt, so
+   [advance] derives it from the live one ([next]).  Compared
+   physically and never installed. *)
+let derive_next = { Capability.word = Capability.Word.null; addr = -1 }
+
+(* Fall-through PC advance.  The round executor passes its block's
+   prebuilt PCC ([pcc_at]), valid because the block ticket validated —
    [next_pcc] depends only on the ticket-compared word, so installing
    the prebuilt value is observationally identical to recomputing it
-   (and costs one store).  [step] passes [None]. *)
-let advance m nextc =
-  match nextc with Some c -> m.pcc <- c | None -> next m
+   (and costs one store).  [step] passes [derive_next]. *)
+let[@inline] advance m nextc =
+  if nextc == derive_next then next m else m.pcc <- nextc
 
 (* The plain-arm epilogue ([advance] + flagless [finish]) as one call —
    most instructions end exactly this way. *)
 let advance_finish m nextc opt =
-  (match nextc with Some c -> m.pcc <- c | None -> next m);
+  advance m nextc;
   m.minstret <- m.minstret + 1;
   let ev = m.last_event in
   ev.ev_insn <- opt;
@@ -1134,9 +1129,14 @@ let step m =
     enter_trap m cause
   end
   else
+    (* The reference fetch: re-read and re-decode the word at the PC on
+       every step, and hand [exec] the decoder's own option.  This path
+       is the observational oracle the jit tier is differentially tested
+       against. *)
     try
-      let insn = fetch_decode m in
-      exec m insn (Some insn) None
+      match Encode.decode (fetch m) with
+      | Some insn as opt -> exec m insn opt derive_next
+      | None -> raise (Trap Illegal_instruction)
     with Trap cause ->
       m.last_event <- { no_event with ev_trap = Some cause };
       enter_trap m cause
@@ -1238,37 +1238,52 @@ let block_terminator (i : Insn.t) =
       true
   | _ -> false
 
-(* Fill-time fetch+decode under an explicit PCC.  Only SRAM-resident
-   words are translated: lookahead past the current PC must not replay
-   MMIO read side effects.  [None] means "this word cannot join a
-   block" — the caller cuts the block there (or, for the first word,
-   falls back to one reference [step], which is the exact trap /
-   MMIO-fetch behaviour). *)
-let decode_at m pcc pc =
-  match fetch_check_pcc m.mode pcc pc with
-  | exception Trap _ -> None
-  | () -> (
-      match Bus.sram_at m.bus ~size:4 pc with
-      | None -> None
-      | Some s -> (
-          Bus.note_access m.bus;
-          match Encode.decode (Sram.read32 s pc) with
-          | None -> None (* illegal words are never translated *)
-          | Some i -> Some i))
+(* The decoder's option for the word at [pc] where a block may hold it:
+   [pc + 4 <= top] (the block's fetch bound, see [translate]), in SRAM
+   (lookahead past the current PC must not replay MMIO read side
+   effects) and legal.  [None] means "this word cannot join a block":
+   the caller cuts the block there (or, for the first word, falls back
+   to one reference [step], which is the exact trap / MMIO-fetch
+   behaviour). *)
+let fetch_at m ~top pc =
+  if pc + 4 > top then None
+  else
+    match Bus.sram_at m.bus ~size:4 pc with
+    | None -> None
+    | Some s -> Encode.decode (Sram.read32_u s pc)
+
+(* The rest of a block from instruction [k], decoded as [i] (the
+   decoder's option [o]) at [pc]: it stops at its first
+   [block_terminator] or at [max_block_len] instructions, so only its
+   last instruction can leave it other than by falling through.
+   Returns the block's [b_opts], allocated once the length is known. *)
+let rec grow m ~top pc k i o =
+  let len = k + 1 in
+  let next =
+    if block_terminator i || len >= max_block_len then None
+    else fetch_at m ~top (pc + 4)
+  in
+  let opts =
+    match next with
+    | Some i' as o' -> grow m ~top (pc + 4) len i' o'
+    | None -> Array.make len o
+  in
+  Array.unsafe_set opts k o;
+  opts
 
 (* A block's direct edges, derived once at translation from the PCC
-   [pcc] the edge instruction was fetched under.  Every execution of
-   the block reaches that instruction under a PCC value-equal to
-   [pcc]: the entry PCC passed the ticket compare ([ticket_ok]), and
-   each instruction before the edge left the next link of the [b_nexts]
-   chain that [pcc] belongs to.  So what is built here is value-equal
-   to what the per-step path ([exec]'s [Branch] arm, [do_jal]) builds
-   from the live PCC.  [taken_pcc] is the PCC a taken [Branch] or a
-   [Jal] installs, or [Capability.null] where the target fails the
-   CHERIoT bounds check and the edge traps.  [jal_link] is the word of
-   a [Jal]'s link under posture [mie] (its address is [pc + 4]); in
-   Rv32 mode it is word 0, what [set_reg_int] writes. *)
-let taken_pcc mode pcc (i : Insn.t) =
+   [pcc] the edge instruction was fetched under, whose bounds are
+   [[base, top)].  Every execution of the block reaches that
+   instruction under a PCC value-equal to [pcc]: the entry PCC passed
+   the ticket compare ([ticket_ok]), and every instruction of a block
+   runs under the entry word.  So what is built here is value-equal to
+   what the per-step path ([exec]'s [Branch] arm, [do_jal]) builds from
+   the live PCC.  [taken_pcc] is the PCC a taken [Branch] or a [Jal]
+   installs, or [Capability.null] where the target fails the CHERIoT
+   bounds check and the edge traps.  [jal_link] is the word of a
+   [Jal]'s link under posture [mie] (its address is [pc + 4]); in Rv32
+   mode it is word 0, what [set_reg_int] writes. *)
+let taken_pcc mode ~base ~top pcc (i : Insn.t) =
   match i with
   | Branch (_, _, _, off) | Jal (_, off) -> (
       let target = (pcc.Capability.addr + off) land mask32 in
@@ -1278,7 +1293,7 @@ let taken_pcc mode pcc (i : Insn.t) =
       | Cheriot, _ ->
           (* in bounds implies representable, so the address update is
              [with_address] *)
-          if Capability.in_bounds pcc ~size:4 target then
+          if target >= base && target + 4 <= top then
             { pcc with Capability.addr = target }
           else Capability.null)
   | _ -> Capability.null
@@ -1288,51 +1303,60 @@ let jal_link mode pcc ~mie =
   | Cheriot -> link_word pcc ~mie
   | Rv32 -> Capability.Word.null
 
-(* Translate the basic block starting at [pc0] under [pcc0]: it stops
-   at its first [block_terminator] or at [max_block_len] instructions,
-   so only its last instruction can leave it other than by falling
-   through.  Returns [None] when the first word is untranslatable. *)
-let translate m ~pcc0 ~pc0 =
-  match decode_at m pcc0 pc0 with
-  | None -> None
-  | Some first ->
-      let buf_i = Array.make max_block_len first in
-      let buf_n = Array.make max_block_len None in
-      let rec grow pcc i len =
-        (* invariant: [i] decoded at [pc0 + 4*len] under [pcc], with the
-           fetch-side checks passed *)
-        buf_i.(len) <- i;
-        let nx = next_pcc_of m.mode pcc in
-        buf_n.(len) <- Some nx;
-        let len = len + 1 in
-        if block_terminator i || len >= max_block_len then len
-        else
-          (* [nx] may be untagged (unrepresentable advance) — then the
-             fetch check fails and the block simply ends here; the trap,
-             if ever reached, is taken by the per-step machinery. *)
-          match decode_at m nx (pc0 + (4 * len)) with
-          | Some i' -> grow nx i' len
-          | None -> len
-      in
-      let len = grow pcc0 first 0 in
-      let insns = Array.sub buf_i 0 len in
-      let nexts = Array.sub buf_n 0 len in
-      (* A direct edge is a terminator, so only the last instruction
-         can be one: its taken PCC and a [Jal]'s links are built from the
-         PCC it was fetched under. *)
-      let last = insns.(len - 1) in
-      let pcc = if len = 1 then pcc0 else Option.get nexts.(len - 2) in
-      let jal = match last with Insn.Jal _ -> true | _ -> false in
-      Some
+(* Translate the basic block at the PCC [pcc0], or return the cache's
+   [dummy] (a probe's miss) when its first word is untranslatable.  The
+   reference fetch checks every
+   instruction under the step-advanced PCC ([fetch_check], [next_pcc]);
+   here the fetch rules (tag, unsealed, EX) are checked once, the
+   bounds are decoded once at the entry, and each further instruction
+   only needs [pc + 4 <= top].  That is exact: an in-bounds address is
+   representable and decodes to the same region ([test_bounds] checks
+   this exhaustively), so every interior fetch runs under the entry
+   word, and the first address past the bounds fails — unrepresentable
+   (untagged) or against the same top.  A fetch rule that fails makes
+   [top] -1, which no word passes.  The PCCs of the block's end are
+   built from the entry word: the last instruction's, its fall-through
+   ([next_pcc_of]) and a final direct edge's. *)
+let translate m (pcc0 : Capability.t) =
+  let pc0 = pcc0.addr and w = pcc0.word in
+  let cheriot = match m.mode with Cheriot -> true | Rv32 -> false in
+  let fetchable =
+    Capability.Word.(tag w && (not (is_sealed w)) && has_perm w EX)
+  in
+  let base = if cheriot then Capability.Word.base w ~addr:pc0 else 0 in
+  let top =
+    if not cheriot then max_int
+    else if fetchable then Capability.Word.top w ~addr:pc0
+    else -1
+  in
+  if pc0 < base || pc0 land 3 <> 0 then m.bcache.Decode_cache.dummy
+  else
+    match fetch_at m ~top pc0 with
+    | None -> m.bcache.Decode_cache.dummy
+    | Some first as o ->
+        let opts = grow m ~top pc0 0 first o in
+        let len = Array.length opts in
+        let insns = Array.map Option.get opts in
+        let last_pcc =
+          if len = 1 then pcc0
+          else { Capability.word = w; addr = pc0 + (4 * (len - 1)) }
+        in
+        (* a direct edge is a terminator, so only the last instruction
+           can be one *)
+        let last = insns.(len - 1) in
+        let jal = match last with Insn.Jal _ -> true | _ -> false in
         {
           b_insns = insns;
-          b_opts = Array.map Option.some insns;
-          b_nexts = nexts;
-          b_taken_pcc = taken_pcc m.mode pcc last;
+          b_opts = opts;
+          b_last_pcc = last_pcc;
+          b_fall_pcc = next_pcc_of m.mode last_pcc;
+          b_taken_pcc = taken_pcc m.mode ~base ~top last_pcc last;
           b_link_on =
-            (if jal then jal_link m.mode pcc ~mie:true else Capability.Word.null);
+            (if jal then jal_link m.mode last_pcc ~mie:true
+             else Capability.Word.null);
           b_link_off =
-            (if jal then jal_link m.mode pcc ~mie:false else Capability.Word.null);
+            (if jal then jal_link m.mode last_pcc ~mie:false
+             else Capability.Word.null);
           b_mode = m.mode;
           b_pcc = pcc0;
           b_start = pc0;
@@ -1348,29 +1372,30 @@ let translate m ~pcc0 ~pc0 =
           b_entries = 0;
         }
 
-(* Translate and install the block at [pc0] (the current PC; the caller
-   just missed in the block cache). *)
-let fill_block m pc0 =
-  match translate m ~pcc0:m.pcc ~pc0 with
-  | None -> None
-  | Some b ->
-      m.blocks_filled <- m.blocks_filled + 1;
-      m.insns_translated <- m.insns_translated + b.b_len;
-      Decode_cache.fill m.bcache b;
-      Some b
+(* Translate and install the block at the current PC (the caller just
+   missed in the block cache); [dummy] where [translate] found nothing
+   to install. *)
+let fill_block m =
+  let b = translate m m.pcc in
+  if b != m.bcache.Decode_cache.dummy then begin
+    m.blocks_filled <- m.blocks_filled + 1;
+    m.insns_translated <- m.insns_translated + b.b_len;
+    Decode_cache.fill m.bcache b
+  end;
+  b
 
 (* Is a cached block's fetch ticket still good?  The fetch-side checks
    are a pure function of (mode, PCC, pc), and the mode never changes
    after [create], so a hit under a PCC whose word equals the ticket's
    can skip them wholesale — same result, no bounds decode.  The
-   compare is used in {e both} modes: the prebuilt [b_nexts] chain
-   copies the fill-time PCC's word verbatim, so an Rv32 hit must pin it
-   too.  A re-derived but identical PCC — e.g. after returning through a
-   link sentry, which builds a new value — still hits, where a physical
+   compare is used in {e both} modes: the block's prebuilt PCCs copy
+   the fill-time PCC's word verbatim, so an Rv32 hit must pin it too.
+   A re-derived but identical PCC — e.g. after returning through a link
+   sentry, which builds a new value — still hits, where a physical
    compare alone would force a full re-translation of every block after
    every return.  Observational behaviour depends only on the word and
-   the address, so installing the fill-time chain under an equal word
-   is exact; and since the chain {e is} the fill-time values, the very
+   the address, so installing the fill-time PCCs under an equal word is
+   exact; and since a fall-through {e is} a fill-time value, the very
    next compare is physical again.  The probe's full-PC start match
    pinned the address. *)
 let[@inline always] ticket_ok m (b : bentry) =
@@ -1378,15 +1403,15 @@ let[@inline always] ticket_ok m (b : bentry) =
   tp == cp || tp.word = cp.word
 
 (* The block-cache probe, written out here rather than called, because
-   every dispatch point runs it (the slot layout is [Decode_cache.t]'s:
-   slot (pc lsr 2) land 2047 in 8 pages of 256).  [probe] is the entry
-   translated at exactly [pc] if its ticket holds under the live PCC,
-   else [dummy] (whose start, -1, matches no PC); the caller counts the
-   hit. *)
+   every dispatch point runs it (the slot layout is [Decode_cache]'s:
+   slot (pc lsr 2) land 2047 in 32 pages of 64, at [page_index] and
+   [offset]).  [probe] is the entry translated at exactly [pc] if its
+   ticket holds under the live PCC, else [dummy] (whose start, -1,
+   matches no PC); the caller counts the hit. *)
 let[@inline always] bc_page bc pc =
-  Array.unsafe_get bc.Decode_cache.pages ((pc lsr 10) land 7)
+  Array.unsafe_get bc.Decode_cache.pages (Decode_cache.page_index pc)
 
-let[@inline always] bc_offset pc = (pc lsr 2) land 255
+let[@inline always] bc_offset pc = Decode_cache.offset pc
 
 let[@inline always] probe m bc pc =
   let e = Array.unsafe_get (bc_page bc pc) (bc_offset pc) in
@@ -1584,18 +1609,27 @@ let block_plan m (b : bentry) =
       then compile_jit m b
       else identity_plan
 
+(* The PCC instruction [i] of [b] runs under, for [1 <= i <= b_len],
+   where [b_len] means the fall-through: the block's prebuilt pair at
+   its end, and elsewhere the entry word at the instruction's address.
+   Only a mid-block trap, fuel cut or own-store abort and a mid-block
+   [Auipcc] (the one non-terminator the generic arm runs) need such an
+   interior PCC. *)
+let pcc_at (b : bentry) i =
+  if i = b.b_len then b.b_fall_pcc
+  else if i = b.b_len - 1 then b.b_last_pcc
+  else { Capability.word = b.b_pcc.word; addr = b.b_start + (4 * i) }
+
 (* Replay the deferred bookkeeping of [exec_round]: [pending]
-   instructions ending at instruction [i - 1] of the block whose
-   fall-through chain is [nexts] retired without touching the PCC or
-   [minstret].  Returns the new pending count, 0.  A top-level function
-   rather than a closure in [exec_round], so that the round's counters
-   stay unboxed locals (see there). *)
-let sync m nexts i pending =
+   instructions ending at instruction [i - 1] of block [b] retired
+   without touching the PCC or [minstret].  Returns the new pending
+   count, 0.  A top-level function rather than a closure in
+   [exec_round], so that the round's counters stay unboxed locals (see
+   there). *)
+let sync m b i pending =
   if pending > 0 then begin
     m.minstret <- m.minstret + pending;
-    match Array.unsafe_get nexts (i - 1) with
-    | Some c -> m.pcc <- c
-    | None -> ()
+    m.pcc <- pcc_at b i
   end;
   0
 
@@ -1619,9 +1653,10 @@ let sync m nexts i pending =
    capability arms may trap but read neither the PCC nor [minstret].
    Both run with the architectural state left stale, counted in
    [pending].  [sync] replays the deferred bookkeeping in one step:
-   minstret jumps by the run length and the PCC installs the prebuilt
-   fall-through of the {e last} deferred instruction — bitwise the
-   value the per-step path would have left.  A trap [sync]s before
+   minstret jumps by the run length and the PCC installs the PCC after
+   the {e last} deferred instruction ([pcc_at]: at the block's end a
+   prebuilt one) — bitwise the value the per-step path would have
+   left.  A trap [sync]s before
    [enter_trap] ([pending] covers only instructions before the raiser,
    so the PCC points exactly at it), and a round that ends on a
    deferred run materializes the last instruction's event (a function
@@ -1684,7 +1719,6 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
        let blk = !b in
        let insns = blk.b_insns in
        let opts = blk.b_opts in
-       let nexts = blk.b_nexts in
        let cost = blk.b_cost in
        let b_start = blk.b_start in
        let b_len = blk.b_len in
@@ -1780,7 +1814,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
              end
              else begin
                (* not taken: fully deferred, like any plain insn (the
-                  prebuilt [b_nexts] advance is the fall-through) *)
+                  block's prebuilt [b_fall_pcc] is the fall-through) *)
                br_taken := false;
                incr pending
              end
@@ -1800,13 +1834,13 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
                 redirect the PCC (Jalr, Mret) are block terminators, so
                 this arm needs no own-store abort or taken-branch
                 charge *)
-             pending := sync m nexts !i !pending;
+             pending := sync m blk !i !pending;
              if timed then begin
                charge_seg m cost !seg !i;
                seg := !i
              end;
              let r =
-               exec m insn (Array.unsafe_get opts !i) (Array.unsafe_get nexts !i)
+               exec m insn (Array.unsafe_get opts !i) (pcc_at blk (!i + 1))
              in
              if timed then begin
                charge_generic m cost !i r;
@@ -1838,7 +1872,7 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
            else begin
              (* the fall edge may still be deferred: materialize PCC
                 (and retire counts) before the probe below or a stop *)
-             pending := sync m nexts !i !pending;
+             pending := sync m blk !i !pending;
              if edge = 2 && jalr_edge_stops m ~timed then
                (* a sentry [Jalr] re-enabled interrupts: stop exactly
                   where a reference round would deliver (or, timed,
@@ -1868,11 +1902,11 @@ let exec_round m (b0 : bentry) ~fuel ~timed ~record =
          else stop := true
      done;
      if !pending > 0 then begin
-       pending := sync m (!b).b_nexts !i !pending;
+       pending := sync m !b !i !pending;
        retire_event m (Array.unsafe_get (!b).b_opts (!i - 1)) ~taken:false
      end
    with Trap cause ->
-     pending := sync m (!b).b_nexts !i !pending;
+     pending := sync m !b !i !pending;
      if timed then begin
        charge_seg m (!b).b_cost !seg !i;
        charge_trap m
@@ -1938,9 +1972,9 @@ let block_round m ~fuel ~timed ~record =
     end
     else begin
       bc.Decode_cache.misses <- bc.Decode_cache.misses + 1;
-      match fill_block m pc with
-      | Some b -> exec_round m b ~fuel ~timed ~record
-      | None -> step_round m ~timed ~record
+      let b = fill_block m in
+      if b != bc.Decode_cache.dummy then exec_round m b ~fuel ~timed ~record
+      else step_round m ~timed ~record
     end
   end
 

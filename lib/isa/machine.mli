@@ -209,16 +209,24 @@ type t = {
     decoded instructions of one straight-line run of code, ending at
     (and including) the first control-flow or interrupt-posture-changing
     instruction ({!max_block_len} at most), so only the last instruction
-    can leave the block other than by falling through.  The
-    per-instruction event payloads, the fall-through PCC chain, the
-    final direct edge's taken PCC and a final [Jal]'s link pair are
-    prebuilt at fill time, from the PCC each instruction was fetched
-    under, so a cached block executes without allocating. *)
+    can leave the block other than by falling through.  Every
+    instruction of a block is fetched under the entry PCC's word, so its
+    fetch rules are checked and its bounds decoded once per block.  The
+    per-instruction event payloads, the PCC pair of the block's end (the
+    last instruction's PCC and the fall-through), the final direct
+    edge's taken PCC and a final [Jal]'s link pair are prebuilt at fill
+    time, so a cached block executes without allocating. *)
 and bentry = {
   b_insns : Insn.t array;
-  b_opts : Insn.t option array;  (** [Some b_insns.(i)], built at fill *)
-  b_nexts : Cheriot_core.Capability.t option array;
-      (** fall-through PCC after instruction [i] *)
+  b_opts : Insn.t option array;
+      (** the decoder's [Some b_insns.(i)], kept at fill *)
+  b_last_pcc : Cheriot_core.Capability.t;
+      (** the PCC the last instruction runs under: the entry word at its
+          address ([b_pcc] itself in a one-instruction block) *)
+  b_fall_pcc : Cheriot_core.Capability.t;
+      (** the PCC after the last instruction falls through (untagged
+          where its address is not representable); an interior
+          instruction's PCC is the entry word at its address *)
   b_taken_pcc : Cheriot_core.Capability.t;
       (** the PCC the block's final direct [Branch] or [Jal] installs
           when taken; [Cheriot_core.Capability.null] (compared

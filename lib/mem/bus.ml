@@ -5,7 +5,6 @@ type t = {
   mutable devices : Mmio.device list;
   mutable revbits : Revbits.t option;
   mutable store_snoops : (int -> unit) list;
-  mutable accesses : int;
   mutable mru_sram : Sram.t option;
       (* most-recently-hit SRAM: accesses cluster heavily, so this skips
          the list walk on nearly every read/write *)
@@ -17,7 +16,6 @@ let create () =
     devices = [];
     revbits = None;
     store_snoops = [];
-    accesses = 0;
     mru_sram = None;
   }
 
@@ -61,10 +59,7 @@ let rec fire_snoops granule = function
    code is never translated, so device writes must not fire them. *)
 let snoop_store t addr = fire_snoops (addr land lnot 7) t.store_snoops
 
-let note_access t = t.accesses <- t.accesses + 1
-
 let read t ~width addr =
-  t.accesses <- t.accesses + 1;
   match sram_at t ~size:width addr with
   | Some s -> (
       match width with
@@ -78,7 +73,6 @@ let read t ~width addr =
       | Some _ | None -> raise (Bus_error addr))
 
 let write t ~width addr v =
-  t.accesses <- t.accesses + 1;
   match sram_at t ~size:width addr with
   | Some s ->
       (match width with
@@ -93,4 +87,3 @@ let write t ~width addr v =
       | Some _ | None -> raise (Bus_error addr))
 
 let on_store t f = t.store_snoops <- f :: t.store_snoops
-let data_accesses t = t.accesses

@@ -799,13 +799,14 @@ let test_create_allocates_no_major_words () =
     true (words < 256.);
   Alcotest.(check int) "no page allocated" 0 (List.length (live_pages m))
 
-(* A block starting 8 bytes before a page boundary (pc = 0x3f8 mod
-   0x2000) runs 16 bytes into the next page.  A store at 0x408 lands in
-   the next page, which holds no entry, so the snoop's candidate walk
-   must cross back into the block's page to kill it; the re-run must
-   then see the patched word. *)
+(* A block starting 8 bytes before a page boundary (a page holds the
+   slots of 0x100 bytes of code; pc = 0xf8 mod 0x2000) runs 16 bytes
+   into the next page.  A store at 0x108 lands in the next page, which
+   holds no entry, so the snoop's candidate walk must cross back into
+   the block's page to kill it; the re-run must then see the patched
+   word. *)
 let test_kill_across_page_boundary () =
-  let start = 0x3f8 in
+  let start = 0xf8 in
   let program =
     List.init ((start / 4) + 6) (fun i ->
         Encode.encode
@@ -820,7 +821,7 @@ let test_kill_across_page_boundary () =
     [ code_base; code_base + start ] (cached_starts m);
   Alcotest.(check int) "only the first page holds entries" 1
     (List.length (live_pages m));
-  Bus.write m.Machine.bus ~width:4 (code_base + 0x408)
+  Bus.write m.Machine.bus ~width:4 (code_base + 0x108)
     (Encode.encode (Insn.Op_imm (Add, 1, 1, 16)));
   let s = Machine.block_stats m in
   Alcotest.(check int) "the store killed the block" 1
@@ -1097,6 +1098,54 @@ let test_cold_edges_allocate_nothing () =
       check_warm_loop ~cold:true (what ^ ", Perf.run") m (perf_runner m))
     cold_loops
 
+(* A cold batch: 100 generated multi-compartment programs (switcher
+   calls, traps, allocator churn, code patches; a fixed seed), each on a
+   fresh machine, run once on the jit under [Machine.run] and under
+   [Perf.run].  This is the traffic of perfbench's [sim_cold] batch and
+   of the lockstep suites, where most blocks run once or twice, so a
+   run's heap traffic is mostly translation: the block's arrays, the
+   decoder's instructions and options, its record and the PCCs of its
+   end, and the cache pages its first fills allocate.  Allocation counts
+   are deterministic where wall time is not.  The batch allocates about
+   13.5 minor words per retired instruction under [Machine.run] and
+   14.6 under [Perf.run]; a translator that built and wrapped a PCC per
+   instruction and filled 256-slot pages allocated 33.8 and 34.9. *)
+let cold_batch_size = 100
+let cold_words_bound = 20.
+
+let test_cold_batch_allocation () =
+  let rand = Random.State.make [| 42 |] in
+  let batch =
+    List.init cold_batch_size (fun _ ->
+        QCheck.Gen.generate1 ~rand (Scenario.gen ()))
+  in
+  let check what run =
+    let words = ref 0. and insns = ref 0 in
+    List.iter
+      (fun sc ->
+        let m = (Scenario.link sc).Scenario.t.Cheriot_rtos.Loader.machine in
+        let f = run m in
+        words := !words +. minor_words_of f;
+        insns := !insns + m.Machine.minstret)
+      batch;
+    let per_insn = !words /. float_of_int !insns in
+    Alcotest.(check bool)
+      (Printf.sprintf
+         "%s: %.2f minor words per retired instruction over %d, under %.0f"
+         what per_insn !insns cold_words_bound)
+      true
+      (!insns > 0 && per_insn < cold_words_bound)
+  in
+  check "Machine.run" (fun m () ->
+      ignore (Machine.run ~dispatch:Machine.Dispatch_jit m));
+  check "Perf.run" (fun m ->
+      let p =
+        Cheriot_uarch.Perf.create ~dispatch:Cheriot_uarch.Perf.Jit
+          ~params:Cheriot_uarch.Core_model.(params_of Ibex)
+          m
+      in
+      fun () -> ignore (Cheriot_uarch.Perf.run p))
+
 let suite =
   [
     Alcotest.test_case "block formation and stats accounting" `Quick
@@ -1148,4 +1197,6 @@ let suite =
       `Quick test_warm_cap_jit_allocates_nothing;
     Alcotest.test_case "cold and Rv32 direct edges allocate nothing" `Quick
       test_cold_edges_allocate_nothing;
+    Alcotest.test_case "a cold batch allocates under 20 words per instruction"
+      `Quick test_cold_batch_allocation;
   ]

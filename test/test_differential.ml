@@ -203,6 +203,35 @@ let oob_call =
       Ebreak;
     ]
 
+(* The jit columns every trap case runs beside the reference: pinned
+   cold, at the default hotness, and compiling on the second and on the
+   first entry. *)
+let jit_columns =
+  [
+    ("jit cold", Some max_int);
+    ("jit", None);
+    ("jit@2", Some 2);
+    ("jit@1", Some 1);
+  ]
+
+let pin_hotness m = function
+  | Some t ->
+      m.Machine.hot_threshold <- t;
+      m.Machine.hot_adaptive <- false
+  | None -> ()
+
+(* [m] stopped where [ref_m] did: the same trap, at the same PCC, after
+   the same instructions, in the same state. *)
+let check_same_trap w (ref_m : Machine.t) (m : Machine.t) =
+  Alcotest.(check int) (w ^ ": mcause") ref_m.Machine.mcause m.Machine.mcause;
+  Alcotest.(check int) (w ^ ": mtval") ref_m.Machine.mtval m.Machine.mtval;
+  Alcotest.(check bool) (w ^ ": mepcc") true
+    (Capability.equal ref_m.Machine.mepcc m.Machine.mepcc);
+  Alcotest.(check int) (w ^ ": minstret") ref_m.Machine.minstret
+    m.Machine.minstret;
+  Alcotest.(check string) (w ^ ": state hash") (Machine.state_hash ref_m)
+    (Machine.state_hash m)
+
 let edge_boot mode prog =
   let m, _ = Boot.code_only ~mode (List.map Encode.encode prog) in
   m.Machine.mtcc <-
@@ -217,11 +246,7 @@ let test_oob_edges mode () =
       let what col = Printf.sprintf "%s %s (%s)" (mode_name mode) name col in
       let run ?hot_threshold col =
         let m = edge_boot mode prog in
-        (match hot_threshold with
-        | Some t ->
-            m.Machine.hot_threshold <- t;
-            m.Machine.hot_adaptive <- false
-        | None -> ());
+        pin_hotness m hot_threshold;
         let dispatch =
           if col = "ref" then Machine.Dispatch_ref else Machine.Dispatch_jit
         in
@@ -254,25 +279,11 @@ let test_oob_edges mode () =
         (fun (col, hot_threshold) ->
           let m = run ?hot_threshold col in
           let w = what col in
-          Alcotest.(check int) (w ^ ": mcause") ref_m.Machine.mcause
-            m.Machine.mcause;
-          Alcotest.(check int) (w ^ ": mtval") ref_m.Machine.mtval
-            m.Machine.mtval;
-          Alcotest.(check bool) (w ^ ": mepcc") true
-            (Capability.equal ref_m.Machine.mepcc m.Machine.mepcc);
-          Alcotest.(check int) (w ^ ": minstret") ref_m.Machine.minstret
-            m.Machine.minstret;
-          Alcotest.(check string) (w ^ ": state hash")
-            (Machine.state_hash ref_m) (Machine.state_hash m);
+          check_same_trap w ref_m m;
           if prog == late_branch_exit && hot_threshold = None then
             Alcotest.(check bool) (w ^ ": under a compiled plan") true
               ((Machine.block_stats m).Machine.jit_blocks_compiled >= 1))
-        [
-          ("jit cold", Some max_int);
-          ("jit", None);
-          ("jit@2", Some 2);
-          ("jit@1", Some 1);
-        ];
+        jit_columns;
       let params = Core_model.params_of Core_model.Ibex in
       let perf_run dispatch =
         let m = edge_boot mode prog in
@@ -293,6 +304,148 @@ let test_oob_edges mode () =
       ("late branch exit", late_branch_exit, 4);
       ("out-of-bounds call", oob_call, 8);
     ]
+
+(* --- fall-through off the PCC's top ------------------------------------ *)
+
+(* The jit checks a block's fetch rules once and decodes its PCC's
+   bounds once, at the entry; every further word only has to lie below
+   that top.  Here straight-line code runs off the PCC's top, which lies
+   at 4 MiB ([fall_top]), with the code SRAM going on past it, so only
+   the bounds stop the fall-through:
+   - "mid-block": from 10 words below the top, the block is cut by the
+     top after 10 of its 16 instructions;
+   - "block end": from 16 words below, the length cap ends the block
+     exactly at the top.
+   Each runs on a PCC at exponent 0 (the 128 bytes below the top) and on
+   one at exponent 14 (4 MiB from address 0).  The handler (at the
+   exponent-0 PCC's base) counts the traps and branches back to the
+   entry [fall_passes] times, so at the jit's default hotness the cut
+   block ends up under a compiled plan, then halts.  In Rv32 mode nothing
+   is bounds-checked: the code SRAM ends at the top, and the fetch there
+   is an instruction access fault. *)
+let fall_top = 0x40_0000
+let fall_code = fall_top - 0x100
+let fall_handler = fall_top - 0x80
+let fall_passes = 40
+
+let fall_pccs =
+  let bounded base length =
+    Capability.set_bounds
+      (Capability.with_address Capability.root_executable base)
+      ~length ~exact:true
+  in
+  [
+    ("exponent 0", 0, bounded (fall_top - 0x80) 0x80);
+    ("exponent 14", 14, bounded 0 fall_top);
+  ]
+
+let fall_boot mode pcc entry =
+  let bus = Bus.create () in
+  let size = match mode with Machine.Cheriot -> 0x400 | Machine.Rv32 -> 0x100 in
+  let code = Cheriot_mem.Sram.create ~base:fall_code ~size in
+  Bus.add_sram bus code;
+  let m = Machine.create ~mode bus in
+  let t1 = Insn.reg_t1 and a0 = Insn.reg_a0 in
+  for k = 0 to (size / 4) - 1 do
+    let pc = fall_code + (4 * k) in
+    Cheriot_mem.Sram.write32 code pc
+      (Encode.encode
+         (if pc = fall_handler then Insn.Op_imm (Add, t1, t1, 1)
+          else if pc = fall_handler + 4 then
+            Insn.Branch (Ne, t1, a0, entry - pc)
+          else if pc = fall_handler + 8 then Insn.Ebreak
+          else Insn.Op_imm (Add, Insn.reg_t0, Insn.reg_t0, 1)))
+  done;
+  Machine.flush_decode_cache m;
+  m.Machine.pcc <- Capability.with_address pcc entry;
+  m.Machine.mtcc <- Capability.with_address pcc fall_handler;
+  Machine.set_reg_int m a0 fall_passes;
+  m
+
+let test_fall_off_top mode () =
+  List.iter
+    (fun (pname, exponent, pcc) ->
+      Alcotest.(check int) (pname ^ ": the PCC's exponent") exponent
+        (Bounds.exponent (Capability.Word.bounds pcc.Capability.word));
+      Alcotest.(check int) (pname ^ ": the PCC's top") fall_top
+        (Capability.top pcc);
+      List.iter
+        (fun (cname, words) ->
+          let entry = fall_top - (4 * words) in
+          let what col =
+            Printf.sprintf "%s %s, %s (%s)" (mode_name mode) cname pname col
+          in
+          let boot ?hot_threshold () =
+            let m = fall_boot mode pcc entry in
+            pin_hotness m hot_threshold;
+            m
+          in
+          let run col ?hot_threshold dispatch =
+            let m = boot ?hot_threshold () in
+            let r, _ = Machine.run ~dispatch m in
+            Alcotest.(check bool) (what col ^ ": halts in the handler") true
+              (r = Machine.Step_halted);
+            m
+          in
+          let ref_m = run "ref" Machine.Dispatch_ref in
+          Alcotest.(check int) (what "ref" ^ ": every pass trapped")
+            fall_passes
+            (Machine.reg_int ref_m Insn.reg_t1);
+          Alcotest.(check int) (what "ref" ^ ": every word below the top ran")
+            (fall_passes * words)
+            (Machine.reg_int ref_m Insn.reg_t0);
+          (match mode with
+          | Machine.Cheriot ->
+              Alcotest.(check int) (what "ref" ^ ": CHERI fault") 28
+                ref_m.Machine.mcause;
+              Alcotest.(check int) (what "ref" ^ ": bounds, PCC")
+                ((0x01 lsl 5) lor 16)
+                ref_m.Machine.mtval
+          | Machine.Rv32 ->
+              Alcotest.(check int) (what "ref" ^ ": instruction access fault")
+                1 ref_m.Machine.mcause);
+          Alcotest.(check int) (what "ref" ^ ": at the top") fall_top
+            (Capability.address ref_m.Machine.mepcc);
+          List.iter
+            (fun (col, hot_threshold) ->
+              let m = run col ?hot_threshold Machine.Dispatch_jit in
+              let w = what col in
+              check_same_trap w ref_m m;
+              (* the block at the entry holds every word below the top,
+                 up to the length cap, and no word past it *)
+              let lens = ref [] in
+              Decode_cache.iter
+                (fun b ->
+                  if b.Machine.b_start = entry then
+                    lens := b.Machine.b_len :: !lens)
+                m.Machine.bcache;
+              Alcotest.(check (list int)) (w ^ ": the entry block's length")
+                [ Int.min words Machine.max_block_len ]
+                !lens;
+              if hot_threshold = None then
+                Alcotest.(check bool) (w ^ ": under a compiled plan") true
+                  ((Machine.block_stats m).Machine.jit_blocks_compiled >= 1))
+            jit_columns;
+          let params = Core_model.params_of Core_model.Ibex in
+          let perf_run ?hot_threshold dispatch =
+            let m = boot ?hot_threshold () in
+            let p = Perf.create ~dispatch ~params m in
+            Alcotest.(check bool) (what "Perf" ^ ": halts") true
+              (Perf.run p = Machine.Step_halted);
+            (p.Perf.stats, m)
+          in
+          let ref_st, ref_pm = perf_run Perf.Reference in
+          List.iter
+            (fun (col, hot_threshold) ->
+              let st, m = perf_run ?hot_threshold Perf.Jit in
+              let w = what ("Perf " ^ col) in
+              Alcotest.(check int) (w ^ ": cycles") ref_st.Perf.cycles
+                st.Perf.cycles;
+              Alcotest.(check int) (w ^ ": traps") fall_passes st.Perf.traps;
+              check_same_trap w ref_pm m)
+            jit_columns)
+        [ ("mid-block", 10); ("block end", 16) ])
+    fall_pccs
 
 (* --- pinned program states ------------------------------------------ *)
 
@@ -400,6 +553,16 @@ let suite =
         Alcotest.test_case
           (mode_name mode ^ " out-of-bounds direct edges trap exactly")
           `Quick (test_oob_edges mode))
+      [ Machine.Cheriot; Machine.Rv32 ]
+  @ List.map
+      (fun mode ->
+        Alcotest.test_case
+          (mode_name mode ^ " fall-through off the "
+          ^ (match mode with
+            | Machine.Cheriot -> "PCC's top"
+            | Machine.Rv32 -> "SRAM's end")
+          ^ " traps exactly")
+          `Quick (test_fall_off_top mode))
       [ Machine.Cheriot; Machine.Rv32 ]
   @ List.map
       (fun (name, build, pin) ->

@@ -591,6 +591,27 @@ let test_perf_reference_allocation () =
     true
     (perf -. machine < 0.05)
 
+(* The reference step decodes every instruction afresh and keeps what
+   the decoder built: [exec] gets the decoder's own [Some insn], and an
+   [OP-IMM] word's op is looked up alone, not paired with its immediate
+   in an option.  CoreMark RV32E on Ibex under [Machine.run] allocates
+   9.9 minor words per instruction; re-wrapping the option (2 words a
+   step) and pairing the op (5 words an [addi]) made it 13.3. *)
+let ref_words_bound = 10.5
+
+let test_reference_step_allocation () =
+  let m = Coremark.setup ~iterations:10 (Core_model.config ~cheri:false Ibex) in
+  let before = Gc.minor_words () in
+  let r, _ = Machine.run ~fuel:20_000_000 ~dispatch:Machine.Dispatch_ref m in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "halts" true (r = Machine.Step_halted);
+  let per_insn = words /. float_of_int m.Machine.minstret in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per instruction, under %.1f" per_insn
+       ref_words_bound)
+    true
+    (per_insn < ref_words_bound)
+
 (* --- per-block cost tables ------------------------------------------ *)
 
 (* Every instruction kind the model prices, in straight-line runs and at
@@ -739,4 +760,6 @@ let suite =
       test_perf_ledger_per_harness;
     Alcotest.test_case "reference rounds allocate alike under Perf" `Quick
       test_perf_reference_allocation;
+    Alcotest.test_case "a reference step keeps the decoder's allocation"
+      `Quick test_reference_step_allocation;
   ]
